@@ -95,6 +95,10 @@ class ConstructConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise BadParameters(f"unknown case {self.case!r}; pick one of {CASES}")
+        for name in ("orbit_budget", "coset_budget", "closure_budget", "hall_direct_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise BadParameters(f"{name.replace('_', ' ')} must be positive, got {value}")
 
 
 def canonical_json(obj) -> str:
@@ -436,7 +440,9 @@ def parse_certificate(text: str) -> dict:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"not valid JSON: {exc}") from exc
-    if not isinstance(cert, dict) or cert.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(cert, dict):
+        raise SchemaMismatch(f"certificate root must be a JSON object, got {type(cert).__name__}")
+    if cert.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"expected schema_version {SCHEMA_VERSION!r}, got {cert.get('schema_version')!r}"
         )

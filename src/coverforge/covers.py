@@ -25,17 +25,14 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded, InconsistentRamification
 from .groups import (
     DEFAULT_ENUM_BUDGET,
-    FiniteGroupHandle,
     GroupElement,
     GroupTable,
-    ProductElement,
     SubgroupData,
     element_order,
     group_table,
     normalizer,
-    subgroup_closure,
 )
-from .orbits import OrbitClosure, verify_characteristic_closure
+from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
 from .surfaces import RepTuple, SurfaceSignature
 
 DEFAULT_COSET_BUDGET = 1_000_000
@@ -165,15 +162,6 @@ def elevation_degree(class_reps: Sequence[RepTuple], puncture: int) -> int:
     return math.lcm(*orders)
 
 
-@dataclass(frozen=True)
-class ElevationDatum:
-    """Local-degree data over one puncture."""
-
-    puncture: int
-    elevation_order: int           # degree d_i of elevations in the kernel cover
-    local_degrees: dict[int, int]  # multiset over the irregular cover
-
-
 def riemann_hurwitz(
     degree: int, euler_closed_base: int, ramification: Sequence[dict[int, int]]
 ) -> tuple[int, int]:
@@ -235,21 +223,15 @@ def characteristic_core(
     """Summarize the regular cover attached to the intersection of the
     kernels over the orbit (equivalently over the class reps, since
     postcomposition preserves kernels)."""
-    signature = class_reps[0].signature
-    n = signature.n
+    n = class_reps[0].signature.n
     orders = tuple(elevation_degree(class_reps, i) for i in range(1, n + 1))
-    base = class_reps[0].target
-    k = len(class_reps)
-    product_handle = FiniteGroupHandle.power(base, k)
+    table = orbit.table
     degree: int | None = None
     # the image can only be bounded a priori by the ambient order, so a
     # closure is attempted only when the whole product is affordable
-    if product_handle.order <= closure_budget:
-        images = [
-            ProductElement(tuple(rep.images[pos] for rep in class_reps))
-            for pos in range(signature.free_rank)
-        ]
-        degree = subgroup_closure(images, product_handle, closure_budget).order
+    if table.order ** len(class_reps) <= closure_budget:
+        rep_ids = [tuple(table.id_of(g) for g in rep.images) for rep in class_reps]
+        degree = _product_closure_order(table, rep_ids, closure_budget)
     return CharacteristicCoreReport(
         peripheral_orders=orders,
         all_at_least_two=all(o >= 2 for o in orders),

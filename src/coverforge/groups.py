@@ -549,32 +549,30 @@ def subgroup_closure(
     handle: FiniteGroupHandle,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SubgroupData:
-    """BFS closure of a generating set under the group law.
+    """Closure of a generating set under the group law, on table ids.
 
-    Positive words suffice in a finite group, so only right
-    multiplication by generators is applied.
+    A base group closes its generator ids over its own table; a power
+    G^k closes k-component id tuples over the table of G.
     """
     gens = tuple(generators)
     for g in gens:
         if not handle.contains(g):
             raise BadParameters(f"generator {g!r} is not in the ambient group")
-    identity = handle.identity()
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    elements.add(y)
-                    fresh.append(y)
-        if len(elements) > budget:
-            raise BudgetExceeded(
-                f"closure exceeded budget {budget}", used=len(elements), budget=budget
-            )
-        frontier = fresh
-    return SubgroupData(handle, gens, frozenset(elements), len(elements))
+    if handle.kind != "product":
+        table = group_table(handle)
+        ids = closure_ids(table, [table.id_of(g) for g in gens], budget)
+        elements = frozenset(table.elements[i] for i in ids)
+    else:
+        base = handle.components[0]
+        if any(c != base for c in handle.components):
+            raise BadParameters("closure over a product needs equal factors")
+        table = group_table(base)
+        id_gens = [tuple(table.id_of(x) for x in g.components) for g in gens]
+        tuples = closure_id_tuples(table, len(handle.components), id_gens, budget)
+        elements = frozenset(
+            ProductElement(tuple(table.elements[i] for i in ids)) for ids in tuples
+        )
+    return SubgroupData(handle, gens, elements, len(elements))
 
 
 def trivial_subgroup(handle: FiniteGroupHandle) -> SubgroupData:
@@ -743,7 +741,12 @@ def _psl2_table(handle: FiniteGroupHandle, elements) -> GroupTable:
 
 
 def closure_ids(table: GroupTable, gen_ids: Sequence[int], maxsize: int | None = None) -> set[int]:
-    """Subgroup closure over table indices; cheap inner loop for searches."""
+    """Subgroup closure over table indices.
+
+    Positive words suffice in a finite group, so only right
+    multiplication by generators is applied.  A plain int loop: on the
+    small groups here it beats vectorized and tuple-keyed versions.
+    """
     mul = table.mul
     elements = {table.identity_id}
     frontier = [table.identity_id]
@@ -759,5 +762,28 @@ def closure_ids(table: GroupTable, gen_ids: Sequence[int], maxsize: int | None =
                     fresh.append(y)
         if len(elements) > cap:
             raise BudgetExceeded("closure exceeded cap", used=len(elements), budget=cap)
+        frontier = fresh
+    return elements
+
+
+def closure_id_tuples(
+    table: GroupTable, k: int, gens: Sequence[tuple[int, ...]], cap: int
+) -> set[tuple[int, ...]]:
+    """Subgroup closure in the k-fold power of the table's group, over
+    k-component id tuples multiplied componentwise."""
+    mul = table.mul
+    identity = (table.identity_id,) * k
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(int(mul[a, b]) for a, b in zip(x, g))
+                if y not in elements:
+                    elements.add(y)
+                    fresh.append(y)
+        if len(elements) > cap:
+            raise BudgetExceeded("product closure exceeded cap", used=len(elements), budget=cap)
         frontier = fresh
     return elements

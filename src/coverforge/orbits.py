@@ -12,8 +12,10 @@ BFS closure is the full orbit of the generated action.
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on tuples under the canonical element ordering).
-The BFS and the class partition are vectorized when the encoding fits
-in 63 bits; a plain-set fallback handles larger ranks over tiny groups.
+One vectorized engine runs the BFS and one the class partition.  State
+arrays are int64 while the encoding fits in 62 bits and hold Python ints
+(numpy ``object`` dtype) beyond, so large ranks over tiny groups take
+the same code path with exact keys.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .groups import (
     GroupElement,
     GroupTable,
     ProductElement,
+    closure_id_tuples,
     closure_ids,
     encode_element,
     group_table,
@@ -43,7 +47,7 @@ from .groups import (
 from .surfaces import RepTuple, SurfaceSignature
 
 DEFAULT_ORBIT_BUDGET = 20_000_000
-_ENCODABLE = 2**62
+_INT64_KEYS = 2**62
 _CHUNK = 1_000_000
 
 
@@ -79,19 +83,14 @@ class OrbitClosure:
     table: GroupTable
     rank: int
     start_ids: tuple[int, ...]
-    encoded: np.ndarray | None  # sorted int64 encodings (vectorized path)
-    tuple_states: tuple[tuple[int, ...], ...] | None  # sorted (fallback path)
+    encoded: np.ndarray  # sorted state encodings, in the dtype of _state_powers()
     levels: int
     expansions: int
     budget: int
 
     @property
     def size(self) -> int:
-        return len(self.encoded) if self.encoded is not None else len(self.tuple_states)
-
-    def powers(self) -> list[int]:
-        n = self.table.order
-        return [n ** (self.rank - 1 - j) for j in range(self.rank)]
+        return len(self.encoded)
 
     def decode(self, state: int) -> tuple[int, ...]:
         n = self.table.order
@@ -110,58 +109,59 @@ class OrbitClosure:
 
     def id_tuples(self) -> list[tuple[int, ...]]:
         """All states as id tuples, in lexicographic order."""
-        if self.tuple_states is not None:
-            return list(self.tuple_states)
         return [self.decode(int(s)) for s in self.encoded]
 
-    def element_tuples(self) -> list[tuple[GroupElement, ...]]:
-        el = self.table.elements
-        return [tuple(el[i] for i in ids) for ids in self.id_tuples()]
 
-    def contains_ids(self, ids: tuple[int, ...]) -> bool:
-        if self.tuple_states is not None:
-            return ids in self._tuple_set()
-        state = self.encode(ids)
-        pos = int(np.searchsorted(self.encoded, state))
-        return pos < self.encoded.size and int(self.encoded[pos]) == state
+def _state_powers(n: int, rank: int) -> np.ndarray:
+    """Place values of the rank-digit, base-n state encoding.
 
-    def _tuple_set(self):
-        cached = getattr(self, "_tuple_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.tuple_states)
-            object.__setattr__(self, "_tuple_set_cache", cached)
-        return cached
+    Their dtype is the dtype of every state array: int64 while n**rank
+    stays below 2**62, Python ints (``object``) beyond, so wide keys run
+    through the same code and never wrap.
+    """
+    dtype = np.int64 if n**rank < _INT64_KEYS else object
+    return np.array([n ** (rank - 1 - j) for j in range(rank)], dtype=dtype)
 
 
-def _apply_move_ids(ids: tuple[int, ...], move: NielsenMove, table: GroupTable) -> tuple[int, ...]:
-    out = list(ids)
+def _decode_digits(states: np.ndarray, n: int, rank: int) -> list[np.ndarray]:
+    """Per-position int64 digit arrays of the states, most significant first."""
+    digits = []
+    for _ in range(rank):
+        digits.append((states % n).astype(np.int64, copy=False))
+        states = states // n
+    digits.reverse()
+    return digits
+
+
+def _apply_move_encoded(states, digits, move, table, powers):
+    """Encodings of the moved states; `digits` are the decoded `states`.
+
+    A move rewrites one or two digits, so only their place values are
+    touched.  Each digit change is cast to the state dtype before it
+    meets a place value: an int64 array times a Python int is computed
+    in int64 and would wrap on wide keys.
+    """
+    i = move.i
     if move.kind == "swap":
-        out[move.i], out[move.j] = out[move.j], out[move.i]
-    elif move.kind == "invert":
-        out[move.i] = int(table.inv[out[move.i]])
+        change = (digits[move.j] - digits[i]).astype(powers.dtype)
+        return states + change * (powers[i] - powers[move.j])
+    if move.kind == "invert":
+        moved = table.inv[digits[i]]
     elif move.kind == "multiply":
-        out[move.i] = int(table.mul[out[move.i], out[move.j]])
+        moved = table.mul[digits[i], digits[move.j]]
     else:
-        out[move.i] = int(table.mul[out[move.i], int(table.inv[out[move.j]])])
-    return tuple(out)
+        moved = table.mul[digits[i], table.inv[digits[move.j]]]
+    return states + (moved - digits[i]).astype(powers.dtype) * powers[i]
 
 
-def _apply_move_encoded(states, move, table, powers, rank):
-    n = table.order
-    digits = [(states // powers[j]) % n for j in range(rank)]
-    if move.kind == "swap":
-        digits[move.i], digits[move.j] = digits[move.j], digits[move.i]
-    elif move.kind == "invert":
-        digits[move.i] = table.inv[digits[move.i]].astype(np.int64)
-    elif move.kind == "multiply":
-        digits[move.i] = table.mul[digits[move.i], digits[move.j]].astype(np.int64)
-    else:
-        inv_j = table.inv[digits[move.j]].astype(np.int64)
-        digits[move.i] = table.mul[digits[move.i], inv_j].astype(np.int64)
-    out = np.zeros_like(states)
-    for j in range(rank):
-        out += digits[j] * powers[j]
-    return out
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique through a stable sort: timsort merges the sorted runs
+    that moved or concatenated state arrays consist of."""
+    values = np.sort(values, kind="stable")
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def orbit_closure(
@@ -173,39 +173,32 @@ def orbit_closure(
     if table is None:
         table = group_table(rep.target)
     rank = rep.signature.free_rank
-    moves = nielsen_generators(rank)
     start = tuple(table.id_of(g) for g in rep.images)
-    if table.order**rank < _ENCODABLE:
-        return _orbit_vectorized(table, rank, start, moves, budget)
-    return _orbit_python(table, rank, start, moves, budget)
+    return _orbit_vectorized(table, rank, start, nielsen_generators(rank), budget)
 
 
 def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     n = table.order
-    powers_list = [n ** (rank - 1 - j) for j in range(rank)]
-    powers = np.array(powers_list, dtype=np.int64)
-    start_state = int(sum(s * p for s, p in zip(start, powers_list)))
-    visited = np.array([start_state], dtype=np.int64)
+    powers = _state_powers(n, rank)
+    start_state = sum(s * int(p) for s, p in zip(start, powers))
+    visited = np.array([start_state], dtype=powers.dtype)
     frontier = visited.copy()
     levels = 0
     expansions = 0
     while frontier.size:
         levels += 1
-        new = np.empty(0, dtype=np.int64)
+        new = np.empty(0, dtype=powers.dtype)
         for lo in range(0, frontier.size, _CHUNK):
             chunk = frontier[lo : lo + _CHUNK]
+            digits = _decode_digits(chunk, n, rank)
             for move in moves:
-                cand = np.unique(_apply_move_encoded(chunk, move, table, powers, rank))
+                cand = _sorted_unique(_apply_move_encoded(chunk, digits, move, table, powers))
                 expansions += int(chunk.size)
                 pos = np.searchsorted(visited, cand)
                 mask = (pos >= visited.size) | (visited[np.minimum(pos, visited.size - 1)] != cand)
                 cand = cand[mask]
                 if cand.size:
-                    if new.size:
-                        merged = np.union1d(new, cand)
-                    else:
-                        merged = cand
-                    new = merged
+                    new = _sorted_unique(np.concatenate([new, cand])) if new.size else cand
                 if visited.size + new.size > budget:
                     raise BudgetExceeded(
                         "orbit closure exceeded state budget",
@@ -213,46 +206,13 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
                         budget=budget,
                     )
         if new.size:
-            visited = np.sort(np.concatenate([visited, new]))
+            visited = np.sort(np.concatenate([visited, new]), kind="stable")
         frontier = new
     return OrbitClosure(
         table=table,
         rank=rank,
         start_ids=start,
         encoded=visited,
-        tuple_states=None,
-        levels=levels,
-        expansions=expansions,
-        budget=budget,
-    )
-
-
-def _orbit_python(table, rank, start, moves, budget) -> OrbitClosure:
-    visited = {start}
-    frontier = [start]
-    levels = 0
-    expansions = 0
-    while frontier:
-        levels += 1
-        fresh = []
-        for ids in frontier:
-            for move in moves:
-                expansions += 1
-                out = _apply_move_ids(ids, move, table)
-                if out not in visited:
-                    visited.add(out)
-                    fresh.append(out)
-            if len(visited) > budget:
-                raise BudgetExceeded(
-                    "orbit closure exceeded state budget", used=len(visited), budget=budget
-                )
-        frontier = fresh
-    return OrbitClosure(
-        table=table,
-        rank=rank,
-        start_ids=start,
-        encoded=None,
-        tuple_states=tuple(sorted(visited)),
         levels=levels,
         expansions=expansions,
         budget=budget,
@@ -264,22 +224,18 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
 
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
-    automorphisms.
+    automorphisms.  A move is injective and the states are sorted and
+    distinct, so the orbit is closed under it exactly when the sorted
+    images equal the states.
     """
-    moves = nielsen_generators(orbit.rank)
-    if orbit.encoded is not None:
-        states = orbit.encoded
-        powers = np.array(orbit.powers(), dtype=np.int64)
-        for move in moves:
-            image = np.sort(_apply_move_encoded(states, move, orbit.table, powers, orbit.rank))
-            if image.size != states.size or not np.array_equal(np.unique(image), states):
-                return False
-        return True
-    state_set = orbit._tuple_set()
-    for ids in orbit.tuple_states:
-        for move in moves:
-            if _apply_move_ids(ids, move, orbit.table) not in state_set:
-                return False
+    states = orbit.encoded
+    n = orbit.table.order
+    powers = _state_powers(n, orbit.rank)
+    digits = _decode_digits(states, n, orbit.rank)
+    for move in nielsen_generators(orbit.rank):
+        image = _apply_move_encoded(states, digits, move, orbit.table, powers)
+        if not np.array_equal(np.sort(image, kind="stable"), states):
+            return False
     return True
 
 
@@ -370,15 +326,13 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     unclassified state of each class is its lexicographic minimum.
     """
     perms = automorphism_perms(orbit.table).astype(np.int64)
-    if orbit.encoded is not None:
-        return _aut_classes_vectorized(orbit, perms)
-    return _aut_classes_python(orbit, perms)
+    return _aut_classes_vectorized(orbit, perms)
 
 
 def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResult:
     states = orbit.encoded
     size = states.size
-    powers = np.array(orbit.powers(), dtype=np.int64)
+    powers = _state_powers(orbit.table.order, orbit.rank)
     classified = np.zeros(size, dtype=bool)
     start_state = orbit.encode(orbit.start_ids)
     start_pos = int(np.searchsorted(states, start_state))
@@ -418,45 +372,11 @@ def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResu
     )
 
 
-def _aut_classes_python(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResult:
-    states = list(orbit.tuple_states)
-    state_set = orbit._tuple_set()
-    classified: set[tuple[int, ...]] = set()
-    class_reps: list[tuple[int, ...]] = []
-    class_sizes: list[int] = []
-    start_class = -1
-    for ids in states:
-        if ids in classified:
-            continue
-        members = {tuple(int(perm[i]) for i in ids) for perm in perms} & state_set
-        classified |= members
-        if orbit.start_ids in members:
-            start_class = len(class_reps)
-        class_reps.append(min(members))
-        class_sizes.append(len(members))
-    order = [start_class] + [i for i in range(len(class_reps)) if i != start_class]
-    reps = [class_reps[i] for i in order]
-    reps[0] = orbit.start_ids
-    sizes = [class_sizes[i] for i in order]
-    return OrbitResult(
-        table=orbit.table,
-        rank=orbit.rank,
-        orbit_size=len(states),
-        k=len(reps),
-        class_rep_ids=tuple(reps),
-        class_sizes=tuple(sizes),
-        budget_used={"orbit_states": len(states), "orbit_levels": orbit.levels,
-                     "orbit_expansions": orbit.expansions},
-    )
-
-
 def canonical_class_key(table: GroupTable, ids: tuple[int, ...], perms: np.ndarray) -> int:
     """Minimum encoding over the full automorphism class of a tuple; a
     complete invariant for postcomposition equivalence."""
-    n = table.order
-    powers = np.array([n ** (len(ids) - 1 - j) for j in range(len(ids))], dtype=np.int64)
     digits = np.array(ids, dtype=np.int64)
-    return int((perms[:, digits] @ powers).min())
+    return int((perms[:, digits] @ _state_powers(table.order, len(ids))).min())
 
 
 def assemble_product_rep(result: OrbitResult, signature: SurfaceSignature) -> RepTuple:
@@ -506,7 +426,9 @@ def verify_hall_surjectivity(
     mode = "hypothesis-only"
     if product_order <= direct_cap:
         mode = "direct"
-        direct_order = _product_closure_order(result, min(closure_budget, product_order))
+        direct_order = _product_closure_order(
+            table, result.class_rep_ids, min(closure_budget, product_order)
+        )
     ok = each and pairwise and (direct_order is None or direct_order == product_order)
     return HallReport(
         ok=ok,
@@ -517,22 +439,11 @@ def verify_hall_surjectivity(
     )
 
 
-def _product_closure_order(result: OrbitResult, cap: int) -> int:
-    mul = result.table.mul
-    identity = (result.table.identity_id,) * result.k
-    # transpose: one k-component product tuple per free generator
-    gens = [tuple(int(x) for x in ids) for ids in zip(*result.class_rep_ids)]
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(int(mul[a, b]) for a, b in zip(x, g))
-                if y not in elements:
-                    elements.add(y)
-                    fresh.append(y)
-        if len(elements) > cap:
-            raise BudgetExceeded("product closure exceeded cap", used=len(elements), budget=cap)
-        frontier = fresh
-    return len(elements)
+def _product_closure_order(
+    table: GroupTable, class_rep_ids: Sequence[tuple[int, ...]], cap: int
+) -> int:
+    """Order of the image of the product of the class reps: the closure,
+    inside the k-fold power of the base group, of one k-component id
+    tuple per free generator."""
+    gens = list(zip(*class_rep_ids))  # transpose: one product tuple per generator
+    return len(closure_id_tuples(table, len(class_rep_ids), gens, cap))

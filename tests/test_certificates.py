@@ -125,6 +125,14 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             ConstructConfig(case="nonsense")
 
+    @pytest.mark.parametrize(
+        "field", ["orbit_budget", "coset_budget", "closure_budget", "hall_direct_cap"]
+    )
+    def test_non_positive_budgets_rejected(self, field):
+        for value in (0, -1):
+            with pytest.raises(BadParameters):
+                ConstructConfig(case="char-cyclic", genus=0, punctures=3, **{field: value})
+
     def test_missing_parameters_rejected(self):
         with pytest.raises(BadParameters):
             construct(ConstructConfig(case="generic", p=5))
@@ -178,6 +186,9 @@ class TestVerification:
             parse_certificate("{}")
         with pytest.raises(SchemaMismatch):
             parse_certificate("not json")
+        for root in ("[1]", '"x"', "3", "null"):
+            with pytest.raises(SchemaMismatch):
+                parse_certificate(root)
 
     def test_write_is_atomic(self, tmp_path, char_cyclic_cert):
         path = tmp_path / "cert.json"
@@ -260,6 +271,36 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("root", ["[1]", '"x"'])
+    def test_verify_non_object_root_exit_code(self, tmp_path, root):
+        path = tmp_path / "cert.json"
+        path.write_text(root)
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "JSON object" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "case_args",
+        [
+            ("--case", "char-cyclic", "--genus", "0", "--punctures", "3"),
+            ("--case", "genus-zero", "--p", "5", "--punctures", "3"),
+        ],
+    )
+    def test_non_positive_budget_exit_code(self, tmp_path, case_args):
+        out = tmp_path / "nope.json"
+        for budget_args, env in (
+            (("--coset-budget", "-1"), None),
+            (("--orbit-budget", "0"), None),
+            ((), {"COVERFORGE_COSET_BUDGET": "0"}),
+            ((), {"COVERFORGE_ORBIT_BUDGET": "-5"}),
+        ):
+            proc = run_cli("construct", *case_args, *budget_args, "--out", str(out),
+                           env_extra=env)
+            assert proc.returncode == 2, (budget_args, env, proc.stderr)
+            assert "must be positive" in proc.stderr
+            assert not out.exists()
 
     def test_bundle_report_cli(self):
         proc = run_cli("bundle-report", "--fiber-genus", "13", "--base-genus", "2",

@@ -17,6 +17,7 @@ from coverforge.groups import (
     FiniteGroupHandle,
     Residue,
     canonicalize,
+    element_order,
     group_table,
     subgroup_closure,
 )
@@ -26,11 +27,11 @@ from coverforge.orbits import (
     assemble_product_rep,
     aut_classes,
     automorphism_perms,
+    canonical_class_key,
     nielsen_generators,
     orbit_closure,
     verify_characteristic_closure,
     verify_hall_surjectivity,
-    _orbit_python,
 )
 from coverforge.surfaces import RepTuple, SurfaceSignature
 
@@ -152,16 +153,56 @@ class TestOrbitEngine:
         with pytest.raises(BudgetExceeded):
             orbit_closure(b.rep, budget=5000)
 
-    def test_python_fallback_matches_vectorized(self):
-        rep = toy_rep()
-        table = group_table(rep.target)
+    def test_wide_keys_match_set_oracle(self):
+        # rank 11 over PSL(2,5): 60**11 >= 2**63, so the states are Python ints
+        h = FiniteGroupHandle.psl2(5)
+        table = group_table(h)
+        involution = next(g for g in table.elements if element_order(g) == 2)
+        rep = RepTuple(SurfaceSignature(0, 12), h, (involution,) + (h.identity(),) * 10)
+        orb = orbit_closure(rep)
+        assert orb.encoded.dtype == object
+
+        mul, inv = table.mul, table.inv
         start = tuple(table.id_of(g) for g in rep.images)
-        orb_py = _orbit_python(table, 2, start, nielsen_generators(2), 1000)
-        orb_np = orbit_closure(rep)
-        assert set(orb_py.tuple_states) == set(orb_np.id_tuples())
-        res_py = aut_classes(orb_py)
-        res_np = aut_classes(orb_np)
-        assert res_py.class_rep_ids == res_np.class_rep_ids
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                head, rest = x[0], x[1:]
+                cands = [x[:i] + (x[i + 1], x[i]) + x[i + 2 :] for i in range(10)]
+                cands += [
+                    (int(inv[head]),) + rest,
+                    (int(mul[head, x[1]]),) + rest,
+                    (int(mul[head, int(inv[x[1]])]),) + rest,
+                ]
+                for cand in cands:
+                    if cand not in seen:
+                        seen.add(cand)
+                        fresh.append(cand)
+            frontier = fresh
+        assert orb.id_tuples() == sorted(seen)
+        assert orb.size == 2047
+
+        # the partition written out: the starting tuple's class first, then
+        # the lexicographic minimum of every other class in increasing order
+        perms = automorphism_perms(table).astype(np.int64)
+        classes = {
+            frozenset(map(tuple, perms[:, list(ids)].tolist())) & seen for ids in seen
+        }
+        start_class = next(c for c in classes if start in c)
+        others = sorted((min(c), len(c)) for c in classes if c is not start_class)
+        res = aut_classes(orb)
+        assert res.class_rep_ids == (start,) + tuple(m for m, _ in others)
+        assert res.class_sizes == (len(start_class),) + tuple(s for _, s in others)
+        assert res.k == 2047
+
+        for ids in res.class_rep_ids:
+            exact = min(
+                sum(d * 60 ** (10 - j) for j, d in enumerate(row))
+                for row in perms[:, list(ids)].tolist()
+            )
+            assert canonical_class_key(table, ids, perms) == exact
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup

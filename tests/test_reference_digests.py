@@ -1,0 +1,67 @@
+"""Golden digests of the reference certificate set.
+
+Builds every configuration of ``scripts/build_reference_certificates.py``
+and pins its ``certificate_digest`` and ``orbit.class_reps_digest``, so
+a refactor of the orbit, class or closure engines that changes a single
+certificate byte fails here.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from coverforge.certificates import construct
+
+_SCRIPT = (
+    pathlib.Path(__file__).resolve().parent.parent / "scripts" / "build_reference_certificates.py"
+)
+
+
+def _reference_configs() -> dict:
+    spec = importlib.util.spec_from_file_location("build_reference_certificates", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.CONFIGS)
+
+
+GOLDEN = {
+    "genus-zero-p5-n3": (
+        "ebc132e83ccd1a9a1b7d186de9baf68e0429df2aabd6717ea19b8ed417ed0aa2",
+        "51e5d821fb16ecacfaaf9d548bc5271990f43a03c06622743b822fa22e985464",
+    ),
+    "once-punctured-p13": (
+        "df2d32c356fcd4b2c00c3a866b58e24427868245cb5cfcafd4f44efeb8b7ae11",
+        "32318e515fbf551d5b554790e0916c56aeaa7cf946a00a4cb6e491e6b314a6fe",
+    ),
+    "char-cyclic-g0-n3": (
+        "3a1862c0283330e20c5ec9313494592932c971af6abbee0a7cd08c2d1a077d28",
+        "b31d75c5b315de655d4c1be32793a8bd023ff3fa0fa012d268ac69410530cbf4",
+    ),
+    "char-sym3-g1": (
+        "99999accd563d11637b71fa88b96c6b167ae04b12156f284c018f0ac275bd65c",
+        "fdffe1e6dd4e09c54cab1e6a8beb772da8f366800290e34a4c3ba11db1e3e7d1",
+    ),
+    "generic-p5-single-factor": (
+        "168fd2ced0e136493d9ae6b14403a9ef6e7f1944955a9f8bf6e331925f0cae3e",
+        None,
+    ),
+    "genus-zero-p13-n3-dihedral-t4": (
+        "c1ee5ffdeb7682759fffc15e8af2ebfd61e41547da01ba21782af800744aafc2",
+        "df8b52b15d8d46c7aaede5930b17c6061f46126a4651c0413deffb5694a3f481",
+    ),
+}
+
+CONFIGS = _reference_configs()
+
+
+def test_golden_set_covers_every_reference_config():
+    assert set(CONFIGS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reference_certificate_digest(name):
+    cert = construct(CONFIGS[name])
+    certificate_digest, class_reps_digest = GOLDEN[name]
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
