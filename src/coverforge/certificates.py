@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .catalog import (
     CatalogBuild,
@@ -47,15 +49,17 @@ from .covers import (
     local_degrees_factored,
     proposition_genus_bound,
     riemann_hurwitz,
+    sums_to_degree,
     verify_deck_trivial,
 )
-from .errors import BadParameters, SchemaMismatch
+from .errors import BadParameters, NotUnimodular, SchemaMismatch
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     FiniteGroupHandle,
     decode_element,
     encode_element,
     element_sort_key,
+    group_table,
 )
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
@@ -65,9 +69,9 @@ from .orbits import (
     verify_hall_surjectivity,
 )
 from .surfaces import (
-    RepTuple,
     derived_last_peripheral,
     is_surjective,
+    peripheral_ids,
     peripheral_profile,
     verify_relation,
 )
@@ -145,7 +149,10 @@ def _build_case(config: ConstructConfig, constants: dict | None = None) -> Catal
         pair = None
         if constants is not None and "A" in constants:
             handle = FiniteGroupHandle.psl2(config.p)
-            pair = tuple(decode_element(handle, constants[key]) for key in ("A", "B", "C"))
+            try:
+                pair = tuple(decode_element(handle, constants[key]) for key in ("A", "B", "C"))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaMismatch(f"recorded A, B, C are not PSL2 matrices: {exc!r}") from exc
         return build_once_punctured(config.p, config.genus, pair=pair)
     if case == "genus-zero":
         _need(config, p=True, punctures=True)
@@ -269,9 +276,10 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     }
 
     hall_mode = None
+    table = group_table(rep.target)
     if config.single_factor:
         k = 1
-        class_reps = [rep]
+        class_rep_ids = (tuple(table.id_of(g) for g in rep.images),)
         orbit_info = {
             "size": None,
             "k": 1,
@@ -284,7 +292,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         orbit = orbit_closure(rep, config.orbit_budget)
         result = aut_classes(orbit)
         k = result.k
-        class_reps = result.class_rep_tuples(sig)
+        class_rep_ids = result.class_rep_ids
         checks["orbit_completed"] = True
         checks["characteristic_closure"] = verify_characteristic_closure(orbit)
         hall = verify_hall_surjectivity(
@@ -305,22 +313,26 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     cert["variant"] = variant
     cert["budget_used"] = {"hall_mode": hall_mode}
 
-    space = coset_space(h0, config.coset_budget)
+    space = coset_space(h0, config.coset_budget, table)
     index = space.degree
     degree = index**k
+    # one row of c_1 .. c_n ids per class rep; each distinct id's coset
+    # cycle type is computed once and shared by every rep that has it
+    peripheral = peripheral_ids(table, sig, class_rep_ids)
+    distinct, where = np.unique(peripheral, return_inverse=True)
+    where = where.reshape(peripheral.shape)
+    types = [cycle_type(coset_permutation(space, table.element(g))) for g in distinct]
     ramification = []
     ram_json = []
+    sums_ok = True
     divisible = True
     quotient_divides = True
     h_order_k = h0.order**k
     for i in range(1, sig.n + 1):
-        factor_types = [
-            cycle_type(coset_permutation(space, r.peripheral_images()[i - 1]))
-            for r in class_reps
-        ]
-        multiset = local_degrees_factored(factor_types)
-        d_i = elevation_degree(class_reps, i)
+        multiset = local_degrees_factored([types[j] for j in where[:, i - 1]])
+        d_i = elevation_degree(table, peripheral, i)
         delta_i = profile.orders[i - 1]
+        sums_ok &= sums_to_degree(multiset, degree)
         divisible &= all(length % delta_i == 0 for length in multiset)
         quotient_divides &= all(
             d_i % length == 0 and h_order_k % (d_i // length) == 0 for length in multiset
@@ -338,7 +350,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         bound_kind = "theorem"
     deck = verify_deck_trivial(h0, config.closure_budget)
     checks["degree_formula"] = degree == (rep.target.order // h0.order) ** k
-    checks["ramification_sums_to_degree"] = True  # enforced inside riemann_hurwitz
+    checks["ramification_sums_to_degree"] = sums_ok
     checks["local_degrees_divisible_by_delta"] = divisible
     checks["elevation_quotient_divides_h_order"] = quotient_divides
     checks["chi_even"] = chi % 2 == 0
@@ -366,8 +378,7 @@ def _characteristic_stages(config, build, cert, checks) -> None:
     sig = build.signature
     orbit = orbit_closure(rep, config.orbit_budget)
     result = aut_classes(orbit)
-    class_reps = result.class_rep_tuples(sig)
-    core = characteristic_core(class_reps, orbit, config.closure_budget)
+    core = characteristic_core(result.class_rep_ids, sig, orbit, config.closure_budget)
     checks["orbit_completed"] = True
     checks["characteristic_closure"] = core.aut_invariant
     checks["peripheral_orders_ge_2"] = core.all_at_least_two
@@ -449,21 +460,34 @@ def parse_certificate(text: str) -> dict:
     return cert
 
 
+def _recorded(parent: dict, path: str, kind: type, nullable: bool = False):
+    """The value at a dotted certificate path, one level below `parent`;
+    SchemaMismatch when it is missing or not exactly of `kind` (so a JSON
+    bool is no int), unless it is null and `nullable`."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in parent:
+        raise SchemaMismatch(f"certificate lacks {path}")
+    value = parent[key]
+    if (value is None and nullable) or type(value) is kind:
+        return value
+    raise SchemaMismatch(f"{path} must be {kind.__name__}, got {type(value).__name__}")
+
+
 def _config_from_certificate(cert: dict) -> ConstructConfig:
-    inputs = cert["inputs"]
-    budgets = cert["budgets"]
-    flags = inputs.get("flags", {})
+    inputs = _recorded(cert, "inputs", dict)
+    budgets = _recorded(cert, "budgets", dict)
+    flags = _recorded(inputs, "inputs.flags", dict)
     return ConstructConfig(
-        case=inputs["case"],
-        p=inputs.get("p"),
-        genus=inputs.get("genus"),
-        punctures=inputs.get("punctures"),
-        explicit_t=flags.get("explicit_t"),
-        single_factor=bool(flags.get("single_factor")),
-        orbit_budget=int(budgets["orbit"]),
-        coset_budget=int(budgets["coset"]),
-        closure_budget=int(budgets["closure"]),
-        hall_direct_cap=int(budgets["hall_direct_cap"]),
+        case=_recorded(inputs, "inputs.case", str),
+        p=_recorded(inputs, "inputs.p", int, nullable=True),
+        genus=_recorded(inputs, "inputs.genus", int, nullable=True),
+        punctures=_recorded(inputs, "inputs.punctures", int, nullable=True),
+        explicit_t=_recorded(flags, "inputs.flags.explicit_t", int, nullable=True),
+        single_factor=_recorded(flags, "inputs.flags.single_factor", bool),
+        orbit_budget=_recorded(budgets, "budgets.orbit", int),
+        coset_budget=_recorded(budgets, "budgets.coset", int),
+        closure_budget=_recorded(budgets, "budgets.closure", int),
+        hall_direct_cap=_recorded(budgets, "budgets.hall_direct_cap", int),
     )
 
 
@@ -484,26 +508,24 @@ def _diff(expected, found, path: str, out: list[str]) -> None:
         out.append(path)
 
 
-def _replay_constant_mismatches(cert: dict) -> list[str]:
+def _replay_constant_mismatches(config: ConstructConfig, constants: dict) -> list[str]:
     """Validate recorded searched constants against their defining
-    conditions (minimality included where the search is cheap)."""
+    conditions (minimality included where the search is cheap).  Runs
+    after the pipeline replay, which has already rejected a bad case or p."""
     out: list[str] = []
-    case = cert["inputs"]["case"]
-    constants = cert.get("constants", {})
-    p = cert["inputs"].get("p")
-    if case == "genus-zero" and cert["inputs"]["flags"].get("explicit_t") is None:
-        if not validate_t(p, int(constants.get("t", 0)), require_minimal=True):
+    if config.case == "genus-zero" and config.explicit_t is None:
+        t = constants.get("t")
+        if type(t) is not int or not validate_t(config.p, t, require_minimal=True):
             out.append("constants.t")
-    if case == "once-punctured":
-        handle = FiniteGroupHandle.psl2(p)
+    if config.case == "once-punctured":
+        handle = FiniteGroupHandle.psl2(config.p)
         try:
-            a_el = decode_element(handle, constants["A"])
-            b_el = decode_element(handle, constants["B"])
-            c_el = decode_element(handle, constants["C"])
-            if not validate_commutator_pair(p, a_el, b_el, c_el):
-                out.append("constants.A")
-        except Exception:
+            a_el, b_el, c_el = (decode_element(handle, constants[key]) for key in ("A", "B", "C"))
+        except (KeyError, TypeError, ValueError, NotUnimodular):
             out.append("constants.A")
+        else:
+            if not validate_commutator_pair(config.p, a_el, b_el, c_el):
+                out.append("constants.A")
     return out
 
 
@@ -511,8 +533,9 @@ def verify(cert: dict) -> VerifyReport:
     """Recompute everything derivable and compare bit for bit.
 
     The document digest is checked first, so a tampered certificate
-    fails immediately; the recomputation then replays the pipeline from
-    the recorded inputs and constants without repeating any search.
+    fails immediately; the recorded inputs are then checked for shape
+    (SchemaMismatch), and the recomputation replays the pipeline from
+    them and the recorded constants without repeating any search.
     """
     schema_ok = cert.get("schema_version") == SCHEMA_VERSION
     if not schema_ok:
@@ -520,12 +543,16 @@ def verify(cert: dict) -> VerifyReport:
     digest_ok = cert.get("certificate_digest") == _digest_payload(cert)
     if not digest_ok:
         return VerifyReport(False, True, False, False, ("certificate_digest",))
-    mismatches = _replay_constant_mismatches(cert)
     config = _config_from_certificate(cert)
-    rebuilt = attach_digest(_run_pipeline(config, constants=cert.get("constants")))
+    constants = _recorded(cert, "constants", dict)
+    rebuilt = attach_digest(_run_pipeline(config, constants=constants))
+    mismatches = _replay_constant_mismatches(config, constants)
     _diff(rebuilt, cert, "", mismatches)
-    checks = cert.get("checks", {})
-    all_true = bool(checks) and all(checks.values()) and bool(cert.get("all_checks_pass"))
+    checks = cert.get("checks")
+    all_true = (
+        isinstance(checks, dict) and bool(checks) and all(checks.values())
+        and bool(cert.get("all_checks_pass"))
+    )
     passed = digest_ok and not mismatches and all_true
     # deduplicate, preserve order
     seen: dict[str, None] = {}

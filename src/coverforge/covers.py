@@ -28,12 +28,11 @@ from .groups import (
     GroupElement,
     GroupTable,
     SubgroupData,
-    element_order,
     group_table,
     normalizer,
 )
 from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
-from .surfaces import RepTuple, SurfaceSignature
+from .surfaces import RepTuple, SurfaceSignature, peripheral_ids
 
 DEFAULT_COSET_BUDGET = 1_000_000
 
@@ -154,12 +153,17 @@ def local_degrees_factored(factor_types: Sequence[dict[int, int]]) -> dict[int, 
     return result
 
 
-def elevation_degree(class_reps: Sequence[RepTuple], puncture: int) -> int:
-    """lcm of the orders of the puncture's image across the class reps;
+def elevation_degree(table: GroupTable, peripheral: np.ndarray, puncture: int) -> int:
+    """lcm of the orders of the puncture's image across the class reps,
+    given one row of peripheral ids per rep (`surfaces.peripheral_ids`);
     this is the order of the product image, i.e. the covering degree of
     any elevation of the peripheral loop in the regular kernel cover."""
-    orders = [element_order(rep.peripheral_images()[puncture - 1]) for rep in class_reps]
-    return math.lcm(*orders)
+    return math.lcm(*np.unique(table.orders[peripheral[:, puncture - 1]]).tolist())
+
+
+def sums_to_degree(multiset: dict[int, int], degree: int) -> bool:
+    """Do the local degrees over one puncture add up to the covering degree?"""
+    return sum(length * count for length, count in multiset.items()) == degree
 
 
 def riemann_hurwitz(
@@ -216,22 +220,25 @@ class CharacteristicCoreReport:
 
 
 def characteristic_core(
-    class_reps: Sequence[RepTuple],
+    class_rep_ids,
+    signature: SurfaceSignature,
     orbit: OrbitClosure,
     closure_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CharacteristicCoreReport:
     """Summarize the regular cover attached to the intersection of the
-    kernels over the orbit (equivalently over the class reps, since
-    postcomposition preserves kernels)."""
-    n = class_reps[0].signature.n
-    orders = tuple(elevation_degree(class_reps, i) for i in range(1, n + 1))
+    kernels over the orbit (equivalently over the class reps, given as
+    rows of free-generator image ids, since postcomposition preserves
+    kernels)."""
     table = orbit.table
+    peripheral = peripheral_ids(table, signature, class_rep_ids)
+    orders = tuple(
+        elevation_degree(table, peripheral, i) for i in range(1, signature.n + 1)
+    )
     degree: int | None = None
     # the image can only be bounded a priori by the ambient order, so a
     # closure is attempted only when the whole product is affordable
-    if table.order ** len(class_reps) <= closure_budget:
-        rep_ids = [tuple(table.id_of(g) for g in rep.images) for rep in class_reps]
-        degree = _product_closure_order(table, rep_ids, closure_budget)
+    if table.order ** len(class_rep_ids) <= closure_budget:
+        degree = _product_closure_order(table, class_rep_ids, closure_budget)
     return CharacteristicCoreReport(
         peripheral_orders=orders,
         all_at_least_two=all(o >= 2 for o in orders),

@@ -673,10 +673,30 @@ class GroupTable:
         self.inv = inv
         self.identity_id = identity_id
         self._index = {g: i for i, g in enumerate(elements)}
+        self._orders = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def orders(self) -> np.ndarray:
+        """Read-only element orders by id, built once: the s-th step
+        multiplies every id's (s-1)-th power by the id, so it takes as
+        many vectorized steps as the group's exponent."""
+        if self._orders is None:
+            ids = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            power, step = ids, 1
+            while True:
+                orders[(power == self.identity_id) & (orders == 0)] = step
+                if orders.all():
+                    break
+                power = self.mul[power, ids]
+                step += 1
+            orders.setflags(write=False)
+            self._orders = orders
+        return self._orders
 
     def id_of(self, g: GroupElement) -> int:
         return self._index[g]

@@ -242,27 +242,41 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
 # ---------------------------------------------------------------------------
 # Target-group automorphisms
 
+_AUT_PERMS_CACHE: dict[FiniteGroupHandle, np.ndarray] = {}
+
+
 def automorphism_perms(table: GroupTable) -> np.ndarray:
     """All automorphisms of the (base) target group as permutation rows
-    over element indices; rows are deduplicated and sorted."""
+    over element indices, one row each; built once per group and
+    returned as a read-only int64 array.
+
+    PSL2 has trivial centre, so its inner rows are pairwise distinct, and
+    the d0 coset (the outer automorphisms) is disjoint from them: its
+    rows need no deduplication.  Cyclic and symmetric rows still go
+    through np.unique: a group with a centre, such as Sym(2), repeats
+    inner rows."""
     handle = table.handle
+    cached = _AUT_PERMS_CACHE.get(handle)
+    if cached is not None:
+        return cached
     n = table.order
     if handle.kind == "psl2":
         inner = _inner_perms(table)
-        d0 = _d0_perm(handle.p)
-        with_d0 = inner[:, d0]
-        rows = np.vstack([inner, with_d0])
+        rows = np.vstack([inner, inner[:, _d0_perm(handle.p)]])
     elif handle.kind == "cyclic":
         ids = np.arange(n, dtype=np.int64)
         units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        rows = np.vstack([(u * ids) % handle.n for u in units]).astype(np.int32)
+        rows = np.unique(np.vstack([(u * ids) % handle.n for u in units]), axis=0)
     elif handle.kind == "symmetric":
         if handle.m == 6:
             raise BadParameters("Sym(6) has outer automorphisms; not supported")
-        rows = _inner_perms(table)
+        rows = np.unique(_inner_perms(table), axis=0)
     else:
         raise BadParameters("automorphism enumeration is only for base groups")
-    return np.unique(rows, axis=0)
+    rows = rows.astype(np.int64)
+    rows.setflags(write=False)
+    _AUT_PERMS_CACHE[handle] = rows
+    return rows
 
 
 def _inner_perms(table: GroupTable) -> np.ndarray:
@@ -305,14 +319,10 @@ class OrbitResult:
         el = self.table.elements
         return [tuple(el[i] for i in ids) for ids in self.class_rep_ids]
 
-    def class_rep_tuples(self, signature: SurfaceSignature) -> list[RepTuple]:
-        return [
-            RepTuple(signature, self.table.handle, images) for images in self.class_reps()
-        ]
-
     def class_reps_digest(self) -> str:
+        codes = [encode_element(g) for g in self.table.elements]
         payload = json.dumps(
-            [[encode_element(g) for g in images] for images in self.class_reps()],
+            [[codes[i] for i in ids] for ids in self.class_rep_ids],
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -325,8 +335,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     Scanning states in increasing encoded order means the first
     unclassified state of each class is its lexicographic minimum.
     """
-    perms = automorphism_perms(orbit.table).astype(np.int64)
-    return _aut_classes_vectorized(orbit, perms)
+    return _aut_classes_vectorized(orbit, automorphism_perms(orbit.table))
 
 
 def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResult:
@@ -418,7 +427,7 @@ def verify_hall_surjectivity(
         if len(closure_ids(table, [int(i) for i in ids])) != base_order:
             each = False
             break
-    perms = automorphism_perms(table).astype(np.int64)
+    perms = automorphism_perms(table)
     keys = [canonical_class_key(table, ids, perms) for ids in result.class_rep_ids]
     pairwise = len(set(keys)) == len(keys)
     product_order = base_order**result.k

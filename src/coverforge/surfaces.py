@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParameters
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     FiniteGroupHandle,
     GroupElement,
+    GroupTable,
     element_order,
     subgroup_closure,
 )
@@ -123,6 +126,31 @@ def derived_last_peripheral(rep: RepTuple) -> GroupElement:
     for c in rep.free_peripheral_images():
         prefix = prefix * c
     return prefix.inverse() * commutators
+
+
+def peripheral_ids(
+    table: GroupTable, signature: SurfaceSignature, rep_ids
+) -> np.ndarray:
+    """The id twin of `derived_last_peripheral`, for many representations
+    at once: rows of `rep_ids` are free-generator image ids (k, r), rows
+    of the result the ids of c_1, .., c_n (k, n), with
+    c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i] taken column by column."""
+    rep_ids = np.asarray(rep_ids, dtype=np.int64)
+    if rep_ids.ndim != 2 or rep_ids.shape[1] != signature.free_rank:
+        raise BadParameters(
+            f"expected rows of {signature.free_rank} image ids, got shape {rep_ids.shape}"
+        )
+    mul, inv = table.mul, table.inv
+    commutators = np.full(len(rep_ids), table.identity_id, dtype=np.int64)
+    for i in range(signature.g):
+        a, b = rep_ids[:, 2 * i], rep_ids[:, 2 * i + 1]
+        commutators = mul[commutators, mul[mul[mul[a, b], inv[a]], inv[b]]]
+    free = rep_ids[:, 2 * signature.g :]
+    prefix = np.full(len(rep_ids), table.identity_id, dtype=np.int64)
+    for j in range(free.shape[1]):
+        prefix = mul[prefix, free[:, j]]
+    last = mul[inv[prefix], commutators]
+    return np.column_stack([free, last])
 
 
 def verify_relation(rep: RepTuple, claimed_cn: GroupElement) -> bool:

@@ -282,6 +282,27 @@ class TestCli:
         assert "JSON object" in proc.stderr
 
     @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda cert: {"schema_version": "1"},
+            lambda cert: {**cert, "inputs": [1]},
+            lambda cert: {**cert, "budgets": {**cert["budgets"], "orbit": "x"}},
+            lambda cert: {**cert, "budgets": {**cert["budgets"], "coset": True}},
+            lambda cert: {**cert, "inputs": {k: v for k, v in cert["inputs"].items()
+                                              if k != "flags"}},
+        ],
+        ids=["schema-only", "inputs-list", "budget-string", "budget-bool", "no-flags"],
+    )
+    def test_verify_malformed_inputs_exit_code(self, tmp_path, char_cyclic_cert, probe):
+        # the digest is valid, so only the schema check can reject these
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(attach_digest(probe(char_cyclic_cert))))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "verification error" in proc.stderr
+
+    @pytest.mark.parametrize(
         "case_args",
         [
             ("--case", "char-cyclic", "--genus", "0", "--punctures", "3"),

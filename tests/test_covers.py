@@ -30,18 +30,21 @@ from coverforge.covers import (
     local_degrees_factored,
     proposition_genus_bound,
     riemann_hurwitz,
+    sums_to_degree,
     verify_deck_trivial,
 )
 from coverforge.groups import (
     FiniteGroupHandle,
     Residue,
     canonicalize,
+    element_order,
+    group_table,
     normalizer,
     subgroup_closure,
     trivial_subgroup,
 )
 from coverforge.orbits import aut_classes, orbit_closure
-from coverforge.surfaces import RepTuple, SurfaceSignature
+from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
 
 
 class TestCosetSpaces:
@@ -181,16 +184,22 @@ class TestElevationDegrees:
         assert math.lcm(5, 5) == 5
         assert math.lcm(5, 3) == 15
         b = build_generic(5, 1, 2)
-        assert elevation_degree([b.rep], 1) == 5
+        table = group_table(b.rep.target)
+        ids = [tuple(table.id_of(g) for g in b.rep.images)]
+        assert elevation_degree(table, peripheral_ids(table, b.signature, ids), 1) == 5
 
     def test_across_class_reps(self):
         b = build_genus_zero(5, 3)
-        reps = aut_classes(orbit_closure(b.rep)).class_rep_tuples(b.signature)
-        d1 = elevation_degree(reps, 1)
-        for rep in reps:
-            from coverforge.groups import element_order
-
-            assert d1 % element_order(rep.peripheral_images()[0]) == 0
+        result = aut_classes(orbit_closure(b.rep))
+        table = result.table
+        peripheral = peripheral_ids(table, b.signature, result.class_rep_ids)
+        for puncture in range(1, b.signature.n + 1):
+            orders = [
+                element_order(RepTuple(b.signature, table.handle, images)
+                              .peripheral_images()[puncture - 1])
+                for images in result.class_reps()
+            ]
+            assert elevation_degree(table, peripheral, puncture) == math.lcm(*orders)
 
 
 class TestRiemannHurwitz:
@@ -209,6 +218,12 @@ class TestRiemannHurwitz:
     def test_bad_sum_rejected(self):
         with pytest.raises(InconsistentRamification):
             riemann_hurwitz(15, 0, [{5: 2}])
+
+    def test_sums_to_degree(self):
+        assert sums_to_degree({5: 3}, 15)
+        assert sums_to_degree({1: 3, 3: 4}, 15)
+        assert not sums_to_degree({5: 2}, 15)
+        assert not sums_to_degree({5: 3, 1: 1}, 15)
 
     def test_odd_euler_rejected(self):
         with pytest.raises(InconsistentRamification):
@@ -269,16 +284,14 @@ class TestCharacteristicCore:
         h = FiniteGroupHandle.cyclic(2)
         rep = RepTuple(sig, h, (Residue(1, 2), Residue(0, 2)))
         orb = orbit_closure(rep)
-        reps = aut_classes(orb).class_rep_tuples(sig)
-        core = characteristic_core(reps, orb)
+        core = characteristic_core(aut_classes(orb).class_rep_ids, sig, orb)
         assert core.degree == 4
         assert core.aut_invariant
 
     def test_char_cyclic_numbers(self):
         b = build_characteristic_cyclic(0, 3)
         orb = orbit_closure(b.rep)
-        reps = aut_classes(orb).class_rep_tuples(b.signature)
-        core = characteristic_core(reps, orb)
+        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
         assert core.peripheral_orders == (3, 3, 3)
         assert core.all_at_least_two
         assert core.degree == 9
@@ -288,8 +301,7 @@ class TestCharacteristicCore:
     def test_char_sym3_numbers(self):
         b = build_characteristic_sym3(1)
         orb = orbit_closure(b.rep)
-        reps = aut_classes(orb).class_rep_tuples(b.signature)
-        core = characteristic_core(reps, orb)
+        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
         assert core.peripheral_orders == (3,)
         assert core.degree == 108
         chi, genus = riemann_hurwitz(108, 0, [{3: 36}])
@@ -298,7 +310,8 @@ class TestCharacteristicCore:
     def test_degree_uncomputed_when_ambient_exceeds_budget(self):
         b = build_characteristic_cyclic(0, 3)
         orb = orbit_closure(b.rep)
-        reps = aut_classes(orb).class_rep_tuples(b.signature)
-        core = characteristic_core(reps, orb, closure_budget=2)
+        core = characteristic_core(
+            aut_classes(orb).class_rep_ids, b.signature, orb, closure_budget=2
+        )
         assert core.degree is None
         assert core.peripheral_orders == (3, 3, 3)

@@ -325,6 +325,22 @@ class TestTables:
             powers.append(powers[-1] * u)
         assert {table.element(i) for i in ids} == set(powers)
 
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.psl2(13),
+            FiniteGroupHandle.symmetric(3),
+            FiniteGroupHandle.symmetric(4),
+            FiniteGroupHandle.cyclic(6),
+        ],
+    )
+    def test_orders_match_element_order(self, handle):
+        table = group_table(handle)
+        assert table.orders.tolist() == [element_order(g) for g in table.elements]
+        assert not table.orders.flags.writeable
+        assert table.orders is table.orders
+
     def test_table_limit(self):
         with pytest.raises(BudgetExceeded):
             group_table(FiniteGroupHandle.cyclic(100), limit=10)

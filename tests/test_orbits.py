@@ -237,6 +237,16 @@ class TestAutomorphismPerms:
             for x, y in rng.integers(0, 60, size=(20, 2)):
                 assert row[table.mul[x, y]] == table.mul[row[x], row[y]]
 
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_psl2_rows_distinct_and_cached(self, p):
+        table = group_table(FiniteGroupHandle.psl2(p))
+        perms = automorphism_perms(table)
+        # |PGL(2, p)| = p(p^2 - 1) automorphisms, no two alike
+        assert perms.shape == (p * (p * p - 1), table.order)
+        assert np.unique(perms, axis=0).shape[0] == perms.shape[0]
+        assert perms.dtype == np.int64 and not perms.flags.writeable
+        assert automorphism_perms(table) is perms
+
     def test_sym6_guarded(self):
         with pytest.raises(BadParameters):
             automorphism_perms(group_table(FiniteGroupHandle.symmetric(6)))
@@ -289,7 +299,7 @@ class TestAutClasses:
         table = res.table
         perms = automorphism_perms(table)
         space = coset_space(b.h0)
-        rep0 = res.class_rep_tuples(b.signature)[1]
+        rep0 = RepTuple(b.signature, table.handle, res.class_reps()[1])
         prof0 = peripheral_profile(rep0)
         types0 = [
             cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_images()

@@ -3,7 +3,9 @@
 Builds every configuration of ``scripts/build_reference_certificates.py``
 and pins its ``certificate_digest`` and ``orbit.class_reps_digest``, so
 a refactor of the orbit, class or closure engines that changes a single
-certificate byte fails here.
+certificate byte fails here.  A second table pins the many-class
+configurations of the benchmark, where the class-rep stage handles
+thousands of class reps.
 """
 
 import importlib.util
@@ -11,7 +13,7 @@ import pathlib
 
 import pytest
 
-from coverforge.certificates import construct
+from coverforge.certificates import ConstructConfig, construct
 
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent / "scripts" / "build_reference_certificates.py"
@@ -63,5 +65,34 @@ def test_golden_set_covers_every_reference_config():
 def test_reference_certificate_digest(name):
     cert = construct(CONFIGS[name])
     certificate_digest, class_reps_digest = GOLDEN[name]
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+
+
+# the benchmark's many-class configurations (perfbench/run.py): thousands
+# of class reps each, so every per-rep peripheral image and order counts
+MANY_CLASS_GOLDEN = {
+    "char-cyclic-n6": (
+        ConstructConfig(case="char-cyclic", genus=0, punctures=6),
+        "a0465bfa2d760649d15ca6c609c9ddb808c044f832812739af21acd05740afe4",
+        "448efa31f7930ad24ff3d0df3f7469ed13074461e53c8173f83d82aba360df5c",
+    ),
+    "char-sym3-g3": (
+        ConstructConfig(case="char-sym3", genus=3),
+        "c7310d0529204c183b94e01b4d35c2bc20f9b9fc684b5681265c34bfd7d7f7c0",
+        "81bd596f237e17ff2302f7ce1532fdfe3c9af16ea17540a13dafae2f874d01d5",
+    ),
+    "generic-p5": (
+        ConstructConfig(case="generic", p=5, genus=1, punctures=2),
+        "0aa4a6e31f81f2526cb51aa04f2d44ce5d2b05ee514f423ea51f28c683787607",
+        "a6a857564ea865974a54669a2a84d4a79eea75daded66cfd53f09fab862a4fe9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_CLASS_GOLDEN))
+def test_many_class_certificate_digest(name):
+    config, certificate_digest, class_reps_digest = MANY_CLASS_GOLDEN[name]
+    cert = construct(config)
     assert cert["certificate_digest"] == certificate_digest
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest

@@ -4,6 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverforge.catalog import (
+    build_characteristic_cyclic,
+    build_characteristic_sym3,
+    build_generic,
+    build_genus_zero,
+    build_once_punctured,
+)
 from coverforge.errors import BadParameters
 from coverforge.groups import (
     FiniteGroupHandle,
@@ -18,9 +25,11 @@ from coverforge.surfaces import (
     SurfaceSignature,
     derived_last_peripheral,
     is_surjective,
+    peripheral_ids,
     peripheral_profile,
     verify_relation,
 )
+from coverforge.orbits import aut_classes, orbit_closure
 
 
 class TestSignature:
@@ -129,6 +138,35 @@ class TestProfile:
 
     def test_profile_delta(self):
         assert PeripheralProfile((13, 13, 7)).delta == 7
+
+
+class TestPeripheralIds:
+    """The id matrix of c_1 .. c_n against the element-object oracle."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_genus_zero(5, 3),
+            lambda: build_genus_zero(13, 3),
+            lambda: build_once_punctured(13, 1),
+            lambda: build_characteristic_cyclic(0, 3),
+            lambda: build_characteristic_sym3(1),
+            lambda: build_generic(5, 1, 2),
+        ],
+        ids=["genus-zero-p5", "genus-zero-p13", "once-punctured-p13", "char-cyclic-n3",
+             "char-sym3-g1", "generic-p5"],
+    )
+    def test_every_class_rep_matches_derived_last_peripheral(self, build):
+        b = build()
+        result = aut_classes(orbit_closure(b.rep))
+        table = result.table
+        matrix = peripheral_ids(table, b.signature, result.class_rep_ids)
+        assert matrix.shape == (result.k, b.signature.n)
+        for row, images in zip(matrix.tolist(), result.class_reps()):
+            rep = RepTuple(b.signature, table.handle, images)
+            expected = [table.id_of(c) for c in rep.free_peripheral_images()]
+            expected.append(table.id_of(derived_last_peripheral(rep)))
+            assert row == expected
 
 
 def _small_targets():
