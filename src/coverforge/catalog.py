@@ -244,9 +244,9 @@ def search_commutator_pair(
     positive.  Each candidate is still confirmed with element_order.
     """
     _require_valid_prime(p)
-    handle = FiniteGroupHandle.psl2(p)
-    elements = enumerate_group(handle)
-    table = None
+    # the table limit is checked before the p**4 entry lookup is built
+    table = group_table(FiniteGroupHandle.psl2(p))
+    elements = table.elements
     arrs = _psl2_arrays(p)
     a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
     orders_by_trace = psl2_order_from_trace(p)
@@ -278,16 +278,13 @@ def search_commutator_pair(
         candidates = (orders_by_trace[tr] == target).nonzero()[0]
         if candidates.size == 0:
             continue
-        if table is None:
-            table = group_table(handle)
         for j in candidates:
             a_el = elements[i]
             b_el = elements[int(j)]
             c_el = (a_el * b_el) * (a_el.inverse() * b_el.inverse())
             if element_order(c_el) != target:
                 continue
-            gen_ids = (table.id_of(a_el), table.id_of(b_el))
-            if len(closure_ids(table, gen_ids)) == table.order:
+            if closure_ids(table, [[i, int(j)]])[0].all():
                 return (a_el, b_el, c_el)
     raise SearchExhausted(
         f"no generating pair with commutator order {(p + 1) // 2} in PSL2(F_{p})"

@@ -32,6 +32,9 @@ from .errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 TABLE_LIMIT = 10_000
+# working-array size of one block of the table builds, the batched
+# closure and the conjugation tests
+_BLOCK_BYTES = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -404,16 +407,20 @@ def element_order(g: GroupElement) -> int:
 _ENUM_CACHE: dict[FiniteGroupHandle, tuple] = {}
 
 
-def enumerate_group(
-    handle: FiniteGroupHandle, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[GroupElement, ...]:
-    """All elements of the group, sorted by ``sort_key``."""
+def _check_enum_budget(handle: FiniteGroupHandle, budget: int) -> None:
     if handle.order > budget:
         raise BudgetExceeded(
             f"group of order {handle.order} exceeds enumeration budget {budget}",
             used=handle.order,
             budget=budget,
         )
+
+
+def enumerate_group(
+    handle: FiniteGroupHandle, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[GroupElement, ...]:
+    """All elements of the group, sorted by ``sort_key``."""
+    _check_enum_budget(handle, budget)
     cached = _ENUM_CACHE.get(handle)
     if cached is not None:
         return cached
@@ -440,18 +447,6 @@ def enumerate_group(
 _PSL2_ARRAYS_CACHE: dict[int, dict] = {}
 
 
-def _canonicalize_arrays(a, b, c, d, p):
-    """Vectorized sign normalization of SL2 entry arrays (already mod p)."""
-    h = (p - 1) // 2
-    first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-    flip = first > h
-    a = np.where(flip, (p - a) % p, a)
-    b = np.where(flip, (p - b) % p, b)
-    c = np.where(flip, (p - c) % p, c)
-    d = np.where(flip, (p - d) % p, d)
-    return a, b, c, d
-
-
 def _encode_entries(a, b, c, d, p):
     return ((a * p + b) * p + c) * p + d
 
@@ -460,8 +455,10 @@ def _psl2_arrays(p: int) -> dict:
     """Canonical PSL2(F_p) entry arrays sorted by entry encoding.
 
     Returns a dict with int64 arrays ``a, b, c, d``, the sorted
-    encodings ``enc``, and an ``id_of`` lookup of size p**4 mapping a
-    canonical encoding to its element index (-1 elsewhere).
+    encodings ``enc``, and an ``id_of`` lookup of size p**4 mapping the
+    encoding of either sign representative M or -M to the element's
+    index (-1 elsewhere), so entry arithmetic needs no sign
+    normalization before a lookup.
     """
     cached = _PSL2_ARRAYS_CACHE.get(p)
     if cached is not None:
@@ -483,16 +480,20 @@ def _psl2_arrays(p: int) -> dict:
     b = np.concatenate([b1, b0])
     c = np.concatenate([c1, c0])
     d = np.concatenate([d1, d0])
-    a, b, c, d = _canonicalize_arrays(a, b, c, d, p)
-    enc = np.unique(_encode_entries(a, b, c, d, p))
+    # every SL2 matrix once: keep the sign whose first nonzero entry is small
+    first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
+    keep = first <= (p - 1) // 2
+    enc = np.sort(_encode_entries(a[keep], b[keep], c[keep], d[keep], p))
     n = p * (p * p - 1) // 2
     assert enc.size == n, (enc.size, n)
     d = enc % p
     c = enc // p % p
     b = enc // (p * p) % p
     a = enc // (p * p * p)
+    ids = np.arange(n, dtype=np.int32)
     id_of = np.full(p**4, -1, dtype=np.int32)
-    id_of[enc] = np.arange(n, dtype=np.int32)
+    id_of[enc] = ids
+    id_of[_encode_entries((p - a) % p, (p - b) % p, (p - c) % p, (p - d) % p, p)] = ids
     out = {"a": a, "b": b, "c": c, "d": d, "enc": enc, "id_of": id_of, "p": p}
     _PSL2_ARRAYS_CACHE[p] = out
     return out
@@ -537,9 +538,6 @@ class SubgroupData:
     def contains(self, g: GroupElement) -> bool:
         return g in self.elements
 
-    def sorted_elements(self) -> list[GroupElement]:
-        return sorted(self.elements, key=element_sort_key)
-
     def same_elements(self, other: "SubgroupData") -> bool:
         return self.elements == other.elements
 
@@ -560,8 +558,8 @@ def subgroup_closure(
             raise BadParameters(f"generator {g!r} is not in the ambient group")
     if handle.kind != "product":
         table = group_table(handle)
-        ids = closure_ids(table, [table.id_of(g) for g in gens], budget)
-        elements = frozenset(table.elements[i] for i in ids)
+        member = closure_ids(table, [[table.id_of(g) for g in gens]], budget)[0]
+        elements = frozenset(table.elements[i] for i in np.flatnonzero(member))
     else:
         base = handle.components[0]
         if any(c != base for c in handle.components):
@@ -581,18 +579,17 @@ def trivial_subgroup(handle: FiniteGroupHandle) -> SubgroupData:
 
 
 def normalizer(sub: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> SubgroupData:
-    """N_G(H) = {g : g H g^-1 = H} over the full ambient enumeration.
+    """N_G(H) = {g : g H g^-1 = H}, tested for every g of the ambient
+    group at once on table ids; members are listed in id order.
 
     Conjugation by a fixed g is an automorphism, so g normalizes H as
     soon as it conjugates a generating set of H into H.
     """
-    gens = sub.generators or tuple(sub.sorted_elements())
-    members = []
-    for g in enumerate_group(sub.ambient, budget):
-        gi = g.inverse()
-        if all((g * h) * gi in sub.elements for h in gens):
-            members.append(g)
-    return SubgroupData(sub.ambient, tuple(members), frozenset(members), len(members))
+    _check_enum_budget(sub.ambient, budget)
+    table = group_table(sub.ambient)
+    ids = np.flatnonzero(_conjugators_into(table, sub, _id_mask(table, sub.elements)))
+    members = tuple(table.elements[i] for i in ids)
+    return SubgroupData(sub.ambient, members, frozenset(members), len(members))
 
 
 def are_conjugate_subgroups(
@@ -605,12 +602,38 @@ def are_conjugate_subgroups(
         return (False, None)
     if h1.elements == h2.elements:
         return (True, h1.ambient.identity())
-    gens = h1.generators or tuple(h1.sorted_elements())
-    for g in enumerate_group(h1.ambient, budget):
-        gi = g.inverse()
-        if all((g * h) * gi in h2.elements for h in gens):
-            return (True, g)
-    return (False, None)
+    _check_enum_budget(h1.ambient, budget)
+    table = group_table(h1.ambient)
+    ids = np.flatnonzero(_conjugators_into(table, h1, _id_mask(table, h2.elements)))
+    if ids.size == 0:
+        return (False, None)
+    return (True, table.elements[ids[0]])
+
+
+def _id_mask(table: "GroupTable", elements) -> np.ndarray:
+    mask = np.zeros(table.order, dtype=bool)
+    mask[[table.id_of(g) for g in elements]] = True
+    return mask
+
+
+def _conjugators_into(table: "GroupTable", sub: SubgroupData, target: np.ndarray) -> np.ndarray:
+    """Mask of the ids g with g h g^-1 in the target mask for every
+    generator h of sub (every element when it lists no generators).
+
+    Conjugation is injective, so for a target of sub's order this is the
+    set of g with g sub g^-1 equal to the target.  Generators go in
+    blocks and only the ids still admissible are tested again.
+    """
+    gens = sub.generators or tuple(sub.elements)
+    h = np.array([table.id_of(x) for x in gens], dtype=np.int64)
+    mul, inv = table.mul, table.inv
+    ok = np.ones(table.order, dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * table.order))
+    for lo in range(0, h.size, step):
+        g = np.flatnonzero(ok)
+        conj = mul[mul[g[:, None], h[None, lo : lo + step]], inv[g][:, None]]
+        ok[g] = target[conj].all(axis=1)
+    return ok
 
 
 def conjugated_subgroup(sub: SubgroupData, mapping) -> SubgroupData:
@@ -726,6 +749,8 @@ def group_table(handle: FiniteGroupHandle, limit: int = TABLE_LIMIT) -> GroupTab
         mul = (np.add.outer(r, r) % n).astype(np.int32)
         inv = ((n - r) % n).astype(np.int32)
         table = GroupTable(handle, elements, mul, inv, 0)
+    elif handle.kind == "symmetric":
+        table = _symmetric_table(handle, elements)
     else:
         index = {g: i for i, g in enumerate(elements)}
         mul = np.empty((n, n), dtype=np.int32)
@@ -740,50 +765,82 @@ def group_table(handle: FiniteGroupHandle, limit: int = TABLE_LIMIT) -> GroupTab
 
 
 def _psl2_table(handle: FiniteGroupHandle, elements) -> GroupTable:
+    """Products by row vectors: a row (u, v) times element j is the row
+    (u a_j + v c_j, u b_j + v d_j), so one (p**2, n) array of row codes
+    gives both rows of every product, and ``id_of`` maps the product's
+    entry encoding, of either sign, to its id."""
     p = handle.p
     arrs = _psl2_arrays(p)
-    a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
     id_of = arrs["id_of"]
+    a, b, c, d = (arrs[key].astype(np.int32) for key in "abcd")
     n = a.size
+    u = np.repeat(np.arange(p, dtype=np.int32), p)[:, None]
+    v = np.tile(np.arange(p, dtype=np.int32), p)[:, None]
+    row_code = (u * a + v * c) % p * p + (u * b + v * d) % p
+    top, bottom = a * p + b, c * p + d
     mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        ai, bi, ci, di = int(a[i]), int(b[i]), int(c[i]), int(d[i])
-        ra = (ai * a + bi * c) % p
-        rb = (ai * b + bi * d) % p
-        rc = (ci * a + di * c) % p
-        rd = (ci * b + di * d) % p
-        ra, rb, rc, rd = _canonicalize_arrays(ra, rb, rc, rd, p)
-        mul[i] = id_of[_encode_entries(ra, rb, rc, rd, p)]
-    ia, ib, ic, id_ = _canonicalize_arrays(d, (p - b) % p, (p - c) % p, a, p)
-    inv = id_of[_encode_entries(ia, ib, ic, id_, p)].astype(np.int32)
-    identity_id = int(id_of[_encode_entries(np.int64(1), np.int64(0), np.int64(0), np.int64(1), p)])
+    step = max(1, _BLOCK_BYTES // (4 * n))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        mul[rows] = id_of[row_code[top[rows]] * (p * p) + row_code[bottom[rows]]]
+    inv = id_of[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)]
+    identity_id = int(id_of[_encode_entries(1, 0, 0, 1, p)])
     return GroupTable(handle, elements, mul, inv, identity_id)
 
 
-def closure_ids(table: GroupTable, gen_ids: Sequence[int], maxsize: int | None = None) -> set[int]:
-    """Subgroup closure over table indices.
+def _symmetric_table(handle: FiniteGroupHandle, elements) -> GroupTable:
+    """Products of one-line image arrays, looked up by their base-m codes:
+    the elements are in lexicographic order, so the codes are sorted."""
+    m, n = handle.m, len(elements)
+    perms = np.array([g.images for g in elements], dtype=np.int64)
+    place = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    codes = perms @ place
+    mul = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (8 * n * m))
+    for lo in range(0, n, step):
+        # (x * y)(pt) = y(x(pt)): entry [j, i, pt] is perms[j][perms[i][pt]]
+        products = perms[:, perms[lo : lo + step]] @ place
+        mul[lo : lo + step] = np.searchsorted(codes, products.T)
+    inv = np.searchsorted(codes, np.argsort(perms, axis=1) @ place).astype(np.int32)
+    return GroupTable(handle, elements, mul, inv, 0)  # the identity sorts first
 
-    Positive words suffice in a finite group, so only right
-    multiplication by generators is applied.  A plain int loop: on the
-    small groups here it beats vectorized and tuple-keyed versions.
+
+def closure_ids(
+    table: GroupTable, gen_rows, maxsize: int | None = None
+) -> np.ndarray:
+    """Subgroup closures of many generating sets at once, over table ids.
+
+    ``gen_rows`` is an (m, r) array of generator ids, one generating set
+    per row; row i of the (m, order) boolean result marks the closure of
+    row i.  Positive words suffice in a finite group, so each BFS level
+    multiplies the newly reached elements of every row on the right by
+    that row's generators.  Rows go in blocks of at most ``_BLOCK_BYTES``
+    membership cells; BudgetExceeded is raised after a level at which
+    some closure holds more than ``maxsize`` (default: the group order)
+    elements.
     """
-    mul = table.mul
-    elements = {table.identity_id}
-    frontier = [table.identity_id]
-    cap = maxsize if maxsize is not None else table.order
-    while frontier:
-        fresh = []
-        for x in frontier:
-            row = mul[x]
-            for g in gen_ids:
-                y = int(row[g])
-                if y not in elements:
-                    elements.add(y)
-                    fresh.append(y)
-        if len(elements) > cap:
-            raise BudgetExceeded("closure exceeded cap", used=len(elements), budget=cap)
-        frontier = fresh
-    return elements
+    gens = np.asarray(gen_rows, dtype=np.int64)
+    if gens.ndim != 2:
+        raise BadParameters("closure_ids takes an (m, r) array of generator rows")
+    n = table.order
+    cap = maxsize if maxsize is not None else n
+    out = np.zeros((gens.shape[0], n), dtype=bool)
+    out[:, table.identity_id] = True
+    step = max(1, _BLOCK_BYTES // n)
+    for lo in range(0, gens.shape[0], step):
+        block, member = gens[lo : lo + step], out[lo : lo + step]
+        rows, elems = np.nonzero(member)
+        while rows.size:
+            fresh = np.zeros_like(member)
+            for j in range(block.shape[1]):
+                fresh[rows, table.mul[elems, block[rows, j]]] = True
+            fresh &= ~member
+            member |= fresh
+            largest = int(member.sum(axis=1).max())
+            if largest > cap:
+                raise BudgetExceeded("closure exceeded cap", used=largest, budget=cap)
+            rows, elems = np.nonzero(fresh)
+    return out
 
 
 def closure_id_tuples(

@@ -40,7 +40,7 @@ from .groups import (
     closure_ids,
     encode_element,
     group_table,
-    _canonicalize_arrays,
+    _BLOCK_BYTES,
     _encode_entries,
     _psl2_arrays,
 )
@@ -294,8 +294,7 @@ def _d0_perm(p: int) -> np.ndarray:
     a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
     nb = b * aut.epsilon_inv % p
     nc = c * aut.epsilon % p
-    ca, cb, cc, cd = _canonicalize_arrays(a, nb, nc, d, p)
-    return arrs["id_of"][_encode_entries(ca, cb, cc, cd, p)].astype(np.int64)
+    return arrs["id_of"][_encode_entries(a, nb, nc, d, p)].astype(np.int64)
 
 
 @dataclass
@@ -381,11 +380,18 @@ def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResu
     )
 
 
-def canonical_class_key(table: GroupTable, ids: tuple[int, ...], perms: np.ndarray) -> int:
-    """Minimum encoding over the full automorphism class of a tuple; a
-    complete invariant for postcomposition equivalence."""
-    digits = np.array(ids, dtype=np.int64)
-    return int((perms[:, digits] @ _state_powers(table.order, len(ids))).min())
+def canonical_class_keys(table: GroupTable, rep_ids, perms: np.ndarray) -> np.ndarray:
+    """Per row of the (k, r) id matrix, the minimum encoding over its
+    full automorphism class: a complete invariant for postcomposition
+    equivalence.  Rows go in blocks of at most ``_BLOCK_BYTES`` of
+    automorphism images."""
+    rep_ids = np.asarray(rep_ids, dtype=np.int64)
+    powers = _state_powers(table.order, rep_ids.shape[1])
+    step = max(1, _BLOCK_BYTES // (8 * perms.shape[0] * rep_ids.shape[1]))
+    return np.concatenate([
+        (perms[:, rep_ids[lo : lo + step]] @ powers).min(axis=0)
+        for lo in range(0, rep_ids.shape[0], step)
+    ])
 
 
 def assemble_product_rep(result: OrbitResult, signature: SurfaceSignature) -> RepTuple:
@@ -421,16 +427,10 @@ def verify_hall_surjectivity(
     tuples inside the full product group when its order fits the cap.
     """
     table = result.table
-    base_order = table.order
-    each = True
-    for ids in result.class_rep_ids:
-        if len(closure_ids(table, [int(i) for i in ids])) != base_order:
-            each = False
-            break
-    perms = automorphism_perms(table)
-    keys = [canonical_class_key(table, ids, perms) for ids in result.class_rep_ids]
-    pairwise = len(set(keys)) == len(keys)
-    product_order = base_order**result.k
+    each = bool(closure_ids(table, result.class_rep_ids).all())
+    keys = canonical_class_keys(table, result.class_rep_ids, automorphism_perms(table))
+    pairwise = len(set(keys.tolist())) == result.k
+    product_order = table.order**result.k
     direct_order = None
     mode = "hypothesis-only"
     if product_order <= direct_cap:

@@ -21,7 +21,7 @@ from coverforge.catalog import (
     validate_t,
     verify_hypotheses,
 )
-from coverforge.errors import BadParameters, SearchExhausted
+from coverforge.errors import BadParameters, BudgetExceeded, SearchExhausted
 from coverforge.groups import (
     AutDescriptor,
     FiniteGroupHandle,
@@ -88,6 +88,27 @@ class TestCommutatorSearch:
     def test_budget(self):
         with pytest.raises(SearchExhausted):
             search_commutator_pair(13, pair_budget=500)
+
+    def test_table_limit_checked_before_entry_arrays(self, monkeypatch):
+        # PSL(2, 211) has order 4.7M, over the table limit; its entry
+        # lookup alone would be a 211**4 int32 array (7.4 GiB), so the
+        # spy refuses to build it instead of letting the test allocate
+        import coverforge.catalog as catalog_module
+        import coverforge.groups as groups_module
+
+        real = groups_module._psl2_arrays
+
+        def spy(p):
+            order = p * (p * p - 1) // 2
+            assert order <= groups_module.TABLE_LIMIT, f"_psl2_arrays({p}) above the table limit"
+            return real(p)
+
+        monkeypatch.setattr(groups_module, "_psl2_arrays", spy)
+        monkeypatch.setattr(catalog_module, "_psl2_arrays", spy)
+        with pytest.raises(BudgetExceeded):
+            search_commutator_pair(211)
+        with pytest.raises(BudgetExceeded):
+            build_once_punctured(211, 1)
 
 
 class TestGenericFamily:

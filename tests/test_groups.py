@@ -178,14 +178,17 @@ class TestSubgroups:
                 assert x * y in sub.elements
 
 
+def conjugates_onto(g, h1, h2):
+    """Oracle: g h1 g^-1 = h2 by element products over the full element
+    set (conjugation is injective, so containment of equal-order sets
+    is equality)."""
+    gi = g.inverse()
+    return h1.order == h2.order and all((g * h) * gi in h2.elements for h in h1.elements)
+
+
 def brute_normalizer(sub):
     """Oracle: the definition, conjugating the full element set."""
-    members = []
-    for g in enumerate_group(sub.ambient):
-        gi = g.inverse()
-        if {(g * h) * gi for h in sub.elements} == sub.elements:
-            members.append(g)
-    return members
+    return [g for g in enumerate_group(sub.ambient) if conjugates_onto(g, sub, sub)]
 
 
 class TestNormalizer:
@@ -231,11 +234,39 @@ class TestNormalizer:
         assert b.order == 10
         assert normalizer(b).same_elements(b)
 
-    @pytest.mark.parametrize("gens", [[(2, 0, 0, 3)], [(1, 1, 0, 1)], [(0, -1, 1, 0)]])
+    # each case is (p, generator entries); at p = 13 the diagonal
+    # normalizer (diag(2, 7) and the antidiagonal) and the Borel subgroup
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            (5, [(2, 0, 0, 3)]),
+            (5, [(1, 1, 0, 1)]),
+            (5, [(0, -1, 1, 0)]),
+            (13, [(2, 0, 0, 7), (0, -1, 1, 0)]),
+            (13, [(1, 1, 0, 1), (2, 0, 0, 7)]),
+        ],
+    )
     def test_matches_brute_force_oracle(self, gens):
-        h = FiniteGroupHandle.psl2(5)
-        sub = subgroup_closure([canonicalize(*g, 5) for g in gens], h)
-        assert sorted(normalizer(sub).elements, key=element_sort_key) == brute_normalizer(sub)
+        p, entries = gens
+        sub = subgroup_closure([canonicalize(*g, p) for g in entries], FiniteGroupHandle.psl2(p))
+        n = normalizer(sub)
+        expected = brute_normalizer(sub)
+        # members are listed in id order, which is the enumeration order
+        assert list(n.generators) == expected
+        assert sorted(n.elements, key=element_sort_key) == expected
+
+    def test_ambient_order_budget(self):
+        from coverforge.catalog import borel_subgroup
+
+        b = borel_subgroup(13)
+        with pytest.raises(BudgetExceeded) as exc:
+            normalizer(b, budget=1091)
+        assert (exc.value.used, exc.value.budget) == (1092, 1091)
+        g = canonicalize(1, 0, 1, 1, 13)
+        moved = subgroup_closure([(g * x) * g.inverse() for x in b.generators], b.ambient)
+        with pytest.raises(BudgetExceeded):
+            are_conjugate_subgroups(b, moved, budget=1091)
+        assert normalizer(b, budget=1092).same_elements(b)
 
 
 class TestConjugacy:
@@ -261,6 +292,21 @@ class TestConjugacy:
         assert ok
         wi = witness.inverse()
         assert {(witness * x) * wi for x in a0.elements} == set(conj.elements)
+
+    @pytest.mark.parametrize("label", ["diagonal-normalizer", "borel"])
+    def test_witness_matches_brute_force_oracle_p13(self, label):
+        # d0 fixes both subgroups, so move them by a lower unipotent,
+        # which normalizes neither, and search in both directions
+        from coverforge.catalog import borel_subgroup, diagonal_torus
+
+        h = borel_subgroup(13) if label == "borel" else normalizer(diagonal_torus(13)[0])
+        g = canonicalize(1, 0, 1, 1, 13)
+        gi = g.inverse()
+        moved = subgroup_closure([(g * x) * gi for x in h.generators], h.ambient)
+        assert not moved.same_elements(h)
+        for h1, h2 in ((h, moved), (moved, h)):
+            expected = next(x for x in enumerate_group(h.ambient) if conjugates_onto(x, h1, h2))
+            assert are_conjugate_subgroups(h1, h2) == (True, expected)
 
 
 class TestNonsquare:
@@ -314,11 +360,21 @@ class TestTables:
             for j in range(6):
                 assert ts.element(ts.mul[i, j]) == ts.element(i) * ts.element(j)
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_symmetric_table_matches_objects_exhaustively(self, m):
+        table = group_table(FiniteGroupHandle.symmetric(m))
+        els = table.elements
+        assert list(els) == sorted(els, key=element_sort_key)
+        assert table.element(table.identity_id).is_identity()
+        for i, x in enumerate(els):
+            assert els[table.inv[i]] == x.inverse()
+            assert [els[k] for k in table.mul[i]] == [x * y for y in els]
+
     def test_closure_ids_matches_object_closure(self):
         h = FiniteGroupHandle.psl2(5)
         table = group_table(h)
         u = canonicalize(1, 1, 0, 1, 5)
-        ids = closure_ids(table, [table.id_of(u)])
+        ids = np.flatnonzero(closure_ids(table, [[table.id_of(u)]])[0])
         # oracle: the cyclic group <u>, from powers of u by element products
         powers = [h.identity()]
         while (powers[-1] * u) != powers[0]:
@@ -344,6 +400,95 @@ class TestTables:
     def test_table_limit(self):
         with pytest.raises(BudgetExceeded):
             group_table(FiniteGroupHandle.cyclic(100), limit=10)
+
+
+def reference_closure(table, gen_ids, maxsize=None):
+    """Oracle: the set-based closure loop the batched kernel replaced, one
+    Python set and one BFS over positive words per generating set."""
+    elements = {table.identity_id}
+    frontier = [table.identity_id]
+    cap = maxsize if maxsize is not None else table.order
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gen_ids:
+                y = int(table.mul[x, g])
+                if y not in elements:
+                    elements.add(y)
+                    fresh.append(y)
+        if len(elements) > cap:
+            raise BudgetExceeded("closure exceeded cap", used=len(elements), budget=cap)
+        frontier = fresh
+    return elements
+
+
+def _class_rep_ids(build):
+    from coverforge.orbits import aut_classes, orbit_closure
+
+    return aut_classes(orbit_closure(build.rep)).class_rep_ids
+
+
+class TestBatchedClosure:
+    def _check_rows(self, table, rows):
+        member = closure_ids(table, rows)
+        assert member.shape == (len(rows), table.order) and member.dtype == bool
+        for row, mask in zip(rows, member):
+            expected = reference_closure(table, row)
+            assert set(np.flatnonzero(mask).tolist()) == expected
+            assert int(mask.sum()) == len(expected)
+
+    def test_every_class_rep_genus_zero_p13(self):
+        from coverforge.catalog import build_genus_zero
+
+        rows = _class_rep_ids(build_genus_zero(13, 3))
+        assert len(rows) == 49
+        self._check_rows(group_table(FiniteGroupHandle.psl2(13)), rows)
+
+    def test_every_class_rep_generic_p5(self):
+        from coverforge.catalog import build_generic
+
+        rows = _class_rep_ids(build_generic(5, 1, 2))
+        assert len(rows) == 1668
+        self._check_rows(group_table(FiniteGroupHandle.psl2(5)), rows)
+
+    def test_proper_subgroups_p13(self):
+        # random pairs and single ids mostly generate proper subgroups
+        table = group_table(FiniteGroupHandle.psl2(13))
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(0, table.order, size=(150, 2)).tolist()
+        singles = [[g] for g in rng.integers(0, table.order, size=50).tolist()]
+        self._check_rows(table, pairs)
+        self._check_rows(table, singles)
+        sizes = {len(reference_closure(table, row)) for row in pairs + singles}
+        assert len(sizes) > 3
+
+    def test_no_generators_and_small_groups(self):
+        for handle in (FiniteGroupHandle.cyclic(6), FiniteGroupHandle.symmetric(4)):
+            table = group_table(handle)
+            self._check_rows(table, [[g] for g in range(table.order)])
+        table = group_table(FiniteGroupHandle.psl2(5))
+        assert np.flatnonzero(closure_ids(table, [[]])[0]).tolist() == [table.identity_id]
+
+    def test_budget_overrun_matches_reference(self):
+        from coverforge.catalog import build_genus_zero
+
+        table = group_table(FiniteGroupHandle.psl2(5))
+        rows = _class_rep_ids(build_genus_zero(5, 3))
+        for cap in (1, 10, 30, 59):
+            for row in rows:
+                with pytest.raises(BudgetExceeded) as ref:
+                    reference_closure(table, row, cap)
+                with pytest.raises(BudgetExceeded) as got:
+                    closure_ids(table, [row], cap)
+                assert (got.value.used, got.value.budget) == (ref.value.used, ref.value.budget)
+            with pytest.raises(BudgetExceeded):
+                closure_ids(table, rows, cap)
+        assert closure_ids(table, rows, 60).all()
+
+    def test_rejects_flat_generator_list(self):
+        table = group_table(FiniteGroupHandle.psl2(5))
+        with pytest.raises(BadParameters):
+            closure_ids(table, [1, 2])
 
 
 class TestTraceOrders:

@@ -27,7 +27,7 @@ from coverforge.orbits import (
     assemble_product_rep,
     aut_classes,
     automorphism_perms,
-    canonical_class_key,
+    canonical_class_keys,
     nielsen_generators,
     orbit_closure,
     verify_characteristic_closure,
@@ -197,12 +197,14 @@ class TestOrbitEngine:
         assert res.class_sizes == (len(start_class),) + tuple(s for _, s in others)
         assert res.k == 2047
 
-        for ids in res.class_rep_ids:
-            exact = min(
+        exact = [
+            min(
                 sum(d * 60 ** (10 - j) for j, d in enumerate(row))
                 for row in perms[:, list(ids)].tolist()
             )
-            assert canonical_class_key(table, ids, perms) == exact
+            for ids in res.class_rep_ids
+        ]
+        assert canonical_class_keys(table, res.class_rep_ids, perms).tolist() == exact
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup
@@ -211,8 +213,7 @@ class TestOrbitEngine:
         table = orb.table
         from coverforge.groups import closure_ids
 
-        for ids in orb.id_tuples()[:40]:
-            assert len(closure_ids(table, list(ids))) == 60
+        assert closure_ids(table, orb.id_tuples()[:40]).all()
 
 
 class TestAutomorphismPerms:
@@ -370,3 +371,55 @@ class TestHall:
         report = verify_hall_surjectivity(res)
         assert report.mode == "hypothesis-only"
         assert report.ok
+
+
+def lifted_commutator_traces(table):
+    """tr(X Y X^-1 Y^-1) over SL2 lifts, for every pair (X, Y) of PSL2
+    ids, as an (n, n) array.  By the Fricke identity it is
+    x^2 + y^2 + z^2 - xyz - 2 with x = tr X, y = tr Y and z = tr XY, and
+    a sign change of either lift leaves it unchanged."""
+    p = table.handle.p
+    a, b, c, d = np.array([g.entries() for g in table.elements], dtype=np.int64).T
+    x = (a + d) % p
+    z = (np.outer(a, a) + np.outer(b, c) + np.outer(c, b) + np.outer(d, d)) % p
+    return (x[:, None] ** 2 + x[None, :] ** 2 + z * z - x[:, None] * x[None, :] * z - 2) % p
+
+
+class TestCommutatorTraceOracle:
+    """Nielsen moves send [a, b] to a conjugate of [a, b]^{+-1}, so every
+    rank-2 orbit lies in L(tau), the pairs whose lifted commutator has the
+    start pair's trace tau; at p = 13 the orbit is all of L(tau)."""
+
+    def test_fricke_identity_against_matrix_products(self):
+        table = group_table(FiniteGroupHandle.psl2(13))
+        traces = lifted_commutator_traces(table)
+
+        def mat(g):
+            return np.array([[g.a, g.b], [g.c, g.d]], dtype=np.int64)
+
+        def sl2_inverse(m):
+            return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
+
+        rng = np.random.default_rng(5)
+        for i, j in rng.integers(0, table.order, size=(60, 2)):
+            x, y = mat(table.element(i)), mat(table.element(j))
+            commutator = x @ y @ sl2_inverse(x) @ sl2_inverse(y)
+            assert traces[i, j] == np.trace(commutator) % 13
+
+    # label -> (build, orbit size, |L(tau)|)
+    CASES = {
+        "genus-zero-p5": (lambda: build_genus_zero(5, 3), 600, 1230),
+        "genus-zero-p13": (lambda: build_genus_zero(13, 3), 107016, 107016),
+        "once-punctured-p13": (lambda: build_once_punctured(13, 1), 107016, 107016),
+    }
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_orbit_inside_trace_level_set(self, label):
+        build, orbit_size, l_size = self.CASES[label]
+        build = build()
+        orb = orbit_closure(build.rep)
+        traces = lifted_commutator_traces(orb.table)
+        level_set = (traces == traces[orb.start_ids]).ravel()
+        # a rank-2 state encodes (i, j) as i * n + j, the row-major index
+        assert level_set[orb.encoded].all()
+        assert (orb.size, int(level_set.sum())) == (orbit_size, l_size)

@@ -5,7 +5,8 @@ and pins its ``certificate_digest`` and ``orbit.class_reps_digest``, so
 a refactor of the orbit, class or closure engines that changes a single
 certificate byte fails here.  A second table pins the many-class
 configurations of the benchmark, where the class-rep stage handles
-thousands of class reps.
+thousands of class reps, and a third the benchmark's primary PSL(2, 13)
+configuration, which runs every part of the group kernel.
 """
 
 import importlib.util
@@ -93,6 +94,26 @@ MANY_CLASS_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(MANY_CLASS_GOLDEN))
 def test_many_class_certificate_digest(name):
     config, certificate_digest, class_reps_digest = MANY_CLASS_GOLDEN[name]
+    cert = construct(config)
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+
+
+# the primary genus-zero configuration of the benchmark (perfbench/run.py,
+# psl2-rank2; its once-punctured one is in GOLDEN): the PSL2 table, the
+# normalizers, the d0 conjugacy witness and the batched closure feed it
+PSL2_RANK2_GOLDEN = {
+    "genus-zero-p13-n3": (
+        ConstructConfig(case="genus-zero", p=13, punctures=3),
+        "e47b96e796971949b7006ef29f5dbc8bd9b3655b7e4fa88b41038b7a77c883d4",
+        "936c81d67c82a17c01229a2c0dfb73abff6adc5a7bd47fc3b0cd731f607f5776",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSL2_RANK2_GOLDEN))
+def test_psl2_rank2_certificate_digest(name):
+    config, certificate_digest, class_reps_digest = PSL2_RANK2_GOLDEN[name]
     cert = construct(config)
     assert cert["certificate_digest"] == certificate_digest
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
