@@ -18,7 +18,6 @@ from .groups import (
     DEFAULT_ENUM_BUDGET,
     AutDescriptor,
     FiniteGroupHandle,
-    FpScalar,
     GroupElement,
     Permutation,
     ProjectiveMatrix,
@@ -114,9 +113,10 @@ def smallest_primitive_root(p: int) -> int:
 
 def diagonal_torus(p: int) -> tuple[SubgroupData, ProjectiveMatrix, int]:
     """The diagonal subgroup of PSL2(F_p), its generator, and the root used."""
+    handle = FiniteGroupHandle.psl2(p)
+    group_table(handle)  # the table limit is checked before the O(p^2) root search
     root = smallest_primitive_root(p)
     gen = canonicalize(root, 0, 0, pow(root, p - 2, p), p)
-    handle = FiniteGroupHandle.psl2(p)
     sub = subgroup_closure((gen,), handle)
     return sub, gen, root
 
@@ -208,7 +208,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def select_t(p: int) -> FpScalar:
+def select_t(p: int) -> int:
     """Smallest t in [1, p-1] making x^2 - (2+t)x + 1 irreducible with
     roots of multiplicative order exactly p + 1."""
     _require_valid_prime(p)
@@ -216,7 +216,7 @@ def select_t(p: int) -> FpScalar:
         raise BadParameters(f"need p = 1 mod 4, got {p}")
     for t in range(1, p):
         if extension_root_order(p, t) == p + 1:
-            return FpScalar(t, p)
+            return t
     raise SearchExhausted(f"no admissible t mod {p}")
 
 
@@ -329,7 +329,7 @@ def build_generic(p: int, g: int, n: int) -> CatalogBuild:
     a0, a0_gen, root = diagonal_torus(p)
     h0 = normalizer(a0)
     constants = {
-        "epsilon": nonsquare(p).value,
+        "epsilon": nonsquare(p),
         "primitive_root": root,
         "a0_generator": encode_element(a0_gen),
     }
@@ -372,7 +372,7 @@ def build_once_punctured(
     h0 = borel_subgroup(p)
     _, _, root = diagonal_torus(p)
     constants = {
-        "epsilon": nonsquare(p).value,
+        "epsilon": nonsquare(p),
         "primitive_root": root,
         "A": encode_element(a_el),
         "B": encode_element(b_el),
@@ -414,7 +414,7 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
     handle = FiniteGroupHandle.psl2(p)
     s = pow(n - 2, p - 2, p)
     if explicit_t is None:
-        t = select_t(p).value
+        t = select_t(p)
         mode = "primary"
     else:
         t = explicit_t % p
@@ -428,7 +428,7 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
     claimed = canonicalize(1 + t, -t, -1, 1, p)
     _, a0_gen, root = diagonal_torus(p)
     constants: dict = {
-        "epsilon": nonsquare(p).value,
+        "epsilon": nonsquare(p),
         "primitive_root": root,
         "s": s,
         "t": t,

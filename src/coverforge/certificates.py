@@ -52,7 +52,7 @@ from .covers import (
     sums_to_degree,
     verify_deck_trivial,
 )
-from .errors import BadParameters, NotUnimodular, SchemaMismatch
+from .errors import BadParameters, BudgetExceeded, NotUnimodular, SchemaMismatch
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     FiniteGroupHandle,
@@ -529,13 +529,37 @@ def _replay_constant_mismatches(config: ConstructConfig, constants: dict) -> lis
     return out
 
 
-def verify(cert: dict) -> VerifyReport:
+def _check_verifier_caps(config: ConstructConfig, orbit_cap: int, coset_cap: int) -> None:
+    """BudgetExceeded when a recorded budget is above the verifier's own
+    cap: the file cannot choose how much work its replay may do."""
+    caps = {
+        "orbit_budget": orbit_cap,
+        "coset_budget": coset_cap,
+        "closure_budget": DEFAULT_ENUM_BUDGET,
+        "hall_direct_cap": DEFAULT_HALL_DIRECT_CAP,
+    }
+    for name, cap in caps.items():
+        value = getattr(config, name)
+        if value > cap:
+            raise BudgetExceeded(
+                f"certificate {name.replace('_', ' ')} {value} exceeds the verifier cap {cap}",
+                used=value,
+                budget=cap,
+            )
+
+
+def verify(
+    cert: dict,
+    orbit_cap: int = DEFAULT_ORBIT_BUDGET,
+    coset_cap: int = DEFAULT_COSET_BUDGET,
+) -> VerifyReport:
     """Recompute everything derivable and compare bit for bit.
 
     The document digest is checked first, so a tampered certificate
     fails immediately; the recorded inputs are then checked for shape
-    (SchemaMismatch), and the recomputation replays the pipeline from
-    them and the recorded constants without repeating any search.
+    (SchemaMismatch) and against the verifier's caps (BudgetExceeded),
+    and the recomputation replays the pipeline from them and the
+    recorded constants without repeating any search.
     """
     schema_ok = cert.get("schema_version") == SCHEMA_VERSION
     if not schema_ok:
@@ -544,6 +568,7 @@ def verify(cert: dict) -> VerifyReport:
     if not digest_ok:
         return VerifyReport(False, True, False, False, ("certificate_digest",))
     config = _config_from_certificate(cert)
+    _check_verifier_caps(config, orbit_cap, coset_cap)
     constants = _recorded(cert, "constants", dict)
     rebuilt = attach_digest(_run_pipeline(config, constants=constants))
     mismatches = _replay_constant_mismatches(config, constants)

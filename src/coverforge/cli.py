@@ -94,7 +94,12 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.certificate, "r") as fh:
         cert = parse_certificate(fh.read())
-    report = verify(cert)
+    # the verifier's caps, which a certificate's recorded budgets may not exceed
+    report = verify(
+        cert,
+        orbit_cap=_env_int("COVERFORGE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET),
+        coset_cap=_env_int("COVERFORGE_COSET_BUDGET", DEFAULT_COSET_BUDGET),
+    )
     print(canonical_json(report.to_dict()))
     for path in report.mismatches:
         print(f"mismatch at {path}", file=sys.stderr)

@@ -158,7 +158,7 @@ def elevation_degree(table: GroupTable, peripheral: np.ndarray, puncture: int) -
     given one row of peripheral ids per rep (`surfaces.peripheral_ids`);
     this is the order of the product image, i.e. the covering degree of
     any elevation of the peripheral loop in the regular kernel cover."""
-    return math.lcm(*np.unique(table.orders[peripheral[:, puncture - 1]]).tolist())
+    return math.lcm(*set(table.orders[peripheral[:, puncture - 1]].tolist()))
 
 
 def sums_to_degree(multiset: dict[int, int], degree: int) -> bool:

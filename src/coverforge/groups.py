@@ -1,6 +1,5 @@
 """Exact arithmetic for the finite groups everything else is built on:
-PSL(2, F_p) for odd primes p, cyclic groups, small symmetric groups, and
-finite direct products.
+PSL(2, F_p) for odd primes p, cyclic groups and small symmetric groups.
 
 Conventions fixed here and relied on by every other module:
 
@@ -57,19 +56,6 @@ def _require_odd_prime(p: int) -> None:
 
 
 @dataclass(frozen=True)
-class FpScalar:
-    """A residue in the prime field F_p."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        if not 0 <= self.value < self.p:
-            raise BadParameters(f"{self.value} is not reduced mod {self.p}")
-
-
-@dataclass(frozen=True)
 class ProjectiveMatrix:
     """A canonical representative of an element of PSL(2, F_p).
 
@@ -113,13 +99,6 @@ class ProjectiveMatrix:
 
     def is_identity(self) -> bool:
         return self.a == 1 and self.d == 1 and self.b == 0 and self.c == 0
-
-    def trace(self) -> int:
-        """Trace of the stored representative (defined up to sign in PSL2)."""
-        return (self.a + self.d) % self.p
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
     def sort_key(self):
         return (self.a, self.b, self.c, self.d)
@@ -222,31 +201,7 @@ class Residue:
         return (self.value,)
 
 
-@dataclass(frozen=True)
-class ProductElement:
-    """An element of a finite direct product, stored componentwise."""
-
-    components: tuple["GroupElement", ...]
-
-    def __mul__(self, other: "ProductElement") -> "ProductElement":
-        if len(self.components) != len(other.components):
-            raise BadParameters("mixed product lengths")
-        return ProductElement(tuple(x * y for x, y in zip(self.components, other.components)))
-
-    def inverse(self) -> "ProductElement":
-        return ProductElement(tuple(x.inverse() for x in self.components))
-
-    def is_identity(self) -> bool:
-        return all(x.is_identity() for x in self.components)
-
-    def sort_key(self):
-        key = ()
-        for x in self.components:
-            key = key + tuple(x.sort_key())
-        return key
-
-
-GroupElement = Union[ProjectiveMatrix, Permutation, Residue, ProductElement]
+GroupElement = Union[ProjectiveMatrix, Permutation, Residue]
 
 
 def element_sort_key(g: GroupElement):
@@ -261,7 +216,6 @@ class FiniteGroupHandle:
     p: int | None = None
     n: int | None = None
     m: int | None = None
-    components: tuple["FiniteGroupHandle", ...] | None = None
 
     @staticmethod
     def psl2(p: int) -> "FiniteGroupHandle":
@@ -280,19 +234,6 @@ class FiniteGroupHandle:
             raise BadParameters("symmetric group needs m >= 1")
         return FiniteGroupHandle("symmetric", m=m)
 
-    @staticmethod
-    def product(components: Iterable["FiniteGroupHandle"]) -> "FiniteGroupHandle":
-        comps = tuple(components)
-        if not comps:
-            raise BadParameters("empty product")
-        return FiniteGroupHandle("product", components=comps)
-
-    @staticmethod
-    def power(base: "FiniteGroupHandle", k: int) -> "FiniteGroupHandle":
-        if k < 1:
-            raise BadParameters("power needs k >= 1")
-        return FiniteGroupHandle.product((base,) * k)
-
     @property
     def order(self) -> int:
         if self.kind == "psl2":
@@ -301,8 +242,6 @@ class FiniteGroupHandle:
             return self.n
         if self.kind == "symmetric":
             return math.factorial(self.m)
-        if self.kind == "product":
-            return math.prod(c.order for c in self.components)
         raise BadParameters(f"unknown kind {self.kind}")
 
     def identity(self) -> GroupElement:
@@ -310,22 +249,14 @@ class FiniteGroupHandle:
             return ProjectiveMatrix.identity(self.p)
         if self.kind == "cyclic":
             return Residue.identity(self.n)
-        if self.kind == "symmetric":
-            return Permutation.identity(self.m)
-        return ProductElement(tuple(c.identity() for c in self.components))
+        return Permutation.identity(self.m)
 
     def contains(self, g: GroupElement) -> bool:
         if self.kind == "psl2":
             return isinstance(g, ProjectiveMatrix) and g.p == self.p
         if self.kind == "cyclic":
             return isinstance(g, Residue) and g.n == self.n
-        if self.kind == "symmetric":
-            return isinstance(g, Permutation) and g.m == self.m
-        return (
-            isinstance(g, ProductElement)
-            and len(g.components) == len(self.components)
-            and all(h.contains(x) for h, x in zip(self.components, g.components))
-        )
+        return isinstance(g, Permutation) and g.m == self.m
 
     def describe(self) -> dict:
         """JSON-ready description, used inside certificates."""
@@ -333,46 +264,20 @@ class FiniteGroupHandle:
             return {"kind": "psl2", "p": self.p}
         if self.kind == "cyclic":
             return {"kind": "cyclic", "n": self.n}
-        if self.kind == "symmetric":
-            return {"kind": "symmetric", "m": self.m}
-        first = self.components[0]
-        if all(c == first for c in self.components):
-            return {"kind": "product", "base": first.describe(), "copies": len(self.components)}
-        return {"kind": "product", "factors": [c.describe() for c in self.components]}
-
-    @staticmethod
-    def from_description(data: dict) -> "FiniteGroupHandle":
-        kind = data.get("kind")
-        if kind == "psl2":
-            return FiniteGroupHandle.psl2(int(data["p"]))
-        if kind == "cyclic":
-            return FiniteGroupHandle.cyclic(int(data["n"]))
-        if kind == "symmetric":
-            return FiniteGroupHandle.symmetric(int(data["m"]))
-        if kind == "product":
-            if "base" in data:
-                base = FiniteGroupHandle.from_description(data["base"])
-                return FiniteGroupHandle.power(base, int(data["copies"]))
-            return FiniteGroupHandle.product(
-                FiniteGroupHandle.from_description(f) for f in data["factors"]
-            )
-        raise BadParameters(f"unknown group description {data!r}")
+        return {"kind": "symmetric", "m": self.m}
 
 
 def encode_element(g: GroupElement):
     """Flatten an element for serialization.
 
     Matrices become [a, b, c, d], permutations their one-line image
-    list, residues a bare integer, products the list of component
-    encodings.
+    list, residues a bare integer.
     """
     if isinstance(g, ProjectiveMatrix):
         return [g.a, g.b, g.c, g.d]
     if isinstance(g, Permutation):
         return list(g.images)
-    if isinstance(g, Residue):
-        return g.value
-    return [encode_element(c) for c in g.components]
+    return g.value
 
 
 def decode_element(handle: FiniteGroupHandle, data) -> GroupElement:
@@ -381,18 +286,11 @@ def decode_element(handle: FiniteGroupHandle, data) -> GroupElement:
         return canonicalize(a, b, c, d, handle.p)
     if handle.kind == "cyclic":
         return Residue(int(data) % handle.n, handle.n)
-    if handle.kind == "symmetric":
-        return Permutation(tuple(int(x) for x in data))
-    comps = tuple(decode_element(h, d) for h, d in zip(handle.components, data))
-    if len(comps) != len(handle.components):
-        raise BadParameters("wrong product length")
-    return ProductElement(comps)
+    return Permutation(tuple(int(x) for x in data))
 
 
 def element_order(g: GroupElement) -> int:
     """Smallest k >= 1 with g**k equal to the identity."""
-    if isinstance(g, ProductElement):
-        return math.lcm(*(element_order(c) for c in g.components))
     order = 1
     x = g
     while not x.is_identity():
@@ -433,13 +331,10 @@ def enumerate_group(
         )
     elif handle.kind == "cyclic":
         elements = tuple(Residue(i, handle.n) for i in range(handle.n))
-    elif handle.kind == "symmetric":
+    else:
         elements = tuple(
             Permutation(images) for images in itertools.permutations(range(handle.m))
         )
-    else:
-        factors = [enumerate_group(c, budget) for c in handle.components]
-        elements = tuple(ProductElement(combo) for combo in itertools.product(*factors))
     _ENUM_CACHE[handle] = elements
     return elements
 
@@ -538,44 +433,21 @@ class SubgroupData:
     def contains(self, g: GroupElement) -> bool:
         return g in self.elements
 
-    def same_elements(self, other: "SubgroupData") -> bool:
-        return self.elements == other.elements
-
 
 def subgroup_closure(
     generators: Iterable[GroupElement],
     handle: FiniteGroupHandle,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SubgroupData:
-    """Closure of a generating set under the group law, on table ids.
-
-    A base group closes its generator ids over its own table; a power
-    G^k closes k-component id tuples over the table of G.
-    """
+    """Closure of a generating set under the group law, on table ids."""
     gens = tuple(generators)
     for g in gens:
         if not handle.contains(g):
             raise BadParameters(f"generator {g!r} is not in the ambient group")
-    if handle.kind != "product":
-        table = group_table(handle)
-        member = closure_ids(table, [[table.id_of(g) for g in gens]], budget)[0]
-        elements = frozenset(table.elements[i] for i in np.flatnonzero(member))
-    else:
-        base = handle.components[0]
-        if any(c != base for c in handle.components):
-            raise BadParameters("closure over a product needs equal factors")
-        table = group_table(base)
-        id_gens = [tuple(table.id_of(x) for x in g.components) for g in gens]
-        tuples = closure_id_tuples(table, len(handle.components), id_gens, budget)
-        elements = frozenset(
-            ProductElement(tuple(table.elements[i] for i in ids)) for ids in tuples
-        )
+    table = group_table(handle)
+    member = closure_ids(table, [[table.id_of(g) for g in gens]], budget)[0]
+    elements = frozenset(table.elements[i] for i in np.flatnonzero(member))
     return SubgroupData(handle, gens, elements, len(elements))
-
-
-def trivial_subgroup(handle: FiniteGroupHandle) -> SubgroupData:
-    identity = handle.identity()
-    return SubgroupData(handle, (identity,), frozenset([identity]), 1)
 
 
 def normalizer(sub: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> SubgroupData:
@@ -643,13 +515,13 @@ def conjugated_subgroup(sub: SubgroupData, mapping) -> SubgroupData:
     return SubgroupData(sub.ambient, gens, elements, len(elements))
 
 
-def nonsquare(p: int) -> FpScalar:
+def nonsquare(p: int) -> int:
     """Smallest quadratic non-residue mod p."""
     _require_odd_prime(p)
     squares = {(x * x) % p for x in range(1, p)}
     for e in range(2, p):
         if e not in squares:
-            return FpScalar(e, p)
+            return e
     raise BadModulus(f"no non-square mod {p}")  # unreachable for odd primes
 
 
@@ -668,11 +540,8 @@ class AutDescriptor:
 
     @classmethod
     def for_prime(cls, p: int) -> "AutDescriptor":
-        eps = nonsquare(p).value
+        eps = nonsquare(p)
         return cls(p, eps, pow(eps, p - 2, p))
-
-    def d0_entries(self) -> tuple[int, int, int, int]:
-        return (1, 0, 0, self.epsilon)
 
     def apply(self, mat: ProjectiveMatrix) -> ProjectiveMatrix:
         """Conjugation by d0: (a, b, c, d) -> (a, b/eps, c*eps, d)."""
@@ -749,17 +618,8 @@ def group_table(handle: FiniteGroupHandle, limit: int = TABLE_LIMIT) -> GroupTab
         mul = (np.add.outer(r, r) % n).astype(np.int32)
         inv = ((n - r) % n).astype(np.int32)
         table = GroupTable(handle, elements, mul, inv, 0)
-    elif handle.kind == "symmetric":
-        table = _symmetric_table(handle, elements)
     else:
-        index = {g: i for i, g in enumerate(elements)}
-        mul = np.empty((n, n), dtype=np.int32)
-        inv = np.empty(n, dtype=np.int32)
-        for i, x in enumerate(elements):
-            inv[i] = index[x.inverse()]
-            for j, y in enumerate(elements):
-                mul[i, j] = index[x * y]
-        table = GroupTable(handle, elements, mul, inv, index[handle.identity()])
+        table = _symmetric_table(handle, elements)
     _TABLE_CACHE[handle] = table
     return table
 
@@ -842,25 +702,3 @@ def closure_ids(
             rows, elems = np.nonzero(fresh)
     return out
 
-
-def closure_id_tuples(
-    table: GroupTable, k: int, gens: Sequence[tuple[int, ...]], cap: int
-) -> set[tuple[int, ...]]:
-    """Subgroup closure in the k-fold power of the table's group, over
-    k-component id tuples multiplied componentwise."""
-    mul = table.mul
-    identity = (table.identity_id,) * k
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(int(mul[a, b]) for a, b in zip(x, g))
-                if y not in elements:
-                    elements.add(y)
-                    fresh.append(y)
-        if len(elements) > cap:
-            raise BudgetExceeded("product closure exceeded cap", used=len(elements), budget=cap)
-        frontier = fresh
-    return elements

@@ -12,10 +12,11 @@ BFS closure is the full orbit of the generated action.
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on tuples under the canonical element ordering).
-One vectorized engine runs the BFS and one the class partition.  State
-arrays are int64 while the encoding fits in 62 bits and hold Python ints
-(numpy ``object`` dtype) beyond, so large ranks over tiny groups take
-the same code path with exact keys.
+One vectorized engine runs every tuple BFS (the Nielsen orbit and the
+product-image closure) and one the class partition.  State arrays are
+int64 while the encoding fits in 62 bits and hold Python ints (numpy
+``object`` dtype) beyond, so large ranks over tiny groups take the same
+code path with exact keys.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +35,7 @@ from .groups import (
     DEFAULT_ENUM_BUDGET,
     AutDescriptor,
     FiniteGroupHandle,
-    GroupElement,
     GroupTable,
-    ProductElement,
-    closure_id_tuples,
     closure_ids,
     encode_element,
     group_table,
@@ -44,7 +43,7 @@ from .groups import (
     _encode_entries,
     _psl2_arrays,
 )
-from .surfaces import RepTuple, SurfaceSignature
+from .surfaces import RepTuple
 
 DEFAULT_ORBIT_BUDGET = 20_000_000
 _INT64_KEYS = 2**62
@@ -174,10 +173,17 @@ def orbit_closure(
         table = group_table(rep.target)
     rank = rep.signature.free_rank
     start = tuple(table.id_of(g) for g in rep.images)
-    return _orbit_vectorized(table, rank, start, nielsen_generators(rank), budget)
+    powers = _state_powers(table.order, rank)
+    moves = [
+        partial(_apply_move_encoded, move=move, table=table, powers=powers)
+        for move in nielsen_generators(rank)
+    ]
+    return _orbit_vectorized(table, rank, start, moves, budget)
 
 
-def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
+def _orbit_vectorized(table, rank, start, moves, budget, what="orbit closure") -> OrbitClosure:
+    """BFS closure of the start tuple under the moves, each a map from a
+    chunk's encoded states and decoded digits to the moved encodings."""
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
@@ -192,7 +198,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
             chunk = frontier[lo : lo + _CHUNK]
             digits = _decode_digits(chunk, n, rank)
             for move in moves:
-                cand = _sorted_unique(_apply_move_encoded(chunk, digits, move, table, powers))
+                cand = _sorted_unique(move(chunk, digits))
                 expansions += int(chunk.size)
                 pos = np.searchsorted(visited, cand)
                 mask = (pos >= visited.size) | (visited[np.minimum(pos, visited.size - 1)] != cand)
@@ -201,7 +207,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
                     new = _sorted_unique(np.concatenate([new, cand])) if new.size else cand
                 if visited.size + new.size > budget:
                     raise BudgetExceeded(
-                        "orbit closure exceeded state budget",
+                        f"{what} exceeded state budget",
                         used=int(visited.size + new.size),
                         budget=budget,
                     )
@@ -250,11 +256,11 @@ def automorphism_perms(table: GroupTable) -> np.ndarray:
     over element indices, one row each; built once per group and
     returned as a read-only int64 array.
 
-    PSL2 has trivial centre, so its inner rows are pairwise distinct, and
-    the d0 coset (the outer automorphisms) is disjoint from them: its
-    rows need no deduplication.  Cyclic and symmetric rows still go
-    through np.unique: a group with a centre, such as Sym(2), repeats
-    inner rows."""
+    No rows are deduplicated.  PSL2 and Sym(m), m >= 3, have trivial
+    centre, so their inner rows are pairwise distinct, and the d0 coset
+    of PSL2 (the outer automorphisms) is disjoint from them; the unit
+    rows of Z/n differ at the generator.  Only Sym(2) repeats a row,
+    which merely repeats work."""
     handle = table.handle
     cached = _AUT_PERMS_CACHE.get(handle)
     if cached is not None:
@@ -266,13 +272,11 @@ def automorphism_perms(table: GroupTable) -> np.ndarray:
     elif handle.kind == "cyclic":
         ids = np.arange(n, dtype=np.int64)
         units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        rows = np.unique(np.vstack([(u * ids) % handle.n for u in units]), axis=0)
-    elif handle.kind == "symmetric":
+        rows = np.vstack([(u * ids) % handle.n for u in units])
+    else:
         if handle.m == 6:
             raise BadParameters("Sym(6) has outer automorphisms; not supported")
-        rows = np.unique(_inner_perms(table), axis=0)
-    else:
-        raise BadParameters("automorphism enumeration is only for base groups")
+        rows = _inner_perms(table)
     rows = rows.astype(np.int64)
     rows.setflags(write=False)
     _AUT_PERMS_CACHE[handle] = rows
@@ -314,10 +318,6 @@ class OrbitResult:
     class_sizes: tuple[int, ...]
     budget_used: dict
 
-    def class_reps(self) -> list[tuple[GroupElement, ...]]:
-        el = self.table.elements
-        return [tuple(el[i] for i in ids) for ids in self.class_rep_ids]
-
     def class_reps_digest(self) -> str:
         codes = [encode_element(g) for g in self.table.elements]
         payload = json.dumps(
@@ -351,7 +351,7 @@ def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResu
         if classified[pos]:
             continue
         digits = np.array(orbit.decode(int(states[pos])), dtype=np.int64)
-        encs = np.unique(perms[:, digits] @ powers)
+        encs = _sorted_unique(perms[:, digits] @ powers)
         where = np.searchsorted(states, encs)
         where_clipped = np.minimum(where, size - 1)
         present = states[where_clipped] == encs
@@ -392,17 +392,6 @@ def canonical_class_keys(table: GroupTable, rep_ids, perms: np.ndarray) -> np.nd
         (perms[:, rep_ids[lo : lo + step]] @ powers).min(axis=0)
         for lo in range(0, rep_ids.shape[0], step)
     ])
-
-
-def assemble_product_rep(result: OrbitResult, signature: SurfaceSignature) -> RepTuple:
-    """The componentwise product representation over the class reps."""
-    reps = result.class_reps()
-    target = FiniteGroupHandle.power(result.table.handle, result.k)
-    images = tuple(
-        ProductElement(tuple(reps[j][pos] for j in range(result.k)))
-        for pos in range(result.rank)
-    )
-    return RepTuple(signature, target, images)
 
 
 @dataclass(frozen=True)
@@ -451,8 +440,21 @@ def verify_hall_surjectivity(
 def _product_closure_order(
     table: GroupTable, class_rep_ids: Sequence[tuple[int, ...]], cap: int
 ) -> int:
-    """Order of the image of the product of the class reps: the closure,
-    inside the k-fold power of the base group, of one k-component id
-    tuple per free generator."""
-    gens = list(zip(*class_rep_ids))  # transpose: one product tuple per generator
-    return len(closure_id_tuples(table, len(class_rep_ids), gens, cap))
+    """Order of the image of the product of the class reps: the orbit of
+    the identity k-tuple in G^k under right multiplication by one k-tuple
+    per free generator (column of the class rep ids), which in a finite
+    group is the subgroup those tuples generate."""
+    k = len(class_rep_ids)
+    powers = _state_powers(table.order, k)
+    moves = [
+        partial(_right_multiply, gens=np.asarray(column), table=table, powers=powers)
+        for column in zip(*class_rep_ids)
+    ]
+    start = (table.identity_id,) * k
+    return _orbit_vectorized(table, k, start, moves, cap, "product closure").size
+
+
+def _right_multiply(states, digits, gens, table, powers):
+    """Encodings of the states times the k-tuple gens, componentwise."""
+    moved = table.mul[np.stack(digits), gens[:, None]].astype(powers.dtype)
+    return powers @ moved

@@ -39,6 +39,7 @@ from coverforge.certificates import (
     verify,
 )
 from coverforge.covers import (
+    characteristic_core,
     coset_permutation,
     coset_space,
     cycle_type,
@@ -220,10 +221,7 @@ def test_criterion_07_toy_orbit_ground_truth():
         assert set(orbit.id_tuples()) == {(1, 0), (0, 1), (1, 1)}
         result = aut_classes(orbit)
         assert result.k == 3
-        from coverforge.orbits import assemble_product_rep
-
-        prod = assemble_product_rep(result, sig)
-        assert subgroup_closure(prod.images, prod.target).order == 4
+        assert characteristic_core(result.class_rep_ids, sig, orbit).degree == 4
         assert time.perf_counter() - start < 1.0
 
 

@@ -29,6 +29,7 @@ from coverforge.groups import (
     canonicalize,
     conjugated_subgroup,
     element_order,
+    encode_element,
     subgroup_closure,
 )
 from coverforge.surfaces import (
@@ -41,10 +42,10 @@ from coverforge.surfaces import (
 
 class TestSelectT:
     def test_p5(self):
-        assert select_t(5).value == 4
+        assert select_t(5) == 4
 
     def test_p13_frozen(self):
-        assert select_t(13).value == 1
+        assert select_t(13) == 1
 
     def test_t1_rejected_at_p5(self):
         # x^2 - 3x + 1 has discriminant 9 - 4 = 5 = 0 mod 5: a double root
@@ -57,7 +58,7 @@ class TestSelectT:
     def test_validate_minimality(self):
         assert validate_t(5, 4)
         assert not validate_t(5, 1)
-        assert not validate_t(13, 12, require_minimal=True) or select_t(13).value == 12
+        assert not validate_t(13, 12, require_minimal=True) or select_t(13) == 12
 
     def test_rejects_p3mod4(self):
         with pytest.raises(BadParameters):
@@ -67,8 +68,8 @@ class TestSelectT:
 class TestCommutatorSearch:
     def test_p13(self):
         a, b, c = search_commutator_pair(13)
-        assert a.entries() == (0, 1, 12, 0)
-        assert b.entries() == (0, 1, 12, 1)
+        assert encode_element(a) == [0, 1, 12, 0]
+        assert encode_element(b) == [0, 1, 12, 1]
         assert element_order(c) == 7
         assert validate_commutator_pair(13, a, b, c)
 
@@ -110,15 +111,36 @@ class TestCommutatorSearch:
         with pytest.raises(BudgetExceeded):
             build_once_punctured(211, 1)
 
+    def test_table_limit_checked_before_primitive_root_search(self, monkeypatch):
+        # p = 10**12 + 61 is a prime; the root search loops up to p**2
+        # times, so a certificate carrying this p must stop at the table
+        # limit first (the spy refuses to search instead of hanging)
+        import coverforge.catalog as catalog_module
+        from coverforge.groups import TABLE_LIMIT
+
+        real = catalog_module.smallest_primitive_root
+
+        def spy(p):
+            assert p * (p * p - 1) // 2 <= TABLE_LIMIT, f"root search at p = {p}"
+            return real(p)
+
+        monkeypatch.setattr(catalog_module, "smallest_primitive_root", spy)
+        p = 10**12 + 61
+        with pytest.raises(BudgetExceeded):
+            diagonal_torus(p)
+        with pytest.raises(BudgetExceeded):
+            build_generic(p, 1, 2)
+        assert diagonal_torus(13)[2] == 2
+
 
 class TestGenericFamily:
     def test_p5_g1_n2(self):
         b = build_generic(5, 1, 2)
         images = b.rep.images_by_name
-        assert images["a1"].entries() == (1, 1, 0, 1)
-        assert images["b1"].entries() == (1, 1, 0, 1)
-        assert images["c1"].entries() == (1, 0, 1, 1)
-        assert derived_last_peripheral(b.rep).entries() == (1, 0, 4, 1)
+        assert encode_element(images["a1"]) == [1, 1, 0, 1]
+        assert encode_element(images["b1"]) == [1, 1, 0, 1]
+        assert encode_element(images["c1"]) == [1, 0, 1, 1]
+        assert encode_element(derived_last_peripheral(b.rep)) == [1, 0, 4, 1]
         assert verify_relation(b.rep, b.claimed_cn)
         assert is_surjective(b.rep)
         assert peripheral_profile(b.rep).orders == (5, 5)
@@ -178,7 +200,7 @@ class TestGenusZeroFamily:
         assert b.h0.order == 4
         # trace of the last peripheral is 2 + t up to sign
         cn = derived_last_peripheral(b.rep)
-        assert cn.trace() % 5 in {(2 + 4) % 5, (-(2 + 4)) % 5}
+        assert (cn.a + cn.d) % 5 in {(2 + 4) % 5, (-(2 + 4)) % 5}
 
     def test_p13_n4(self):
         b = build_genus_zero(13, 4)
@@ -289,10 +311,8 @@ class TestHypotheses:
 
     def test_non_psl2_targets_report_not_applicable(self):
         b = build_characteristic_cyclic(0, 3)
-        from coverforge.groups import trivial_subgroup
-
         hyp = verify_hypotheses(
-            b.rep.target, trivial_subgroup(b.rep.target), peripheral_profile(b.rep)
+            b.rep.target, subgroup_closure((), b.rep.target), peripheral_profile(b.rep)
         )
         assert hyp.aut_eq_inn is None
         assert hyp.d0_stabilizes_h0 is None

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from coverforge.certificates import (
+    DEFAULT_HALL_DIRECT_CAP,
     ConstructConfig,
     attach_digest,
     bundle_report,
@@ -17,7 +19,10 @@ from coverforge.certificates import (
     verify,
     write_certificate,
 )
+from coverforge.covers import DEFAULT_COSET_BUDGET
 from coverforge.errors import BadParameters, BudgetExceeded, SchemaMismatch
+from coverforge.groups import DEFAULT_ENUM_BUDGET
+from coverforge.orbits import DEFAULT_ORBIT_BUDGET
 
 
 def run_cli(*args, env_extra=None):
@@ -322,6 +327,80 @@ class TestCli:
             assert proc.returncode == 2, (budget_args, env, proc.stderr)
             assert "must be positive" in proc.stderr
             assert not out.exists()
+
+    def test_verify_over_cap_budget_exits_before_work(self, tmp_path, monkeypatch, capsys):
+        # a generic p = 5 certificate moved to p = 13 (a rank-3 orbit of
+        # about 1.3e9 states) with an orbit budget of 1e12 and a valid
+        # digest: only the verifier's own cap can stop its replay
+        import coverforge.certificates as certificates
+        from coverforge import cli
+
+        def spy(*args, **kwargs):
+            raise AssertionError("orbit_closure called on an over-cap certificate")
+
+        cert = construct(ConstructConfig(case="generic", p=5, genus=1, punctures=2))
+        crafted = {
+            **cert,
+            "inputs": {**cert["inputs"], "p": 13},
+            "budgets": {**cert["budgets"], "orbit": 10**12},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(attach_digest(crafted)))
+        monkeypatch.setattr(certificates, "orbit_closure", spy)
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert "verifier cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,cap,env",
+        [
+            ("orbit", DEFAULT_ORBIT_BUDGET, "COVERFORGE_ORBIT_BUDGET"),
+            ("coset", DEFAULT_COSET_BUDGET, "COVERFORGE_COSET_BUDGET"),
+            ("closure", DEFAULT_ENUM_BUDGET, None),
+            ("hall_direct_cap", DEFAULT_HALL_DIRECT_CAP, None),
+        ],
+        ids=["orbit", "coset", "closure", "hall-direct"],
+    )
+    def test_verifier_caps(self, tmp_path, monkeypatch, char_cyclic_cert, key, cap, env):
+        from coverforge import cli
+
+        monkeypatch.delenv("COVERFORGE_ORBIT_BUDGET", raising=False)
+        monkeypatch.delenv("COVERFORGE_COSET_BUDGET", raising=False)
+        path = tmp_path / "cert.json"
+        for budget, code in ((cap, 0), (cap + 1, 3)):
+            cert = {**char_cyclic_cert, "budgets": {**char_cyclic_cert["budgets"], key: budget}}
+            path.write_text(canonical_json(attach_digest(cert)))
+            assert cli.main(["verify", str(path)]) == code, (key, budget)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify(attach_digest(cert))
+        assert (exc.value.used, exc.value.budget) == (cap + 1, cap)
+        if env is not None:
+            # the environment variable raises the verifier's cap
+            monkeypatch.setenv(env, str(cap + 1))
+            assert cli.main(["verify", str(path)]) == 0
+
+    def test_construct_and_verify_do_not_import_numpy_ma(self, tmp_path):
+        # plain np.unique imports numpy.ma on first use, 16-31 ms per process
+        script = (
+            "import sys\n"
+            "from coverforge.cli import main\n"
+            "for i, args in enumerate(sys.argv[2:]):\n"
+            "    out = f'{sys.argv[1]}/cert{i}.json'\n"
+            "    assert main(['construct', *args.split(), '--out', out]) == 0\n"
+            "    assert main(['verify', out]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path),
+             "--case char-cyclic --genus 0 --punctures 3",
+             "--case char-sym3 --genus 1",
+             "--case once-punctured --p 13 --genus 1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_bundle_report_cli(self):
         proc = run_cli("bundle-report", "--fiber-genus", "13", "--base-genus", "2",

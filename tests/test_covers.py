@@ -41,7 +41,6 @@ from coverforge.groups import (
     group_table,
     normalizer,
     subgroup_closure,
-    trivial_subgroup,
 )
 from coverforge.orbits import aut_classes, orbit_closure
 from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
@@ -96,7 +95,7 @@ class TestLocalDegrees:
 
     def test_regular_cyclic_action(self):
         b = build_characteristic_cyclic(0, 3)
-        action = coset_action(b.rep, trivial_subgroup(b.rep.target))
+        action = coset_action(b.rep, subgroup_closure((), b.rep.target))
         assert action.degree == 3
         assert local_degrees_direct(action, 1) == {3: 1}
 
@@ -193,11 +192,12 @@ class TestElevationDegrees:
         result = aut_classes(orbit_closure(b.rep))
         table = result.table
         peripheral = peripheral_ids(table, b.signature, result.class_rep_ids)
+        reps = [tuple(table.elements[i] for i in ids) for ids in result.class_rep_ids]
         for puncture in range(1, b.signature.n + 1):
             orders = [
                 element_order(RepTuple(b.signature, table.handle, images)
                               .peripheral_images()[puncture - 1])
-                for images in result.class_reps()
+                for images in reps
             ]
             assert elevation_degree(table, peripheral, puncture) == math.lcm(*orders)
 

@@ -12,19 +12,20 @@ from coverforge.catalog import (
     build_genus_zero,
     build_once_punctured,
 )
+from coverforge.covers import characteristic_core
 from coverforge.errors import BadParameters, BudgetExceeded
 from coverforge.groups import (
     FiniteGroupHandle,
     Residue,
     canonicalize,
     element_order,
+    encode_element,
     group_table,
-    subgroup_closure,
 )
 from coverforge.orbits import (
     NielsenMove,
     OrbitResult,
-    assemble_product_rep,
+    _product_closure_order,
     aut_classes,
     automorphism_perms,
     canonical_class_keys,
@@ -74,12 +75,13 @@ class TestToyOrbit:
         assert res.class_sizes == (1, 1, 1)
 
     def test_product_rep(self):
-        sig = SurfaceSignature(0, 3)
-        res = aut_classes(orbit_closure(toy_rep()))
-        prod = assemble_product_rep(res, sig)
-        values = [[c.value for c in g.components] for g in prod.images]
-        assert values == [[1, 0, 1], [0, 1, 1]]
-        assert subgroup_closure(prod.images, prod.target).order == 4
+        # the product of the three class reps sends the generators to
+        # (1, 0, 1) and (0, 1, 1) in (Z/2)^3, which span an image of order 4
+        orb = orbit_closure(toy_rep())
+        res = aut_classes(orb)
+        assert [list(col) for col in zip(*res.class_rep_ids)] == [[1, 0, 1], [0, 1, 1]]
+        core = characteristic_core(res.class_rep_ids, toy_rep().signature, orb)
+        assert core.degree == 4
 
     def test_product_order_matches_mod2_linear_algebra(self):
         # oracle: the three maps factor through Z^2; reducing mod 2 and
@@ -300,7 +302,8 @@ class TestAutClasses:
         table = res.table
         perms = automorphism_perms(table)
         space = coset_space(b.h0)
-        rep0 = RepTuple(b.signature, table.handle, res.class_reps()[1])
+        images = tuple(table.elements[i] for i in res.class_rep_ids[1])
+        rep0 = RepTuple(b.signature, table.handle, images)
         prof0 = peripheral_profile(rep0)
         types0 = [
             cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_images()
@@ -373,13 +376,64 @@ class TestHall:
         assert report.ok
 
 
+def reference_product_closure(table, class_rep_ids, cap):
+    """Oracle: the set-based loop the orbit engine replaced.  The closure,
+    inside the k-fold power of the base group, of one k-component id
+    tuple per free generator, multiplied componentwise in Python."""
+    mul = table.mul
+    gens = list(zip(*class_rep_ids))
+    identity = (table.identity_id,) * len(class_rep_ids)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(int(mul[a, b]) for a, b in zip(x, g))
+                if y not in elements:
+                    elements.add(y)
+                    fresh.append(y)
+        if len(elements) > cap:
+            raise BudgetExceeded("product closure exceeded cap", used=len(elements), budget=cap)
+        frontier = fresh
+    return elements
+
+
+class TestProductClosure:
+    @pytest.mark.parametrize(
+        "rep,order",
+        [
+            (toy_rep, 4),
+            (lambda: build_characteristic_cyclic(0, 3).rep, 9),
+            (lambda: build_characteristic_cyclic(1, 2).rep, 8),
+            (lambda: build_characteristic_sym3(1).rep, 108),
+        ],
+        ids=["toy-z2", "char-cyclic-g0-n3", "char-cyclic-g1-n2", "char-sym3-g1"],
+    )
+    def test_matches_reference(self, rep, order):
+        orb = orbit_closure(rep())
+        rep_ids = aut_classes(orb).class_rep_ids
+        expected = reference_product_closure(orb.table, rep_ids, 10**7)
+        assert _product_closure_order(orb.table, rep_ids, 10**7) == len(expected) == order
+
+    def test_cap_overrun_raises_on_both(self):
+        orb = orbit_closure(build_characteristic_sym3(1).rep)
+        rep_ids = aut_classes(orb).class_rep_ids
+        with pytest.raises(BudgetExceeded):
+            reference_product_closure(orb.table, rep_ids, 50)
+        with pytest.raises(BudgetExceeded) as exc:
+            _product_closure_order(orb.table, rep_ids, 50)
+        assert exc.value.used > 50 and exc.value.budget == 50
+        assert _product_closure_order(orb.table, rep_ids, 108) == 108
+
+
 def lifted_commutator_traces(table):
     """tr(X Y X^-1 Y^-1) over SL2 lifts, for every pair (X, Y) of PSL2
     ids, as an (n, n) array.  By the Fricke identity it is
     x^2 + y^2 + z^2 - xyz - 2 with x = tr X, y = tr Y and z = tr XY, and
     a sign change of either lift leaves it unchanged."""
     p = table.handle.p
-    a, b, c, d = np.array([g.entries() for g in table.elements], dtype=np.int64).T
+    a, b, c, d = np.array([encode_element(g) for g in table.elements], dtype=np.int64).T
     x = (a + d) % p
     z = (np.outer(a, a) + np.outer(b, c) + np.outer(c, b) + np.outer(d, d)) % p
     return (x[:, None] ** 2 + x[None, :] ** 2 + z * z - x[:, None] * x[None, :] * z - 2) % p

@@ -162,8 +162,8 @@ class TestPeripheralIds:
         table = result.table
         matrix = peripheral_ids(table, b.signature, result.class_rep_ids)
         assert matrix.shape == (result.k, b.signature.n)
-        for row, images in zip(matrix.tolist(), result.class_reps()):
-            rep = RepTuple(b.signature, table.handle, images)
+        for row, ids in zip(matrix.tolist(), result.class_rep_ids):
+            rep = RepTuple(b.signature, table.handle, tuple(table.elements[i] for i in ids))
             expected = [table.id_of(c) for c in rep.free_peripheral_images()]
             expected.append(table.id_of(derived_last_peripheral(rep)))
             assert row == expected
