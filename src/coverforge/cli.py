@@ -119,11 +119,10 @@ def _cmd_orbit(args) -> int:
     print(canonical_json({"case": config.case, "orbit_size": orbit.size,
                           "levels": orbit.levels}))
     if args.dump:
-        table = orbit.table
+        codes = [encode_element(g) for g in orbit.table.elements]
         with open(args.dump, "w") as fh:
             for ids in orbit.id_tuples():
-                encoded = [encode_element(table.element(i)) for i in ids]
-                fh.write(canonical_json(encoded) + "\n")
+                fh.write(canonical_json([codes[i] for i in ids]) + "\n")
         print(f"orbit dumped to {args.dump}")
     return 0
 

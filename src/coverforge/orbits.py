@@ -13,10 +13,14 @@ Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on tuples under the canonical element ordering).
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
-product-image closure) and one the class partition.  State arrays are
-int64 while the encoding fits in 62 bits and hold Python ints (numpy
-``object`` dtype) beyond, so large ranks over tiny groups take the same
-code path with exact keys.
+product-image closure) and one the class partition.  The partition runs
+in seed batches: each step takes the next unclassified states, forms all
+their automorphism images at once, finds them in the sorted orbit with
+one searchsorted and marks them classified; a seed's smallest image in
+the orbit is its class minimum.  State arrays are int64 while the
+encoding fits in 62 bits and hold Python ints (numpy ``object`` dtype)
+beyond, so large ranks over tiny groups take the same code path with
+exact keys.
 """
 
 from __future__ import annotations
@@ -91,24 +95,10 @@ class OrbitClosure:
     def size(self) -> int:
         return len(self.encoded)
 
-    def decode(self, state: int) -> tuple[int, ...]:
-        n = self.table.order
-        digits = []
-        for _ in range(self.rank):
-            digits.append(int(state % n))
-            state //= n
-        return tuple(reversed(digits))
-
-    def encode(self, ids) -> int:
-        n = self.table.order
-        state = 0
-        for d in ids:
-            state = state * n + int(d)
-        return state
-
     def id_tuples(self) -> list[tuple[int, ...]]:
         """All states as id tuples, in lexicographic order."""
-        return [self.decode(int(s)) for s in self.encoded]
+        digits = np.stack(_decode_digits(self.encoded, self.table.order, self.rank), axis=1)
+        return [tuple(ids) for ids in digits.tolist()]
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
@@ -153,14 +143,20 @@ def _apply_move_encoded(states, digits, move, table, powers):
     return states + (moved - digits[i]).astype(powers.dtype) * powers[i]
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of an array sorted along axis 0 that differ
+    from the entry before them."""
+    starts = np.empty(values.shape, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """np.unique through a stable sort: timsort merges the sorted runs
     that moved or concatenated state arrays consist of."""
     values = np.sort(values, kind="stable")
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[_run_starts(values)]
 
 
 def orbit_closure(
@@ -266,30 +262,27 @@ def automorphism_perms(table: GroupTable) -> np.ndarray:
     if cached is not None:
         return cached
     n = table.order
-    if handle.kind == "psl2":
-        inner = _inner_perms(table)
-        rows = np.vstack([inner, inner[:, _d0_perm(handle.p)]])
-    elif handle.kind == "cyclic":
-        ids = np.arange(n, dtype=np.int64)
+    if handle.kind == "cyclic":
         units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        rows = np.vstack([(u * ids) % handle.n for u in units])
+        rows = np.outer(units, np.arange(n, dtype=np.int64)) % handle.n
     else:
-        if handle.m == 6:
+        if handle.kind == "symmetric" and handle.m == 6:
             raise BadParameters("Sym(6) has outer automorphisms; not supported")
-        rows = _inner_perms(table)
-    rows = rows.astype(np.int64)
+        rows = np.empty((2 * n if handle.kind == "psl2" else n, n), dtype=np.int64)
+        _inner_perms(table, rows[:n])
+        if handle.kind == "psl2":
+            # the d0 coset; "clip" leaves the valid indices alone and, unlike
+            # "raise", writes into out without a buffered copy
+            np.take(rows[:n], _d0_perm(handle.p), axis=1, out=rows[n:], mode="clip")
     rows.setflags(write=False)
     _AUT_PERMS_CACHE[handle] = rows
     return rows
 
 
-def _inner_perms(table: GroupTable) -> np.ndarray:
-    n = table.order
-    rows = np.empty((n, n), dtype=np.int32)
-    for gid in range(n):
-        ginv = int(table.inv[gid])
-        rows[gid] = table.mul[gid, table.mul[:, ginv]]
-    return rows
+def _inner_perms(table: GroupTable, out: np.ndarray) -> None:
+    """Write the conjugation x -> g x g^-1 into row g of out."""
+    for gid in range(table.order):
+        out[gid] = table.mul[gid, table.mul[:, table.inv[gid]]]
 
 
 def _d0_perm(p: int) -> np.ndarray:
@@ -331,50 +324,71 @@ class OrbitResult:
 def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     """Partition the orbit by postcomposition with Aut(target).
 
-    Scanning states in increasing encoded order means the first
-    unclassified state of each class is its lexicographic minimum.
+    A class is the set of Aut images of one state that lie in the orbit,
+    so any unclassified state seeds a new class, and the smallest present
+    image of a seed is its class minimum.
     """
     return _aut_classes_vectorized(orbit, automorphism_perms(orbit.table))
 
 
+def _classify_seeds(states, perms, powers, seeds, classified):
+    """Mark the Aut images of each seed row that lie in the sorted states
+    as classified; return each seed's class minimum (its smallest image in
+    the states) and class size (its distinct images there)."""
+    images = perms[:, seeds] @ powers
+    images.sort(axis=0)
+    where = np.minimum(np.searchsorted(states, images), states.size - 1)
+    present = states[where] == images
+    classified[where[present]] = True
+    minima = images[present.argmax(axis=0), np.arange(images.shape[1])]
+    return minima, (present & _run_starts(images)).sum(axis=0)
+
+
 def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResult:
+    """Class partition in seed batches.  The starting tuple's class goes
+    first; then each step takes the next unclassified states as seeds.
+    Seeds of one batch may share a class; they give the same minimum and
+    size, and the duplicates are dropped at the end.  A batch's images
+    fill at most ``_BLOCK_BYTES``, and the scan for seeds looks at no more
+    states than a batch has images."""
     states = orbit.encoded
     size = states.size
-    powers = _state_powers(orbit.table.order, orbit.rank)
+    n, rank = orbit.table.order, orbit.rank
+    powers = _state_powers(n, rank)
+    step = max(1, _BLOCK_BYTES // (8 * perms.shape[0] * rank))
+    span = step * perms.shape[0] * rank
     classified = np.zeros(size, dtype=bool)
-    start_state = orbit.encode(orbit.start_ids)
-    start_pos = int(np.searchsorted(states, start_state))
-    class_mins: list[int] = []
-    class_sizes: list[int] = []
-    start_class = -1
-    for pos in range(size):
-        if classified[pos]:
-            continue
-        digits = np.array(orbit.decode(int(states[pos])), dtype=np.int64)
-        encs = _sorted_unique(perms[:, digits] @ powers)
-        where = np.searchsorted(states, encs)
-        where_clipped = np.minimum(where, size - 1)
-        present = states[where_clipped] == encs
-        members = where_clipped[present]
-        classified[members] = True
-        if start_class < 0 and classified[start_pos]:
-            start_class = len(class_mins)
-        class_mins.append(int(states[pos]))
-        class_sizes.append(int(members.size))
-    if start_class < 0:
+    start_min, start_size = _classify_seeds(
+        states, perms, powers, np.array([orbit.start_ids]), classified
+    )
+    if not start_size[0]:
         raise AssertionError("starting state must belong to some class")
-    rep_ids = [orbit.decode(m) for m in class_mins]
-    order = [start_class] + [i for i in range(len(rep_ids)) if i != start_class]
-    reps = [rep_ids[i] for i in order]
-    reps[0] = orbit.start_ids  # the starting class reports the starting tuple itself
-    sizes = [class_sizes[i] for i in order]
+    minima, sizes = [start_min], [start_size]
+    cursor = 0
+    while cursor < size:
+        free = np.flatnonzero(~classified[cursor : cursor + span])[:step] + cursor
+        cursor = int(free[-1]) + 1 if free.size == step else cursor + span
+        if free.size:
+            seeds = np.stack(_decode_digits(states[free], n, rank), axis=1)
+            batch = _classify_seeds(states, perms, powers, seeds, classified)
+            minima.append(batch[0])
+            sizes.append(batch[1])
+    minima, sizes = np.concatenate(minima), np.concatenate(sizes)
+    order = np.argsort(minima[1:], kind="stable") + 1
+    keep = np.concatenate([[0], order[_run_starts(minima[order])]])
+    minima, sizes = minima[keep], sizes[keep]
+    if not classified.all() or int(sizes.sum()) != size:
+        raise AssertionError("the classes must partition the orbit")
+    digits = np.stack(_decode_digits(minima[1:], n, rank), axis=1)
+    # the starting class reports the starting tuple itself
+    reps = [orbit.start_ids] + [tuple(ids) for ids in digits.tolist()]
     return OrbitResult(
         table=orbit.table,
-        rank=orbit.rank,
+        rank=rank,
         orbit_size=int(size),
         k=len(reps),
-        class_rep_ids=tuple(tuple(int(x) for x in ids) for ids in reps),
-        class_sizes=tuple(sizes),
+        class_rep_ids=tuple(reps),
+        class_sizes=tuple(sizes.tolist()),
         budget_used={"orbit_states": int(size), "orbit_levels": orbit.levels,
                      "orbit_expansions": orbit.expansions},
     )

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coverforge import orbits
 from coverforge.catalog import (
     build_characteristic_cyclic,
     build_characteristic_sym3,
@@ -42,6 +43,34 @@ def toy_rep():
     sig = SurfaceSignature(0, 3)
     h = FiniteGroupHandle.cyclic(2)
     return RepTuple(sig, h, (Residue(1, 2), Residue(0, 2)))
+
+
+def involution_rep(rank, last=False):
+    """The first (or last) involution of PSL(2,5) in id order, then
+    rank - 1 identities.  The orbit is the 2**rank - 1 nonzero tuples over
+    {e, x}, which is not Aut-invariant: every class is one state.  For the
+    last involution a state's smallest Aut image lies outside the orbit.
+    At rank 11, 60**11 >= 2**63, so the states are Python ints."""
+    h = FiniteGroupHandle.psl2(5)
+    involutions = [g for g in group_table(h).elements if element_order(g) == 2]
+    x = involutions[-1 if last else 0]
+    return RepTuple(SurfaceSignature(0, rank + 1), h, (x,) + (h.identity(),) * (rank - 1))
+
+
+def reference_partition(orb):
+    """Oracle: the classes as sets, each the Aut images of a state that
+    lie in the orbit.  Returns the class reps and sizes in the order
+    aut_classes reports them: the starting tuple's class first, then the
+    lexicographic minimum of every other class in increasing order."""
+    perms = automorphism_perms(orb.table)
+    states = set(orb.id_tuples())
+    classes = {frozenset(map(tuple, perms[:, list(ids)].tolist())) & states for ids in states}
+    start_class = next(c for c in classes if orb.start_ids in c)
+    others = sorted((min(c), len(c)) for c in classes if c is not start_class)
+    return (
+        (orb.start_ids,) + tuple(m for m, _ in others),
+        (len(start_class),) + tuple(s for _, s in others),
+    )
 
 
 class TestNielsenGenerators:
@@ -156,11 +185,8 @@ class TestOrbitEngine:
             orbit_closure(b.rep, budget=5000)
 
     def test_wide_keys_match_set_oracle(self):
-        # rank 11 over PSL(2,5): 60**11 >= 2**63, so the states are Python ints
-        h = FiniteGroupHandle.psl2(5)
-        table = group_table(h)
-        involution = next(g for g in table.elements if element_order(g) == 2)
-        rep = RepTuple(SurfaceSignature(0, 12), h, (involution,) + (h.identity(),) * 10)
+        rep = involution_rep(11)
+        table = group_table(rep.target)
         orb = orbit_closure(rep)
         assert orb.encoded.dtype == object
 
@@ -186,19 +212,11 @@ class TestOrbitEngine:
         assert orb.id_tuples() == sorted(seen)
         assert orb.size == 2047
 
-        # the partition written out: the starting tuple's class first, then
-        # the lexicographic minimum of every other class in increasing order
-        perms = automorphism_perms(table).astype(np.int64)
-        classes = {
-            frozenset(map(tuple, perms[:, list(ids)].tolist())) & seen for ids in seen
-        }
-        start_class = next(c for c in classes if start in c)
-        others = sorted((min(c), len(c)) for c in classes if c is not start_class)
         res = aut_classes(orb)
-        assert res.class_rep_ids == (start,) + tuple(m for m, _ in others)
-        assert res.class_sizes == (len(start_class),) + tuple(s for _, s in others)
+        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
         assert res.k == 2047
 
+        perms = automorphism_perms(table)
         exact = [
             min(
                 sum(d * 60 ** (10 - j) for j, d in enumerate(row))
@@ -281,6 +299,40 @@ class TestAutClasses:
         res = aut_classes(orbit_closure(b.rep))
         assert res.orbit_size == 18
         assert res.k == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_characteristic_sym3(1).rep,
+            lambda: build_characteristic_cyclic(0, 6).rep,
+            lambda: involution_rep(3, last=True),
+        ],
+        ids=["char-sym3-g1", "char-cyclic-g0-n6", "psl2-p5-rank3-last-involution"],
+    )
+    def test_matches_set_oracle(self, build):
+        orb = orbit_closure(build())
+        res = aut_classes(orb)
+        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
+
+    # label -> rep; the partition runs in seed batches that fill at most
+    # orbits._BLOCK_BYTES with automorphism images
+    BATCH_CASES = {
+        "char-cyclic-g0-n3": lambda: build_characteristic_cyclic(0, 3).rep,
+        "char-cyclic-g0-n6": lambda: build_characteristic_cyclic(0, 6).rep,
+        "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
+        "generic-p5": lambda: build_generic(5, 1, 2).rep,
+        "genus-zero-p13": lambda: build_genus_zero(13, 3).rep,
+        "psl2-p5-rank11-wide": lambda: involution_rep(11),
+    }
+
+    @pytest.mark.parametrize("label", sorted(BATCH_CASES))
+    def test_batch_size_does_not_change_result(self, label, monkeypatch):
+        orb = orbit_closure(self.BATCH_CASES[label]())
+        default = aut_classes(orb)
+        # 64 bytes gives one seed per batch, 64 MiB up to thousands
+        for block_bytes in (64, 64 << 20):
+            monkeypatch.setattr(orbits, "_BLOCK_BYTES", block_bytes)
+            assert aut_classes(orb) == default
 
     def test_once_punctured_p13_summary(self):
         b = build_once_punctured(13, 1)
@@ -464,6 +516,7 @@ class TestCommutatorTraceOracle:
     CASES = {
         "genus-zero-p5": (lambda: build_genus_zero(5, 3), 600, 1230),
         "genus-zero-p13": (lambda: build_genus_zero(13, 3), 107016, 107016),
+        "genus-zero-p17": (lambda: build_genus_zero(17, 3), 396576, 396576),
         "once-punctured-p13": (lambda: build_once_punctured(13, 1), 107016, 107016),
     }
 
