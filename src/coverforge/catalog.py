@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParameters, SearchExhausted
 from .groups import (
     DEFAULT_ENUM_BUDGET,
-    AutDescriptor,
     FiniteGroupHandle,
     GroupElement,
+    GroupTable,
     Permutation,
     ProjectiveMatrix,
     Residue,
@@ -26,10 +28,8 @@ from .groups import (
     are_conjugate_subgroups,
     canonicalize,
     closure_ids,
-    conjugated_subgroup,
-    element_order,
+    d0_perm,
     encode_element,
-    enumerate_group,
     group_table,
     is_prime,
     nonsquare,
@@ -68,7 +68,7 @@ class HypothesisReport:
 
     self_normalizing: bool
     aut_eq_inn: bool | None
-    aut_witness: GroupElement | None
+    aut_witness: int | None  # table id
     d0_stabilizes_h0: bool | None
     delta_ge_2: bool
     coprimality: tuple[tuple[int, int, int, bool], ...]
@@ -82,11 +82,12 @@ class HypothesisReport:
             and all(row[3] for row in self.coprimality)
         )
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, table: GroupTable) -> dict:
+        witness = self.aut_witness
         return {
             "self_normalizing": self.self_normalizing,
             "aut_eq_inn": self.aut_eq_inn,
-            "aut_witness": None if self.aut_witness is None else encode_element(self.aut_witness),
+            "aut_witness": None if witness is None else encode_element(table.elements[witness]),
             "d0_stabilizes_h0": self.d0_stabilizes_h0,
             "delta_ge_2": self.delta_ge_2,
             "coprimality": [list(row) for row in self.coprimality],
@@ -114,47 +115,51 @@ def smallest_primitive_root(p: int) -> int:
 def diagonal_torus(p: int) -> tuple[SubgroupData, ProjectiveMatrix, int]:
     """The diagonal subgroup of PSL2(F_p), its generator, and the root used."""
     handle = FiniteGroupHandle.psl2(p)
-    group_table(handle)  # the table limit is checked before the O(p^2) root search
+    table = group_table(handle)  # the table limit is checked before the O(p^2) root search
     root = smallest_primitive_root(p)
     gen = canonicalize(root, 0, 0, pow(root, p - 2, p), p)
-    sub = subgroup_closure((gen,), handle)
-    return sub, gen, root
+    return subgroup_closure((table.id_of(gen),), handle), gen, root
 
 
 def borel_subgroup(p: int) -> SubgroupData:
     """Upper triangular matrices in PSL2(F_p); order p(p-1)/2."""
     handle = FiniteGroupHandle.psl2(p)
     _, torus_gen, _ = diagonal_torus(p)
+    table = group_table(handle)
     unipotent = canonicalize(1, 1, 0, 1, p)
-    sub = subgroup_closure((unipotent, torus_gen), handle)
+    sub = subgroup_closure((table.id_of(unipotent), table.id_of(torus_gen)), handle)
     assert sub.order == p * (p - 1) // 2
     return sub
 
 
-def smallest_element_of_order(p: int, order: int) -> ProjectiveMatrix:
-    for g in enumerate_group(FiniteGroupHandle.psl2(p)):
-        if element_order(g) == order:
-            return g
-    raise SearchExhausted(f"no element of order {order} in PSL2(F_{p})")
+def smallest_element_of_order(p: int, order: int) -> int:
+    """The smallest id of the given order in PSL2(F_p)."""
+    ids = np.flatnonzero(group_table(FiniteGroupHandle.psl2(p)).orders == order)
+    if ids.size == 0:
+        raise SearchExhausted(f"no element of order {order} in PSL2(F_{p})")
+    return int(ids[0])
 
 
 def dihedral_subgroup(p: int, order: int) -> SubgroupData:
     """A dihedral subgroup of PSL2(F_p) of order p-1 or p+1.
 
     Built as the closure of the smallest rotation of order `order/2`
-    and the smallest involution inverting it.
+    and the smallest involution inverting it whose closure has that
+    order; every candidate involution is closed in one batch.
     """
     if order not in (p - 1, p + 1) or order % 2:
         raise BadParameters(f"dihedral order must be p-1 or p+1 and even, got {order}")
-    half = order // 2
-    rotation = smallest_element_of_order(p, half)
-    rot_inv = rotation.inverse()
-    for j in enumerate_group(FiniteGroupHandle.psl2(p)):
-        if element_order(j) == 2 and (j * rotation) * j.inverse() == rot_inv:
-            sub = subgroup_closure((rotation, j), FiniteGroupHandle.psl2(p))
-            if sub.order == order:
-                return sub
-    raise SearchExhausted(f"no dihedral subgroup of order {order} found in PSL2(F_{p})")
+    handle = FiniteGroupHandle.psl2(p)
+    rotation = smallest_element_of_order(p, order // 2)
+    table = group_table(handle)
+    mul, inv = table.mul, table.inv
+    involutions = np.flatnonzero(table.orders == 2)
+    involutions = involutions[mul[mul[involutions, rotation], inv[involutions]] == inv[rotation]]
+    members = closure_ids(table, [[rotation, j] for j in involutions.tolist()])
+    hits = np.flatnonzero(members.sum(axis=1) == order)
+    if hits.size == 0:
+        raise SearchExhausted(f"no dihedral subgroup of order {order} found in PSL2(F_{p})")
+    return SubgroupData(handle, (rotation, int(involutions[hits[0]])), members[hits[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +246,17 @@ def search_commutator_pair(
     of a non-central element of PSL2(F_p) depends only on its trace up
     to sign, and the target order (p+1)/2 is never 1 or p, so the
     central/parabolic ambiguity at trace +-2 cannot produce a false
-    positive.  Each candidate is still confirmed with element_order.
+    positive.  Each candidate is still confirmed on the table.
     """
     _require_valid_prime(p)
     # the table limit is checked before the p**4 entry lookup is built
     table = group_table(FiniteGroupHandle.psl2(p))
-    elements = table.elements
+    mul, inv = table.mul, table.inv
     arrs = _psl2_arrays(p)
     a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
-    orders_by_trace = psl2_order_from_trace(p)
+    orders_by_trace = psl2_order_from_trace(table)
     target = (p + 1) // 2
-    n = len(elements)
+    n = table.order
     scanned = 0
     # entry arrays of all inverses (sign normalization is irrelevant for traces)
     ia, ib, ic, id_ = d, (p - b) % p, (p - c) % p, a
@@ -275,17 +280,10 @@ def search_commutator_pair(
         m2d = (mc * nb1 + md * a1) % p
         # trace of M2 * B^-1, entrywise over all B
         tr = (m2a * ia + m2b * ic + m2c * ib + m2d * id_) % p
-        candidates = (orders_by_trace[tr] == target).nonzero()[0]
-        if candidates.size == 0:
-            continue
-        for j in candidates:
-            a_el = elements[i]
-            b_el = elements[int(j)]
-            c_el = (a_el * b_el) * (a_el.inverse() * b_el.inverse())
-            if element_order(c_el) != target:
-                continue
-            if closure_ids(table, [[i, int(j)]])[0].all():
-                return (a_el, b_el, c_el)
+        for j in (orders_by_trace[tr] == target).nonzero()[0].tolist():
+            commutator = int(mul[mul[i, j], mul[inv[i], inv[j]]])
+            if table.orders[commutator] == target and closure_ids(table, [[i, j]])[0].all():
+                return tuple(table.elements[x] for x in (i, j, commutator))
     raise SearchExhausted(
         f"no generating pair with commutator order {(p + 1) // 2} in PSL2(F_{p})"
     )
@@ -298,12 +296,12 @@ def validate_commutator_pair(
     handle = FiniteGroupHandle.psl2(p)
     if not (handle.contains(a_el) and handle.contains(b_el) and handle.contains(c_el)):
         return False
-    if (a_el * b_el) * (a_el.inverse() * b_el.inverse()) != c_el:
+    table = group_table(handle)
+    a, b, c = (table.id_of(x) for x in (a_el, b_el, c_el))
+    mul, inv = table.mul, table.inv
+    if mul[mul[a, b], mul[inv[a], inv[b]]] != c or table.orders[c] != (p + 1) // 2:
         return False
-    if element_order(c_el) != (p + 1) // 2:
-        return False
-    closure = subgroup_closure((a_el, b_el), handle)
-    return closure.order == handle.order
+    return bool(closure_ids(table, [[a, b]])[0].all())
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +526,13 @@ def verify_hypotheses(
     conjugation by d0 = diag(1, epsilon), so the second condition
     reduces to: d0 H0 d0^-1 is conjugate to H0 in the group.
     """
-    norm = normalizer(h0, budget)
-    self_norm = norm.elements == h0.elements
+    self_norm = normalizer(h0, budget) == h0
     if g0.kind == "psl2":
-        aut = AutDescriptor.for_prime(g0.p)
-        conjugated = conjugated_subgroup(h0, aut.apply)
-        d0_stable = conjugated.elements == h0.elements
+        d0 = d0_perm(group_table(g0))
+        image = np.zeros(d0.size, dtype=bool)
+        image[d0[h0.members]] = True
+        conjugated = SubgroupData(g0, tuple(int(d0[g]) for g in h0.generators), image)
+        d0_stable = conjugated == h0
         aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0, budget)
     else:
         aut_eq_inn, witness, d0_stable = None, None, None

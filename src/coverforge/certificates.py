@@ -55,10 +55,10 @@ from .covers import (
 from .errors import BadParameters, BudgetExceeded, NotUnimodular, SchemaMismatch
 from .groups import (
     DEFAULT_ENUM_BUDGET,
+    TABLE_LIMIT,
     FiniteGroupHandle,
     decode_element,
     encode_element,
-    element_sort_key,
     group_table,
 )
 from .orbits import (
@@ -69,7 +69,6 @@ from .orbits import (
     verify_hall_surjectivity,
 )
 from .surfaces import (
-    derived_last_peripheral,
     is_surjective,
     peripheral_ids,
     peripheral_profile,
@@ -236,7 +235,9 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
             "images": {
                 name: encode_element(g) for name, g in rep.images_by_name.items()
             },
-            "derived_cn": encode_element(derived_last_peripheral(rep)),
+            "derived_cn": encode_element(
+                group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
+            ),
             "peripheral_orders": list(profile.orders),
             "delta": profile.delta,
         },
@@ -259,27 +260,25 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     rep = build.rep
     sig = build.signature
     h0 = build.h0
+    table = group_table(rep.target)
     hyp = verify_hypotheses(rep.target, h0, profile, config.closure_budget)
     checks["self_normalizing"] = hyp.self_normalizing
     checks["aut_eq_inn"] = bool(hyp.aut_eq_inn)
     checks["delta_ge_2"] = hyp.delta_ge_2
     checks["coprimality"] = all(row[3] for row in hyp.coprimality)
     checks["hypotheses_all_pass"] = hyp.all_pass
-    cert["hypotheses"] = hyp.to_json_dict()
+    cert["hypotheses"] = hyp.to_json_dict(table)
     cert["subgroup"] = {
         "label": build.h0_label,
         "order": h0.order,
         "index": rep.target.order // h0.order,
-        "generators": [
-            encode_element(g) for g in sorted(h0.generators, key=element_sort_key)
-        ],
+        "generators": [encode_element(table.elements[g]) for g in sorted(h0.generators)],
     }
 
     hall_mode = None
-    table = group_table(rep.target)
     if config.single_factor:
         k = 1
-        class_rep_ids = (tuple(table.id_of(g) for g in rep.images),)
+        class_rep_ids = (rep.image_ids(),)
         orbit_info = {
             "size": None,
             "k": 1,
@@ -321,7 +320,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     peripheral = peripheral_ids(table, sig, class_rep_ids)
     distinct, where = np.unique(peripheral, return_inverse=True)
     where = where.reshape(peripheral.shape)
-    types = [cycle_type(coset_permutation(space, table.element(g))) for g in distinct]
+    types = [cycle_type(coset_permutation(space, g)) for g in distinct]
     ramification = []
     ram_json = []
     sums_ok = True
@@ -451,6 +450,9 @@ def parse_certificate(text: str) -> dict:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer longer than the interpreter's int/str digit limit
+        raise SchemaMismatch(f"certificate holds an unreadable integer: {exc}") from exc
     if not isinstance(cert, dict):
         raise SchemaMismatch(f"certificate root must be a JSON object, got {type(cert).__name__}")
     if cert.get("schema_version") != SCHEMA_VERSION:
@@ -531,7 +533,17 @@ def _replay_constant_mismatches(config: ConstructConfig, constants: dict) -> lis
 
 def _check_verifier_caps(config: ConstructConfig, orbit_cap: int, coset_cap: int) -> None:
     """BudgetExceeded when a recorded budget is above the verifier's own
-    cap: the file cannot choose how much work its replay may do."""
+    cap, or a PSL2 case records a p whose group is above the table limit:
+    the file cannot choose how much work its replay may do (not even the
+    primality test of p)."""
+    if config.case not in _CHARACTERISTIC and config.p is not None:
+        order = config.p * (config.p * config.p - 1) // 2
+        if order > TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"certificate p {config.p} gives PSL(2, p) above the table limit {TABLE_LIMIT}",
+                used=order,
+                budget=TABLE_LIMIT,
+            )
     caps = {
         "orbit_budget": orbit_cap,
         "coset_budget": coset_cap,

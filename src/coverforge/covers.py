@@ -25,7 +25,6 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded, InconsistentRamification
 from .groups import (
     DEFAULT_ENUM_BUDGET,
-    GroupElement,
     GroupTable,
     SubgroupData,
     group_table,
@@ -63,7 +62,7 @@ def coset_space(
             used=degree,
             budget=budget,
         )
-    h_ids = np.array(sorted(table.id_of(h) for h in h0.elements), dtype=np.int64)
+    h_ids = h0.ids
     point_of = np.full(n, -1, dtype=np.int32)
     reps = []
     for eid in range(n):
@@ -76,10 +75,9 @@ def coset_space(
     return CosetSpace(table, h0, degree, point_of, np.array(reps, dtype=np.int64))
 
 
-def coset_permutation(space: CosetSpace, g: GroupElement) -> tuple[int, ...]:
-    """The permutation Hx -> Hxg of coset labels."""
-    gid = space.table.id_of(g)
-    return tuple(int(v) for v in space.point_of[space.table.mul[space.reps, gid]])
+def coset_permutation(space: CosetSpace, gid: int) -> tuple[int, ...]:
+    """The permutation Hx -> Hxg of coset labels, for the id of g."""
+    return tuple(space.point_of[space.table.mul[space.reps, gid]].tolist())
 
 
 @dataclass
@@ -102,9 +100,9 @@ def coset_action(
         space = coset_space(h0, budget)
     free = {
         name: coset_permutation(space, g)
-        for name, g in zip(rep.signature.generator_names, rep.images)
+        for name, g in zip(rep.signature.generator_names, rep.image_ids())
     }
-    peripheral = tuple(coset_permutation(space, g) for g in rep.peripheral_images())
+    peripheral = tuple(coset_permutation(space, g) for g in rep.peripheral_image_ids())
     return CosetAction(space.degree, h0.order, free, peripheral)
 
 
@@ -206,7 +204,7 @@ def proposition_genus_bound(index: int, k: int, g: int, n: int, delta: int) -> F
 def verify_deck_trivial(h0: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """The deck group of the H0-coset cover is N(H0)/H0; it is trivial
     exactly when H0 is self-normalizing (the whole group included)."""
-    return normalizer(h0, budget).elements == h0.elements
+    return normalizer(h0, budget) == h0
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,17 @@ PSL(2, F_p) for odd primes p, cyclic groups and small symmetric groups.
 
 Conventions fixed here and relied on by every other module:
 
-* Elements are immutable hashable values.  The group law is written
-  multiplicatively everywhere, including cyclic groups (where ``x * y``
-  is addition of residues mod n).
+* The kernel is the dense table of a group (`GroupTable`).  Its ids
+  number the elements in ``sort_key`` order; products, inverses,
+  orders, closures, subgroups (`SubgroupData`), normalizers, conjugacy
+  and the automorphisms all work on ids.
+* Element objects (`ProjectiveMatrix`, `Permutation`, `Residue`) are
+  the input and JSON format: the catalog writes its representations
+  with them, certificates encode and decode them, and a table maps them
+  to ids (``id_of``) and back (``elements``).  Their own products are
+  the tables' test oracle.
+* The group law is written multiplicatively everywhere, including
+  cyclic groups (where ``x * y`` is addition of residues mod n).
 * Products compose left to right.  For permutations ``(x * y)(pt) =
   y(x(pt))``, i.e. apply ``x`` first; this matches the right-translation
   coset actions used downstream.
@@ -13,9 +21,9 @@ Conventions fixed here and relied on by every other module:
   first nonzero entry, scanning ``(a, b, c, d)``, lies in
   ``[1, (p-1)/2]``.  Exactly one of the two signs qualifies, so the
   representative is unique and hashing is well defined.
-* ``sort_key()`` totally orders the elements of one group.  Every search
-  that has to pick an element picks the smallest admissible one, so all
-  outputs are reproducible bit for bit.
+* ``sort_key()`` totally orders the elements of one group, and ids
+  follow it.  Every search that has to pick an element picks the
+  smallest admissible id, so all outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -204,10 +212,6 @@ class Residue:
 GroupElement = Union[ProjectiveMatrix, Permutation, Residue]
 
 
-def element_sort_key(g: GroupElement):
-    return g.sort_key()
-
-
 @dataclass(frozen=True)
 class FiniteGroupHandle:
     """A lightweight descriptor of one of the supported finite groups."""
@@ -394,110 +398,89 @@ def _psl2_arrays(p: int) -> dict:
     return out
 
 
-_TRACE_ORDER_CACHE: dict[int, np.ndarray] = {}
-
-
-def psl2_order_from_trace(p: int) -> np.ndarray:
-    """Element order in PSL2(F_p) as a function of the trace.
-
-    Valid for every non-central element: two non-central elements with
-    the same trace up to sign are conjugate over the algebraic closure,
-    hence share their order, and traces t, -t describe the same
-    projective element.  The central classes (trace +-2 with order 1)
-    are the callers' responsibility.  Entry t holds the order of the
-    companion matrix of x**2 - t x + 1.
-    """
-    cached = _TRACE_ORDER_CACHE.get(p)
-    if cached is not None:
-        return cached
-    orders = np.zeros(p, dtype=np.int32)
-    for t in range(p):
-        companion = canonicalize(0, p - 1, 1, t, p)
-        orders[t] = element_order(companion)
-    _TRACE_ORDER_CACHE[p] = orders
-    return orders
-
-
 # ---------------------------------------------------------------------------
 # Subgroups
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupData:
-    """A fully materialized subgroup of an enumerable ambient group."""
+    """A subgroup of a tabled group: the ids it was generated from and a
+    read-only membership mask over the table's ids.  Two are equal when
+    they have the same ambient group and the same members."""
 
     ambient: FiniteGroupHandle
-    generators: tuple[GroupElement, ...]
-    elements: frozenset
-    order: int
+    generators: tuple[int, ...]
+    members: np.ndarray
 
-    def contains(self, g: GroupElement) -> bool:
-        return g in self.elements
+    def __post_init__(self):
+        self.members.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, SubgroupData):
+            return NotImplemented
+        return self.ambient == other.ambient and np.array_equal(self.members, other.members)
+
+    @property
+    def order(self) -> int:
+        return int(self.members.sum())
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Member ids in increasing order."""
+        return np.flatnonzero(self.members)
 
 
 def subgroup_closure(
-    generators: Iterable[GroupElement],
+    generators: Iterable[int],
     handle: FiniteGroupHandle,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SubgroupData:
-    """Closure of a generating set under the group law, on table ids."""
-    gens = tuple(generators)
-    for g in gens:
-        if not handle.contains(g):
-            raise BadParameters(f"generator {g!r} is not in the ambient group")
+    """Closure of a set of generator ids under the group law."""
     table = group_table(handle)
-    member = closure_ids(table, [[table.id_of(g) for g in gens]], budget)[0]
-    elements = frozenset(table.elements[i] for i in np.flatnonzero(member))
-    return SubgroupData(handle, gens, elements, len(elements))
+    gens = tuple(int(g) for g in generators)
+    if not all(0 <= g < table.order for g in gens):
+        raise BadParameters(f"generator ids {gens} are not all ids of the ambient group")
+    return SubgroupData(handle, gens, closure_ids(table, [gens], budget)[0])
 
 
 def normalizer(sub: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> SubgroupData:
     """N_G(H) = {g : g H g^-1 = H}, tested for every g of the ambient
-    group at once on table ids; members are listed in id order.
+    group at once; its members, in id order, are its generators.
 
     Conjugation by a fixed g is an automorphism, so g normalizes H as
     soon as it conjugates a generating set of H into H.
     """
     _check_enum_budget(sub.ambient, budget)
     table = group_table(sub.ambient)
-    ids = np.flatnonzero(_conjugators_into(table, sub, _id_mask(table, sub.elements)))
-    members = tuple(table.elements[i] for i in ids)
-    return SubgroupData(sub.ambient, members, frozenset(members), len(members))
+    members = _conjugators_into(table, sub, sub.members)
+    return SubgroupData(sub.ambient, tuple(np.flatnonzero(members).tolist()), members)
 
 
 def are_conjugate_subgroups(
     h1: SubgroupData, h2: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[bool, GroupElement | None]:
-    """Search for g with g H1 g^-1 = H2; the witness is the smallest such g."""
+) -> tuple[bool, int | None]:
+    """Search for g with g H1 g^-1 = H2; the witness is the smallest such id."""
     if h1.ambient != h2.ambient:
         raise BadParameters("subgroups of different ambient groups")
     if h1.order != h2.order:
         return (False, None)
-    if h1.elements == h2.elements:
-        return (True, h1.ambient.identity())
+    if h1 == h2:
+        return (True, group_table(h1.ambient).identity_id)
     _check_enum_budget(h1.ambient, budget)
-    table = group_table(h1.ambient)
-    ids = np.flatnonzero(_conjugators_into(table, h1, _id_mask(table, h2.elements)))
+    ids = np.flatnonzero(_conjugators_into(group_table(h1.ambient), h1, h2.members))
     if ids.size == 0:
         return (False, None)
-    return (True, table.elements[ids[0]])
-
-
-def _id_mask(table: "GroupTable", elements) -> np.ndarray:
-    mask = np.zeros(table.order, dtype=bool)
-    mask[[table.id_of(g) for g in elements]] = True
-    return mask
+    return (True, int(ids[0]))
 
 
 def _conjugators_into(table: "GroupTable", sub: SubgroupData, target: np.ndarray) -> np.ndarray:
     """Mask of the ids g with g h g^-1 in the target mask for every
-    generator h of sub (every element when it lists no generators).
+    generator h of sub (every member when it lists no generators).
 
     Conjugation is injective, so for a target of sub's order this is the
     set of g with g sub g^-1 equal to the target.  Generators go in
     blocks and only the ids still admissible are tested again.
     """
-    gens = sub.generators or tuple(sub.elements)
-    h = np.array([table.id_of(x) for x in gens], dtype=np.int64)
+    h = np.asarray(sub.generators or sub.ids, dtype=np.int64)
     mul, inv = table.mul, table.inv
     ok = np.ones(table.order, dtype=bool)
     step = max(1, _BLOCK_BYTES // (8 * table.order))
@@ -506,13 +489,6 @@ def _conjugators_into(table: "GroupTable", sub: SubgroupData, target: np.ndarray
         conj = mul[mul[g[:, None], h[None, lo : lo + step]], inv[g][:, None]]
         ok[g] = target[conj].all(axis=1)
     return ok
-
-
-def conjugated_subgroup(sub: SubgroupData, mapping) -> SubgroupData:
-    """Image of a subgroup under an automorphism given as a callable."""
-    gens = tuple(mapping(g) for g in sub.generators)
-    elements = frozenset(mapping(g) for g in sub.elements)
-    return SubgroupData(sub.ambient, gens, elements, len(elements))
 
 
 def nonsquare(p: int) -> int:
@@ -525,30 +501,41 @@ def nonsquare(p: int) -> int:
     raise BadModulus(f"no non-square mod {p}")  # unreachable for odd primes
 
 
-@dataclass(frozen=True)
-class AutDescriptor:
-    """Aut(PSL2(F_p)) = PGL2(F_p): inner maps plus conjugation by
-    d0 = diag(1, epsilon) for a fixed non-square epsilon.
+def d0_perm(table: "GroupTable") -> np.ndarray:
+    """Conjugation by d0 = diag(1, epsilon), epsilon the smallest
+    non-square, as a map on PSL2(F_p) ids: (a, b, c, d) goes to
+    (a, b/epsilon, c*epsilon, d).
 
-    d0 is a PGL2 representative, not a group element; conjugating by it
-    preserves the determinant, so the image re-canonicalizes into PSL2.
+    d0 is a PGL2 representative, not a group element; with the inner
+    automorphisms it gives Aut(PSL2(F_p)) = PGL2(F_p).  Conjugating by it
+    preserves the determinant, and ``id_of`` takes either sign.
     """
+    p = table.handle.p
+    arrs = _psl2_arrays(p)
+    eps = nonsquare(p)
+    b = arrs["b"] * pow(eps, p - 2, p) % p
+    c = arrs["c"] * eps % p
+    return arrs["id_of"][_encode_entries(arrs["a"], b, c, arrs["d"], p)].astype(np.int64)
 
-    p: int
-    epsilon: int
-    epsilon_inv: int
 
-    @classmethod
-    def for_prime(cls, p: int) -> "AutDescriptor":
-        eps = nonsquare(p)
-        return cls(p, eps, pow(eps, p - 2, p))
+def psl2_order_from_trace(table: "GroupTable") -> np.ndarray:
+    """Element order in PSL2(F_p) as a function of the trace t in [0, p):
+    the largest order among the ids of trace t or -t.
 
-    def apply(self, mat: ProjectiveMatrix) -> ProjectiveMatrix:
-        """Conjugation by d0: (a, b, c, d) -> (a, b/eps, c*eps, d)."""
-        p = self.p
-        return canonicalize(
-            mat.a, mat.b * self.epsilon_inv % p, mat.c * self.epsilon % p, mat.d, p
-        )
+    Two non-central elements with the same trace up to sign are conjugate
+    over the algebraic closure, hence share their order, and traces t, -t
+    describe the same projective element.  Traces +-2 hold the identity
+    (order 1) and the parabolic elements (order p); the maximum gives p,
+    so entry t is the order of the companion matrix of x**2 - t x + 1,
+    and the central class is the callers' responsibility.
+    """
+    p = table.handle.p
+    arrs = _psl2_arrays(p)
+    trace = (arrs["a"] + arrs["d"]) % p
+    orders = np.zeros(p, dtype=np.int64)
+    np.maximum.at(orders, trace, table.orders)
+    np.maximum.at(orders, (p - trace) % p, table.orders)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +579,6 @@ class GroupTable:
 
     def id_of(self, g: GroupElement) -> int:
         return self._index[g]
-
-    def element(self, i: int) -> GroupElement:
-        return self.elements[int(i)]
 
 
 _TABLE_CACHE: dict[FiniteGroupHandle, GroupTable] = {}

@@ -37,15 +37,13 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded
 from .groups import (
     DEFAULT_ENUM_BUDGET,
-    AutDescriptor,
     FiniteGroupHandle,
     GroupTable,
     closure_ids,
+    d0_perm,
     encode_element,
     group_table,
     _BLOCK_BYTES,
-    _encode_entries,
-    _psl2_arrays,
 )
 from .surfaces import RepTuple
 
@@ -159,16 +157,13 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
-def orbit_closure(
-    rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET, table: GroupTable | None = None
-) -> OrbitClosure:
+def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClosure:
     """BFS closure of the image tuple under all Nielsen moves."""
     if budget < 1:
         raise BadParameters("orbit budget must be positive")
-    if table is None:
-        table = group_table(rep.target)
+    table = group_table(rep.target)
     rank = rep.signature.free_rank
-    start = tuple(table.id_of(g) for g in rep.images)
+    start = rep.image_ids()
     powers = _state_powers(table.order, rank)
     moves = [
         partial(_apply_move_encoded, move=move, table=table, powers=powers)
@@ -273,7 +268,7 @@ def automorphism_perms(table: GroupTable) -> np.ndarray:
         if handle.kind == "psl2":
             # the d0 coset; "clip" leaves the valid indices alone and, unlike
             # "raise", writes into out without a buffered copy
-            np.take(rows[:n], _d0_perm(handle.p), axis=1, out=rows[n:], mode="clip")
+            np.take(rows[:n], d0_perm(table), axis=1, out=rows[n:], mode="clip")
     rows.setflags(write=False)
     _AUT_PERMS_CACHE[handle] = rows
     return rows
@@ -283,15 +278,6 @@ def _inner_perms(table: GroupTable, out: np.ndarray) -> None:
     """Write the conjugation x -> g x g^-1 into row g of out."""
     for gid in range(table.order):
         out[gid] = table.mul[gid, table.mul[:, table.inv[gid]]]
-
-
-def _d0_perm(p: int) -> np.ndarray:
-    arrs = _psl2_arrays(p)
-    aut = AutDescriptor.for_prime(p)
-    a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
-    nb = b * aut.epsilon_inv % p
-    nc = c * aut.epsilon % p
-    return arrs["id_of"][_encode_entries(a, nb, nc, d, p)].astype(np.int64)
 
 
 @dataclass

@@ -10,7 +10,8 @@ the surface relation
 
 with [x, y] = x y x^-1 y^-1.  A representation is stored as the tuple of
 images of the free generators in that fixed order; everything about c_n
-is derived.
+is derived.  The images are element objects, the catalog's and the
+certificate's format; every check here runs on their table ids.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .groups import (
     FiniteGroupHandle,
     GroupElement,
     GroupTable,
-    element_order,
-    subgroup_closure,
+    closure_ids,
+    group_table,
 )
 
 
@@ -90,17 +91,16 @@ class RepTuple:
     def images_by_name(self) -> dict[str, GroupElement]:
         return dict(zip(self.signature.generator_names, self.images))
 
-    def handle_images(self) -> tuple[GroupElement, ...]:
-        """Images of a_1, b_1, .., a_g, b_g."""
-        return self.images[: 2 * self.signature.g]
+    def image_ids(self) -> tuple[int, ...]:
+        """Table ids of the free-generator images."""
+        table = group_table(self.target)
+        return tuple(table.id_of(g) for g in self.images)
 
-    def free_peripheral_images(self) -> tuple[GroupElement, ...]:
-        """Images of c_1, .., c_{n-1}."""
-        return self.images[2 * self.signature.g :]
-
-    def peripheral_images(self) -> tuple[GroupElement, ...]:
-        """Images of all n peripheral loops, the derived c_n last."""
-        return self.free_peripheral_images() + (derived_last_peripheral(self),)
+    def peripheral_image_ids(self) -> np.ndarray:
+        """Table ids of the images of all n peripheral loops, the derived
+        c_n last."""
+        table = group_table(self.target)
+        return peripheral_ids(table, self.signature, [self.image_ids()])[0]
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,14 @@ class PeripheralProfile:
         return min(self.orders)
 
 
-def derived_last_peripheral(rep: RepTuple) -> GroupElement:
-    """The unique value of c_n making the surface relation hold:
-    c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i]."""
-    commutators = rep.target.identity()
-    handles = rep.handle_images()
-    for i in range(rep.signature.g):
-        a, b = handles[2 * i], handles[2 * i + 1]
-        commutators = commutators * (a * b * a.inverse() * b.inverse())
-    prefix = rep.target.identity()
-    for c in rep.free_peripheral_images():
-        prefix = prefix * c
-    return prefix.inverse() * commutators
-
-
 def peripheral_ids(
     table: GroupTable, signature: SurfaceSignature, rep_ids
 ) -> np.ndarray:
-    """The id twin of `derived_last_peripheral`, for many representations
-    at once: rows of `rep_ids` are free-generator image ids (k, r), rows
-    of the result the ids of c_1, .., c_n (k, n), with
-    c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i] taken column by column."""
+    """The peripheral images of many representations at once: rows of
+    `rep_ids` are free-generator image ids (k, r), rows of the result the
+    ids of c_1, .., c_n (k, n), with c_n the unique value making the
+    surface relation hold, c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i],
+    taken column by column."""
     rep_ids = np.asarray(rep_ids, dtype=np.int64)
     if rep_ids.ndim != 2 or rep_ids.shape[1] != signature.free_rank:
         raise BadParameters(
@@ -155,15 +142,14 @@ def peripheral_ids(
 
 def verify_relation(rep: RepTuple, claimed_cn: GroupElement) -> bool:
     """Does an explicitly stated last peripheral image match the derived one?"""
-    return claimed_cn == derived_last_peripheral(rep)
+    return group_table(rep.target).id_of(claimed_cn) == int(rep.peripheral_image_ids()[-1])
 
 
 def is_surjective(rep: RepTuple, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
-    closure = subgroup_closure(
-        rep.images + (derived_last_peripheral(rep),), rep.target, budget
-    )
-    return closure.order == rep.target.order
+    gens = rep.image_ids() + (int(rep.peripheral_image_ids()[-1]),)
+    return bool(closure_ids(group_table(rep.target), [gens], budget)[0].all())
 
 
 def peripheral_profile(rep: RepTuple) -> PeripheralProfile:
-    return PeripheralProfile(tuple(element_order(c) for c in rep.peripheral_images()))
+    orders = group_table(rep.target).orders[rep.peripheral_image_ids()]
+    return PeripheralProfile(tuple(orders.tolist()))

@@ -50,6 +50,7 @@ from coverforge.groups import (
     FiniteGroupHandle,
     Residue,
     element_order,
+    group_table,
     normalizer,
     subgroup_closure,
 )
@@ -156,7 +157,9 @@ def test_criterion_04_once_punctured_p13_pipeline():
         start = time.perf_counter()
         a_el, b_el, c_el = search_commutator_pair(13)
         assert element_order(c_el) == 7
-        closure = subgroup_closure((a_el, b_el), FiniteGroupHandle.psl2(13))
+        handle = FiniteGroupHandle.psl2(13)
+        table = group_table(handle)
+        closure = subgroup_closure((table.id_of(a_el), table.id_of(b_el)), handle)
         assert closure.order == 1092
         cert = construct(ConstructConfig(case="once-punctured", p=13, genus=1))
         elapsed = time.perf_counter() - start
@@ -176,7 +179,7 @@ def test_criterion_05_single_factor_diagnostic():
         assert space.degree == 15
         multisets = []
         for i in (1, 2):
-            perm = coset_permutation(space, build.rep.peripheral_images()[i - 1])
+            perm = coset_permutation(space, build.rep.peripheral_image_ids()[i - 1])
             assert cycle_type(perm) == {5: 3}
             multisets.append(cycle_type(perm))
         from coverforge.covers import riemann_hurwitz
@@ -201,7 +204,7 @@ def test_criterion_06_factored_direct_equivalence():
             if d * d > 10_000:
                 continue
             for i in range(1, build.signature.n + 1):
-                perm = coset_permutation(space, build.rep.peripheral_images()[i - 1])
+                perm = coset_permutation(space, build.rep.peripheral_image_ids()[i - 1])
                 product_perm = [0] * (d * d)
                 for x in range(d):
                     for y in range(d):

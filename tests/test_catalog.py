@@ -16,6 +16,7 @@ from coverforge.catalog import (
     extension_root_order,
     search_commutator_pair,
     select_t,
+    smallest_element_of_order,
     smallest_primitive_root,
     validate_commutator_pair,
     validate_t,
@@ -23,21 +24,27 @@ from coverforge.catalog import (
 )
 from coverforge.errors import BadParameters, BudgetExceeded, SearchExhausted
 from coverforge.groups import (
-    AutDescriptor,
     FiniteGroupHandle,
     Permutation,
     canonicalize,
-    conjugated_subgroup,
+    d0_perm,
     element_order,
     encode_element,
+    enumerate_group,
+    group_table,
+    normalizer,
     subgroup_closure,
 )
 from coverforge.surfaces import (
-    derived_last_peripheral,
     is_surjective,
     peripheral_profile,
     verify_relation,
 )
+
+
+def derived_cn(rep):
+    """The derived last peripheral image as an element object."""
+    return group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
 
 
 class TestSelectT:
@@ -77,7 +84,8 @@ class TestCommutatorSearch:
         a, b, c = search_commutator_pair(17)
         assert element_order(c) == 9
         h = FiniteGroupHandle.psl2(17)
-        assert subgroup_closure((a, b), h).order == 2448
+        table = group_table(h)
+        assert subgroup_closure((table.id_of(a), table.id_of(b)), h).order == 2448
 
     def test_p5_outcome(self):
         # unguaranteed territory: the scan may or may not find a pair;
@@ -140,7 +148,7 @@ class TestGenericFamily:
         assert encode_element(images["a1"]) == [1, 1, 0, 1]
         assert encode_element(images["b1"]) == [1, 1, 0, 1]
         assert encode_element(images["c1"]) == [1, 0, 1, 1]
-        assert encode_element(derived_last_peripheral(b.rep)) == [1, 0, 4, 1]
+        assert encode_element(derived_cn(b.rep)) == [1, 0, 4, 1]
         assert verify_relation(b.rep, b.claimed_cn)
         assert is_surjective(b.rep)
         assert peripheral_profile(b.rep).orders == (5, 5)
@@ -199,7 +207,7 @@ class TestGenusZeroFamily:
         assert is_surjective(b.rep)
         assert b.h0.order == 4
         # trace of the last peripheral is 2 + t up to sign
-        cn = derived_last_peripheral(b.rep)
+        cn = derived_cn(b.rep)
         assert (cn.a + cn.d) % 5 in {(2 + 4) % 5, (-(2 + 4)) % 5}
 
     def test_p13_n4(self):
@@ -251,14 +259,14 @@ class TestCharacteristicFamilies:
 
     def test_sym3(self):
         b = build_characteristic_sym3(1)
-        derived = derived_last_peripheral(b.rep)
+        derived = derived_cn(b.rep)
         assert derived == Permutation.from_cycles(3, [(0, 1, 2)])
         assert element_order(derived) == 3 >= 2
         assert is_surjective(b.rep)
 
     def test_sym3_higher_genus(self):
         b = build_characteristic_sym3(3)
-        assert derived_last_peripheral(b.rep) == Permutation.from_cycles(3, [(0, 1, 2)])
+        assert derived_cn(b.rep) == Permutation.from_cycles(3, [(0, 1, 2)])
 
     def test_sym3_needs_handles(self):
         with pytest.raises(BadParameters):
@@ -302,12 +310,10 @@ class TestHypotheses:
 
     def test_d0_stabilizes_catalog_subgroups(self):
         for p in (5, 13):
-            aut = AutDescriptor.for_prime(p)
+            d0 = d0_perm(group_table(FiniteGroupHandle.psl2(p)))
             a0, _, _ = diagonal_torus(p)
-            from coverforge.groups import normalizer
-
             for sub in (normalizer(a0), borel_subgroup(p)):
-                assert conjugated_subgroup(sub, aut.apply).elements == sub.elements
+                assert sorted(d0[sub.ids].tolist()) == sub.ids.tolist()
 
     def test_non_psl2_targets_report_not_applicable(self):
         b = build_characteristic_cyclic(0, 3)
@@ -337,6 +343,34 @@ class TestSubgroupBuilders:
     def test_dihedral_orders_p13(self):
         assert dihedral_subgroup(13, 12).order == 12
         assert dihedral_subgroup(13, 14).order == 14
+
+    @pytest.mark.parametrize("order", [12, 14])
+    def test_dihedral_matches_object_reference(self, order):
+        # the reference: the element-object loop over the enumeration,
+        # closing the first involution that inverts the rotation
+        p = 13
+        h = FiniteGroupHandle.psl2(p)
+        table = group_table(h)
+        elements = enumerate_group(h)
+        rotation = next(g for g in elements if element_order(g) == order // 2)
+        for j in elements:
+            if element_order(j) == 2 and (j * rotation) * j.inverse() == rotation.inverse():
+                expected = subgroup_closure((table.id_of(rotation), table.id_of(j)), h)
+                if expected.order == order:
+                    break
+        got = dihedral_subgroup(p, order)
+        assert got == expected
+        assert got.generators == expected.generators
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_smallest_element_of_order_matches_object_reference(self, p):
+        h = FiniteGroupHandle.psl2(p)
+        table = group_table(h)
+        for order in sorted(set(table.orders.tolist())):
+            expected = next(g for g in enumerate_group(h) if element_order(g) == order)
+            assert table.elements[smallest_element_of_order(p, order)] == expected
+        with pytest.raises(SearchExhausted):
+            smallest_element_of_order(p, 4 * p)
 
     def test_dihedral_rejects_other_orders(self):
         with pytest.raises(BadParameters):

@@ -352,6 +352,49 @@ class TestCli:
         assert time.perf_counter() - start < 0.5
         assert "verifier cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [10**16 + 61, 10**16 + 1, 29], ids=["prime", "composite", "p29"])
+    def test_verify_p_above_table_limit_exits_before_work(
+        self, tmp_path, monkeypatch, capsys, genus_zero_cert, p
+    ):
+        # a genus-zero p = 5 certificate moved to a p whose PSL(2, p) is
+        # above the table limit, with a valid digest: the verifier stops
+        # before any replay work, the primality test of p included
+        import coverforge.catalog as catalog
+        import coverforge.groups as groups
+        from coverforge import cli
+
+        def spy(n):
+            raise AssertionError(f"is_prime({n}) ran on an over-limit certificate")
+
+        crafted = attach_digest({**genus_zero_cert, "inputs": {**genus_zero_cert["inputs"], "p": p}})
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(crafted))
+        monkeypatch.setattr(catalog, "is_prime", spy)
+        monkeypatch.setattr(groups, "is_prime", spy)
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "table limit" in capsys.readouterr().err
+        with pytest.raises(BudgetExceeded) as exc:
+            verify(crafted)
+        assert (exc.value.used, exc.value.budget) == (p * (p * p - 1) // 2, groups.TABLE_LIMIT)
+
+    @pytest.mark.parametrize("digits", [5000, 10**6])
+    def test_verify_over_long_integer_exits_4(self, tmp_path, capsys, char_cyclic_cert, digits):
+        # an integer beyond the int/str digit limit is an unreadable
+        # certificate, not a traceback, and is rejected without parsing it
+        from coverforge import cli
+
+        text = canonical_json(char_cyclic_cert)
+        assert '"seed":null' in text
+        path = tmp_path / "cert.json"
+        path.write_text(text.replace('"seed":null', '"seed":' + "7" * digits))
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "verification error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "key,cap,env",
         [

@@ -54,12 +54,12 @@ class TestCosetSpaces:
 
     def test_whole_group_single_point(self):
         h = FiniteGroupHandle.psl2(5)
-        whole = subgroup_closure(
-            (canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5)), h
-        )
+        table = group_table(h)
+        u = table.id_of(canonicalize(1, 1, 0, 1, 5))
+        whole = subgroup_closure((u, table.id_of(canonicalize(1, 0, 1, 1, 5))), h)
         space = coset_space(whole)
         assert space.degree == 1
-        assert coset_permutation(space, canonicalize(1, 1, 0, 1, 5)) == (0,)
+        assert coset_permutation(space, u) == (0,)
 
     def test_budget(self):
         a0, _, _ = diagonal_torus(13)
@@ -69,11 +69,12 @@ class TestCosetSpaces:
     def test_action_is_a_homomorphism(self):
         b = build_generic(5, 1, 2)
         space = coset_space(b.h0)
+        table = space.table
         x = canonicalize(1, 1, 0, 1, 5)
         y = canonicalize(1, 0, 1, 1, 5)
-        px = coset_permutation(space, x)
-        py = coset_permutation(space, y)
-        pxy = coset_permutation(space, x * y)
+        px = coset_permutation(space, table.id_of(x))
+        py = coset_permutation(space, table.id_of(y))
+        pxy = coset_permutation(space, table.id_of(x * y))
         assert tuple(py[px[i]] for i in range(space.degree)) == pxy
 
 
@@ -146,7 +147,7 @@ class TestFactoredCombination:
         ]
         for build, puncture in cases:
             space = coset_space(build.h0)
-            g = build.rep.peripheral_images()[puncture - 1]
+            g = build.rep.peripheral_image_ids()[puncture - 1]
             perm = coset_permutation(space, g)
             d = len(perm)
             assert d * d <= 10_000
@@ -195,8 +196,8 @@ class TestElevationDegrees:
         reps = [tuple(table.elements[i] for i in ids) for ids in result.class_rep_ids]
         for puncture in range(1, b.signature.n + 1):
             orders = [
-                element_order(RepTuple(b.signature, table.handle, images)
-                              .peripheral_images()[puncture - 1])
+                element_order(table.elements[RepTuple(b.signature, table.handle, images)
+                                             .peripheral_image_ids()[puncture - 1]])
                 for images in reps
             ]
             assert elevation_degree(table, peripheral, puncture) == math.lcm(*orders)
@@ -272,8 +273,9 @@ class TestDeckGroup:
 
     def test_whole_group_boundary_case(self):
         h = FiniteGroupHandle.psl2(5)
+        table = group_table(h)
         whole = subgroup_closure(
-            (canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5)), h
+            (table.id_of(canonicalize(1, 1, 0, 1, 5)), table.id_of(canonicalize(1, 0, 1, 1, 5))), h
         )
         assert verify_deck_trivial(whole)
 

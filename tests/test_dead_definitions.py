@@ -16,6 +16,11 @@ ALLOWED = {
     # stay as the independent check the tests compare it against
     "coset_action": "direct-side oracle for the factored local degrees",
     "local_degrees_direct": "direct-side oracle for the factored local degrees",
+    # the element objects' own arithmetic, which the package runs on
+    # table ids only: the tests' reference for the tables
+    "element_order": "oracle of test_groups TestTables::test_orders_match_element_order",
+    "inverse": "oracle of test_groups TestTables::test_psl2_table_matches_objects_exhaustively",
+    "sort_key": "oracle of the id order in test_groups TestEnumeration::test_sorted_and_unique",
 }
 
 

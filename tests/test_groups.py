@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from coverforge.errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 from coverforge.groups import (
-    AutDescriptor,
     FiniteGroupHandle,
     Permutation,
     ProjectiveMatrix,
@@ -18,9 +17,9 @@ from coverforge.groups import (
     are_conjugate_subgroups,
     canonicalize,
     closure_ids,
+    d0_perm,
     decode_element,
     element_order,
-    element_sort_key,
     encode_element,
     enumerate_group,
     group_table,
@@ -29,6 +28,18 @@ from coverforge.groups import (
     psl2_order_from_trace,
     subgroup_closure,
 )
+
+
+def ids_of(handle, *elements):
+    """Table ids of element objects, the input format of subgroup_closure."""
+    table = group_table(handle)
+    return tuple(table.id_of(g) for g in elements)
+
+
+def members(sub):
+    """The members of a subgroup as element objects, for the oracles."""
+    table = group_table(sub.ambient)
+    return {table.elements[i] for i in sub.ids}
 
 
 def brute_psl2_order(p):
@@ -121,7 +132,7 @@ class TestEnumeration:
 
     def test_sorted_and_unique(self):
         els = enumerate_group(FiniteGroupHandle.psl2(13))
-        keys = [element_sort_key(g) for g in els]
+        keys = [g.sort_key() for g in els]
         assert keys == sorted(keys)
         assert len(set(els)) == len(els)
 
@@ -135,30 +146,47 @@ class TestSubgroups:
         h = FiniteGroupHandle.psl2(5)
         u = canonicalize(1, 1, 0, 1, 5)
         l = canonicalize(1, 0, 1, 1, 5)
-        assert subgroup_closure((u, l), h).order == 60
+        assert subgroup_closure(ids_of(h, u, l), h).order == 60
 
     def test_identity_closure(self):
         h = FiniteGroupHandle.psl2(5)
-        assert subgroup_closure((h.identity(),), h).order == 1
+        assert subgroup_closure(ids_of(h, h.identity()), h).order == 1
 
     def test_diagonal_order_two(self):
         h = FiniteGroupHandle.psl2(5)
-        assert subgroup_closure((canonicalize(2, 0, 0, 3, 5),), h).order == 2
+        assert subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h).order == 2
+
+    def test_rejects_ids_outside_the_group(self):
+        h = FiniteGroupHandle.psl2(5)
+        for gens in ((60,), (0, -1)):
+            with pytest.raises(BadParameters):
+                subgroup_closure(gens, h)
 
     def test_closure_budget(self):
         h = FiniteGroupHandle.psl2(5)
         u = canonicalize(1, 1, 0, 1, 5)
         l = canonicalize(1, 0, 1, 1, 5)
         with pytest.raises(BudgetExceeded):
-            subgroup_closure((u, l), h, budget=10)
+            subgroup_closure(ids_of(h, u, l), h, budget=10)
 
     def test_closure_is_a_subgroup(self):
         h = FiniteGroupHandle.psl2(5)
-        sub = subgroup_closure((canonicalize(1, 1, 0, 1, 5),), h)
-        for x in sub.elements:
-            assert x.inverse() in sub.elements
-            for y in sub.elements:
-                assert x * y in sub.elements
+        sub = members(subgroup_closure(ids_of(h, canonicalize(1, 1, 0, 1, 5)), h))
+        for x in sub:
+            assert x.inverse() in sub
+            for y in sub:
+                assert x * y in sub
+
+    def test_equality_is_same_members(self):
+        h = FiniteGroupHandle.psl2(5)
+        u = canonicalize(1, 1, 0, 1, 5)
+        one = subgroup_closure(ids_of(h, u), h)
+        other = subgroup_closure(ids_of(h, u * u), h)
+        assert one == other and one.generators != other.generators
+        assert one != subgroup_closure((), h)
+        assert not one.members.flags.writeable
+        with pytest.raises(TypeError):
+            hash(one)
 
 
 def conjugates_onto(g, h1, h2):
@@ -166,7 +194,8 @@ def conjugates_onto(g, h1, h2):
     set (conjugation is injective, so containment of equal-order sets
     is equality)."""
     gi = g.inverse()
-    return h1.order == h2.order and all((g * h) * gi in h2.elements for h in h1.elements)
+    target = members(h2)
+    return h1.order == h2.order and all((g * h) * gi in target for h in members(h1))
 
 
 def brute_normalizer(sub):
@@ -177,7 +206,7 @@ def brute_normalizer(sub):
 class TestNormalizer:
     def test_diagonal_normalizer_p5(self):
         h = FiniteGroupHandle.psl2(5)
-        a0 = subgroup_closure((canonicalize(2, 0, 0, 3, 5),), h)
+        a0 = subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h)
         n = normalizer(a0)
         assert n.order == 4
         # the explicit description: diagonals and antidiagonals
@@ -187,7 +216,7 @@ class TestNormalizer:
             canonicalize(0, -1, 1, 0, 5),
             canonicalize(0, -2, 3, 0, 5),
         }
-        assert n.elements == frozenset(expected)
+        assert members(n) == expected
 
     def test_klein_four_normalizer_has_order_twelve_p5(self):
         # N(A0) in PSL2(F5) is a Klein four-group (a Sylow 2-subgroup of
@@ -195,27 +224,27 @@ class TestNormalizer:
         # order-12 subgroup permuting its three involutions.  The
         # explicit element (4,2,1,2) of order 3 normalizes it.
         h = FiniteGroupHandle.psl2(5)
-        a0 = subgroup_closure((canonicalize(2, 0, 0, 3, 5),), h)
+        a0 = subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h)
         n_a0 = normalizer(a0)
         n2 = normalizer(n_a0)
         assert n2.order == 12
         witness = canonicalize(4, 2, 1, 2, 5)
-        assert witness in n2.elements
-        assert n_a0.elements != n2.elements
+        assert witness in members(n2)
+        assert n_a0 != n2
 
     def test_whole_group_is_normal(self):
         h = FiniteGroupHandle.psl2(5)
         g = subgroup_closure(
-            (canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5)), h
+            ids_of(h, canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5)), h
         )
-        assert normalizer(g).elements == g.elements
+        assert normalizer(g) == g
 
     def test_borel_self_normalizing(self):
         from coverforge.catalog import borel_subgroup
 
         b = borel_subgroup(5)
         assert b.order == 10
-        assert normalizer(b).elements == b.elements
+        assert normalizer(b) == b
 
     # each case is (p, generator entries); at p = 13 the diagonal
     # normalizer (diag(2, 7) and the antidiagonal) and the Borel subgroup
@@ -231,12 +260,13 @@ class TestNormalizer:
     )
     def test_matches_brute_force_oracle(self, gens):
         p, entries = gens
-        sub = subgroup_closure([canonicalize(*g, p) for g in entries], FiniteGroupHandle.psl2(p))
+        h = FiniteGroupHandle.psl2(p)
+        sub = subgroup_closure(ids_of(h, *(canonicalize(*g, p) for g in entries)), h)
         n = normalizer(sub)
-        expected = brute_normalizer(sub)
+        expected = list(ids_of(h, *brute_normalizer(sub)))
         # members are listed in id order, which is the enumeration order
         assert list(n.generators) == expected
-        assert sorted(n.elements, key=element_sort_key) == expected
+        assert n.ids.tolist() == expected
 
     def test_ambient_order_budget(self):
         from coverforge.catalog import borel_subgroup
@@ -246,18 +276,21 @@ class TestNormalizer:
             normalizer(b, budget=1091)
         assert (exc.value.used, exc.value.budget) == (1092, 1091)
         g = canonicalize(1, 0, 1, 1, 13)
-        moved = subgroup_closure([(g * x) * g.inverse() for x in b.generators], b.ambient)
+        elements = group_table(b.ambient).elements
+        moved = subgroup_closure(
+            ids_of(b.ambient, *((g * elements[x]) * g.inverse() for x in b.generators)), b.ambient
+        )
         with pytest.raises(BudgetExceeded):
             are_conjugate_subgroups(b, moved, budget=1091)
-        assert normalizer(b, budget=1092).elements == b.elements
+        assert normalizer(b, budget=1092) == b
 
 
 class TestConjugacy:
     def test_self_conjugate_with_identity_witness(self):
         h = FiniteGroupHandle.psl2(5)
-        sub = subgroup_closure((canonicalize(2, 0, 0, 3, 5),), h)
+        sub = subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h)
         ok, witness = are_conjugate_subgroups(sub, sub)
-        assert ok and witness == h.identity()
+        assert ok and group_table(h).elements[witness] == h.identity()
 
     def test_order_mismatch_short_circuits(self):
         from coverforge.catalog import borel_subgroup, diagonal_torus
@@ -267,14 +300,14 @@ class TestConjugacy:
 
     def test_conjugate_of_subgroup_found(self):
         h = FiniteGroupHandle.psl2(5)
-        a0 = subgroup_closure((canonicalize(2, 0, 0, 3, 5),), h)
+        a0 = subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h)
         g = canonicalize(1, 1, 0, 1, 5)
         gi = g.inverse()
-        conj = subgroup_closure(((g * canonicalize(2, 0, 0, 3, 5)) * gi,), h)
+        conj = subgroup_closure(ids_of(h, (g * canonicalize(2, 0, 0, 3, 5)) * gi), h)
         ok, witness = are_conjugate_subgroups(a0, conj)
         assert ok
-        wi = witness.inverse()
-        assert {(witness * x) * wi for x in a0.elements} == set(conj.elements)
+        w = group_table(h).elements[witness]
+        assert {(w * x) * w.inverse() for x in members(a0)} == members(conj)
 
     @pytest.mark.parametrize("label", ["diagonal-normalizer", "borel"])
     def test_witness_matches_brute_force_oracle_p13(self, label):
@@ -285,11 +318,14 @@ class TestConjugacy:
         h = borel_subgroup(13) if label == "borel" else normalizer(diagonal_torus(13)[0])
         g = canonicalize(1, 0, 1, 1, 13)
         gi = g.inverse()
-        moved = subgroup_closure([(g * x) * gi for x in h.generators], h.ambient)
-        assert moved.elements != h.elements
+        elements = group_table(h.ambient).elements
+        moved = subgroup_closure(
+            ids_of(h.ambient, *((g * elements[x]) * gi for x in h.generators)), h.ambient
+        )
+        assert moved != h
         for h1, h2 in ((h, moved), (moved, h)):
             expected = next(x for x in enumerate_group(h.ambient) if conjugates_onto(x, h1, h2))
-            assert are_conjugate_subgroups(h1, h2) == (True, expected)
+            assert are_conjugate_subgroups(h1, h2) == (True, *ids_of(h.ambient, expected))
 
 
 class TestNonsquare:
@@ -304,59 +340,68 @@ class TestNonsquare:
             nonsquare(2)
 
 
-class TestAutDescriptor:
-    @pytest.mark.parametrize("p", [5, 13])
-    def test_apply_is_an_automorphism(self, p):
-        aut = AutDescriptor.for_prime(p)
-        els = enumerate_group(FiniteGroupHandle.psl2(p))
-        sample = els[:25]
-        for x in sample:
-            for y in sample[:5]:
-                assert aut.apply(x * y) == aut.apply(x) * aut.apply(y)
+class TestD0Map:
+    """Conjugation by d0 = diag(1, epsilon) as a map on table ids."""
 
-    def test_d0_determinant_is_epsilon(self):
-        # d0 = diag(1, eps) has determinant eps, a non-square, and apply()
-        # is conjugation by it: d0 X d0^-1 by integer matrix products,
-        # with d0^-1 = diag(1, eps^-1)
-        p = 5
-        aut = AutDescriptor.for_prime(p)
-        assert aut.epsilon * aut.epsilon_inv % p == 1
-        assert pow(aut.epsilon, (p - 1) // 2, p) == p - 1
-        for x in enumerate_group(FiniteGroupHandle.psl2(p)):
-            a, b, c, d = encode_element(x)
-            conj = (a, b * aut.epsilon_inv, aut.epsilon * c, aut.epsilon * d * aut.epsilon_inv)
-            assert aut.apply(x) == canonicalize(*conj, p)
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_is_a_table_automorphism(self, p):
+        table = group_table(FiniteGroupHandle.psl2(p))
+        d0 = d0_perm(table)
+        assert sorted(d0.tolist()) == list(range(table.order))
+        assert (d0[table.mul] == table.mul[d0[:, None], d0[None, :]]).all()
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_equals_integer_conjugation(self, p):
+        # d0 = diag(1, eps) has determinant eps, a non-square, and the map
+        # is conjugation by it: d0 X d0^-1 by integer matrix products
+        table = group_table(FiniteGroupHandle.psl2(p))
+        eps = nonsquare(p)
+        assert pow(eps, (p - 1) // 2, p) == p - 1
+        d0 = np.array([[1, 0], [0, eps]])
+        d0_inv = np.array([[1, 0], [0, pow(eps, p - 2, p)]])
+        images = []
+        for x in table.elements:
+            conj = d0 @ np.array(encode_element(x)).reshape(2, 2) @ d0_inv
+            images.append(table.id_of(canonicalize(*conj.ravel().tolist(), p)))
+        assert d0_perm(table).tolist() == images
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_is_not_inner(self, p):
+        table = group_table(FiniteGroupHandle.psl2(p))
+        # row g of inner is x -> g x g^-1
+        inner = table.mul[np.arange(table.order)[:, None], table.mul[:, table.inv].T]
+        assert not (inner == d0_perm(table)).all(axis=1).any()
 
 
 class TestTables:
     def test_psl2_table_matches_objects_exhaustively(self):
         table = group_table(FiniteGroupHandle.psl2(5))
         for i in range(60):
-            x = table.element(i)
-            assert table.element(table.inv[i]) == x.inverse()
+            x = table.elements[i]
+            assert table.elements[table.inv[i]] == x.inverse()
             for j in range(60):
-                assert table.element(table.mul[i, j]) == x * table.element(j)
+                assert table.elements[table.mul[i, j]] == x * table.elements[j]
 
     def test_psl2_table_p13_samples(self):
         table = group_table(FiniteGroupHandle.psl2(13))
         rng = np.random.default_rng(7)
         for i, j in rng.integers(0, table.order, size=(300, 2)):
-            assert table.element(table.mul[i, j]) == table.element(i) * table.element(j)
+            assert table.elements[table.mul[i, j]] == table.elements[i] * table.elements[j]
 
     def test_cyclic_and_symmetric_tables(self):
         tc = group_table(FiniteGroupHandle.cyclic(6))
-        assert tc.element(tc.mul[4, 5]).value == 3
+        assert tc.elements[tc.mul[4, 5]].value == 3
         ts = group_table(FiniteGroupHandle.symmetric(3))
         for i in range(6):
             for j in range(6):
-                assert ts.element(ts.mul[i, j]) == ts.element(i) * ts.element(j)
+                assert ts.elements[ts.mul[i, j]] == ts.elements[i] * ts.elements[j]
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_symmetric_table_matches_objects_exhaustively(self, m):
         table = group_table(FiniteGroupHandle.symmetric(m))
         els = table.elements
-        assert list(els) == sorted(els, key=element_sort_key)
-        assert table.element(table.identity_id).is_identity()
+        assert list(els) == sorted(els, key=lambda g: g.sort_key())
+        assert els[table.identity_id].is_identity()
         for i, x in enumerate(els):
             assert els[table.inv[i]] == x.inverse()
             assert [els[k] for k in table.mul[i]] == [x * y for y in els]
@@ -370,7 +415,7 @@ class TestTables:
         powers = [h.identity()]
         while (powers[-1] * u) != powers[0]:
             powers.append(powers[-1] * u)
-        assert {table.element(i) for i in ids} == set(powers)
+        assert {table.elements[i] for i in ids} == set(powers)
 
     @pytest.mark.parametrize(
         "handle",
@@ -485,11 +530,19 @@ class TestBatchedClosure:
 class TestTraceOrders:
     @pytest.mark.parametrize("p", [5, 13])
     def test_trace_determines_order_off_center(self, p):
-        orders = psl2_order_from_trace(p)
+        orders = psl2_order_from_trace(group_table(FiniteGroupHandle.psl2(p)))
         for g in enumerate_group(FiniteGroupHandle.psl2(p)):
             if g.is_identity():
                 continue
             assert orders[(g.a + g.d) % p] == element_order(g)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_matches_companion_orders(self, p):
+        # the reference: entry t is the order of the companion matrix of
+        # x**2 - t x + 1, by element products
+        expected = [element_order(canonicalize(0, p - 1, 1, t, p)) for t in range(p)]
+        table = group_table(FiniteGroupHandle.psl2(p))
+        assert psl2_order_from_trace(table).tolist() == expected
 
 
 class TestValueSemantics:
@@ -520,7 +573,7 @@ class TestValueSemantics:
         # the closure of no generators is the trivial subgroup
         h = FiniteGroupHandle.symmetric(3)
         sub = subgroup_closure((), h)
-        assert sub.order == 1 and sub.elements == frozenset([h.identity()])
+        assert sub.order == 1 and members(sub) == {h.identity()}
 
 
 @settings(max_examples=60)

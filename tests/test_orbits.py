@@ -358,14 +358,14 @@ class TestAutClasses:
         rep0 = RepTuple(b.signature, table.handle, images)
         prof0 = peripheral_profile(rep0)
         types0 = [
-            cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_images()
+            cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_image_ids()
         ]
         for row in perms[:10]:
-            images = tuple(table.element(row[table.id_of(g)]) for g in rep0.images)
+            images = tuple(table.elements[row[table.id_of(g)]] for g in rep0.images)
             moved = RepTuple(b.signature, table.handle, images)
             assert peripheral_profile(moved).orders == prof0.orders
             assert [
-                cycle_type(coset_permutation(space, g)) for g in moved.peripheral_images()
+                cycle_type(coset_permutation(space, g)) for g in moved.peripheral_image_ids()
             ] == types0
 
 
@@ -508,7 +508,7 @@ class TestCommutatorTraceOracle:
 
         rng = np.random.default_rng(5)
         for i, j in rng.integers(0, table.order, size=(60, 2)):
-            x, y = mat(table.element(i)), mat(table.element(j))
+            x, y = mat(table.elements[i]), mat(table.elements[j])
             commutator = x @ y @ sl2_inverse(x) @ sl2_inverse(y)
             assert traces[i, j] == np.trace(commutator) % 13
 

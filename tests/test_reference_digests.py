@@ -11,10 +11,12 @@ configuration, which runs every part of the group kernel.
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
-from coverforge.certificates import ConstructConfig, construct
+from coverforge import groups, orbits
+from coverforge.certificates import ConstructConfig, construct, verify
 
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent / "scripts" / "build_reference_certificates.py"
@@ -117,3 +119,38 @@ def test_psl2_rank2_certificate_digest(name):
     cert = construct(config)
     assert cert["certificate_digest"] == certificate_digest
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+
+
+# the reference set, both PSL(2, 13) configurations of the benchmark
+# (its once-punctured one is in GOLDEN) and its Z/6 many-class one
+EDGE_CASES = {
+    **{name: (CONFIGS[name], *digests) for name, digests in GOLDEN.items()},
+    **PSL2_RANK2_GOLDEN,
+    "char-cyclic-n6": MANY_CLASS_GOLDEN["char-cyclic-n6"],
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("element arithmetic ran on a construct or verify path")
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_construct_and_verify_run_on_table_ids_only(name, monkeypatch):
+    """Element objects only cross the JSON edge: with their products,
+    inverses and element_order refusing to run, and the tables built
+    afresh, every pinned certificate comes out and replays the same."""
+    for cls in (groups.ProjectiveMatrix, groups.Permutation, groups.Residue):
+        monkeypatch.setattr(cls, "__mul__", _refuse)
+        monkeypatch.setattr(cls, "inverse", _refuse)
+    for module in [m for n, m in sys.modules.items() if n.startswith("coverforge")]:
+        if hasattr(module, "element_order"):
+            monkeypatch.setattr(module, "element_order", _refuse)
+    for cache in ("_ENUM_CACHE", "_PSL2_ARRAYS_CACHE", "_TABLE_CACHE"):
+        monkeypatch.setattr(groups, cache, {})
+    monkeypatch.setattr(orbits, "_AUT_PERMS_CACHE", {})
+    config, certificate_digest, class_reps_digest = EDGE_CASES[name]
+    cert = construct(config)
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+    report = verify(cert)
+    assert report.digest_ok and report.mismatches == ()

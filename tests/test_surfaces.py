@@ -18,18 +18,36 @@ from coverforge.groups import (
     Residue,
     canonicalize,
     enumerate_group,
+    group_table,
 )
 from coverforge.surfaces import (
     PeripheralProfile,
     RepTuple,
     SurfaceSignature,
-    derived_last_peripheral,
     is_surjective,
     peripheral_ids,
     peripheral_profile,
     verify_relation,
 )
 from coverforge.orbits import aut_classes, orbit_closure
+
+
+def derived_last_peripheral(rep):
+    """The derived c_n of the pipeline, as an element object."""
+    return group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
+
+
+def reference_last_peripheral(rep):
+    """Oracle: c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i] by element
+    products."""
+    g = rep.signature.g
+    commutators = rep.target.identity()
+    for a, b in zip(rep.images[0 : 2 * g : 2], rep.images[1 : 2 * g : 2]):
+        commutators = commutators * (a * b * a.inverse() * b.inverse())
+    prefix = rep.target.identity()
+    for c in rep.images[2 * g :]:
+        prefix = prefix * c
+    return prefix.inverse() * commutators
 
 
 class TestSignature:
@@ -164,9 +182,10 @@ class TestPeripheralIds:
         assert matrix.shape == (result.k, b.signature.n)
         for row, ids in zip(matrix.tolist(), result.class_rep_ids):
             rep = RepTuple(b.signature, table.handle, tuple(table.elements[i] for i in ids))
-            expected = [table.id_of(c) for c in rep.free_peripheral_images()]
-            expected.append(table.id_of(derived_last_peripheral(rep)))
+            expected = [table.id_of(c) for c in rep.images[2 * b.signature.g :]]
+            expected.append(table.id_of(reference_last_peripheral(rep)))
             assert row == expected
+            assert rep.peripheral_image_ids().tolist() == expected
 
 
 def _small_targets():
@@ -195,11 +214,11 @@ def test_relation_always_recomposes(target, g, n, seed):
         rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % 2**63
         images.append(els[rng_state % len(els)])
     rep = RepTuple(sig, target, tuple(images))
-    cs = rep.free_peripheral_images() + (derived_last_peripheral(rep),)
+    cs = [els[i] for i in rep.peripheral_image_ids()]
+    assert cs[:-1] == images[2 * sig.g :]
     lhs = target.identity()
-    handles = rep.handle_images()
     for i in range(sig.g):
-        a, b = handles[2 * i], handles[2 * i + 1]
+        a, b = images[2 * i], images[2 * i + 1]
         lhs = lhs * (a * b * a.inverse() * b.inverse())
     rhs = target.identity()
     for c in cs:
