@@ -464,6 +464,7 @@ def build_characteristic_cyclic(g: int, n: int) -> CatalogBuild:
         raise BadParameters("characteristic cyclic family needs n >= 2")
     sig = SurfaceSignature(g, n)
     handle = FiniteGroupHandle.cyclic(n)
+    group_table(handle)  # the table limit is checked before the n-long image tuple
     zero = Residue(0, n)
     one = Residue(1, n)
     images = [zero] * (2 * g) + [one] * (n - 1)

@@ -80,6 +80,9 @@ DEFAULT_HALL_DIRECT_CAP = 10_000_000
 
 CASES = ("generic", "once-punctured", "genus-zero", "char-cyclic", "char-sym3")
 _CHARACTERISTIC = ("char-cyclic", "char-sym3")
+# the deepest nesting parse_certificate accepts (certificates nest 6 deep):
+# the decoder, the digest's encoder and the diff recurse once per level
+_MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -304,8 +307,8 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
             "size": result.orbit_size,
             "k": k,
             "class_reps_digest": result.class_reps_digest(),
-            "states_explored": result.budget_used["orbit_states"],
-            "levels": result.budget_used["orbit_levels"],
+            "states_explored": result.orbit_size,
+            "levels": result.levels,
         }
         variant = "irregular"
     cert["orbit"] = orbit_info
@@ -385,8 +388,8 @@ def _characteristic_stages(config, build, cert, checks) -> None:
         "size": result.orbit_size,
         "k": result.k,
         "class_reps_digest": result.class_reps_digest(),
-        "states_explored": result.budget_used["orbit_states"],
-        "levels": result.budget_used["orbit_levels"],
+        "states_explored": result.orbit_size,
+        "levels": result.levels,
     }
     cert["variant"] = "characteristic-core (orbit variant)"
     cert["budget_used"] = {"hall_mode": None}
@@ -445,7 +448,13 @@ class VerifyReport:
         }
 
 
-def parse_certificate(text: str) -> dict:
+def parse_certificate(text: str | bytes) -> dict:
+    """The certificate in a JSON document, UTF-8 when given as bytes."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"certificate is not UTF-8 text: {exc}") from exc
     try:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -453,6 +462,10 @@ def parse_certificate(text: str) -> dict:
     except ValueError as exc:
         # an integer longer than the interpreter's int/str digit limit
         raise SchemaMismatch(f"certificate holds an unreadable integer: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaMismatch(f"certificate nests deeper than {_MAX_NESTING} levels") from exc
+    if _nests_deeper(cert, _MAX_NESTING):
+        raise SchemaMismatch(f"certificate nests deeper than {_MAX_NESTING} levels")
     if not isinstance(cert, dict):
         raise SchemaMismatch(f"certificate root must be a JSON object, got {type(cert).__name__}")
     if cert.get("schema_version") != SCHEMA_VERSION:
@@ -460,6 +473,18 @@ def parse_certificate(text: str) -> dict:
             f"expected schema_version {SCHEMA_VERSION!r}, got {cert.get('schema_version')!r}"
         )
     return cert
+
+
+def _nests_deeper(value, limit: int) -> bool:
+    """Whether JSON containers nest more than `limit` deep, walked level
+    by level rather than by recursion."""
+    level = [value]
+    for _ in range(limit + 1):
+        level = [node for node in level if isinstance(node, (dict, list))]
+        if not level:
+            return False
+        level = [c for node in level for c in (node.values() if isinstance(node, dict) else node)]
+    return True
 
 
 def _recorded(parent: dict, path: str, kind: type, nullable: bool = False):

@@ -92,7 +92,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r") as fh:
+    with open(args.certificate, "rb") as fh:
         cert = parse_certificate(fh.read())
     # the verifier's caps, which a certificate's recorded budgets may not exceed
     report = verify(
@@ -175,7 +175,8 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path named on the command line cannot be read or written
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 

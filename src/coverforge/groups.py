@@ -306,9 +306,6 @@ def element_order(g: GroupElement) -> int:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-_ENUM_CACHE: dict[FiniteGroupHandle, tuple] = {}
-
-
 def _check_enum_budget(handle: FiniteGroupHandle, budget: int) -> None:
     if handle.order > budget:
         raise BudgetExceeded(
@@ -323,24 +320,16 @@ def enumerate_group(
 ) -> tuple[GroupElement, ...]:
     """All elements of the group, sorted by ``sort_key``."""
     _check_enum_budget(handle, budget)
-    cached = _ENUM_CACHE.get(handle)
-    if cached is not None:
-        return cached
     if handle.kind == "psl2":
         arrs = _psl2_arrays(handle.p)
         p = handle.p
-        elements = tuple(
+        return tuple(
             ProjectiveMatrix(int(a), int(b), int(c), int(d), p)
             for a, b, c, d in zip(arrs["a"], arrs["b"], arrs["c"], arrs["d"])
         )
-    elif handle.kind == "cyclic":
-        elements = tuple(Residue(i, handle.n) for i in range(handle.n))
-    else:
-        elements = tuple(
-            Permutation(images) for images in itertools.permutations(range(handle.m))
-        )
-    _ENUM_CACHE[handle] = elements
-    return elements
+    if handle.kind == "cyclic":
+        return tuple(Residue(i, handle.n) for i in range(handle.n))
+    return tuple(Permutation(images) for images in itertools.permutations(range(handle.m)))
 
 
 _PSL2_ARRAYS_CACHE: dict[int, dict] = {}
@@ -516,6 +505,31 @@ def d0_perm(table: "GroupTable") -> np.ndarray:
     b = arrs["b"] * pow(eps, p - 2, p) % p
     c = arrs["c"] * eps % p
     return arrs["id_of"][_encode_entries(arrs["a"], b, c, arrs["d"], p)].astype(np.int64)
+
+
+def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
+    """Images of an id array under every automorphism of the group,
+    stacked along a new first axis.
+
+    Z/n: multiplication by each unit.  Sym(m), m != 6: the inner
+    automorphisms x -> g x g^-1, one per g (Sym(2) repeats one).  PSL2:
+    each inner one, then the same after d0, which gives PGL2(F_p).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    handle = table.handle
+    if handle.kind == "cyclic":
+        units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
+        return np.multiply.outer(units, ids) % handle.n
+    if handle.kind == "symmetric" and handle.m == 6:
+        raise BadParameters("Sym(6) has outer automorphisms; not supported")
+    flat = ids.ravel()
+    if handle.kind == "psl2":
+        flat = np.concatenate([flat, d0_perm(table)[flat]])
+    # row g: (g x) g^-1 for each x in flat, read from the flat mul at index
+    # g x * n + g^-1 (int32 while n <= 46340); a PSL2 row holds two automorphisms
+    n = table.order
+    images = table.mul.ravel()[table.mul[:, flat] * n + table.inv[:, None]]
+    return images.reshape((-1,) + ids.shape)
 
 
 def psl2_order_from_trace(table: "GroupTable") -> np.ndarray:

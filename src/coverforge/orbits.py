@@ -14,20 +14,20 @@ significant digit first, so numeric order on encodings equals
 lexicographic order on tuples under the canonical element ordering).
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
 product-image closure) and one the class partition.  The partition runs
-in seed batches: each step takes the next unclassified states, forms all
-their automorphism images at once, finds them in the sorted orbit with
-one searchsorted and marks them classified; a seed's smallest image in
-the orbit is its class minimum.  State arrays are int64 while the
-encoding fits in 62 bits and hold Python ints (numpy ``object`` dtype)
-beyond, so large ranks over tiny groups take the same code path with
-exact keys.
+in seed batches: each step takes the next unclassified states, computes
+all their automorphism images from the group table at once
+(``automorphism_images``; no automorphism matrix is stored), finds them
+in the sorted orbit with one searchsorted and marks them classified; a
+seed's smallest image in the orbit is its class minimum.  State arrays
+are int64 while the encoding fits in 62 bits and hold Python ints (numpy
+``object`` dtype) beyond, so large ranks over tiny groups take the same
+code path with exact keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -37,10 +37,9 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded
 from .groups import (
     DEFAULT_ENUM_BUDGET,
-    FiniteGroupHandle,
     GroupTable,
+    automorphism_images,
     closure_ids,
-    d0_perm,
     encode_element,
     group_table,
     _BLOCK_BYTES,
@@ -87,7 +86,6 @@ class OrbitClosure:
     encoded: np.ndarray  # sorted state encodings, in the dtype of _state_powers()
     levels: int
     expansions: int
-    budget: int
 
     @property
     def size(self) -> int:
@@ -212,7 +210,6 @@ def _orbit_vectorized(table, rank, start, moves, budget, what="orbit closure") -
         encoded=visited,
         levels=levels,
         expansions=expansions,
-        budget=budget,
     )
 
 
@@ -239,47 +236,6 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
 # ---------------------------------------------------------------------------
 # Target-group automorphisms
 
-_AUT_PERMS_CACHE: dict[FiniteGroupHandle, np.ndarray] = {}
-
-
-def automorphism_perms(table: GroupTable) -> np.ndarray:
-    """All automorphisms of the (base) target group as permutation rows
-    over element indices, one row each; built once per group and
-    returned as a read-only int64 array.
-
-    No rows are deduplicated.  PSL2 and Sym(m), m >= 3, have trivial
-    centre, so their inner rows are pairwise distinct, and the d0 coset
-    of PSL2 (the outer automorphisms) is disjoint from them; the unit
-    rows of Z/n differ at the generator.  Only Sym(2) repeats a row,
-    which merely repeats work."""
-    handle = table.handle
-    cached = _AUT_PERMS_CACHE.get(handle)
-    if cached is not None:
-        return cached
-    n = table.order
-    if handle.kind == "cyclic":
-        units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        rows = np.outer(units, np.arange(n, dtype=np.int64)) % handle.n
-    else:
-        if handle.kind == "symmetric" and handle.m == 6:
-            raise BadParameters("Sym(6) has outer automorphisms; not supported")
-        rows = np.empty((2 * n if handle.kind == "psl2" else n, n), dtype=np.int64)
-        _inner_perms(table, rows[:n])
-        if handle.kind == "psl2":
-            # the d0 coset; "clip" leaves the valid indices alone and, unlike
-            # "raise", writes into out without a buffered copy
-            np.take(rows[:n], d0_perm(table), axis=1, out=rows[n:], mode="clip")
-    rows.setflags(write=False)
-    _AUT_PERMS_CACHE[handle] = rows
-    return rows
-
-
-def _inner_perms(table: GroupTable, out: np.ndarray) -> None:
-    """Write the conjugation x -> g x g^-1 into row g of out."""
-    for gid in range(table.order):
-        out[gid] = table.mul[gid, table.mul[:, table.inv[gid]]]
-
-
 @dataclass
 class OrbitResult:
     """The orbit partitioned into target-automorphism classes.
@@ -295,7 +251,7 @@ class OrbitResult:
     k: int
     class_rep_ids: tuple[tuple[int, ...], ...]
     class_sizes: tuple[int, ...]
-    budget_used: dict
+    levels: int  # BFS levels of the orbit
 
     def class_reps_digest(self) -> str:
         codes = [encode_element(g) for g in self.table.elements]
@@ -307,21 +263,16 @@ class OrbitResult:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def aut_classes(orbit: OrbitClosure) -> OrbitResult:
-    """Partition the orbit by postcomposition with Aut(target).
-
-    A class is the set of Aut images of one state that lie in the orbit,
-    so any unclassified state seeds a new class, and the smallest present
-    image of a seed is its class minimum.
-    """
-    return _aut_classes_vectorized(orbit, automorphism_perms(orbit.table))
+def _aut_count(table: GroupTable) -> int:
+    """The number of automorphisms, read off the images of one id."""
+    return automorphism_images(table, [table.identity_id]).shape[0]
 
 
-def _classify_seeds(states, perms, powers, seeds, classified):
+def _classify_seeds(states, table, powers, seeds, classified):
     """Mark the Aut images of each seed row that lie in the sorted states
     as classified; return each seed's class minimum (its smallest image in
     the states) and class size (its distinct images there)."""
-    images = perms[:, seeds] @ powers
+    images = automorphism_images(table, seeds) @ powers
     images.sort(axis=0)
     where = np.minimum(np.searchsorted(states, images), states.size - 1)
     present = states[where] == images
@@ -330,22 +281,30 @@ def _classify_seeds(states, perms, powers, seeds, classified):
     return minima, (present & _run_starts(images)).sum(axis=0)
 
 
-def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResult:
-    """Class partition in seed batches.  The starting tuple's class goes
-    first; then each step takes the next unclassified states as seeds.
-    Seeds of one batch may share a class; they give the same minimum and
-    size, and the duplicates are dropped at the end.  A batch's images
-    fill at most ``_BLOCK_BYTES``, and the scan for seeds looks at no more
-    states than a batch has images."""
+def aut_classes(orbit: OrbitClosure) -> OrbitResult:
+    """Partition the orbit by postcomposition with Aut(target).
+
+    A class is the set of Aut images of one state that lie in the orbit,
+    so any unclassified state seeds a new class, and the smallest present
+    image of a seed is its class minimum.  The partition runs in seed
+    batches.  The starting tuple's class goes first; then each step takes
+    the next unclassified states as seeds.  Seeds of one batch may share
+    a class; they give the same minimum and size, and the duplicates are
+    dropped at the end.  A batch's images fill at most ``_BLOCK_BYTES``,
+    and the scan for seeds looks at no more states than a batch has
+    images.
+    """
     states = orbit.encoded
     size = states.size
-    n, rank = orbit.table.order, orbit.rank
+    table, rank = orbit.table, orbit.rank
+    n = table.order
     powers = _state_powers(n, rank)
-    step = max(1, _BLOCK_BYTES // (8 * perms.shape[0] * rank))
-    span = step * perms.shape[0] * rank
+    images_per_seed = _aut_count(table) * rank
+    step = max(1, _BLOCK_BYTES // (8 * images_per_seed))
+    span = step * images_per_seed
     classified = np.zeros(size, dtype=bool)
     start_min, start_size = _classify_seeds(
-        states, perms, powers, np.array([orbit.start_ids]), classified
+        states, table, powers, np.array([orbit.start_ids]), classified
     )
     if not start_size[0]:
         raise AssertionError("starting state must belong to some class")
@@ -356,7 +315,7 @@ def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResu
         cursor = int(free[-1]) + 1 if free.size == step else cursor + span
         if free.size:
             seeds = np.stack(_decode_digits(states[free], n, rank), axis=1)
-            batch = _classify_seeds(states, perms, powers, seeds, classified)
+            batch = _classify_seeds(states, table, powers, seeds, classified)
             minima.append(batch[0])
             sizes.append(batch[1])
     minima, sizes = np.concatenate(minima), np.concatenate(sizes)
@@ -369,27 +328,26 @@ def _aut_classes_vectorized(orbit: OrbitClosure, perms: np.ndarray) -> OrbitResu
     # the starting class reports the starting tuple itself
     reps = [orbit.start_ids] + [tuple(ids) for ids in digits.tolist()]
     return OrbitResult(
-        table=orbit.table,
+        table=table,
         rank=rank,
         orbit_size=int(size),
         k=len(reps),
         class_rep_ids=tuple(reps),
         class_sizes=tuple(sizes.tolist()),
-        budget_used={"orbit_states": int(size), "orbit_levels": orbit.levels,
-                     "orbit_expansions": orbit.expansions},
+        levels=orbit.levels,
     )
 
 
-def canonical_class_keys(table: GroupTable, rep_ids, perms: np.ndarray) -> np.ndarray:
+def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
     """Per row of the (k, r) id matrix, the minimum encoding over its
     full automorphism class: a complete invariant for postcomposition
     equivalence.  Rows go in blocks of at most ``_BLOCK_BYTES`` of
     automorphism images."""
     rep_ids = np.asarray(rep_ids, dtype=np.int64)
     powers = _state_powers(table.order, rep_ids.shape[1])
-    step = max(1, _BLOCK_BYTES // (8 * perms.shape[0] * rep_ids.shape[1]))
+    step = max(1, _BLOCK_BYTES // (8 * _aut_count(table) * rep_ids.shape[1]))
     return np.concatenate([
-        (perms[:, rep_ids[lo : lo + step]] @ powers).min(axis=0)
+        (automorphism_images(table, rep_ids[lo : lo + step]) @ powers).min(axis=0)
         for lo in range(0, rep_ids.shape[0], step)
     ])
 
@@ -417,7 +375,7 @@ def verify_hall_surjectivity(
     """
     table = result.table
     each = bool(closure_ids(table, result.class_rep_ids).all())
-    keys = canonical_class_keys(table, result.class_rep_ids, automorphism_perms(table))
+    keys = canonical_class_keys(table, result.class_rep_ids)
     pairwise = len(set(keys.tolist())) == result.k
     product_order = table.order**result.k
     direct_order = None

@@ -396,6 +396,75 @@ class TestCli:
         assert "verification error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"\xff\xfe{}", "not UTF-8"),
+            (b"[" * 990 + b"]" * 990, "nests deeper"),
+            (b"[" * 200_000 + b"]" * 200_000, "nests deeper"),
+        ],
+        ids=["not-utf8", "depth-990", "depth-200000"],
+    )
+    def test_verify_unreadable_document_exits_4(self, tmp_path, capsys, content, message):
+        from coverforge import cli
+
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_verify_directory_exits_2(self, tmp_path, capsys):
+        from coverforge import cli
+
+        start = time.perf_counter()
+        assert cli.main(["verify", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_verify_nesting_limit(self, char_cyclic_cert):
+        # at the limit the document parses and its digest and replay run;
+        # one level more is refused by the parser
+        from coverforge.certificates import _MAX_NESTING
+
+        def nested(depth):
+            # the root object is one level, the list holds depth - 1
+            value = []
+            for _ in range(depth - 2):
+                value = [value]
+            return attach_digest({**char_cyclic_cert, "extra": value})
+
+        cert = parse_certificate(canonical_json(nested(_MAX_NESTING)))
+        report = verify(cert)
+        # the rebuilt certificate has no "extra", so its digest differs too
+        assert report.digest_ok and report.mismatches == ("certificate_digest", "extra")
+        with pytest.raises(SchemaMismatch, match="nests deeper"):
+            parse_certificate(canonical_json(nested(_MAX_NESTING + 1)))
+
+    def test_char_cyclic_table_limit_before_work(self, tmp_path, capsys, char_cyclic_cert):
+        # Z/n with n = 10**9 punctures: the table limit stops construct and
+        # the replay of a digest-valid certificate before any n-long work
+        from coverforge import cli
+
+        out = tmp_path / "out.json"
+        path = tmp_path / "cert.json"
+        crafted = {**char_cyclic_cert, "inputs": {**char_cyclic_cert["inputs"], "punctures": 10**9}}
+        path.write_text(canonical_json(attach_digest(crafted)))
+        for args in (
+            ["construct", "--case", "char-cyclic", "--genus", "0", "--punctures", str(10**9),
+             "--out", str(out)],
+            ["verify", str(path)],
+        ):
+            start = time.perf_counter()
+            assert cli.main(args) == 3
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "table limit" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key,cap,env",
         [
             ("orbit", DEFAULT_ORBIT_BUDGET, "COVERFORGE_ORBIT_BUDGET"),

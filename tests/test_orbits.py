@@ -1,6 +1,8 @@
 """Tests for the Nielsen-move orbit machinery and its class partition."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from coverforge.errors import BadParameters, BudgetExceeded
 from coverforge.groups import (
     FiniteGroupHandle,
     Residue,
+    automorphism_images,
     canonicalize,
+    d0_perm,
     element_order,
     encode_element,
     group_table,
@@ -28,7 +32,6 @@ from coverforge.orbits import (
     OrbitResult,
     _product_closure_order,
     aut_classes,
-    automorphism_perms,
     canonical_class_keys,
     nielsen_generators,
     orbit_closure,
@@ -57,12 +60,29 @@ def involution_rep(rank, last=False):
     return RepTuple(SurfaceSignature(0, rank + 1), h, (x,) + (h.identity(),) * (rank - 1))
 
 
+def reference_aut_rows(table):
+    """Oracle: every automorphism as a permutation row over ids, the way
+    the stored matrix was built.  Z/n: the unit multiples.  Otherwise row
+    g is x -> g (x g^-1), one Python step per id, and for PSL2 the d0
+    coset follows: row n + g is row g after conjugation by d0."""
+    handle, n = table.handle, table.order
+    if handle.kind == "cyclic":
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [0]
+        return np.outer(units, np.arange(n)) % n
+    inner = np.empty((n, n), dtype=np.int64)
+    for gid in range(n):
+        inner[gid] = table.mul[gid, table.mul[:, table.inv[gid]]]
+    if handle.kind == "psl2":
+        return np.concatenate([inner, inner[:, d0_perm(table)]])
+    return inner
+
+
 def reference_partition(orb):
     """Oracle: the classes as sets, each the Aut images of a state that
     lie in the orbit.  Returns the class reps and sizes in the order
     aut_classes reports them: the starting tuple's class first, then the
     lexicographic minimum of every other class in increasing order."""
-    perms = automorphism_perms(orb.table)
+    perms = reference_aut_rows(orb.table)
     states = set(orb.id_tuples())
     classes = {frozenset(map(tuple, perms[:, list(ids)].tolist())) & states for ids in states}
     start_class = next(c for c in classes if orb.start_ids in c)
@@ -216,7 +236,7 @@ class TestOrbitEngine:
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
         assert res.k == 2047
 
-        perms = automorphism_perms(table)
+        perms = reference_aut_rows(table)
         exact = [
             min(
                 sum(d * 60 ** (10 - j) for j, d in enumerate(row))
@@ -224,7 +244,7 @@ class TestOrbitEngine:
             )
             for ids in res.class_rep_ids
         ]
-        assert canonical_class_keys(table, res.class_rep_ids, perms).tolist() == exact
+        assert canonical_class_keys(table, res.class_rep_ids).tolist() == exact
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup
@@ -234,6 +254,11 @@ class TestOrbitEngine:
         from coverforge.groups import closure_ids
 
         assert closure_ids(table, orb.id_tuples()[:40]).all()
+
+
+def all_automorphisms(table):
+    """Every automorphism as a permutation row over ids."""
+    return automorphism_images(table, np.arange(table.order))
 
 
 class TestAutomorphismPerms:
@@ -248,29 +273,51 @@ class TestAutomorphismPerms:
     )
     def test_counts(self, handle, count):
         table = group_table(handle)
-        assert automorphism_perms(table).shape[0] == count
+        assert all_automorphisms(table).shape[0] == count
 
     def test_rows_are_automorphisms(self):
         table = group_table(FiniteGroupHandle.psl2(5))
-        perms = automorphism_perms(table)
+        perms = all_automorphisms(table)
         rng = np.random.default_rng(3)
         for row in perms[rng.integers(0, len(perms), size=8)]:
             for x, y in rng.integers(0, 60, size=(20, 2)):
                 assert row[table.mul[x, y]] == table.mul[row[x], row[y]]
 
     @pytest.mark.parametrize("p", [5, 13])
-    def test_psl2_rows_distinct_and_cached(self, p):
+    def test_psl2_rows_distinct(self, p):
         table = group_table(FiniteGroupHandle.psl2(p))
-        perms = automorphism_perms(table)
+        perms = all_automorphisms(table)
         # |PGL(2, p)| = p(p^2 - 1) automorphisms, no two alike
         assert perms.shape == (p * (p * p - 1), table.order)
         assert np.unique(perms, axis=0).shape[0] == perms.shape[0]
-        assert perms.dtype == np.int64 and not perms.flags.writeable
-        assert automorphism_perms(table) is perms
 
     def test_sym6_guarded(self):
         with pytest.raises(BadParameters):
-            automorphism_perms(group_table(FiniteGroupHandle.symmetric(6)))
+            automorphism_images(group_table(FiniteGroupHandle.symmetric(6)), [0])
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.psl2(13),
+            FiniteGroupHandle.cyclic(6),
+            FiniteGroupHandle.symmetric(3),
+        ],
+        ids=["psl2-5", "psl2-13", "cyclic-6", "sym-3"],
+    )
+    def test_rows_match_stored_matrix(self, handle):
+        table = group_table(handle)
+        rows = all_automorphisms(table)
+        expected = reference_aut_rows(table)
+        assert rows.shape == expected.shape
+        assert np.array_equal(np.unique(rows, axis=0), np.unique(expected, axis=0))
+
+    def test_images_keep_the_id_array_shape(self):
+        table = group_table(FiniteGroupHandle.psl2(5))
+        ids = np.array([[1, 2, 3], [4, 5, 6]])
+        images = automorphism_images(table, ids)
+        assert images.shape == (120, 2, 3)
+        assert np.array_equal(images, all_automorphisms(table)[:, ids])
 
 
 class TestAutClasses:
@@ -334,6 +381,45 @@ class TestAutClasses:
             monkeypatch.setattr(orbits, "_BLOCK_BYTES", block_bytes)
             assert aut_classes(orb) == default
 
+    # label -> rep of a completed orbit pinned elsewhere in the tests
+    FREE_ACTION_CASES = {
+        "genus-zero-p13": lambda: build_genus_zero(13, 3).rep,
+        "once-punctured-p13": lambda: build_once_punctured(13, 1).rep,
+        "dihedral-p13-t4": lambda: build_genus_zero(13, 3, explicit_t=4).rep,
+        "generic-p5": lambda: build_generic(5, 1, 2).rep,
+        "char-cyclic-g0-n3": lambda: build_characteristic_cyclic(0, 3).rep,
+        "char-cyclic-g0-n6": lambda: build_characteristic_cyclic(0, 6).rep,
+        "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
+        "char-sym3-g3": lambda: build_characteristic_sym3(3).rep,
+    }
+
+    @pytest.mark.parametrize("label", sorted(FREE_ACTION_CASES))
+    def test_every_class_has_all_automorphisms(self, label):
+        # Aut G acts freely on generating tuples, so a class of an
+        # Aut-invariant orbit has |Aut G| members
+        orb = orbit_closure(self.FREE_ACTION_CASES[label]())
+        res = aut_classes(orb)
+        assert set(res.class_sizes) == {len(all_automorphisms(orb.table))}
+
+    def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
+        # this orbit is not Aut-invariant: half of each class's images
+        # lie outside it
+        orb = orbit_closure(build_genus_zero(5, 3).rep)
+        res = aut_classes(orb)
+        assert set(res.class_sizes) == {60} and len(all_automorphisms(orb.table)) == 120
+
+    def test_partition_and_hall_memory_at_p17(self):
+        # the stored (|Aut G|, |G|) int64 matrix alone was 92 MiB here
+        orb = orbit_closure(build_genus_zero(17, 3).rep)
+        tracemalloc.start()
+        try:
+            report = verify_hall_surjectivity(aut_classes(orb))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 4 << 20
+
     def test_once_punctured_p13_summary(self):
         b = build_once_punctured(13, 1)
         orb = orbit_closure(b.rep)
@@ -352,7 +438,7 @@ class TestAutClasses:
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
         table = res.table
-        perms = automorphism_perms(table)
+        perms = all_automorphisms(table)
         space = coset_space(b.h0)
         images = tuple(table.elements[i] for i in res.class_rep_ids[1])
         rep0 = RepTuple(b.signature, table.handle, images)
@@ -382,7 +468,7 @@ class TestHall:
             k=2,
             class_rep_ids=res.class_rep_ids[:2],
             class_sizes=res.class_sizes[:2],
-            budget_used=res.budget_used,
+            levels=res.levels,
         )
         report = verify_hall_surjectivity(two)
         assert report.mode == "direct"
@@ -399,7 +485,7 @@ class TestHall:
             k=2,
             class_rep_ids=(res.class_rep_ids[0], res.class_rep_ids[0]),
             class_sizes=(res.class_sizes[0],) * 2,
-            budget_used=res.budget_used,
+            levels=res.levels,
         )
         report = verify_hall_surjectivity(dup)
         assert not report.pairwise_inequivalent
@@ -415,7 +501,7 @@ class TestHall:
             k=1,
             class_rep_ids=res.class_rep_ids[:1],
             class_sizes=res.class_sizes[:1],
-            budget_used=res.budget_used,
+            levels=res.levels,
         )
         report = verify_hall_surjectivity(one)
         assert report.ok and report.mode == "direct"

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from coverforge import groups, orbits
+from coverforge import groups
 from coverforge.certificates import ConstructConfig, construct, verify
 
 _SCRIPT = (
@@ -145,9 +145,8 @@ def test_construct_and_verify_run_on_table_ids_only(name, monkeypatch):
     for module in [m for n, m in sys.modules.items() if n.startswith("coverforge")]:
         if hasattr(module, "element_order"):
             monkeypatch.setattr(module, "element_order", _refuse)
-    for cache in ("_ENUM_CACHE", "_PSL2_ARRAYS_CACHE", "_TABLE_CACHE"):
+    for cache in ("_PSL2_ARRAYS_CACHE", "_TABLE_CACHE"):
         monkeypatch.setattr(groups, cache, {})
-    monkeypatch.setattr(orbits, "_AUT_PERMS_CACHE", {})
     config, certificate_digest, class_reps_digest = EDGE_CASES[name]
     cert = construct(config)
     assert cert["certificate_digest"] == certificate_digest
