@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BadParameters, SearchExhausted
 from .groups import (
-    DEFAULT_ENUM_BUDGET,
     FiniteGroupHandle,
     GroupElement,
     GroupTable,
@@ -34,9 +33,7 @@ from .groups import (
     is_prime,
     nonsquare,
     normalizer,
-    psl2_order_from_trace,
     subgroup_closure,
-    _psl2_arrays,
 )
 from .surfaces import PeripheralProfile, RepTuple, SurfaceSignature
 
@@ -115,10 +112,9 @@ def smallest_primitive_root(p: int) -> int:
 def diagonal_torus(p: int) -> tuple[SubgroupData, ProjectiveMatrix, int]:
     """The diagonal subgroup of PSL2(F_p), its generator, and the root used."""
     handle = FiniteGroupHandle.psl2(p)
-    table = group_table(handle)  # the table limit is checked before the O(p^2) root search
     root = smallest_primitive_root(p)
     gen = canonicalize(root, 0, 0, pow(root, p - 2, p), p)
-    return subgroup_closure((table.id_of(gen),), handle), gen, root
+    return subgroup_closure((group_table(handle).id_of(gen),), handle), gen, root
 
 
 def borel_subgroup(p: int) -> SubgroupData:
@@ -220,7 +216,7 @@ def select_t(p: int) -> int:
     if p % 4 != 1:
         raise BadParameters(f"need p = 1 mod 4, got {p}")
     for t in range(1, p):
-        if extension_root_order(p, t) == p + 1:
+        if validate_t(p, t, require_minimal=False):
             return t
     raise SearchExhausted(f"no admissible t mod {p}")
 
@@ -236,54 +232,24 @@ def validate_t(p: int, t: int, require_minimal: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Commutator pair search (once-punctured family)
 
-def search_commutator_pair(
-    p: int, pair_budget: int | None = None
-) -> tuple[ProjectiveMatrix, ProjectiveMatrix, ProjectiveMatrix]:
+def search_commutator_pair(p: int) -> tuple[ProjectiveMatrix, ProjectiveMatrix, ProjectiveMatrix]:
     """Lexicographically first (A, B) generating PSL2(F_p) with
     commutator [A, B] of order (p+1)/2; returns (A, B, [A, B]).
 
-    The scan is exact but prunes with a trace-to-order lookup: the order
-    of a non-central element of PSL2(F_p) depends only on its trace up
-    to sign, and the target order (p+1)/2 is never 1 or p, so the
-    central/parabolic ambiguity at trace +-2 cannot produce a false
-    positive.  Each candidate is still confirmed on the table.
+    The scan reads the orders of all commutators [A, B] of one A at once
+    from the table; each pair whose commutator has the target order is
+    then closed to test that it generates.
     """
+    handle = FiniteGroupHandle.psl2(p)
     _require_valid_prime(p)
-    # the table limit is checked before the p**4 entry lookup is built
-    table = group_table(FiniteGroupHandle.psl2(p))
+    table = group_table(handle)
     mul, inv = table.mul, table.inv
-    arrs = _psl2_arrays(p)
-    a, b, c, d = arrs["a"], arrs["b"], arrs["c"], arrs["d"]
-    orders_by_trace = psl2_order_from_trace(table)
     target = (p + 1) // 2
-    n = table.order
-    scanned = 0
-    # entry arrays of all inverses (sign normalization is irrelevant for traces)
-    ia, ib, ic, id_ = d, (p - b) % p, (p - c) % p, a
-    for i in range(n):
-        scanned += n
-        if pair_budget is not None and scanned > pair_budget:
-            raise SearchExhausted(
-                f"commutator search budget {pair_budget} exhausted at row {i}"
-            )
-        a1, b1, c1, d1 = int(a[i]), int(b[i]), int(c[i]), int(d[i])
-        # M = A_i * B for every B
-        ma = (a1 * a + b1 * c) % p
-        mb = (a1 * b + b1 * d) % p
-        mc = (c1 * a + d1 * c) % p
-        md = (c1 * b + d1 * d) % p
-        # M2 = M * A_i^-1 with A_i^-1 = (d1, -b1, -c1, a1)
-        nb1, nc1 = (p - b1) % p, (p - c1) % p
-        m2a = (ma * d1 + mb * nc1) % p
-        m2b = (ma * nb1 + mb * a1) % p
-        m2c = (mc * d1 + md * nc1) % p
-        m2d = (mc * nb1 + md * a1) % p
-        # trace of M2 * B^-1, entrywise over all B
-        tr = (m2a * ia + m2b * ic + m2c * ib + m2d * id_) % p
-        for j in (orders_by_trace[tr] == target).nonzero()[0].tolist():
-            commutator = int(mul[mul[i, j], mul[inv[i], inv[j]]])
-            if table.orders[commutator] == target and closure_ids(table, [[i, j]])[0].all():
-                return tuple(table.elements[x] for x in (i, j, commutator))
+    for i in range(table.order):
+        commutators = mul[mul[i], mul[inv[i], inv]]
+        for j in np.flatnonzero(table.orders[commutators] == target).tolist():
+            if closure_ids(table, [[i, j]])[0].all():
+                return tuple(table.elements[x] for x in (i, j, int(commutators[j])))
     raise SearchExhausted(
         f"no generating pair with commutator order {(p + 1) // 2} in PSL2(F_{p})"
     )
@@ -311,13 +277,13 @@ def build_generic(p: int, g: int, n: int) -> CatalogBuild:
     """g >= 1 handles and n >= 2 punctures: both a_1, b_1 go to the upper
     unipotent, every c_i(i < n) to the lower unipotent, and the relation
     forces c_n to a lower unipotent as well."""
+    handle = FiniteGroupHandle.psl2(p)
     _require_valid_prime(p)
     if g < 1 or n < 2:
         raise BadParameters("generic family needs g >= 1 and n >= 2")
     if p < n:
         raise BadParameters(f"generic family needs p >= n, got p={p}, n={n}")
     sig = SurfaceSignature(g, n)
-    handle = FiniteGroupHandle.psl2(p)
     upper = canonicalize(1, 1, 0, 1, p)
     lower = canonicalize(1, 0, 1, 1, p)
     identity = handle.identity()
@@ -351,19 +317,18 @@ def build_once_punctured(
     pair: tuple[ProjectiveMatrix, ProjectiveMatrix, ProjectiveMatrix] | None = None,
 ) -> CatalogBuild:
     """g >= 1 and a single puncture: a_1, b_1 go to a generating pair
-    whose commutator has order (p+1)/2, so the derived c_1 does too."""
+    whose commutator has order (p+1)/2, so the derived c_1 does too.
+
+    A supplied ``pair`` (A, B, [A, B]) is used as given in place of the
+    search; the caller checks it with `validate_commutator_pair`.
+    """
+    handle = FiniteGroupHandle.psl2(p)
     if not is_prime(p) or p < 13:
         raise BadParameters(f"once-punctured family needs a prime p >= 13, got {p}")
     if g < 1:
         raise BadParameters("once-punctured family needs g >= 1")
     sig = SurfaceSignature(g, 1)
-    handle = FiniteGroupHandle.psl2(p)
-    if pair is None:
-        a_el, b_el, c_el = search_commutator_pair(p)
-    else:
-        a_el, b_el, c_el = pair
-        if not validate_commutator_pair(p, a_el, b_el, c_el):
-            raise BadParameters("supplied commutator pair fails its defining properties")
+    a_el, b_el, c_el = search_commutator_pair(p) if pair is None else pair
     identity = handle.identity()
     images = [a_el, b_el] + [identity] * (2 * (g - 1))
     rep = RepTuple(sig, handle, tuple(images))
@@ -401,6 +366,7 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
     where H0 is a dihedral subgroup of order p+1 or p-1 according to the
     reducibility of x^2-(2+t)x+1.
     """
+    handle = FiniteGroupHandle.psl2(p)
     _require_valid_prime(p)
     if n < 3:
         raise BadParameters("genus-zero family needs n >= 3")
@@ -409,7 +375,6 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
     if p <= n - 2:
         raise BadParameters(f"genus-zero family needs p > n - 2, got p={p}, n={n}")
     sig = SurfaceSignature(0, n)
-    handle = FiniteGroupHandle.psl2(p)
     s = pow(n - 2, p - 2, p)
     if explicit_t is None:
         t = select_t(p)
@@ -424,7 +389,7 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
     images = [lower] * (n - 2) + [upper_t]
     rep = RepTuple(sig, handle, tuple(images))
     claimed = canonicalize(1 + t, -t, -1, 1, p)
-    _, a0_gen, root = diagonal_torus(p)
+    a0, a0_gen, root = diagonal_torus(p)
     constants: dict = {
         "epsilon": nonsquare(p),
         "primitive_root": root,
@@ -433,7 +398,6 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
         "a0_generator": encode_element(a0_gen),
     }
     if mode == "primary":
-        a0, _, _ = diagonal_torus(p)
         h0 = normalizer(a0)
         h0_label = "diagonal-normalizer"
         expected = (p,) * (n - 1) + ((p + 1) // 2,)
@@ -464,7 +428,6 @@ def build_characteristic_cyclic(g: int, n: int) -> CatalogBuild:
         raise BadParameters("characteristic cyclic family needs n >= 2")
     sig = SurfaceSignature(g, n)
     handle = FiniteGroupHandle.cyclic(n)
-    group_table(handle)  # the table limit is checked before the n-long image tuple
     zero = Residue(0, n)
     one = Residue(1, n)
     images = [zero] * (2 * g) + [one] * (n - 1)
@@ -514,10 +477,7 @@ def build_characteristic_sym3(g: int) -> CatalogBuild:
 # Hypothesis verification
 
 def verify_hypotheses(
-    g0: FiniteGroupHandle,
-    h0: SubgroupData,
-    profile: PeripheralProfile,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    g0: FiniteGroupHandle, h0: SubgroupData, profile: PeripheralProfile
 ) -> HypothesisReport:
     """Check the subgroup conditions used by the irregular pipeline:
     H0 self-normalizing, every automorphism image of H0 conjugate to H0,
@@ -527,14 +487,14 @@ def verify_hypotheses(
     conjugation by d0 = diag(1, epsilon), so the second condition
     reduces to: d0 H0 d0^-1 is conjugate to H0 in the group.
     """
-    self_norm = normalizer(h0, budget) == h0
+    self_norm = normalizer(h0) == h0
     if g0.kind == "psl2":
         d0 = d0_perm(group_table(g0))
         image = np.zeros(d0.size, dtype=bool)
         image[d0[h0.members]] = True
         conjugated = SubgroupData(g0, tuple(int(d0[g]) for g in h0.generators), image)
         d0_stable = conjugated == h0
-        aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0, budget)
+        aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0)
     else:
         aut_eq_inn, witness, d0_stable = None, None, None
     coprimality = tuple(

@@ -35,7 +35,6 @@ from .catalog import (
     build_once_punctured,
     extension_root_order,
     validate_commutator_pair,
-    validate_t,
     verify_hypotheses,
 )
 from .covers import (
@@ -53,16 +52,10 @@ from .covers import (
     verify_deck_trivial,
 )
 from .errors import BadParameters, BudgetExceeded, NotUnimodular, SchemaMismatch
-from .groups import (
-    DEFAULT_ENUM_BUDGET,
-    TABLE_LIMIT,
-    FiniteGroupHandle,
-    decode_element,
-    encode_element,
-    group_table,
-)
+from .groups import FiniteGroupHandle, decode_element, encode_element, group_table
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
+    PRODUCT_CLOSURE_CAP,
     aut_classes,
     orbit_closure,
     verify_characteristic_closure,
@@ -76,7 +69,6 @@ from .surfaces import (
 )
 
 SCHEMA_VERSION = "1"
-DEFAULT_HALL_DIRECT_CAP = 10_000_000
 
 CASES = ("generic", "once-punctured", "genus-zero", "char-cyclic", "char-sym3")
 _CHARACTERISTIC = ("char-cyclic", "char-sym3")
@@ -95,13 +87,11 @@ class ConstructConfig:
     single_factor: bool = False
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
     coset_budget: int = DEFAULT_COSET_BUDGET
-    closure_budget: int = DEFAULT_ENUM_BUDGET
-    hall_direct_cap: int = DEFAULT_HALL_DIRECT_CAP
 
     def __post_init__(self):
         if self.case not in CASES:
             raise BadParameters(f"unknown case {self.case!r}; pick one of {CASES}")
-        for name in ("orbit_budget", "coset_budget", "closure_budget", "hall_direct_cap"):
+        for name in ("orbit_budget", "coset_budget"):
             value = getattr(self, name)
             if value < 1:
                 raise BadParameters(f"{name.replace('_', ' ')} must be positive, got {value}")
@@ -150,11 +140,7 @@ def _build_case(config: ConstructConfig, constants: dict | None = None) -> Catal
             raise BadParameters("once-punctured case has exactly one puncture")
         pair = None
         if constants is not None and "A" in constants:
-            handle = FiniteGroupHandle.psl2(config.p)
-            try:
-                pair = tuple(decode_element(handle, constants[key]) for key in ("A", "B", "C"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaMismatch(f"recorded A, B, C are not PSL2 matrices: {exc!r}") from exc
+            pair = _recorded_pair(config.p, constants)
         return build_once_punctured(config.p, config.genus, pair=pair)
     if case == "genus-zero":
         _need(config, p=True, punctures=True)
@@ -169,6 +155,23 @@ def _build_case(config: ConstructConfig, constants: dict | None = None) -> Catal
     if config.punctures not in (None, 1):
         raise BadParameters("char-sym3 case has exactly one puncture")
     return build_characteristic_sym3(config.genus)
+
+
+def _recorded_pair(p: int, constants: dict) -> tuple:
+    """The recorded commutator pair (A, B, [A, B]); SchemaMismatch unless
+    it decodes to PSL2 matrices with the pair's defining properties."""
+    handle = FiniteGroupHandle.psl2(p)
+    try:
+        pair = tuple(decode_element(handle, constants[key]) for key in ("A", "B", "C"))
+    except (KeyError, TypeError, ValueError, NotUnimodular) as exc:
+        raise SchemaMismatch(
+            f"recorded constants.A, B, C are not PSL2 matrices: {exc!r}"
+        ) from exc
+    if not validate_commutator_pair(p, *pair):
+        raise SchemaMismatch(
+            "recorded constants.A, B, C fail the commutator pair's defining properties"
+        )
+    return pair
 
 
 def _need(config: ConstructConfig, p=False, genus=False, punctures=False) -> None:
@@ -209,7 +212,7 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     profile = peripheral_profile(rep)
     checks: dict[str, bool] = {}
     checks["relation_holds"] = verify_relation(rep, build.claimed_cn)
-    checks["surjective"] = is_surjective(rep, config.closure_budget)
+    checks["surjective"] = is_surjective(rep)
     checks["peripheral_orders_expected"] = _expected_orders_ok(build, profile)
 
     cert: dict = {
@@ -229,8 +232,10 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
         "budgets": {
             "orbit": config.orbit_budget,
             "coset": config.coset_budget,
-            "closure": config.closure_budget,
-            "hall_direct_cap": config.hall_direct_cap,
+            # fixed values, not budgets: a file that records another
+            # value fails the replay's diff
+            "closure": PRODUCT_CLOSURE_CAP,
+            "hall_direct_cap": PRODUCT_CLOSURE_CAP,
         },
         "constants": dict(build.constants),
         "representation": {
@@ -264,7 +269,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     sig = build.signature
     h0 = build.h0
     table = group_table(rep.target)
-    hyp = verify_hypotheses(rep.target, h0, profile, config.closure_budget)
+    hyp = verify_hypotheses(rep.target, h0, profile)
     checks["self_normalizing"] = hyp.self_normalizing
     checks["aut_eq_inn"] = bool(hyp.aut_eq_inn)
     checks["delta_ge_2"] = hyp.delta_ge_2
@@ -297,9 +302,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         class_rep_ids = result.class_rep_ids
         checks["orbit_completed"] = True
         checks["characteristic_closure"] = verify_characteristic_closure(orbit)
-        hall = verify_hall_surjectivity(
-            result, config.hall_direct_cap, config.closure_budget
-        )
+        hall = verify_hall_surjectivity(result)
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
         hall_mode = hall.mode
@@ -350,7 +353,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     else:
         bound = genus_lower_bound(build.p, k, sig.g, sig.n)
         bound_kind = "theorem"
-    deck = verify_deck_trivial(h0, config.closure_budget)
+    deck = verify_deck_trivial(h0)
     checks["degree_formula"] = degree == (rep.target.order // h0.order) ** k
     checks["ramification_sums_to_degree"] = sums_ok
     checks["local_degrees_divisible_by_delta"] = divisible
@@ -380,7 +383,7 @@ def _characteristic_stages(config, build, cert, checks) -> None:
     sig = build.signature
     orbit = orbit_closure(rep, config.orbit_budget)
     result = aut_classes(orbit)
-    core = characteristic_core(result.class_rep_ids, sig, orbit, config.closure_budget)
+    core = characteristic_core(result.class_rep_ids, sig, orbit)
     checks["orbit_completed"] = True
     checks["characteristic_closure"] = core.aut_invariant
     checks["peripheral_orders_ge_2"] = core.all_at_least_two
@@ -513,8 +516,6 @@ def _config_from_certificate(cert: dict) -> ConstructConfig:
         single_factor=_recorded(flags, "inputs.flags.single_factor", bool),
         orbit_budget=_recorded(budgets, "budgets.orbit", int),
         coset_budget=_recorded(budgets, "budgets.coset", int),
-        closure_budget=_recorded(budgets, "budgets.closure", int),
-        hall_direct_cap=_recorded(budgets, "budgets.hall_direct_cap", int),
     )
 
 
@@ -535,47 +536,13 @@ def _diff(expected, found, path: str, out: list[str]) -> None:
         out.append(path)
 
 
-def _replay_constant_mismatches(config: ConstructConfig, constants: dict) -> list[str]:
-    """Validate recorded searched constants against their defining
-    conditions (minimality included where the search is cheap).  Runs
-    after the pipeline replay, which has already rejected a bad case or p."""
-    out: list[str] = []
-    if config.case == "genus-zero" and config.explicit_t is None:
-        t = constants.get("t")
-        if type(t) is not int or not validate_t(config.p, t, require_minimal=True):
-            out.append("constants.t")
-    if config.case == "once-punctured":
-        handle = FiniteGroupHandle.psl2(config.p)
-        try:
-            a_el, b_el, c_el = (decode_element(handle, constants[key]) for key in ("A", "B", "C"))
-        except (KeyError, TypeError, ValueError, NotUnimodular):
-            out.append("constants.A")
-        else:
-            if not validate_commutator_pair(config.p, a_el, b_el, c_el):
-                out.append("constants.A")
-    return out
-
-
 def _check_verifier_caps(config: ConstructConfig, orbit_cap: int, coset_cap: int) -> None:
     """BudgetExceeded when a recorded budget is above the verifier's own
-    cap, or a PSL2 case records a p whose group is above the table limit:
-    the file cannot choose how much work its replay may do (not even the
-    primality test of p)."""
-    if config.case not in _CHARACTERISTIC and config.p is not None:
-        order = config.p * (config.p * config.p - 1) // 2
-        if order > TABLE_LIMIT:
-            raise BudgetExceeded(
-                f"certificate p {config.p} gives PSL(2, p) above the table limit {TABLE_LIMIT}",
-                used=order,
-                budget=TABLE_LIMIT,
-            )
-    caps = {
-        "orbit_budget": orbit_cap,
-        "coset_budget": coset_cap,
-        "closure_budget": DEFAULT_ENUM_BUDGET,
-        "hall_direct_cap": DEFAULT_HALL_DIRECT_CAP,
-    }
-    for name, cap in caps.items():
+    cap: the file cannot choose how much work its replay may do.  The
+    group itself is held to the table limit when the replay names it,
+    and the product closure cap is fixed, so a file that records another
+    value fails the diff."""
+    for name, cap in (("orbit_budget", orbit_cap), ("coset_budget", coset_cap)):
         value = getattr(config, name)
         if value > cap:
             raise BudgetExceeded(
@@ -608,7 +575,7 @@ def verify(
     _check_verifier_caps(config, orbit_cap, coset_cap)
     constants = _recorded(cert, "constants", dict)
     rebuilt = attach_digest(_run_pipeline(config, constants=constants))
-    mismatches = _replay_constant_mismatches(config, constants)
+    mismatches: list[str] = []
     _diff(rebuilt, cert, "", mismatches)
     checks = cert.get("checks")
     all_true = (

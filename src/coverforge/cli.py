@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 parameter error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -15,7 +14,6 @@ from .catalog import CatalogBuild
 from .certificates import (
     CASES,
     ConstructConfig,
-    DEFAULT_HALL_DIRECT_CAP,
     bundle_report,
     canonical_json,
     construct,
@@ -34,7 +32,7 @@ from .errors import (
     SchemaMismatch,
     SearchExhausted,
 )
-from .groups import DEFAULT_ENUM_BUDGET, encode_element
+from .groups import encode_element
 from .orbits import DEFAULT_ORBIT_BUDGET, orbit_closure
 
 
@@ -75,8 +73,6 @@ def _config_from_args(args) -> ConstructConfig:
         single_factor=getattr(args, "single_factor", False),
         orbit_budget=orbit_budget,
         coset_budget=coset_budget,
-        closure_budget=DEFAULT_ENUM_BUDGET,
-        hall_direct_cap=DEFAULT_HALL_DIRECT_CAP,
     )
 
 

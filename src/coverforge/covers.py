@@ -23,13 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameters, BudgetExceeded, InconsistentRamification
-from .groups import (
-    DEFAULT_ENUM_BUDGET,
-    GroupTable,
-    SubgroupData,
-    group_table,
-    normalizer,
-)
+from .groups import GroupTable, SubgroupData, group_table, normalizer
 from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
 from .surfaces import RepTuple, SurfaceSignature, peripheral_ids
 
@@ -201,10 +195,10 @@ def proposition_genus_bound(index: int, k: int, g: int, n: int, delta: int) -> F
     return 1 + Fraction(index**k) * (g - 1 + Fraction(n * (delta - 1), 2 * delta))
 
 
-def verify_deck_trivial(h0: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def verify_deck_trivial(h0: SubgroupData) -> bool:
     """The deck group of the H0-coset cover is N(H0)/H0; it is trivial
     exactly when H0 is self-normalizing (the whole group included)."""
-    return normalizer(h0, budget) == h0
+    return normalizer(h0) == h0
 
 
 @dataclass(frozen=True)
@@ -213,33 +207,27 @@ class CharacteristicCoreReport:
 
     peripheral_orders: tuple[int, ...]  # order of each peripheral product image
     all_at_least_two: bool
-    degree: int | None                  # |image of the product rep|, when affordable
+    degree: int | None                  # |image of the product rep|, None above the cap
     aut_invariant: bool
 
 
 def characteristic_core(
-    class_rep_ids,
-    signature: SurfaceSignature,
-    orbit: OrbitClosure,
-    closure_budget: int = DEFAULT_ENUM_BUDGET,
+    class_rep_ids, signature: SurfaceSignature, orbit: OrbitClosure
 ) -> CharacteristicCoreReport:
     """Summarize the regular cover attached to the intersection of the
     kernels over the orbit (equivalently over the class reps, given as
     rows of free-generator image ids, since postcomposition preserves
-    kernels)."""
+    kernels).  The image can only be bounded a priori by the ambient
+    order, so the degree is computed only when the whole product G^k is
+    within ``orbits.PRODUCT_CLOSURE_CAP``."""
     table = orbit.table
     peripheral = peripheral_ids(table, signature, class_rep_ids)
     orders = tuple(
         elevation_degree(table, peripheral, i) for i in range(1, signature.n + 1)
     )
-    degree: int | None = None
-    # the image can only be bounded a priori by the ambient order, so a
-    # closure is attempted only when the whole product is affordable
-    if table.order ** len(class_rep_ids) <= closure_budget:
-        degree = _product_closure_order(table, class_rep_ids, closure_budget)
     return CharacteristicCoreReport(
         peripheral_orders=orders,
         all_at_least_two=all(o >= 2 for o in orders),
-        degree=degree,
+        degree=_product_closure_order(table, class_rep_ids),
         aut_invariant=verify_characteristic_closure(orbit),
     )

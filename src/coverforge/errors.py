@@ -18,7 +18,9 @@ class BadParameters(CoverforgeError):
 
 
 class BudgetExceeded(CoverforgeError):
-    """An enumeration, closure, orbit, or coset computation hit its cap.
+    """A group was named above the table limit, an orbit or coset space
+    outgrew its budget, or a certificate recorded a budget above the
+    verifier's cap.
 
     Carries diagnostics but never partial results: a computation that
     raises this must not be used downstream.

@@ -7,6 +7,10 @@ Conventions fixed here and relied on by every other module:
   number the elements in ``sort_key`` order; products, inverses,
   orders, closures, subgroups (`SubgroupData`), normalizers, conjugacy
   and the automorphisms all work on ids.
+* The size of a group is limited in one place: `FiniteGroupHandle`
+  refuses an order above ``TABLE_LIMIT`` when the group is named.
+  Every table, closure, normalizer and search here works within the
+  group's order, so none of them takes a size budget.
 * Element objects (`ProjectiveMatrix`, `Permutation`, `Residue`) are
   the input and JSON format: the catalog writes its representations
   with them, certificates encode and decode them, and a table maps them
@@ -37,7 +41,6 @@ import numpy as np
 
 from .errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 
-DEFAULT_ENUM_BUDGET = 10_000_000
 TABLE_LIMIT = 10_000
 # working-array size of one block of the table builds, the batched
 # closure and the conjugation tests
@@ -214,17 +217,32 @@ GroupElement = Union[ProjectiveMatrix, Permutation, Residue]
 
 @dataclass(frozen=True)
 class FiniteGroupHandle:
-    """A lightweight descriptor of one of the supported finite groups."""
+    """A lightweight descriptor of one of the supported finite groups.
+
+    Naming a group whose order is above ``TABLE_LIMIT`` raises
+    BudgetExceeded, before any work that grows with the group's
+    parameter (the primality test of p included).
+    """
 
     kind: str
     p: int | None = None
     n: int | None = None
     m: int | None = None
 
+    def __post_init__(self):
+        order = self.order
+        if order > TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"group of order {order} exceeds table limit {TABLE_LIMIT}",
+                used=order,
+                budget=TABLE_LIMIT,
+            )
+
     @staticmethod
     def psl2(p: int) -> "FiniteGroupHandle":
+        handle = FiniteGroupHandle("psl2", p=p)
         _require_odd_prime(p)
-        return FiniteGroupHandle("psl2", p=p)
+        return handle
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupHandle":
@@ -306,20 +324,8 @@ def element_order(g: GroupElement) -> int:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _check_enum_budget(handle: FiniteGroupHandle, budget: int) -> None:
-    if handle.order > budget:
-        raise BudgetExceeded(
-            f"group of order {handle.order} exceeds enumeration budget {budget}",
-            used=handle.order,
-            budget=budget,
-        )
-
-
-def enumerate_group(
-    handle: FiniteGroupHandle, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[GroupElement, ...]:
+def enumerate_group(handle: FiniteGroupHandle) -> tuple[GroupElement, ...]:
     """All elements of the group, sorted by ``sort_key``."""
-    _check_enum_budget(handle, budget)
     if handle.kind == "psl2":
         arrs = _psl2_arrays(handle.p)
         p = handle.p
@@ -418,35 +424,28 @@ class SubgroupData:
         return np.flatnonzero(self.members)
 
 
-def subgroup_closure(
-    generators: Iterable[int],
-    handle: FiniteGroupHandle,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> SubgroupData:
+def subgroup_closure(generators: Iterable[int], handle: FiniteGroupHandle) -> SubgroupData:
     """Closure of a set of generator ids under the group law."""
     table = group_table(handle)
     gens = tuple(int(g) for g in generators)
     if not all(0 <= g < table.order for g in gens):
         raise BadParameters(f"generator ids {gens} are not all ids of the ambient group")
-    return SubgroupData(handle, gens, closure_ids(table, [gens], budget)[0])
+    return SubgroupData(handle, gens, closure_ids(table, [gens])[0])
 
 
-def normalizer(sub: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET) -> SubgroupData:
+def normalizer(sub: SubgroupData) -> SubgroupData:
     """N_G(H) = {g : g H g^-1 = H}, tested for every g of the ambient
     group at once; its members, in id order, are its generators.
 
     Conjugation by a fixed g is an automorphism, so g normalizes H as
     soon as it conjugates a generating set of H into H.
     """
-    _check_enum_budget(sub.ambient, budget)
     table = group_table(sub.ambient)
     members = _conjugators_into(table, sub, sub.members)
     return SubgroupData(sub.ambient, tuple(np.flatnonzero(members).tolist()), members)
 
 
-def are_conjugate_subgroups(
-    h1: SubgroupData, h2: SubgroupData, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[bool, int | None]:
+def are_conjugate_subgroups(h1: SubgroupData, h2: SubgroupData) -> tuple[bool, int | None]:
     """Search for g with g H1 g^-1 = H2; the witness is the smallest such id."""
     if h1.ambient != h2.ambient:
         raise BadParameters("subgroups of different ambient groups")
@@ -454,7 +453,6 @@ def are_conjugate_subgroups(
         return (False, None)
     if h1 == h2:
         return (True, group_table(h1.ambient).identity_id)
-    _check_enum_budget(h1.ambient, budget)
     ids = np.flatnonzero(_conjugators_into(group_table(h1.ambient), h1, h2.members))
     if ids.size == 0:
         return (False, None)
@@ -532,26 +530,6 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
     return images.reshape((-1,) + ids.shape)
 
 
-def psl2_order_from_trace(table: "GroupTable") -> np.ndarray:
-    """Element order in PSL2(F_p) as a function of the trace t in [0, p):
-    the largest order among the ids of trace t or -t.
-
-    Two non-central elements with the same trace up to sign are conjugate
-    over the algebraic closure, hence share their order, and traces t, -t
-    describe the same projective element.  Traces +-2 hold the identity
-    (order 1) and the parabolic elements (order p); the maximum gives p,
-    so entry t is the order of the companion matrix of x**2 - t x + 1,
-    and the central class is the callers' responsibility.
-    """
-    p = table.handle.p
-    arrs = _psl2_arrays(p)
-    trace = (arrs["a"] + arrs["d"]) % p
-    orders = np.zeros(p, dtype=np.int64)
-    np.maximum.at(orders, trace, table.orders)
-    np.maximum.at(orders, (p - trace) % p, table.orders)
-    return orders
-
-
 # ---------------------------------------------------------------------------
 # Dense tables
 
@@ -598,16 +576,13 @@ class GroupTable:
 _TABLE_CACHE: dict[FiniteGroupHandle, GroupTable] = {}
 
 
-def group_table(handle: FiniteGroupHandle, limit: int = TABLE_LIMIT) -> GroupTable:
-    """Build (or fetch) the dense tables for an enumerable group."""
+def group_table(handle: FiniteGroupHandle) -> GroupTable:
+    """Build (or fetch) the dense tables of a group; the handle has
+    already checked its order against the table limit."""
     cached = _TABLE_CACHE.get(handle)
     if cached is not None:
         return cached
     n = handle.order
-    if n > limit:
-        raise BudgetExceeded(
-            f"group of order {n} exceeds table limit {limit}", used=n, budget=limit
-        )
     elements = enumerate_group(handle)
     if handle.kind == "psl2":
         table = _psl2_table(handle, elements)
@@ -663,9 +638,7 @@ def _symmetric_table(handle: FiniteGroupHandle, elements) -> GroupTable:
     return GroupTable(handle, elements, mul, inv, 0)  # the identity sorts first
 
 
-def closure_ids(
-    table: GroupTable, gen_rows, maxsize: int | None = None
-) -> np.ndarray:
+def closure_ids(table: GroupTable, gen_rows) -> np.ndarray:
     """Subgroup closures of many generating sets at once, over table ids.
 
     ``gen_rows`` is an (m, r) array of generator ids, one generating set
@@ -673,15 +646,14 @@ def closure_ids(
     row i.  Positive words suffice in a finite group, so each BFS level
     multiplies the newly reached elements of every row on the right by
     that row's generators.  Rows go in blocks of at most ``_BLOCK_BYTES``
-    membership cells; BudgetExceeded is raised after a level at which
-    some closure holds more than ``maxsize`` (default: the group order)
-    elements.
+    membership cells.  A closure is a subset of the group, so its size
+    and its number of levels are bounded by the table's order and need
+    no budget of their own.
     """
     gens = np.asarray(gen_rows, dtype=np.int64)
     if gens.ndim != 2:
         raise BadParameters("closure_ids takes an (m, r) array of generator rows")
     n = table.order
-    cap = maxsize if maxsize is not None else n
     out = np.zeros((gens.shape[0], n), dtype=bool)
     out[:, table.identity_id] = True
     step = max(1, _BLOCK_BYTES // n)
@@ -694,9 +666,6 @@ def closure_ids(
                 fresh[rows, table.mul[elems, block[rows, j]]] = True
             fresh &= ~member
             member |= fresh
-            largest = int(member.sum(axis=1).max())
-            if largest > cap:
-                raise BudgetExceeded("closure exceeded cap", used=largest, budget=cap)
             rows, elems = np.nonzero(fresh)
     return out
 

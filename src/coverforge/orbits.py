@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import BadParameters, BudgetExceeded
 from .groups import (
-    DEFAULT_ENUM_BUDGET,
     GroupTable,
     automorphism_images,
     closure_ids,
@@ -47,6 +46,10 @@ from .groups import (
 from .surfaces import RepTuple
 
 DEFAULT_ORBIT_BUDGET = 20_000_000
+# the largest product group G^k whose image is closed element by element;
+# above it the Hall check runs on hypotheses and the characteristic
+# degree is left uncomputed
+PRODUCT_CLOSURE_CAP = 10_000_000
 _INT64_KEYS = 2**62
 _CHUNK = 1_000_000
 
@@ -170,7 +173,7 @@ def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClo
     return _orbit_vectorized(table, rank, start, moves, budget)
 
 
-def _orbit_vectorized(table, rank, start, moves, budget, what="orbit closure") -> OrbitClosure:
+def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     """BFS closure of the start tuple under the moves, each a map from a
     chunk's encoded states and decoded digits to the moved encodings."""
     n = table.order
@@ -196,7 +199,7 @@ def _orbit_vectorized(table, rank, start, moves, budget, what="orbit closure") -
                     new = _sorted_unique(np.concatenate([new, cand])) if new.size else cand
                 if visited.size + new.size > budget:
                     raise BudgetExceeded(
-                        f"{what} exceeded state budget",
+                        "orbit closure exceeded state budget",
                         used=int(visited.size + new.size),
                         budget=budget,
                     )
@@ -361,34 +364,24 @@ class HallReport:
     direct_order: int | None
 
 
-def verify_hall_surjectivity(
-    result: OrbitResult,
-    direct_cap: int = 10_000_000,
-    closure_budget: int = DEFAULT_ENUM_BUDGET,
-) -> HallReport:
+def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     """Surjectivity of the product representation.
 
     Hypothesis mode checks what the product lemma needs: every class rep
     surjects onto the base group and no two class reps are related by a
     target automorphism.  Direct mode additionally closes the product
-    tuples inside the full product group when its order fits the cap.
+    tuples inside the full product group when its order is at most
+    ``PRODUCT_CLOSURE_CAP``.
     """
     table = result.table
     each = bool(closure_ids(table, result.class_rep_ids).all())
     keys = canonical_class_keys(table, result.class_rep_ids)
     pairwise = len(set(keys.tolist())) == result.k
-    product_order = table.order**result.k
-    direct_order = None
-    mode = "hypothesis-only"
-    if product_order <= direct_cap:
-        mode = "direct"
-        direct_order = _product_closure_order(
-            table, result.class_rep_ids, min(closure_budget, product_order)
-        )
-    ok = each and pairwise and (direct_order is None or direct_order == product_order)
+    direct_order = _product_closure_order(table, result.class_rep_ids)
+    ok = each and pairwise and (direct_order is None or direct_order == table.order**result.k)
     return HallReport(
         ok=ok,
-        mode=mode,
+        mode="hypothesis-only" if direct_order is None else "direct",
         each_surjective=each,
         pairwise_inequivalent=pairwise,
         direct_order=direct_order,
@@ -396,20 +389,24 @@ def verify_hall_surjectivity(
 
 
 def _product_closure_order(
-    table: GroupTable, class_rep_ids: Sequence[tuple[int, ...]], cap: int
-) -> int:
-    """Order of the image of the product of the class reps: the orbit of
-    the identity k-tuple in G^k under right multiplication by one k-tuple
-    per free generator (column of the class rep ids), which in a finite
-    group is the subgroup those tuples generate."""
+    table: GroupTable, class_rep_ids: Sequence[tuple[int, ...]]
+) -> int | None:
+    """Order of the image of the product of the class reps, or None when
+    G^k is above ``PRODUCT_CLOSURE_CAP``: the orbit of the identity
+    k-tuple in G^k under right multiplication by one k-tuple per free
+    generator (column of the class rep ids), which in a finite group is
+    the subgroup those tuples generate, so it never outgrows G^k."""
     k = len(class_rep_ids)
+    product_order = table.order**k
+    if product_order > PRODUCT_CLOSURE_CAP:
+        return None
     powers = _state_powers(table.order, k)
     moves = [
         partial(_right_multiply, gens=np.asarray(column), table=table, powers=powers)
         for column in zip(*class_rep_ids)
     ]
     start = (table.identity_id,) * k
-    return _orbit_vectorized(table, k, start, moves, cap, "product closure").size
+    return _orbit_vectorized(table, k, start, moves, product_order).size
 
 
 def _right_multiply(states, digits, gens, table, powers):

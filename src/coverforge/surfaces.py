@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters
-from .groups import (
-    DEFAULT_ENUM_BUDGET,
-    FiniteGroupHandle,
-    GroupElement,
-    GroupTable,
-    closure_ids,
-    group_table,
-)
+from .groups import FiniteGroupHandle, GroupElement, GroupTable, closure_ids, group_table
 
 
 @dataclass(frozen=True)
@@ -145,9 +138,9 @@ def verify_relation(rep: RepTuple, claimed_cn: GroupElement) -> bool:
     return group_table(rep.target).id_of(claimed_cn) == int(rep.peripheral_image_ids()[-1])
 
 
-def is_surjective(rep: RepTuple, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def is_surjective(rep: RepTuple) -> bool:
     gens = rep.image_ids() + (int(rep.peripheral_image_ids()[-1]),)
-    return bool(closure_ids(group_table(rep.target), [gens], budget)[0].all())
+    return bool(closure_ids(group_table(rep.target), [gens])[0].all())
 
 
 def peripheral_profile(rep: RepTuple) -> PeripheralProfile:

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from coverforge.certificates import (
-    DEFAULT_HALL_DIRECT_CAP,
     ConstructConfig,
     attach_digest,
     bundle_report,
@@ -21,8 +20,7 @@ from coverforge.certificates import (
 )
 from coverforge.covers import DEFAULT_COSET_BUDGET
 from coverforge.errors import BadParameters, BudgetExceeded, SchemaMismatch
-from coverforge.groups import DEFAULT_ENUM_BUDGET
-from coverforge.orbits import DEFAULT_ORBIT_BUDGET
+from coverforge.orbits import DEFAULT_ORBIT_BUDGET, PRODUCT_CLOSURE_CAP
 
 
 def run_cli(*args, env_extra=None):
@@ -45,6 +43,11 @@ def char_cyclic_cert():
 @pytest.fixture(scope="module")
 def genus_zero_cert():
     return construct(ConstructConfig(case="genus-zero", p=5, punctures=3))
+
+
+@pytest.fixture(scope="module")
+def once_punctured_cert():
+    return construct(ConstructConfig(case="once-punctured", p=13, genus=1))
 
 
 class TestConstruction:
@@ -130,9 +133,7 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             ConstructConfig(case="nonsense")
 
-    @pytest.mark.parametrize(
-        "field", ["orbit_budget", "coset_budget", "closure_budget", "hall_direct_cap"]
-    )
+    @pytest.mark.parametrize("field", ["orbit_budget", "coset_budget"])
     def test_non_positive_budgets_rejected(self, field):
         for value in (0, -1):
             with pytest.raises(BadParameters):
@@ -352,13 +353,24 @@ class TestCli:
         assert time.perf_counter() - start < 0.5
         assert "verifier cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p", [10**16 + 61, 10**16 + 1, 29], ids=["prime", "composite", "p29"])
+    @pytest.mark.parametrize(
+        "case,p",
+        [
+            ("genus-zero", 10**16 + 61),
+            ("genus-zero", 10**16 + 1),
+            ("genus-zero", 29),
+            ("generic", 10**16 + 61),
+            ("once-punctured", 10**16 + 61),
+        ],
+        ids=["prime", "composite", "p29", "generic-prime", "once-punctured-prime"],
+    )
     def test_verify_p_above_table_limit_exits_before_work(
-        self, tmp_path, monkeypatch, capsys, genus_zero_cert, p
+        self, tmp_path, monkeypatch, capsys, genus_zero_cert, case, p
     ):
-        # a genus-zero p = 5 certificate moved to a p whose PSL(2, p) is
-        # above the table limit, with a valid digest: the verifier stops
-        # before any replay work, the primality test of p included
+        # a genus-zero p = 5 certificate moved to a PSL2 case and a p whose
+        # PSL(2, p) is above the table limit, with a valid digest: the
+        # verifier stops before any replay work, the primality test of p
+        # included (a once-punctured file also records its pair A, B, C)
         import coverforge.catalog as catalog
         import coverforge.groups as groups
         from coverforge import cli
@@ -366,7 +378,13 @@ class TestCli:
         def spy(n):
             raise AssertionError(f"is_prime({n}) ran on an over-limit certificate")
 
-        crafted = attach_digest({**genus_zero_cert, "inputs": {**genus_zero_cert["inputs"], "p": p}})
+        genus, punctures = {"genus-zero": (0, 3), "generic": (1, 2), "once-punctured": (1, 1)}[case]
+        inputs = {**genus_zero_cert["inputs"], "case": case, "p": p, "genus": genus,
+                  "punctures": punctures}
+        constants = dict(genus_zero_cert["constants"])
+        if case == "once-punctured":
+            constants.update(A=[0, 1, 12, 0], B=[0, 1, 12, 1], C=[2, 12, 12, 1])
+        crafted = attach_digest({**genus_zero_cert, "inputs": inputs, "constants": constants})
         path = tmp_path / "cert.json"
         path.write_text(canonical_json(crafted))
         monkeypatch.setattr(catalog, "is_prime", spy)
@@ -469,10 +487,8 @@ class TestCli:
         [
             ("orbit", DEFAULT_ORBIT_BUDGET, "COVERFORGE_ORBIT_BUDGET"),
             ("coset", DEFAULT_COSET_BUDGET, "COVERFORGE_COSET_BUDGET"),
-            ("closure", DEFAULT_ENUM_BUDGET, None),
-            ("hall_direct_cap", DEFAULT_HALL_DIRECT_CAP, None),
         ],
-        ids=["orbit", "coset", "closure", "hall-direct"],
+        ids=["orbit", "coset"],
     )
     def test_verifier_caps(self, tmp_path, monkeypatch, char_cyclic_cert, key, cap, env):
         from coverforge import cli
@@ -487,10 +503,49 @@ class TestCli:
         with pytest.raises(BudgetExceeded) as exc:
             verify(attach_digest(cert))
         assert (exc.value.used, exc.value.budget) == (cap + 1, cap)
-        if env is not None:
-            # the environment variable raises the verifier's cap
-            monkeypatch.setenv(env, str(cap + 1))
-            assert cli.main(["verify", str(path)]) == 0
+        # the environment variable raises the verifier's cap
+        monkeypatch.setenv(env, str(cap + 1))
+        assert cli.main(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize("key", ["closure", "hall_direct_cap"], ids=["closure", "hall-direct"])
+    def test_fixed_product_cap(self, tmp_path, capsys, char_cyclic_cert, key):
+        # the product closure cap is no budget a file can choose: the
+        # replay records the fixed value, so any other one is a mismatch
+        from coverforge import cli
+
+        assert PRODUCT_CLOSURE_CAP == 10**7
+        path = tmp_path / "cert.json"
+        for value, code in ((10**7, 0), (1, 4), (10**7 - 1, 4), (10**7 + 1, 4)):
+            cert = {**char_cyclic_cert, "budgets": {**char_cyclic_cert["budgets"], key: value}}
+            path.write_text(canonical_json(attach_digest(cert)))
+            assert cli.main(["verify", str(path)]) == code, (key, value)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code:
+                assert f"mismatch at budgets.{key}" in err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: {**c, "B": c["A"]},
+            lambda c: {**c, "A": [1, 1, 1, 1]},
+            lambda c: {key: value for key, value in c.items() if key != "A"},
+        ],
+        ids=["b-equals-a", "a-not-unimodular", "a-missing"],
+    )
+    def test_verify_tampered_commutator_pair_exits_4(
+        self, tmp_path, capsys, once_punctured_cert, tamper
+    ):
+        # a digest-valid once-punctured certificate whose recorded pair
+        # fails its defining properties names the pair, with no traceback
+        from coverforge import cli
+
+        cert = {**once_punctured_cert, "constants": tamper(once_punctured_cert["constants"])}
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(attach_digest(cert)))
+        assert cli.main(["verify", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "constants.A" in err and "Traceback" not in err
 
     def test_construct_and_verify_do_not_import_numpy_ma(self, tmp_path):
         # plain np.unique imports numpy.ma on first use, 16-31 ms per process

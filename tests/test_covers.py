@@ -309,11 +309,12 @@ class TestCharacteristicCore:
         chi, genus = riemann_hurwitz(108, 0, [{3: 36}])
         assert (chi, genus) == (-72, 37)
 
-    def test_degree_uncomputed_when_ambient_exceeds_budget(self):
+    def test_degree_uncomputed_when_ambient_exceeds_budget(self, monkeypatch):
+        import coverforge.orbits as orbits
+
+        monkeypatch.setattr(orbits, "PRODUCT_CLOSURE_CAP", 2)
         b = build_characteristic_cyclic(0, 3)
         orb = orbit_closure(b.rep)
-        core = characteristic_core(
-            aut_classes(orb).class_rep_ids, b.signature, orb, closure_budget=2
-        )
+        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
         assert core.degree is None
         assert core.peripheral_orders == (3, 3, 3)

@@ -1,8 +1,9 @@
 """Every definition in the package is named somewhere in the package.
 
-A top-level function or class, or a non-dunder method, that nothing in
-``src/coverforge`` names outside its own body is dead weight: only tests
-(or nobody) reach it.  The allowlist holds the few kept on purpose.
+A top-level function, class or constant, or a non-dunder method, that
+nothing in ``src/coverforge`` names outside its own body is dead weight:
+only tests (or nobody) reach it.  The allowlist holds the few kept on
+purpose.  An import that its own module never names is dead weight too.
 """
 
 import ast
@@ -24,16 +25,25 @@ ALLOWED = {
 }
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """(name, node) for each top-level function or class and each
-    non-dunder method of a top-level class."""
+    """(name, node) for each top-level function, class or non-dunder
+    constant and each non-dunder method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(
+                    item.name
                 ):
                     yield item.name, item
 
@@ -62,9 +72,31 @@ def dead_definitions(src=SRC):
     return dead
 
 
+def unused_imports(src=SRC):
+    """module:name for each name an import binds that the importing
+    module never names (``from __future__`` imports excepted)."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{bound}")
+    return unused
+
+
 def test_no_dead_definitions():
     dead = [d for d in dead_definitions() if d.split(":")[1] not in ALLOWED]
     assert dead == []
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
 
 
 def test_allowlist_is_still_needed():
@@ -84,3 +116,20 @@ def test_guard_flags_an_unused_helper(tmp_path):
         "Box().kept()\n"
     )
     assert dead_definitions(tmp_path) == ["mod.py:unused", "mod.py:dropped"]
+
+
+def test_guard_flags_an_unused_constant_and_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from math import gcd as g, lcm\n\n"
+        "__version__ = '1'\n"
+        "USED: int = 1\n"
+        "UNUSED = USED + 1\n"
+        "_CACHE = {}\n\n"
+        "def f():\n    return os.path.sep, lcm(_CACHE.get(USED, 1), 2)\n\n"
+        "f()\n"
+    )
+    assert dead_definitions(tmp_path) == ["mod.py:UNUSED"]
+    assert unused_imports(tmp_path) == ["mod.py:json", "mod.py:g"]
