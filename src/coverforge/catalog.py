@@ -18,17 +18,13 @@ import numpy as np
 from .errors import BadParameters, SearchExhausted
 from .groups import (
     FiniteGroupHandle,
-    GroupElement,
     GroupTable,
-    Permutation,
-    ProjectiveMatrix,
-    Residue,
     SubgroupData,
     are_conjugate_subgroups,
-    canonicalize,
     closure_ids,
     d0_perm,
-    encode_element,
+    decode,
+    encode,
     group_table,
     is_prime,
     nonsquare,
@@ -48,7 +44,7 @@ class CatalogBuild:
     rep: RepTuple
     h0: SubgroupData | None
     h0_label: str | None
-    claimed_cn: GroupElement | None
+    claimed_cn: int | None  # table id
     constants: dict
     expected_orders: tuple[int, ...] | None
     mode: str
@@ -84,7 +80,7 @@ class HypothesisReport:
         return {
             "self_normalizing": self.self_normalizing,
             "aut_eq_inn": self.aut_eq_inn,
-            "aut_witness": None if witness is None else encode_element(table.elements[witness]),
+            "aut_witness": None if witness is None else encode(table, witness),
             "d0_stabilizes_h0": self.d0_stabilizes_h0,
             "delta_ge_2": self.delta_ge_2,
             "coprimality": [list(row) for row in self.coprimality],
@@ -109,21 +105,20 @@ def smallest_primitive_root(p: int) -> int:
     raise BadParameters(f"no primitive root mod {p}")
 
 
-def diagonal_torus(p: int) -> tuple[SubgroupData, ProjectiveMatrix, int]:
-    """The diagonal subgroup of PSL2(F_p), its generator, and the root used."""
+def diagonal_torus(p: int) -> tuple[SubgroupData, int, int]:
+    """The diagonal subgroup of PSL2(F_p), its generator's id, and the root used."""
     handle = FiniteGroupHandle.psl2(p)
     root = smallest_primitive_root(p)
-    gen = canonicalize(root, 0, 0, pow(root, p - 2, p), p)
-    return subgroup_closure((group_table(handle).id_of(gen),), handle), gen, root
+    gen = decode(group_table(handle), (root, 0, 0, pow(root, p - 2, p)))
+    return subgroup_closure((gen,), handle), gen, root
 
 
 def borel_subgroup(p: int) -> SubgroupData:
     """Upper triangular matrices in PSL2(F_p); order p(p-1)/2."""
     handle = FiniteGroupHandle.psl2(p)
     _, torus_gen, _ = diagonal_torus(p)
-    table = group_table(handle)
-    unipotent = canonicalize(1, 1, 0, 1, p)
-    sub = subgroup_closure((table.id_of(unipotent), table.id_of(torus_gen)), handle)
+    unipotent = decode(group_table(handle), (1, 1, 0, 1))
+    sub = subgroup_closure((unipotent, torus_gen), handle)
     assert sub.order == p * (p - 1) // 2
     return sub
 
@@ -232,9 +227,9 @@ def validate_t(p: int, t: int, require_minimal: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Commutator pair search (once-punctured family)
 
-def search_commutator_pair(p: int) -> tuple[ProjectiveMatrix, ProjectiveMatrix, ProjectiveMatrix]:
+def search_commutator_pair(p: int) -> tuple[int, int, int]:
     """Lexicographically first (A, B) generating PSL2(F_p) with
-    commutator [A, B] of order (p+1)/2; returns (A, B, [A, B]).
+    commutator [A, B] of order (p+1)/2; returns the ids of (A, B, [A, B]).
 
     The scan reads the orders of all commutators [A, B] of one A at once
     from the table; each pair whose commutator has the target order is
@@ -249,21 +244,18 @@ def search_commutator_pair(p: int) -> tuple[ProjectiveMatrix, ProjectiveMatrix, 
         commutators = mul[mul[i], mul[inv[i], inv]]
         for j in np.flatnonzero(table.orders[commutators] == target).tolist():
             if closure_ids(table, [[i, j]])[0].all():
-                return tuple(table.elements[x] for x in (i, j, int(commutators[j])))
+                return i, j, int(commutators[j])
     raise SearchExhausted(
         f"no generating pair with commutator order {(p + 1) // 2} in PSL2(F_{p})"
     )
 
 
-def validate_commutator_pair(
-    p: int, a_el: ProjectiveMatrix, b_el: ProjectiveMatrix, c_el: ProjectiveMatrix
-) -> bool:
-    """Defining properties only (not minimality): replayed by verification."""
-    handle = FiniteGroupHandle.psl2(p)
-    if not (handle.contains(a_el) and handle.contains(b_el) and handle.contains(c_el)):
+def validate_commutator_pair(p: int, a: int, b: int, c: int) -> bool:
+    """Defining properties of the ids (A, B, [A, B]), not minimality:
+    replayed by verification."""
+    table = group_table(FiniteGroupHandle.psl2(p))
+    if not all(0 <= x < table.order for x in (a, b, c)):
         return False
-    table = group_table(handle)
-    a, b, c = (table.id_of(x) for x in (a_el, b_el, c_el))
     mul, inv = table.mul, table.inv
     if mul[mul[a, b], mul[inv[a], inv[b]]] != c or table.orders[c] != (p + 1) // 2:
         return False
@@ -284,18 +276,18 @@ def build_generic(p: int, g: int, n: int) -> CatalogBuild:
     if p < n:
         raise BadParameters(f"generic family needs p >= n, got p={p}, n={n}")
     sig = SurfaceSignature(g, n)
-    upper = canonicalize(1, 1, 0, 1, p)
-    lower = canonicalize(1, 0, 1, 1, p)
-    identity = handle.identity()
-    images = [upper, upper] + [identity] * (2 * (g - 1)) + [lower] * (n - 1)
+    table = group_table(handle)
+    upper = decode(table, (1, 1, 0, 1))
+    lower = decode(table, (1, 0, 1, 1))
+    images = [upper, upper] + [table.identity_id] * (2 * (g - 1)) + [lower] * (n - 1)
     rep = RepTuple(sig, handle, tuple(images))
-    claimed = canonicalize(1, 0, p - n + 1, 1, p)
+    claimed = decode(table, (1, 0, p - n + 1, 1))
     a0, a0_gen, root = diagonal_torus(p)
     h0 = normalizer(a0)
     constants = {
         "epsilon": nonsquare(p),
         "primitive_root": root,
-        "a0_generator": encode_element(a0_gen),
+        "a0_generator": encode(table, a0_gen),
     }
     return CatalogBuild(
         tag="generic",
@@ -314,13 +306,13 @@ def build_generic(p: int, g: int, n: int) -> CatalogBuild:
 def build_once_punctured(
     p: int,
     g: int,
-    pair: tuple[ProjectiveMatrix, ProjectiveMatrix, ProjectiveMatrix] | None = None,
+    pair: tuple[int, int, int] | None = None,
 ) -> CatalogBuild:
     """g >= 1 and a single puncture: a_1, b_1 go to a generating pair
     whose commutator has order (p+1)/2, so the derived c_1 does too.
 
-    A supplied ``pair`` (A, B, [A, B]) is used as given in place of the
-    search; the caller checks it with `validate_commutator_pair`.
+    A supplied ``pair`` of ids (A, B, [A, B]) is used as given in place
+    of the search; the caller checks it with `validate_commutator_pair`.
     """
     handle = FiniteGroupHandle.psl2(p)
     if not is_prime(p) or p < 13:
@@ -328,18 +320,18 @@ def build_once_punctured(
     if g < 1:
         raise BadParameters("once-punctured family needs g >= 1")
     sig = SurfaceSignature(g, 1)
-    a_el, b_el, c_el = search_commutator_pair(p) if pair is None else pair
-    identity = handle.identity()
-    images = [a_el, b_el] + [identity] * (2 * (g - 1))
+    a, b, c = search_commutator_pair(p) if pair is None else pair
+    table = group_table(handle)
+    images = [a, b] + [table.identity_id] * (2 * (g - 1))
     rep = RepTuple(sig, handle, tuple(images))
     h0 = borel_subgroup(p)
     _, _, root = diagonal_torus(p)
     constants = {
         "epsilon": nonsquare(p),
         "primitive_root": root,
-        "A": encode_element(a_el),
-        "B": encode_element(b_el),
-        "C": encode_element(c_el),
+        "A": encode(table, a),
+        "B": encode(table, b),
+        "C": encode(table, c),
     }
     return CatalogBuild(
         tag="once_punctured",
@@ -348,7 +340,7 @@ def build_once_punctured(
         rep=rep,
         h0=h0,
         h0_label="borel",
-        claimed_cn=c_el,
+        claimed_cn=c,
         constants=constants,
         expected_orders=((p + 1) // 2,),
         mode="primary",
@@ -384,18 +376,19 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
         if t == 0:
             raise BadParameters("explicit t must be nonzero mod p")
         mode = "dihedral-remark"
-    lower = canonicalize(1, 0, s, 1, p)
-    upper_t = canonicalize(1, t, 0, 1, p)
+    table = group_table(handle)
+    lower = decode(table, (1, 0, s, 1))
+    upper_t = decode(table, (1, t, 0, 1))
     images = [lower] * (n - 2) + [upper_t]
     rep = RepTuple(sig, handle, tuple(images))
-    claimed = canonicalize(1 + t, -t, -1, 1, p)
+    claimed = decode(table, (1 + t, -t, -1, 1))
     a0, a0_gen, root = diagonal_torus(p)
     constants: dict = {
         "epsilon": nonsquare(p),
         "primitive_root": root,
         "s": s,
         "t": t,
-        "a0_generator": encode_element(a0_gen),
+        "a0_generator": encode(table, a0_gen),
     }
     if mode == "primary":
         h0 = normalizer(a0)
@@ -428,8 +421,8 @@ def build_characteristic_cyclic(g: int, n: int) -> CatalogBuild:
         raise BadParameters("characteristic cyclic family needs n >= 2")
     sig = SurfaceSignature(g, n)
     handle = FiniteGroupHandle.cyclic(n)
-    zero = Residue(0, n)
-    one = Residue(1, n)
+    table = group_table(handle)
+    zero, one = decode(table, 0), decode(table, 1)
     images = [zero] * (2 * g) + [one] * (n - 1)
     rep = RepTuple(sig, handle, tuple(images))
     return CatalogBuild(
@@ -453,12 +446,12 @@ def build_characteristic_sym3(g: int) -> CatalogBuild:
         raise BadParameters("characteristic Sym(3) family needs g >= 1")
     sig = SurfaceSignature(g, 1)
     handle = FiniteGroupHandle.symmetric(3)
-    swap01 = Permutation.from_cycles(3, [(0, 1)])
-    swap12 = Permutation.from_cycles(3, [(1, 2)])
-    identity = handle.identity()
-    images = [swap01, swap12] + [identity] * (2 * (g - 1))
+    table = group_table(handle)
+    # one-line images of (12), (23) and (123) on the points 0, 1, 2
+    swap01, swap12 = decode(table, (1, 0, 2)), decode(table, (0, 2, 1))
+    images = [swap01, swap12] + [table.identity_id] * (2 * (g - 1))
     rep = RepTuple(sig, handle, tuple(images))
-    claimed = Permutation.from_cycles(3, [(0, 1, 2)])
+    claimed = decode(table, (1, 2, 0))
     return CatalogBuild(
         tag="char_sym3",
         signature=sig,

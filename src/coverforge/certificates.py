@@ -51,8 +51,8 @@ from .covers import (
     sums_to_degree,
     verify_deck_trivial,
 )
-from .errors import BadParameters, BudgetExceeded, NotUnimodular, SchemaMismatch
-from .groups import FiniteGroupHandle, decode_element, encode_element, group_table
+from .errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular, SchemaMismatch
+from .groups import FiniteGroupHandle, decode, encode, group_table
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     PRODUCT_CLOSURE_CAP,
@@ -158,12 +158,13 @@ def _build_case(config: ConstructConfig, constants: dict | None = None) -> Catal
 
 
 def _recorded_pair(p: int, constants: dict) -> tuple:
-    """The recorded commutator pair (A, B, [A, B]); SchemaMismatch unless
-    it decodes to PSL2 matrices with the pair's defining properties."""
-    handle = FiniteGroupHandle.psl2(p)
+    """The ids of the recorded commutator pair (A, B, [A, B]);
+    SchemaMismatch unless it decodes to PSL2 matrices with the pair's
+    defining properties."""
+    table = group_table(FiniteGroupHandle.psl2(p))
     try:
-        pair = tuple(decode_element(handle, constants[key]) for key in ("A", "B", "C"))
-    except (KeyError, TypeError, ValueError, NotUnimodular) as exc:
+        pair = tuple(decode(table, constants[key]) for key in ("A", "B", "C"))
+    except (KeyError, TypeError, ValueError, OverflowError, NotUnimodular) as exc:
         raise SchemaMismatch(
             f"recorded constants.A, B, C are not PSL2 matrices: {exc!r}"
         ) from exc
@@ -210,6 +211,7 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     rep = build.rep
     sig = build.signature
     profile = peripheral_profile(rep)
+    table = group_table(rep.target)
     checks: dict[str, bool] = {}
     checks["relation_holds"] = verify_relation(rep, build.claimed_cn)
     checks["surjective"] = is_surjective(rep)
@@ -240,12 +242,8 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
         "constants": dict(build.constants),
         "representation": {
             "target": rep.target.describe(),
-            "images": {
-                name: encode_element(g) for name, g in rep.images_by_name.items()
-            },
-            "derived_cn": encode_element(
-                group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
-            ),
+            "images": {name: encode(table, g) for name, g in rep.images_by_name.items()},
+            "derived_cn": encode(table, rep.peripheral_image_ids()[-1]),
             "peripheral_orders": list(profile.orders),
             "delta": profile.delta,
         },
@@ -280,13 +278,13 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         "label": build.h0_label,
         "order": h0.order,
         "index": rep.target.order // h0.order,
-        "generators": [encode_element(table.elements[g]) for g in sorted(h0.generators)],
+        "generators": encode(table, sorted(h0.generators)),
     }
 
     hall_mode = None
     if config.single_factor:
         k = 1
-        class_rep_ids = (rep.image_ids(),)
+        class_rep_ids = (rep.images,)
         orbit_info = {
             "size": None,
             "k": 1,
@@ -563,7 +561,8 @@ def verify(
     fails immediately; the recorded inputs are then checked for shape
     (SchemaMismatch) and against the verifier's caps (BudgetExceeded),
     and the recomputation replays the pipeline from them and the
-    recorded constants without repeating any search.
+    recorded constants without repeating any search.  Recorded inputs
+    that fail a precondition of the replay are a SchemaMismatch too.
     """
     schema_ok = cert.get("schema_version") == SCHEMA_VERSION
     if not schema_ok:
@@ -571,10 +570,13 @@ def verify(
     digest_ok = cert.get("certificate_digest") == _digest_payload(cert)
     if not digest_ok:
         return VerifyReport(False, True, False, False, ("certificate_digest",))
-    config = _config_from_certificate(cert)
-    _check_verifier_caps(config, orbit_cap, coset_cap)
-    constants = _recorded(cert, "constants", dict)
-    rebuilt = attach_digest(_run_pipeline(config, constants=constants))
+    try:
+        config = _config_from_certificate(cert)
+        _check_verifier_caps(config, orbit_cap, coset_cap)
+        constants = _recorded(cert, "constants", dict)
+        rebuilt = attach_digest(_run_pipeline(config, constants=constants))
+    except (BadParameters, BadModulus, NotUnimodular) as exc:
+        raise SchemaMismatch(f"recorded inputs fail a precondition of the replay: {exc}") from exc
     mismatches: list[str] = []
     _diff(rebuilt, cert, "", mismatches)
     checks = cert.get("checks")

@@ -32,7 +32,7 @@ from .errors import (
     SchemaMismatch,
     SearchExhausted,
 )
-from .groups import encode_element
+from .groups import encode
 from .orbits import DEFAULT_ORBIT_BUDGET, orbit_closure
 
 
@@ -115,7 +115,8 @@ def _cmd_orbit(args) -> int:
     print(canonical_json({"case": config.case, "orbit_size": orbit.size,
                           "levels": orbit.levels}))
     if args.dump:
-        codes = [encode_element(g) for g in orbit.table.elements]
+        # one JSON form per element, shared by every line that holds it
+        codes = encode(orbit.table, range(orbit.table.order))
         with open(args.dump, "w") as fh:
             for ids in orbit.id_tuples():
                 fh.write(canonical_json([codes[i] for i in ids]) + "\n")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded, InconsistentRamification
 from .groups import GroupTable, SubgroupData, group_table, normalizer
 from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
-from .surfaces import RepTuple, SurfaceSignature, peripheral_ids
+from .surfaces import SurfaceSignature, peripheral_ids
 
 DEFAULT_COSET_BUDGET = 1_000_000
 
@@ -74,32 +74,6 @@ def coset_permutation(space: CosetSpace, gid: int) -> tuple[int, ...]:
     return tuple(space.point_of[space.table.mul[space.reps, gid]].tolist())
 
 
-@dataclass
-class CosetAction:
-    """The coset permutations of all generator images of one representation."""
-
-    degree: int
-    subgroup_order: int
-    free_perms: dict[str, tuple[int, ...]]
-    peripheral_perms: tuple[tuple[int, ...], ...]  # c_1, .., c_n (derived last)
-
-
-def coset_action(
-    rep: RepTuple,
-    h0: SubgroupData,
-    budget: int = DEFAULT_COSET_BUDGET,
-    space: CosetSpace | None = None,
-) -> CosetAction:
-    if space is None:
-        space = coset_space(h0, budget)
-    free = {
-        name: coset_permutation(space, g)
-        for name, g in zip(rep.signature.generator_names, rep.image_ids())
-    }
-    peripheral = tuple(coset_permutation(space, g) for g in rep.peripheral_image_ids())
-    return CosetAction(space.degree, h0.order, free, peripheral)
-
-
 def cycle_type(perm: Sequence[int]) -> dict[int, int]:
     """Multiset of cycle lengths as {length: count}."""
     seen = [False] * len(perm)
@@ -115,15 +89,6 @@ def cycle_type(perm: Sequence[int]) -> dict[int, int]:
             length += 1
         out[length] += 1
     return dict(out)
-
-
-def local_degrees_direct(action: CosetAction, puncture: int) -> dict[int, int]:
-    """Cycle type of the puncture's peripheral image on the coset space
-    (punctures are 1-based; each cycle is one point of the cover over
-    the puncture and its length is the local degree there)."""
-    if not 1 <= puncture <= len(action.peripheral_perms):
-        raise BadParameters(f"no puncture {puncture}")
-    return cycle_type(action.peripheral_perms[puncture - 1])
 
 
 def combine_cycle_types(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:

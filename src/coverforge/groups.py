@@ -3,31 +3,31 @@ PSL(2, F_p) for odd primes p, cyclic groups and small symmetric groups.
 
 Conventions fixed here and relied on by every other module:
 
-* The kernel is the dense table of a group (`GroupTable`).  Its ids
-  number the elements in ``sort_key`` order; products, inverses,
-  orders, closures, subgroups (`SubgroupData`), normalizers, conjugacy
-  and the automorphisms all work on ids.
+* Elements are ids, and the kernel is the dense table of a group
+  (`GroupTable`): products, inverses, orders, closures, subgroups
+  (`SubgroupData`), normalizers, conjugacy and the automorphisms all
+  work on ids.
 * The size of a group is limited in one place: `FiniteGroupHandle`
   refuses an order above ``TABLE_LIMIT`` when the group is named.
   Every table, closure, normalizer and search here works within the
   group's order, so none of them takes a size budget.
-* Element objects (`ProjectiveMatrix`, `Permutation`, `Residue`) are
-  the input and JSON format: the catalog writes its representations
-  with them, certificates encode and decode them, and a table maps them
-  to ids (``id_of``) and back (``elements``).  Their own products are
-  the tables' test oracle.
+* An element's entries are its input and JSON form: a PSL2 matrix
+  ``[a, b, c, d]``, a permutation's one-line images, a residue.  A
+  table holds them in id order (``entries``); `encode` maps ids to
+  entries and `decode` maps entries, as the catalog writes them or a
+  certificate records them, to an id.
 * The group law is written multiplicatively everywhere, including
-  cyclic groups (where ``x * y`` is addition of residues mod n).
+  cyclic groups (where the product of x and y is x + y mod n).
 * Products compose left to right.  For permutations ``(x * y)(pt) =
   y(x(pt))``, i.e. apply ``x`` first; this matches the right-translation
   coset actions used downstream.
-* A PSL2 element is stored as the representative of ``{M, -M}`` whose
-  first nonzero entry, scanning ``(a, b, c, d)``, lies in
-  ``[1, (p-1)/2]``.  Exactly one of the two signs qualifies, so the
-  representative is unique and hashing is well defined.
-* ``sort_key()`` totally orders the elements of one group, and ids
-  follow it.  Every search that has to pick an element picks the
-  smallest admissible id, so all outputs are reproducible bit for bit.
+* A PSL2 element's entries are those of the representative of
+  ``{M, -M}`` whose first nonzero entry, scanning ``(a, b, c, d)``, lies
+  in ``[1, (p-1)/2]``.  Exactly one of the two signs qualifies, so the
+  representative is unique.
+* Ids follow the lexicographic order of the entries.  Every search that
+  has to pick an element picks the smallest admissible id, so all
+  outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -64,155 +64,6 @@ def is_prime(n: int) -> bool:
 def _require_odd_prime(p: int) -> None:
     if not is_prime(p) or p == 2:
         raise BadModulus(f"modulus must be an odd prime, got {p}")
-
-
-@dataclass(frozen=True)
-class ProjectiveMatrix:
-    """A canonical representative of an element of PSL(2, F_p).
-
-    Construct through :func:`canonicalize`; the constructor insists on
-    the canonical sign so that equality and hashing agree with equality
-    in the projective group.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        p = self.p
-        if not all(0 <= x < p for x in (self.a, self.b, self.c, self.d)):
-            raise BadParameters("entries must be reduced residues; use canonicalize()")
-        if (self.a * self.d - self.b * self.c) % p != 1:
-            raise NotUnimodular(
-                f"determinant is {(self.a * self.d - self.b * self.c) % p}, not 1 mod {p}"
-            )
-        first = self.a or self.b or self.c or self.d
-        if first > (p - 1) // 2:
-            raise BadParameters("wrong sign representative; use canonicalize()")
-
-    @classmethod
-    def identity(cls, p: int) -> "ProjectiveMatrix":
-        return cls(1, 0, 0, 1, p)
-
-    def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        if self.p != other.p:
-            raise BadParameters("mixed moduli")
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return canonicalize(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, self.p)
-
-    def inverse(self) -> "ProjectiveMatrix":
-        return canonicalize(self.d, -self.b, -self.c, self.a, self.p)
-
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.d == 1 and self.b == 0 and self.c == 0
-
-    def sort_key(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-def canonicalize(a: int, b: int, c: int, d: int, p: int) -> ProjectiveMatrix:
-    """Reduce an SL2 matrix mod p and pick the canonical sign representative."""
-    _require_odd_prime(p)
-    a, b, c, d = a % p, b % p, c % p, d % p
-    det = (a * d - b * c) % p
-    if det != 1:
-        raise NotUnimodular(f"determinant is {det}, not 1 mod {p}")
-    first = a or b or c or d
-    if first > (p - 1) // 2:
-        a, b, c, d = (-a) % p, (-b) % p, (-c) % p, (-d) % p
-    return ProjectiveMatrix(a, b, c, d, p)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0, .., m-1} in one-line notation.
-
-    ``(x * y)(pt) = y(x(pt))``: apply x first, then y.  With this
-    convention ``[(12), (23)] = (123)`` when written as 1-based cycles.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise BadParameters(f"not a permutation: {self.images}")
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
-
-    @classmethod
-    def from_cycles(cls, m: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(m))
-        for cycle in cycles:
-            for x, y in zip(cycle, cycle[1:]):
-                images[x] = y
-            if cycle:
-                images[cycle[-1]] = cycle[0]
-        return cls(tuple(images))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.m != other.m:
-            raise BadParameters("mixed degrees")
-        return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def sort_key(self):
-        return self.images
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of the cyclic group Z/n, written multiplicatively.
-
-    The law is addition of residues; ``*`` is used so the orbit and
-    cover machinery can stay generic over the group kind.
-    """
-
-    value: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or not 0 <= self.value < self.n:
-            raise BadParameters(f"{self.value} is not reduced mod {self.n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Residue":
-        return cls(0, n)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.n != other.n:
-            raise BadParameters("mixed moduli")
-        return Residue((self.value + other.value) % self.n, self.n)
-
-    def inverse(self) -> "Residue":
-        return Residue((-self.value) % self.n, self.n)
-
-    def is_identity(self) -> bool:
-        return self.value == 0
-
-    def sort_key(self):
-        return (self.value,)
-
-
-GroupElement = Union[ProjectiveMatrix, Permutation, Residue]
 
 
 @dataclass(frozen=True)
@@ -266,20 +117,6 @@ class FiniteGroupHandle:
             return math.factorial(self.m)
         raise BadParameters(f"unknown kind {self.kind}")
 
-    def identity(self) -> GroupElement:
-        if self.kind == "psl2":
-            return ProjectiveMatrix.identity(self.p)
-        if self.kind == "cyclic":
-            return Residue.identity(self.n)
-        return Permutation.identity(self.m)
-
-    def contains(self, g: GroupElement) -> bool:
-        if self.kind == "psl2":
-            return isinstance(g, ProjectiveMatrix) and g.p == self.p
-        if self.kind == "cyclic":
-            return isinstance(g, Residue) and g.n == self.n
-        return isinstance(g, Permutation) and g.m == self.m
-
     def describe(self) -> dict:
         """JSON-ready description, used inside certificates."""
         if self.kind == "psl2":
@@ -289,75 +126,18 @@ class FiniteGroupHandle:
         return {"kind": "symmetric", "m": self.m}
 
 
-def encode_element(g: GroupElement):
-    """Flatten an element for serialization.
-
-    Matrices become [a, b, c, d], permutations their one-line image
-    list, residues a bare integer.
-    """
-    if isinstance(g, ProjectiveMatrix):
-        return [g.a, g.b, g.c, g.d]
-    if isinstance(g, Permutation):
-        return list(g.images)
-    return g.value
-
-
-def decode_element(handle: FiniteGroupHandle, data) -> GroupElement:
-    if handle.kind == "psl2":
-        a, b, c, d = (int(x) for x in data)
-        return canonicalize(a, b, c, d, handle.p)
-    if handle.kind == "cyclic":
-        return Residue(int(data) % handle.n, handle.n)
-    return Permutation(tuple(int(x) for x in data))
-
-
-def element_order(g: GroupElement) -> int:
-    """Smallest k >= 1 with g**k equal to the identity."""
-    order = 1
-    x = g
-    while not x.is_identity():
-        x = x * g
-        order += 1
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def enumerate_group(handle: FiniteGroupHandle) -> tuple[GroupElement, ...]:
-    """All elements of the group, sorted by ``sort_key``."""
-    if handle.kind == "psl2":
-        arrs = _psl2_arrays(handle.p)
-        p = handle.p
-        return tuple(
-            ProjectiveMatrix(int(a), int(b), int(c), int(d), p)
-            for a, b, c, d in zip(arrs["a"], arrs["b"], arrs["c"], arrs["d"])
-        )
+def enumerate_group(handle: FiniteGroupHandle) -> np.ndarray:
+    """The entries of every element in id order: the (n, 4) canonical
+    matrices of PSL2 sorted by (a, b, c, d), the (n, m) one-line images
+    of Sym(m) in lexicographic order, the residues 0 .. n-1 of Z/n."""
     if handle.kind == "cyclic":
-        return tuple(Residue(i, handle.n) for i in range(handle.n))
-    return tuple(Permutation(images) for images in itertools.permutations(range(handle.m)))
-
-
-_PSL2_ARRAYS_CACHE: dict[int, dict] = {}
-
-
-def _encode_entries(a, b, c, d, p):
-    return ((a * p + b) * p + c) * p + d
-
-
-def _psl2_arrays(p: int) -> dict:
-    """Canonical PSL2(F_p) entry arrays sorted by entry encoding.
-
-    Returns a dict with int64 arrays ``a, b, c, d``, the sorted
-    encodings ``enc``, and an ``id_of`` lookup of size p**4 mapping the
-    encoding of either sign representative M or -M to the element's
-    index (-1 elsewhere), so entry arithmetic needs no sign
-    normalization before a lookup.
-    """
-    cached = _PSL2_ARRAYS_CACHE.get(p)
-    if cached is not None:
-        return cached
-    _require_odd_prime(p)
+        return np.arange(handle.n, dtype=np.int64)
+    if handle.kind == "symmetric":
+        return np.array(list(itertools.permutations(range(handle.m))), dtype=np.int64)
+    p = handle.p
     ar = np.arange(p, dtype=np.int64)
     inv_map = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
     # block a != 0: d is determined by the determinant
@@ -378,19 +158,12 @@ def _psl2_arrays(p: int) -> dict:
     first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
     keep = first <= (p - 1) // 2
     enc = np.sort(_encode_entries(a[keep], b[keep], c[keep], d[keep], p))
-    n = p * (p * p - 1) // 2
-    assert enc.size == n, (enc.size, n)
-    d = enc % p
-    c = enc // p % p
-    b = enc // (p * p) % p
-    a = enc // (p * p * p)
-    ids = np.arange(n, dtype=np.int32)
-    id_of = np.full(p**4, -1, dtype=np.int32)
-    id_of[enc] = ids
-    id_of[_encode_entries((p - a) % p, (p - b) % p, (p - c) % p, (p - d) % p, p)] = ids
-    out = {"a": a, "b": b, "c": c, "d": d, "enc": enc, "id_of": id_of, "p": p}
-    _PSL2_ARRAYS_CACHE[p] = out
-    return out
+    assert enc.size == handle.order, (enc.size, handle.order)
+    return enc[:, None] // p ** np.arange(3, -1, -1) % p
+
+
+def _encode_entries(a, b, c, d, p):
+    return ((a * p + b) * p + c) * p + d
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +268,13 @@ def d0_perm(table: "GroupTable") -> np.ndarray:
 
     d0 is a PGL2 representative, not a group element; with the inner
     automorphisms it gives Aut(PSL2(F_p)) = PGL2(F_p).  Conjugating by it
-    preserves the determinant, and ``id_of`` takes either sign.
+    preserves the determinant, and the table's lookup takes either sign.
     """
     p = table.handle.p
-    arrs = _psl2_arrays(p)
     eps = nonsquare(p)
-    b = arrs["b"] * pow(eps, p - 2, p) % p
-    c = arrs["c"] * eps % p
-    return arrs["id_of"][_encode_entries(arrs["a"], b, c, arrs["d"], p)].astype(np.int64)
+    a, b, c, d = table.entries.T
+    b, c = b * pow(eps, p - 2, p) % p, c * eps % p
+    return table.lookup[_encode_entries(a, b, c, d, p)].astype(np.int64)
 
 
 def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
@@ -534,21 +306,24 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
 # Dense tables
 
 class GroupTable:
-    """Dense multiplication and inversion tables over the canonical
-    element numbering (index order = ``sort_key`` order)."""
+    """Dense multiplication and inversion tables over the ids 0 .. n-1,
+    the entries of each id (`enumerate_group`) and the lookup that
+    `decode` reads: for PSL2 the id of the base-p code of either sign of
+    each matrix (-1 off the group), for Sym(m) the sorted base-m codes of
+    the one-line images, none for Z/n."""
 
-    def __init__(self, handle, elements, mul, inv, identity_id):
+    def __init__(self, handle, entries, lookup, mul, inv, identity_id):
         self.handle = handle
-        self.elements = elements
+        self.entries = entries
+        self.lookup = lookup
         self.mul = mul
         self.inv = inv
         self.identity_id = identity_id
-        self._index = {g: i for i, g in enumerate(elements)}
         self._orders = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.entries)
 
     @property
     def orders(self) -> np.ndarray:
@@ -569,9 +344,6 @@ class GroupTable:
             self._orders = orders
         return self._orders
 
-    def id_of(self, g: GroupElement) -> int:
-        return self._index[g]
-
 
 _TABLE_CACHE: dict[FiniteGroupHandle, GroupTable] = {}
 
@@ -583,30 +355,32 @@ def group_table(handle: FiniteGroupHandle) -> GroupTable:
     if cached is not None:
         return cached
     n = handle.order
-    elements = enumerate_group(handle)
+    entries = enumerate_group(handle)
     if handle.kind == "psl2":
-        table = _psl2_table(handle, elements)
+        table = _psl2_table(handle, entries)
     elif handle.kind == "cyclic":
         r = np.arange(n, dtype=np.int32)
         mul = (np.add.outer(r, r) % n).astype(np.int32)
         inv = ((n - r) % n).astype(np.int32)
-        table = GroupTable(handle, elements, mul, inv, 0)
+        table = GroupTable(handle, entries, None, mul, inv, 0)
     else:
-        table = _symmetric_table(handle, elements)
+        table = _symmetric_table(handle, entries)
     _TABLE_CACHE[handle] = table
     return table
 
 
-def _psl2_table(handle: FiniteGroupHandle, elements) -> GroupTable:
+def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     """Products by row vectors: a row (u, v) times element j is the row
     (u a_j + v c_j, u b_j + v d_j), so one (p**2, n) array of row codes
-    gives both rows of every product, and ``id_of`` maps the product's
-    entry encoding, of either sign, to its id."""
+    gives both rows of every product, and the lookup maps the product's
+    entry code, of either sign, to its id."""
     p = handle.p
-    arrs = _psl2_arrays(p)
-    id_of = arrs["id_of"]
-    a, b, c, d = (arrs[key].astype(np.int32) for key in "abcd")
-    n = a.size
+    n = len(entries)
+    ids = np.arange(n, dtype=np.int32)
+    lookup = np.full(p**4, -1, dtype=np.int32)
+    lookup[_encode_entries(*entries.T, p)] = ids
+    lookup[_encode_entries(*((p - entries.T) % p), p)] = ids
+    a, b, c, d = entries.T.astype(np.int32)
     u = np.repeat(np.arange(p, dtype=np.int32), p)[:, None]
     v = np.tile(np.arange(p, dtype=np.int32), p)[:, None]
     row_code = (u * a + v * c) % p * p + (u * b + v * d) % p
@@ -615,27 +389,61 @@ def _psl2_table(handle: FiniteGroupHandle, elements) -> GroupTable:
     step = max(1, _BLOCK_BYTES // (4 * n))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        mul[rows] = id_of[row_code[top[rows]] * (p * p) + row_code[bottom[rows]]]
-    inv = id_of[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)]
-    identity_id = int(id_of[_encode_entries(1, 0, 0, 1, p)])
-    return GroupTable(handle, elements, mul, inv, identity_id)
+        mul[rows] = lookup[row_code[top[rows]] * (p * p) + row_code[bottom[rows]]]
+    inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)]
+    identity_id = int(lookup[_encode_entries(1, 0, 0, 1, p)])
+    return GroupTable(handle, entries, lookup, mul, inv, identity_id)
 
 
-def _symmetric_table(handle: FiniteGroupHandle, elements) -> GroupTable:
+def _symmetric_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     """Products of one-line image arrays, looked up by their base-m codes:
-    the elements are in lexicographic order, so the codes are sorted."""
-    m, n = handle.m, len(elements)
-    perms = np.array([g.images for g in elements], dtype=np.int64)
+    the entries are in lexicographic order, so the codes are sorted."""
+    m, n = handle.m, len(entries)
     place = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    codes = perms @ place
+    codes = entries @ place
     mul = np.empty((n, n), dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (8 * n * m))
     for lo in range(0, n, step):
-        # (x * y)(pt) = y(x(pt)): entry [j, i, pt] is perms[j][perms[i][pt]]
-        products = perms[:, perms[lo : lo + step]] @ place
+        # (x * y)(pt) = y(x(pt)): entry [j, i, pt] is entries[j][entries[i][pt]]
+        products = entries[:, entries[lo : lo + step]] @ place
         mul[lo : lo + step] = np.searchsorted(codes, products.T)
-    inv = np.searchsorted(codes, np.argsort(perms, axis=1) @ place).astype(np.int32)
-    return GroupTable(handle, elements, mul, inv, 0)  # the identity sorts first
+    inv = np.searchsorted(codes, np.argsort(entries, axis=1) @ place).astype(np.int32)
+    return GroupTable(handle, entries, codes, mul, inv, 0)  # the identity sorts first
+
+
+# ---------------------------------------------------------------------------
+# Codec
+
+def encode(table: GroupTable, ids):
+    """The JSON form of one id or an array of ids: the entries of each
+    element (`enumerate_group`), as Python ints."""
+    return table.entries[np.asarray(ids, dtype=np.int64)].tolist()
+
+
+def decode(table: GroupTable, data) -> int:
+    """The id of an element given by its entries.  PSL2 takes
+    ``[a, b, c, d]`` of either sign and unreduced, and raises
+    NotUnimodular unless the determinant is 1 mod p; Sym(m) takes the
+    one-line images and raises BadParameters unless they are a
+    permutation of 0 .. m-1; Z/n takes any integer."""
+    handle = table.handle
+    if handle.kind == "cyclic":
+        return int(data) % handle.n
+    if handle.kind == "symmetric":
+        images = [int(x) for x in data]
+        if sorted(images) != list(range(handle.m)):
+            raise BadParameters(f"not a permutation of 0 .. {handle.m - 1}: {images}")
+        code = 0
+        for x in images:
+            code = code * handle.m + x
+        return int(np.searchsorted(table.lookup, code))
+    p = handle.p
+    # Python ints, so an entry of any size reduces exactly
+    a, b, c, d = (int(x) % p for x in data)
+    gid = int(table.lookup[_encode_entries(a, b, c, d, p)])
+    if gid < 0:
+        raise NotUnimodular(f"determinant is {(a * d - b * c) % p}, not 1 mod {p}")
+    return gid
 
 
 def closure_ids(table: GroupTable, gen_rows) -> np.ndarray:

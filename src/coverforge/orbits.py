@@ -11,7 +11,7 @@ BFS closure is the full orbit of the generated action.
 
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
-lexicographic order on tuples under the canonical element ordering).
+lexicographic order on id tuples).
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
 product-image closure) and one the class partition.  The partition runs
 in seed batches: each step takes the next unclassified states, computes
@@ -39,7 +39,7 @@ from .groups import (
     GroupTable,
     automorphism_images,
     closure_ids,
-    encode_element,
+    encode,
     group_table,
     _BLOCK_BYTES,
 )
@@ -164,7 +164,7 @@ def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClo
         raise BadParameters("orbit budget must be positive")
     table = group_table(rep.target)
     rank = rep.signature.free_rank
-    start = rep.image_ids()
+    start = rep.images
     powers = _state_powers(table.order, rank)
     moves = [
         partial(_apply_move_encoded, move=move, table=table, powers=powers)
@@ -257,7 +257,8 @@ class OrbitResult:
     levels: int  # BFS levels of the orbit
 
     def class_reps_digest(self) -> str:
-        codes = [encode_element(g) for g in self.table.elements]
+        # one JSON form per element, shared by every rep that holds it
+        codes = encode(self.table, range(self.table.order))
         payload = json.dumps(
             [[codes[i] for i in ids] for ids in self.class_rep_ids],
             sort_keys=True,

@@ -9,9 +9,8 @@ the surface relation
     [a_1, b_1] ... [a_g, b_g] = c_1 c_2 ... c_n,
 
 with [x, y] = x y x^-1 y^-1.  A representation is stored as the tuple of
-images of the free generators in that fixed order; everything about c_n
-is derived.  The images are element objects, the catalog's and the
-certificate's format; every check here runs on their table ids.
+table ids of the images of the free generators in that fixed order;
+everything about c_n is derived.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters
-from .groups import FiniteGroupHandle, GroupElement, GroupTable, closure_ids, group_table
+from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table
 
 
 @dataclass(frozen=True)
@@ -65,35 +64,30 @@ class SurfaceSignature:
 
 @dataclass(frozen=True)
 class RepTuple:
-    """Images of the free generators under a homomorphism to a finite group."""
+    """Images of the free generators under a homomorphism to a finite
+    group, as ids of the target's table."""
 
     signature: SurfaceSignature
     target: FiniteGroupHandle
-    images: tuple[GroupElement, ...]
+    images: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.images) != self.signature.free_rank:
             raise BadParameters(
                 f"expected {self.signature.free_rank} images, got {len(self.images)}"
             )
-        for g in self.images:
-            if not self.target.contains(g):
-                raise BadParameters(f"image {g!r} is not in the target group")
+        if not all(0 <= g < self.target.order for g in self.images):
+            raise BadParameters(f"images {self.images} are not all ids of the target group")
 
     @property
-    def images_by_name(self) -> dict[str, GroupElement]:
+    def images_by_name(self) -> dict[str, int]:
         return dict(zip(self.signature.generator_names, self.images))
-
-    def image_ids(self) -> tuple[int, ...]:
-        """Table ids of the free-generator images."""
-        table = group_table(self.target)
-        return tuple(table.id_of(g) for g in self.images)
 
     def peripheral_image_ids(self) -> np.ndarray:
         """Table ids of the images of all n peripheral loops, the derived
         c_n last."""
         table = group_table(self.target)
-        return peripheral_ids(table, self.signature, [self.image_ids()])[0]
+        return peripheral_ids(table, self.signature, [self.images])[0]
 
 
 @dataclass(frozen=True)
@@ -133,13 +127,13 @@ def peripheral_ids(
     return np.column_stack([free, last])
 
 
-def verify_relation(rep: RepTuple, claimed_cn: GroupElement) -> bool:
-    """Does an explicitly stated last peripheral image match the derived one?"""
-    return group_table(rep.target).id_of(claimed_cn) == int(rep.peripheral_image_ids()[-1])
+def verify_relation(rep: RepTuple, claimed_cn: int) -> bool:
+    """Does an explicitly stated last peripheral image id match the derived one?"""
+    return claimed_cn == int(rep.peripheral_image_ids()[-1])
 
 
 def is_surjective(rep: RepTuple) -> bool:
-    gens = rep.image_ids() + (int(rep.peripheral_image_ids()[-1]),)
+    gens = rep.images + (int(rep.peripheral_image_ids()[-1]),)
     return bool(closure_ids(group_table(rep.target), [gens])[0].all())
 
 

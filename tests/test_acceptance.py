@@ -46,14 +46,7 @@ from coverforge.covers import (
     genus_lower_bound,
     local_degrees_factored,
 )
-from coverforge.groups import (
-    FiniteGroupHandle,
-    Residue,
-    element_order,
-    group_table,
-    normalizer,
-    subgroup_closure,
-)
+from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
 from coverforge.orbits import aut_classes, orbit_closure
 from coverforge.surfaces import (
     RepTuple,
@@ -62,6 +55,7 @@ from coverforge.surfaces import (
     peripheral_profile,
     verify_relation,
 )
+from element_oracle import Residue, element_of, element_order, ids_of
 
 
 @contextmanager
@@ -155,11 +149,10 @@ def test_criterion_03_genus_zero_p5_pipeline():
 def test_criterion_04_once_punctured_p13_pipeline():
     with criterion(4, "full pipeline for the once-punctured torus at p=13"):
         start = time.perf_counter()
-        a_el, b_el, c_el = search_commutator_pair(13)
-        assert element_order(c_el) == 7
+        a, b, c = search_commutator_pair(13)
         handle = FiniteGroupHandle.psl2(13)
-        table = group_table(handle)
-        closure = subgroup_closure((table.id_of(a_el), table.id_of(b_el)), handle)
+        assert element_order(element_of(handle, c)) == 7 == group_table(handle).orders[c]
+        closure = subgroup_closure((a, b), handle)
         assert closure.order == 1092
         cert = construct(ConstructConfig(case="once-punctured", p=13, genus=1))
         elapsed = time.perf_counter() - start
@@ -219,7 +212,7 @@ def test_criterion_07_toy_orbit_ground_truth():
         start = time.perf_counter()
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(2)
-        rep = RepTuple(sig, h, (Residue(1, 2), Residue(0, 2)))
+        rep = RepTuple(sig, h, ids_of(h, Residue(1, 2), Residue(0, 2)))
         orbit = orbit_closure(rep)
         assert set(orbit.id_tuples()) == {(1, 0), (0, 1), (1, 1)}
         result = aut_classes(orbit)

@@ -25,12 +25,8 @@ from coverforge.catalog import (
 from coverforge.errors import BadParameters, BudgetExceeded, SearchExhausted
 from coverforge.groups import (
     FiniteGroupHandle,
-    Permutation,
-    canonicalize,
     d0_perm,
-    element_order,
-    encode_element,
-    enumerate_group,
+    encode,
     group_table,
     normalizer,
     subgroup_closure,
@@ -40,11 +36,17 @@ from coverforge.surfaces import (
     peripheral_profile,
     verify_relation,
 )
+import element_oracle as oracle
+from element_oracle import Permutation, element_order
 
 
 def derived_cn(rep):
-    """The derived last peripheral image as an element object."""
-    return group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
+    """The derived last peripheral image as an oracle element."""
+    return oracle.element_of(rep.target, rep.peripheral_image_ids()[-1])
+
+
+def element(handle, gid):
+    return oracle.element_of(handle, gid)
 
 
 class TestSelectT:
@@ -90,38 +92,43 @@ def element_closure(gens):
 
 
 def brute_commutator_pair(p):
-    """Oracle: the first (A, B) in id order, by element products, whose
-    commutator has order (p+1)/2 and which generate PSL2(F_p)."""
+    """Oracle: the ids of the first (A, B) in id order, by element
+    products, whose commutator has order (p+1)/2 and which generate
+    PSL2(F_p)."""
     handle = FiniteGroupHandle.psl2(p)
-    elements = enumerate_group(handle)
+    elements = oracle.elements(handle)
     for a in elements:
         for b in elements:
             c = (a * b) * (a.inverse() * b.inverse())
             if element_order(c) == (p + 1) // 2 and len(element_closure([a, b])) == handle.order:
-                return a, b, c
+                return oracle.ids_of(handle, a, b, c)
     raise AssertionError(f"no pair at p = {p}")
 
 
 class TestCommutatorSearch:
     def test_p13(self):
+        h = FiniteGroupHandle.psl2(13)
         a, b, c = search_commutator_pair(13)
-        assert encode_element(a) == [0, 1, 12, 0]
-        assert encode_element(b) == [0, 1, 12, 1]
-        assert element_order(c) == 7
+        assert encode(group_table(h), [a, b]) == [[0, 1, 12, 0], [0, 1, 12, 1]]
+        assert element_order(element(h, c)) == 7
         assert validate_commutator_pair(13, a, b, c)
+        # ids outside the group, a wrong commutator, a non-generating pair
+        assert not validate_commutator_pair(13, a, b, 1092)
+        assert not validate_commutator_pair(13, -1, b, c)
+        assert not validate_commutator_pair(13, a, b, b)
+        assert not validate_commutator_pair(13, a, a, group_table(h).identity_id)
 
     def test_p17(self):
         a, b, c = search_commutator_pair(17)
-        assert element_order(c) == 9
         h = FiniteGroupHandle.psl2(17)
-        table = group_table(h)
-        assert subgroup_closure((table.id_of(a), table.id_of(b)), h).order == 2448
+        assert element_order(element(h, c)) == 9
+        assert subgroup_closure((a, b), h).order == 2448
 
     def test_p5_outcome(self):
         # unguaranteed territory: the scan may or may not find a pair;
         # here it does, with a commutator of order (5+1)/2 = 3
         a, b, c = search_commutator_pair(5)
-        assert element_order(c) == 3
+        assert element_order(element(FiniteGroupHandle.psl2(5), c)) == 3
         assert validate_commutator_pair(5, a, b, c)
 
     @pytest.mark.parametrize("p", [5, 13, 17])
@@ -131,17 +138,17 @@ class TestCommutatorSearch:
     def test_table_limit_checked_before_entry_arrays(self, monkeypatch):
         # PSL(2, 211) has order 4.7M, over the table limit; its entry
         # lookup alone would be a 211**4 int32 array (7.4 GiB), so the
-        # spy refuses to build it instead of letting the test allocate
+        # spy refuses to enumerate its entries instead of letting the
+        # test allocate
         import coverforge.groups as groups_module
 
-        real = groups_module._psl2_arrays
+        real = groups_module.enumerate_group
 
-        def spy(p):
-            order = p * (p * p - 1) // 2
-            assert order <= groups_module.TABLE_LIMIT, f"_psl2_arrays({p}) above the table limit"
-            return real(p)
+        def spy(handle):
+            assert handle.order <= groups_module.TABLE_LIMIT, f"entries of {handle} enumerated"
+            return real(handle)
 
-        monkeypatch.setattr(groups_module, "_psl2_arrays", spy)
+        monkeypatch.setattr(groups_module, "enumerate_group", spy)
         with pytest.raises(BudgetExceeded):
             search_commutator_pair(211)
         with pytest.raises(BudgetExceeded):
@@ -173,10 +180,11 @@ class TestGenericFamily:
     def test_p5_g1_n2(self):
         b = build_generic(5, 1, 2)
         images = b.rep.images_by_name
-        assert encode_element(images["a1"]) == [1, 1, 0, 1]
-        assert encode_element(images["b1"]) == [1, 1, 0, 1]
-        assert encode_element(images["c1"]) == [1, 0, 1, 1]
-        assert encode_element(derived_cn(b.rep)) == [1, 0, 4, 1]
+        table = group_table(b.rep.target)
+        assert encode(table, images["a1"]) == [1, 1, 0, 1]
+        assert encode(table, images["b1"]) == [1, 1, 0, 1]
+        assert encode(table, images["c1"]) == [1, 0, 1, 1]
+        assert oracle.encode_element(derived_cn(b.rep)) == [1, 0, 4, 1]
         assert verify_relation(b.rep, b.claimed_cn)
         assert is_surjective(b.rep)
         assert peripheral_profile(b.rep).orders == (5, 5)
@@ -214,7 +222,9 @@ class TestOncePuncturedFamily:
     def test_higher_genus_pads_with_identity(self):
         b = build_once_punctured(13, 2)
         assert peripheral_profile(b.rep).orders == (7,)
-        assert b.rep.images[2].is_identity() and b.rep.images[3].is_identity()
+        identity = group_table(b.rep.target).identity_id
+        assert b.rep.images[2] == b.rep.images[3] == identity
+        assert element(b.rep.target, identity).is_identity()
 
     def test_small_p_rejected(self):
         with pytest.raises(BadParameters):
@@ -362,7 +372,7 @@ class TestSubgroupBuilders:
     def test_diagonal_torus_order(self, p):
         a0, gen, _ = diagonal_torus(p)
         assert a0.order == (p - 1) // 2
-        assert element_order(gen) == (p - 1) // 2
+        assert element_order(element(a0.ambient, gen)) == (p - 1) // 2
 
     @pytest.mark.parametrize("p", [5, 13, 17])
     def test_borel_order(self, p):
@@ -378,12 +388,11 @@ class TestSubgroupBuilders:
         # closing the first involution that inverts the rotation
         p = 13
         h = FiniteGroupHandle.psl2(p)
-        table = group_table(h)
-        elements = enumerate_group(h)
+        elements = oracle.elements(h)
         rotation = next(g for g in elements if element_order(g) == order // 2)
         for j in elements:
             if element_order(j) == 2 and (j * rotation) * j.inverse() == rotation.inverse():
-                expected = subgroup_closure((table.id_of(rotation), table.id_of(j)), h)
+                expected = subgroup_closure(oracle.ids_of(h, rotation, j), h)
                 if expected.order == order:
                     break
         got = dihedral_subgroup(p, order)
@@ -395,8 +404,8 @@ class TestSubgroupBuilders:
         h = FiniteGroupHandle.psl2(p)
         table = group_table(h)
         for order in sorted(set(table.orders.tolist())):
-            expected = next(g for g in enumerate_group(h) if element_order(g) == order)
-            assert table.elements[smallest_element_of_order(p, order)] == expected
+            expected = next(g for g in oracle.elements(h) if element_order(g) == order)
+            assert element(h, smallest_element_of_order(p, order)) == expected
         with pytest.raises(SearchExhausted):
             smallest_element_of_order(p, 4 * p)
 

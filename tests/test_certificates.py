@@ -1,5 +1,6 @@
 """Tests for certificate construction, verification, and the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -35,6 +36,11 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def _overwrite(section, **changes):
+    """A probe that overwrites keys of one section of a certificate."""
+    return lambda cert: {**cert, section: {**cert[section], **changes}}
+
+
 @pytest.fixture(scope="module")
 def char_cyclic_cert():
     return construct(ConstructConfig(case="char-cyclic", genus=0, punctures=3))
@@ -43,6 +49,11 @@ def char_cyclic_cert():
 @pytest.fixture(scope="module")
 def genus_zero_cert():
     return construct(ConstructConfig(case="genus-zero", p=5, punctures=3))
+
+
+@pytest.fixture(scope="module")
+def genus_zero_p13_cert():
+    return construct(ConstructConfig(case="genus-zero", p=13, punctures=3))
 
 
 @pytest.fixture(scope="module")
@@ -288,21 +299,34 @@ class TestCli:
         assert "JSON object" in proc.stderr
 
     @pytest.mark.parametrize(
-        "probe",
+        "fixture,probe",
         [
-            lambda cert: {"schema_version": "1"},
-            lambda cert: {**cert, "inputs": [1]},
-            lambda cert: {**cert, "budgets": {**cert["budgets"], "orbit": "x"}},
-            lambda cert: {**cert, "budgets": {**cert["budgets"], "coset": True}},
-            lambda cert: {**cert, "inputs": {k: v for k, v in cert["inputs"].items()
-                                              if k != "flags"}},
+            ("char_cyclic_cert", lambda cert: {"schema_version": "1"}),
+            ("char_cyclic_cert", lambda cert: {**cert, "inputs": [1]}),
+            ("char_cyclic_cert", _overwrite("budgets", orbit="x")),
+            ("char_cyclic_cert", _overwrite("budgets", coset=True)),
+            ("char_cyclic_cert", lambda cert: {**cert, "inputs": {
+                k: v for k, v in cert["inputs"].items() if k != "flags"}}),
+            # recorded inputs that fail a builder precondition of the replay
+            ("genus_zero_p13_cert",
+             _overwrite("inputs", flags={"single_factor": False, "explicit_t": 13})),
+            ("genus_zero_cert", _overwrite("inputs", p=9)),
+            ("genus_zero_cert", _overwrite("inputs", p=3)),
+            ("genus_zero_cert", _overwrite("inputs", p=-7)),
+            ("genus_zero_cert", _overwrite("inputs", punctures=2)),
+            ("genus_zero_cert", _overwrite("inputs", genus=1)),
+            ("char_cyclic_cert", _overwrite("inputs", case="nope")),
+            ("char_cyclic_cert", _overwrite("budgets", orbit=0)),
         ],
-        ids=["schema-only", "inputs-list", "budget-string", "budget-bool", "no-flags"],
+        ids=["schema-only", "inputs-list", "budget-string", "budget-bool", "no-flags",
+             "explicit-t-zero-mod-p", "p-9", "p-3", "p-minus-7", "genus-zero-two-punctures",
+             "genus-zero-genus-1", "unknown-case", "budget-zero"],
     )
-    def test_verify_malformed_inputs_exit_code(self, tmp_path, char_cyclic_cert, probe):
-        # the digest is valid, so only the schema check can reject these
+    def test_verify_malformed_inputs_exit_code(self, tmp_path, request, fixture, probe):
+        # the digest is valid, so only the schema check or the replay's
+        # preconditions can reject these
         path = tmp_path / "cert.json"
-        path.write_text(canonical_json(attach_digest(probe(char_cyclic_cert))))
+        path.write_text(canonical_json(attach_digest(probe(request.getfixturevalue(fixture)))))
         proc = run_cli("verify", str(path))
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -530,8 +554,21 @@ class TestCli:
             lambda c: {**c, "B": c["A"]},
             lambda c: {**c, "A": [1, 1, 1, 1]},
             lambda c: {key: value for key, value in c.items() if key != "A"},
+            # malformed entries: the codec reads them with Python ints, or
+            # refuses them, and never ends in a traceback
+            lambda c: {**c, "A": [10**30 + c["A"][0], *c["A"][1:]]},
+            lambda c: {**c, "A": [str(x) for x in c["A"]]},
+            lambda c: {**c, "A": [bool(x) for x in c["A"]]},
+            lambda c: {**c, "A": 1},
+            lambda c: {**c, "A": c["A"][:3]},
+            lambda c: {**c, "A": [c["A"][:2], c["A"][2:]]},
+            lambda c: {**c, "A": None},
+            lambda c: {**c, "A": dict(zip("abcd", c["A"]))},
+            lambda c: {**c, "A": [float("inf"), *c["A"][1:]]},
         ],
-        ids=["b-equals-a", "a-not-unimodular", "a-missing"],
+        ids=["b-equals-a", "a-not-unimodular", "a-missing", "a-huge-entry", "a-strings",
+             "a-bools", "a-bare-int", "a-three-entries", "a-nested", "a-null", "a-dict",
+             "a-infinity"],
     )
     def test_verify_tampered_commutator_pair_exits_4(
         self, tmp_path, capsys, once_punctured_cert, tamper
@@ -576,15 +613,29 @@ class TestCli:
         report = json.loads(proc.stdout)
         assert report["euler_total"] == 48 and report["signature_zero"]
 
-    def test_orbit_dump(self, tmp_path):
+    @pytest.mark.parametrize(
+        "case_args,size,first,sha256",
+        [
+            (("--case", "char-cyclic", "--genus", "0", "--punctures", "3"), 8, [0, 1],
+             "9457c8e4d351d3c6c61fa6a7352cc3fdc730ac251f42bde0bed588e5c5b2a323"),
+            (("--case", "char-sym3", "--genus", "1"), 18, [[0, 2, 1], [1, 0, 2]],
+             "9370403a41963569434ff7f981ac8cb67f57a4e0f1a277987a64d7fbc1bcfd39"),
+            (("--case", "genus-zero", "--p", "5", "--punctures", "3"), 600,
+             [[0, 1, 4, 0], [0, 1, 4, 1]],
+             "70f058484a44138b6faed7a0f975fde49054d3899f4496130d5a17860938568e"),
+        ],
+        ids=["char-cyclic-g0-n3", "char-sym3-g1", "genus-zero-p5-n3"],
+    )
+    def test_orbit_dump(self, tmp_path, case_args, size, first, sha256):
+        # one state per line, each element in its JSON form, in id order
         dump = tmp_path / "orbit.txt"
-        proc = run_cli("orbit", "--case", "char-cyclic", "--genus", "0", "--punctures", "3",
-                       "--dump", str(dump))
+        proc = run_cli("orbit", *case_args, "--dump", str(dump))
         assert proc.returncode == 0
         lines = dump.read_text().splitlines()
-        assert len(lines) == 8
+        assert len(lines) == size
         assert lines == sorted(lines, key=lambda s: json.loads(s))
-        assert json.loads(lines[0]) == [0, 1]
+        assert json.loads(lines[0]) == first
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == sha256
 
     def test_search_exhausted_exit_code(self, monkeypatch, capsys):
         import coverforge.cli as cli

@@ -20,30 +20,29 @@ from coverforge.errors import BadParameters, BudgetExceeded, InconsistentRamific
 from coverforge.covers import (
     characteristic_core,
     combine_cycle_types,
-    coset_action,
     coset_permutation,
     coset_space,
     cycle_type,
     elevation_degree,
     genus_lower_bound,
-    local_degrees_direct,
     local_degrees_factored,
     proposition_genus_bound,
     riemann_hurwitz,
     sums_to_degree,
     verify_deck_trivial,
 )
-from coverforge.groups import (
-    FiniteGroupHandle,
-    Residue,
-    canonicalize,
-    element_order,
-    group_table,
-    normalizer,
-    subgroup_closure,
-)
+from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
 from coverforge.orbits import aut_classes, orbit_closure
 from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
+from element_oracle import (
+    Residue,
+    canonicalize,
+    coset_action,
+    element_of,
+    element_order,
+    ids_of,
+    local_degrees_direct,
+)
 
 
 class TestCosetSpaces:
@@ -54,9 +53,8 @@ class TestCosetSpaces:
 
     def test_whole_group_single_point(self):
         h = FiniteGroupHandle.psl2(5)
-        table = group_table(h)
-        u = table.id_of(canonicalize(1, 1, 0, 1, 5))
-        whole = subgroup_closure((u, table.id_of(canonicalize(1, 0, 1, 1, 5))), h)
+        u, l = ids_of(h, canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5))
+        whole = subgroup_closure((u, l), h)
         space = coset_space(whole)
         assert space.degree == 1
         assert coset_permutation(space, u) == (0,)
@@ -69,12 +67,10 @@ class TestCosetSpaces:
     def test_action_is_a_homomorphism(self):
         b = build_generic(5, 1, 2)
         space = coset_space(b.h0)
-        table = space.table
+        h = space.table.handle
         x = canonicalize(1, 1, 0, 1, 5)
         y = canonicalize(1, 0, 1, 1, 5)
-        px = coset_permutation(space, table.id_of(x))
-        py = coset_permutation(space, table.id_of(y))
-        pxy = coset_permutation(space, table.id_of(x * y))
+        px, py, pxy = (coset_permutation(space, g) for g in ids_of(h, x, y, x * y))
         assert tuple(py[px[i]] for i in range(space.degree)) == pxy
 
 
@@ -89,7 +85,7 @@ class TestLocalDegrees:
     def test_identity_peripheral_is_unramified(self):
         sig = SurfaceSignature(1, 2)
         h = FiniteGroupHandle.psl2(5)
-        rep = RepTuple(sig, h, (h.identity(),) * 3)
+        rep = RepTuple(sig, h, (group_table(h).identity_id,) * 3)
         b = build_generic(5, 1, 2)
         action = coset_action(rep, b.h0)
         assert local_degrees_direct(action, 1) == {1: 15}
@@ -185,7 +181,7 @@ class TestElevationDegrees:
         assert math.lcm(5, 3) == 15
         b = build_generic(5, 1, 2)
         table = group_table(b.rep.target)
-        ids = [tuple(table.id_of(g) for g in b.rep.images)]
+        ids = [b.rep.images]
         assert elevation_degree(table, peripheral_ids(table, b.signature, ids), 1) == 5
 
     def test_across_class_reps(self):
@@ -193,12 +189,11 @@ class TestElevationDegrees:
         result = aut_classes(orbit_closure(b.rep))
         table = result.table
         peripheral = peripheral_ids(table, b.signature, result.class_rep_ids)
-        reps = [tuple(table.elements[i] for i in ids) for ids in result.class_rep_ids]
         for puncture in range(1, b.signature.n + 1):
             orders = [
-                element_order(table.elements[RepTuple(b.signature, table.handle, images)
-                                             .peripheral_image_ids()[puncture - 1]])
-                for images in reps
+                element_order(element_of(table.handle, RepTuple(b.signature, table.handle, ids)
+                                         .peripheral_image_ids()[puncture - 1]))
+                for ids in result.class_rep_ids
             ]
             assert elevation_degree(table, peripheral, puncture) == math.lcm(*orders)
 
@@ -273,10 +268,8 @@ class TestDeckGroup:
 
     def test_whole_group_boundary_case(self):
         h = FiniteGroupHandle.psl2(5)
-        table = group_table(h)
-        whole = subgroup_closure(
-            (table.id_of(canonicalize(1, 1, 0, 1, 5)), table.id_of(canonicalize(1, 0, 1, 1, 5))), h
-        )
+        u, l = canonicalize(1, 1, 0, 1, 5), canonicalize(1, 0, 1, 1, 5)
+        whole = subgroup_closure(ids_of(h, u, l), h)
         assert verify_deck_trivial(whole)
 
 
@@ -284,7 +277,7 @@ class TestCharacteristicCore:
     def test_toy_degree(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(2)
-        rep = RepTuple(sig, h, (Residue(1, 2), Residue(0, 2)))
+        rep = RepTuple(sig, h, ids_of(h, Residue(1, 2), Residue(0, 2)))
         orb = orbit_closure(rep)
         core = characteristic_core(aut_classes(orb).class_rep_ids, sig, orb)
         assert core.degree == 4

@@ -2,8 +2,10 @@
 
 A top-level function, class or constant, or a non-dunder method, that
 nothing in ``src/coverforge`` names outside its own body is dead weight:
-only tests (or nobody) reach it.  The allowlist holds the few kept on
-purpose.  An import that its own module never names is dead weight too.
+only tests (or nobody) reach it.  The allowlist would name any kept on
+purpose; it is empty, since the tests keep their oracles under tests/
+(``element_oracle.py``).  An import that its own module never names is
+dead weight too.
 """
 
 import ast
@@ -11,18 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coverforge"
 
-ALLOWED = {
-    # the direct side of the direct-versus-factored local degree oracle:
-    # the factored computation is what the pipeline runs, and these two
-    # stay as the independent check the tests compare it against
-    "coset_action": "direct-side oracle for the factored local degrees",
-    "local_degrees_direct": "direct-side oracle for the factored local degrees",
-    # the element objects' own arithmetic, which the package runs on
-    # table ids only: the tests' reference for the tables
-    "element_order": "oracle of test_groups TestTables::test_orders_match_element_order",
-    "inverse": "oracle of test_groups TestTables::test_psl2_table_matches_objects_exhaustively",
-    "sort_key": "oracle of the id order in test_groups TestEnumeration::test_sorted_and_unique",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _is_dunder(name):

@@ -1,5 +1,6 @@
 """Tests for the finite-group arithmetic layer."""
 
+import json
 import math
 import time
 from itertools import product
@@ -12,34 +13,30 @@ from hypothesis import strategies as st
 from coverforge.errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 from coverforge.groups import (
     FiniteGroupHandle,
-    Permutation,
-    ProjectiveMatrix,
-    Residue,
     are_conjugate_subgroups,
-    canonicalize,
     closure_ids,
     d0_perm,
-    decode_element,
-    element_order,
-    encode_element,
+    decode,
+    encode,
     enumerate_group,
     group_table,
     nonsquare,
     normalizer,
     subgroup_closure,
 )
-
-
-def ids_of(handle, *elements):
-    """Table ids of element objects, the input format of subgroup_closure."""
-    table = group_table(handle)
-    return tuple(table.id_of(g) for g in elements)
+import element_oracle as oracle
+from element_oracle import Permutation, Residue, canonicalize, element_order, ids_of
 
 
 def members(sub):
-    """The members of a subgroup as element objects, for the oracles."""
-    table = group_table(sub.ambient)
-    return {table.elements[i] for i in sub.ids}
+    """The members of a subgroup as oracle elements."""
+    return {oracle.element_of(sub.ambient, i) for i in sub.ids}
+
+
+def table_order(p, entries):
+    """The order the PSL2(F_p) table gives the matrix with these entries."""
+    table = group_table(FiniteGroupHandle.psl2(p))
+    return int(table.orders[decode(table, entries)])
 
 
 def brute_psl2_order(p):
@@ -52,28 +49,35 @@ def brute_psl2_order(p):
 
 
 class TestCanonicalize:
+    """`decode` reduces PSL2 entries and finds the canonical sign
+    representative's id; `encode` gives back its entries."""
+
     def test_minus_identity_is_identity(self):
-        assert canonicalize(-1, 0, 0, -1, 5) == ProjectiveMatrix.identity(5)
+        table = group_table(FiniteGroupHandle.psl2(5))
+        assert decode(table, (-1, 0, 0, -1)) == table.identity_id == decode(table, (1, 0, 0, 1))
+        assert encode(table, table.identity_id) == [1, 0, 0, 1]
 
     def test_already_canonical(self):
-        m = canonicalize(1, 1, 0, 1, 5)
-        assert encode_element(m) == [1, 1, 0, 1]
+        table = group_table(FiniteGroupHandle.psl2(5))
+        assert encode(table, decode(table, (1, 1, 0, 1))) == [1, 1, 0, 1]
 
     def test_sign_rule_flips(self):
         # det(4,0,0,4) = 16 = 1 mod 5, first nonzero entry 4 > 2, so negate
-        assert encode_element(canonicalize(4, 0, 0, 4, 5)) == [1, 0, 0, 1]
+        table = group_table(FiniteGroupHandle.psl2(5))
+        assert encode(table, decode(table, (4, 0, 0, 4))) == [1, 0, 0, 1]
 
     def test_rejects_bad_determinant(self):
+        table = group_table(FiniteGroupHandle.psl2(5))
         with pytest.raises(NotUnimodular):
-            canonicalize(1, 0, 0, 2, 5)
+            decode(table, (1, 0, 0, 2))
         with pytest.raises(NotUnimodular):
-            canonicalize(0, 1, 1, 0, 5)  # det = -1
+            decode(table, (0, 1, 1, 0))  # det = -1
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(BadModulus):
-            canonicalize(1, 0, 0, 1, 4)
+            FiniteGroupHandle.psl2(4)
         with pytest.raises(BadModulus):
-            canonicalize(1, 0, 0, 1, 2)
+            FiniteGroupHandle.psl2(2)
 
     @given(
         p=st.sampled_from([5, 13, 17]),
@@ -87,21 +91,29 @@ class TestCanonicalize:
         if d == 0:
             d = 1
         a = (1 + b * c) * pow(d, p - 2, p) % p
-        m = canonicalize(a, b, c, d, p)
-        assert canonicalize(*encode_element(m), p) == m
-        assert canonicalize(-a, -b, -c, -d, p) == m
+        handle = FiniteGroupHandle.psl2(p)
+        table = group_table(handle)
+        m = decode(table, (a, b, c, d))
+        assert decode(table, encode(table, m)) == m
+        assert decode(table, (-a, -b, -c, -d)) == m
+        # entries of any size reduce exactly, with no fixed-width overflow
+        assert decode(table, (a + p * 10**30, b - p * 10**30, c, d)) == m
+        expected = canonicalize(a, b, c, d, p)
+        assert m == oracle.id_of(handle, expected)
+        assert encode(table, m) == oracle.encode_element(expected)
 
 
 class TestElementOrder:
     def test_unipotent_has_order_p(self):
-        assert element_order(canonicalize(1, 1, 0, 1, 5)) == 5
-        assert element_order(canonicalize(1, 0, 1, 1, 13)) == 13
+        assert element_order(canonicalize(1, 1, 0, 1, 5)) == 5 == table_order(5, (1, 1, 0, 1))
+        assert element_order(canonicalize(1, 0, 1, 1, 13)) == 13 == table_order(13, (1, 0, 1, 1))
 
     def test_identity(self):
-        assert element_order(ProjectiveMatrix.identity(5)) == 1
+        assert element_order(oracle.identity(FiniteGroupHandle.psl2(5))) == 1
+        assert table_order(5, (1, 0, 0, 1)) == 1
 
     def test_antidiagonal_involution(self):
-        assert element_order(canonicalize(0, -1, 1, 0, 5)) == 2
+        assert element_order(canonicalize(0, -1, 1, 0, 5)) == 2 == table_order(5, (0, -1, 1, 0))
 
     @pytest.mark.parametrize(
         "handle",
@@ -112,8 +124,9 @@ class TestElementOrder:
         ],
     )
     def test_order_divides_group_order(self, handle):
-        for g in enumerate_group(handle):
+        for g in oracle.elements(handle):
             assert handle.order % element_order(g) == 0
+        assert (handle.order % group_table(handle).orders == 0).all()
 
 
 class TestEnumeration:
@@ -131,10 +144,22 @@ class TestEnumeration:
         assert len(enumerate_group(FiniteGroupHandle.symmetric(3))) == 6
 
     def test_sorted_and_unique(self):
-        els = enumerate_group(FiniteGroupHandle.psl2(13))
-        keys = [g.sort_key() for g in els]
-        assert keys == sorted(keys)
-        assert len(set(els)) == len(els)
+        # the entries are sorted and distinct, and they are the oracle's
+        # itertools enumeration in its sort_key order, so the oracle's
+        # positions are the table ids
+        for handle in (
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.psl2(13),
+            FiniteGroupHandle.symmetric(3),
+            FiniteGroupHandle.symmetric(4),
+            FiniteGroupHandle.cyclic(6),
+        ):
+            entries = enumerate_group(handle).tolist()
+            keys = [tuple(e) if isinstance(e, list) else (e,) for e in entries]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys) == handle.order
+            assert entries == [oracle.encode_element(g) for g in oracle.elements(handle)]
+            assert group_table(handle).entries.tolist() == entries
 
 
 class TestSubgroups:
@@ -146,7 +171,7 @@ class TestSubgroups:
 
     def test_identity_closure(self):
         h = FiniteGroupHandle.psl2(5)
-        assert subgroup_closure(ids_of(h, h.identity()), h).order == 1
+        assert subgroup_closure(ids_of(h, oracle.identity(h)), h).order == 1
 
     def test_diagonal_order_two(self):
         h = FiniteGroupHandle.psl2(5)
@@ -189,7 +214,7 @@ def conjugates_onto(g, h1, h2):
 
 def brute_normalizer(sub):
     """Oracle: the definition, conjugating the full element set."""
-    return [g for g in enumerate_group(sub.ambient) if conjugates_onto(g, sub, sub)]
+    return [g for g in oracle.elements(sub.ambient) if conjugates_onto(g, sub, sub)]
 
 
 class TestNormalizer:
@@ -263,7 +288,7 @@ class TestConjugacy:
         h = FiniteGroupHandle.psl2(5)
         sub = subgroup_closure(ids_of(h, canonicalize(2, 0, 0, 3, 5)), h)
         ok, witness = are_conjugate_subgroups(sub, sub)
-        assert ok and group_table(h).elements[witness] == h.identity()
+        assert ok and oracle.element_of(h, witness) == oracle.identity(h)
 
     def test_order_mismatch_short_circuits(self):
         from coverforge.catalog import borel_subgroup, diagonal_torus
@@ -279,7 +304,7 @@ class TestConjugacy:
         conj = subgroup_closure(ids_of(h, (g * canonicalize(2, 0, 0, 3, 5)) * gi), h)
         ok, witness = are_conjugate_subgroups(a0, conj)
         assert ok
-        w = group_table(h).elements[witness]
+        w = oracle.element_of(h, witness)
         assert {(w * x) * w.inverse() for x in members(a0)} == members(conj)
 
     @pytest.mark.parametrize("label", ["diagonal-normalizer", "borel"])
@@ -291,13 +316,13 @@ class TestConjugacy:
         h = borel_subgroup(13) if label == "borel" else normalizer(diagonal_torus(13)[0])
         g = canonicalize(1, 0, 1, 1, 13)
         gi = g.inverse()
-        elements = group_table(h.ambient).elements
+        elements = oracle.elements(h.ambient)
         moved = subgroup_closure(
             ids_of(h.ambient, *((g * elements[x]) * gi for x in h.generators)), h.ambient
         )
         assert moved != h
         for h1, h2 in ((h, moved), (moved, h)):
-            expected = next(x for x in enumerate_group(h.ambient) if conjugates_onto(x, h1, h2))
+            expected = next(x for x in elements if conjugates_onto(x, h1, h2))
             assert are_conjugate_subgroups(h1, h2) == (True, *ids_of(h.ambient, expected))
 
 
@@ -327,15 +352,16 @@ class TestD0Map:
     def test_equals_integer_conjugation(self, p):
         # d0 = diag(1, eps) has determinant eps, a non-square, and the map
         # is conjugation by it: d0 X d0^-1 by integer matrix products
-        table = group_table(FiniteGroupHandle.psl2(p))
+        handle = FiniteGroupHandle.psl2(p)
+        table = group_table(handle)
         eps = nonsquare(p)
         assert pow(eps, (p - 1) // 2, p) == p - 1
         d0 = np.array([[1, 0], [0, eps]])
         d0_inv = np.array([[1, 0], [0, pow(eps, p - 2, p)]])
         images = []
-        for x in table.elements:
-            conj = d0 @ np.array(encode_element(x)).reshape(2, 2) @ d0_inv
-            images.append(table.id_of(canonicalize(*conj.ravel().tolist(), p)))
+        for x in oracle.elements(handle):
+            conj = d0 @ np.array(oracle.encode_element(x)).reshape(2, 2) @ d0_inv
+            images.append(oracle.id_of(handle, canonicalize(*conj.ravel().tolist(), p)))
         assert d0_perm(table).tolist() == images
 
     @pytest.mark.parametrize("p", [5, 13])
@@ -348,32 +374,37 @@ class TestD0Map:
 
 class TestTables:
     def test_psl2_table_matches_objects_exhaustively(self):
-        table = group_table(FiniteGroupHandle.psl2(5))
+        handle = FiniteGroupHandle.psl2(5)
+        table = group_table(handle)
+        els = oracle.elements(handle)
         for i in range(60):
-            x = table.elements[i]
-            assert table.elements[table.inv[i]] == x.inverse()
+            x = els[i]
+            assert els[table.inv[i]] == x.inverse()
             for j in range(60):
-                assert table.elements[table.mul[i, j]] == x * table.elements[j]
+                assert els[table.mul[i, j]] == x * els[j]
 
     def test_psl2_table_p13_samples(self):
-        table = group_table(FiniteGroupHandle.psl2(13))
+        handle = FiniteGroupHandle.psl2(13)
+        table = group_table(handle)
+        els = oracle.elements(handle)
         rng = np.random.default_rng(7)
         for i, j in rng.integers(0, table.order, size=(300, 2)):
-            assert table.elements[table.mul[i, j]] == table.elements[i] * table.elements[j]
+            assert els[table.mul[i, j]] == els[i] * els[j]
 
     def test_cyclic_and_symmetric_tables(self):
         tc = group_table(FiniteGroupHandle.cyclic(6))
-        assert tc.elements[tc.mul[4, 5]].value == 3
+        assert oracle.element_of(tc.handle, tc.mul[4, 5]) == Residue(3, 6)
         ts = group_table(FiniteGroupHandle.symmetric(3))
+        els = oracle.elements(ts.handle)
         for i in range(6):
             for j in range(6):
-                assert ts.elements[ts.mul[i, j]] == ts.elements[i] * ts.elements[j]
+                assert els[ts.mul[i, j]] == els[i] * els[j]
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_symmetric_table_matches_objects_exhaustively(self, m):
         table = group_table(FiniteGroupHandle.symmetric(m))
-        els = table.elements
-        assert list(els) == sorted(els, key=lambda g: g.sort_key())
+        els = oracle.elements(table.handle)
+        assert table.entries.tolist() == [list(g.images) for g in els]
         assert els[table.identity_id].is_identity()
         for i, x in enumerate(els):
             assert els[table.inv[i]] == x.inverse()
@@ -383,12 +414,12 @@ class TestTables:
         h = FiniteGroupHandle.psl2(5)
         table = group_table(h)
         u = canonicalize(1, 1, 0, 1, 5)
-        ids = np.flatnonzero(closure_ids(table, [[table.id_of(u)]])[0])
+        ids = np.flatnonzero(closure_ids(table, [ids_of(h, u)])[0])
         # oracle: the cyclic group <u>, from powers of u by element products
-        powers = [h.identity()]
+        powers = [oracle.identity(h)]
         while (powers[-1] * u) != powers[0]:
             powers.append(powers[-1] * u)
-        assert {table.elements[i] for i in ids} == set(powers)
+        assert {oracle.element_of(h, i) for i in ids} == set(powers)
 
     @pytest.mark.parametrize(
         "handle",
@@ -402,7 +433,7 @@ class TestTables:
     )
     def test_orders_match_element_order(self, handle):
         table = group_table(handle)
-        assert table.orders.tolist() == [element_order(g) for g in table.elements]
+        assert table.orders.tolist() == [element_order(g) for g in oracle.elements(handle)]
         assert not table.orders.flags.writeable
         assert table.orders is table.orders
 
@@ -507,33 +538,62 @@ class TestBatchedClosure:
 
 class TestValueSemantics:
     def test_permutation_composition_convention(self):
+        # x * y applies x first: [(12), (23)] = (123), in the oracle and
+        # in the table, with (12), (23), (123) written as one-line images
         s01 = Permutation.from_cycles(3, [(0, 1)])
         s12 = Permutation.from_cycles(3, [(1, 2)])
         commutator = (s01 * s12) * (s01.inverse() * s12.inverse())
         assert commutator == Permutation.from_cycles(3, [(0, 1, 2)])
+        table = group_table(FiniteGroupHandle.symmetric(3))
+        mul, inv = table.mul, table.inv
+        x, y = decode(table, (1, 0, 2)), decode(table, (0, 2, 1))
+        assert mul[mul[x, y], mul[inv[x], inv[y]]] == decode(table, (1, 2, 0))
 
     def test_permutation_inverse(self):
         g = Permutation.from_cycles(4, [(0, 1, 2, 3)])
         assert (g * g.inverse()).is_identity()
+        table = group_table(FiniteGroupHandle.symmetric(4))
+        gid = decode(table, g.images)
+        assert table.mul[gid, table.inv[gid]] == table.identity_id
+        assert encode(table, table.inv[gid]) == list(g.inverse().images)
 
     def test_residue_law(self):
         assert Residue(3, 5) * Residue(4, 5) == Residue(2, 5)
         assert Residue(3, 5).inverse() == Residue(2, 5)
+        table = group_table(FiniteGroupHandle.cyclic(5))
+        assert table.mul[3, 4] == 2 and table.inv[3] == 2
 
     def test_encode_decode_round_trip(self):
-        cases = [
-            (FiniteGroupHandle.psl2(5), canonicalize(1, 1, 0, 1, 5)),
-            (FiniteGroupHandle.cyclic(7), Residue(3, 7)),
-            (FiniteGroupHandle.symmetric(3), Permutation.from_cycles(3, [(0, 1, 2)])),
-        ]
-        for handle, g in cases:
-            assert decode_element(handle, encode_element(g)) == g
+        # every id, one at a time and as one array, against the oracle
+        for handle in (
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.cyclic(7),
+            FiniteGroupHandle.symmetric(3),
+        ):
+            table = group_table(handle)
+            ids = np.arange(table.order)
+            expected = [oracle.encode_element(g) for g in oracle.elements(handle)]
+            assert encode(table, ids) == expected
+            for i in ids.tolist():
+                assert encode(table, i) == expected[i]
+                assert decode(table, encode(table, i)) == i
+            # Python ints only, so the JSON encoder takes them, numpy ids included
+            json.dumps([encode(table, ids), encode(table, ids[-1])])
+
+    def test_decode_rejects_and_reduces(self):
+        sym = group_table(FiniteGroupHandle.symmetric(3))
+        for data in ((0, 0, 1), (0, 1), (1, 2, 3), (0, 1, 2, 3)):
+            with pytest.raises(BadParameters):
+                decode(sym, data)
+        cyclic = group_table(FiniteGroupHandle.cyclic(7))
+        assert decode(cyclic, 10) == decode(cyclic, -4) == 3
 
     def test_trivial_subgroup(self):
         # the closure of no generators is the trivial subgroup
         h = FiniteGroupHandle.symmetric(3)
         sub = subgroup_closure((), h)
-        assert sub.order == 1 and members(sub) == {h.identity()}
+        assert sub.order == 1 and members(sub) == {oracle.identity(h)}
+        assert sub.ids.tolist() == [group_table(h).identity_id]
 
 
 @settings(max_examples=60)
@@ -549,3 +609,6 @@ def test_inverse_really_inverts(p, entries):
     m = canonicalize(a, b, c, d, p)
     assert (m * m.inverse()).is_identity()
     assert (m.inverse() * m).is_identity()
+    table = group_table(FiniteGroupHandle.psl2(p))
+    gid = decode(table, (a, b, c, d))
+    assert table.mul[gid, table.inv[gid]] == table.mul[table.inv[gid], gid] == table.identity_id

@@ -17,16 +17,7 @@ from coverforge.catalog import (
 )
 from coverforge.covers import characteristic_core
 from coverforge.errors import BadParameters, BudgetExceeded
-from coverforge.groups import (
-    FiniteGroupHandle,
-    Residue,
-    automorphism_images,
-    canonicalize,
-    d0_perm,
-    element_order,
-    encode_element,
-    group_table,
-)
+from coverforge.groups import FiniteGroupHandle, automorphism_images, d0_perm, group_table
 from coverforge.orbits import (
     NielsenMove,
     OrbitResult,
@@ -39,13 +30,14 @@ from coverforge.orbits import (
     verify_hall_surjectivity,
 )
 from coverforge.surfaces import RepTuple, SurfaceSignature
+from element_oracle import Residue, element_of, element_order, elements, ids_of
 
 
 def toy_rep():
     """F_2 -> Z/2 sending the generators to (1, 0)."""
     sig = SurfaceSignature(0, 3)
     h = FiniteGroupHandle.cyclic(2)
-    return RepTuple(sig, h, (Residue(1, 2), Residue(0, 2)))
+    return RepTuple(sig, h, ids_of(h, Residue(1, 2), Residue(0, 2)))
 
 
 def involution_rep(rank, last=False):
@@ -55,9 +47,10 @@ def involution_rep(rank, last=False):
     last involution a state's smallest Aut image lies outside the orbit.
     At rank 11, 60**11 >= 2**63, so the states are Python ints."""
     h = FiniteGroupHandle.psl2(5)
-    involutions = [g for g in group_table(h).elements if element_order(g) == 2]
+    involutions = [i for i, g in enumerate(elements(h)) if element_order(g) == 2]
     x = involutions[-1 if last else 0]
-    return RepTuple(SurfaceSignature(0, rank + 1), h, (x,) + (h.identity(),) * (rank - 1))
+    identity = group_table(h).identity_id
+    return RepTuple(SurfaceSignature(0, rank + 1), h, (x,) + (identity,) * (rank - 1))
 
 
 def reference_aut_rows(table):
@@ -157,7 +150,7 @@ class TestOrbitEngine:
     def test_identity_tuple_is_fixed(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(4)
-        rep = RepTuple(sig, h, (h.identity(), h.identity()))
+        rep = RepTuple(sig, h, (group_table(h).identity_id,) * 2)
         orb = orbit_closure(rep)
         assert orb.size == 1
 
@@ -166,7 +159,7 @@ class TestOrbitEngine:
         orb = orbit_closure(b.rep)
         table = group_table(b.rep.target)
         mul, inv = table.mul, table.inv
-        start = tuple(table.id_of(g) for g in b.rep.images)
+        start = b.rep.images
         seen = {start}
         frontier = [start]
         while frontier:
@@ -211,7 +204,7 @@ class TestOrbitEngine:
         assert orb.encoded.dtype == object
 
         mul, inv = table.mul, table.inv
-        start = tuple(table.id_of(g) for g in rep.images)
+        start = rep.images
         seen = {start}
         frontier = [start]
         while frontier:
@@ -330,7 +323,7 @@ class TestAutClasses:
     def test_single_identity_class(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(4)
-        rep = RepTuple(sig, h, (h.identity(), h.identity()))
+        rep = RepTuple(sig, h, (group_table(h).identity_id,) * 2)
         res = aut_classes(orbit_closure(rep))
         assert res.k == 1
 
@@ -440,15 +433,13 @@ class TestAutClasses:
         table = res.table
         perms = all_automorphisms(table)
         space = coset_space(b.h0)
-        images = tuple(table.elements[i] for i in res.class_rep_ids[1])
-        rep0 = RepTuple(b.signature, table.handle, images)
+        rep0 = RepTuple(b.signature, table.handle, res.class_rep_ids[1])
         prof0 = peripheral_profile(rep0)
         types0 = [
             cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_image_ids()
         ]
         for row in perms[:10]:
-            images = tuple(table.elements[row[table.id_of(g)]] for g in rep0.images)
-            moved = RepTuple(b.signature, table.handle, images)
+            moved = RepTuple(b.signature, table.handle, tuple(row[list(rep0.images)].tolist()))
             assert peripheral_profile(moved).orders == prof0.orders
             assert [
                 cycle_type(coset_permutation(space, g)) for g in moved.peripheral_image_ids()
@@ -559,7 +550,7 @@ def lifted_commutator_traces(table):
     x^2 + y^2 + z^2 - xyz - 2 with x = tr X, y = tr Y and z = tr XY, and
     a sign change of either lift leaves it unchanged."""
     p = table.handle.p
-    a, b, c, d = np.array([encode_element(g) for g in table.elements], dtype=np.int64).T
+    a, b, c, d = np.array([[g.a, g.b, g.c, g.d] for g in elements(table.handle)], dtype=np.int64).T
     x = (a + d) % p
     z = (np.outer(a, a) + np.outer(b, c) + np.outer(c, b) + np.outer(d, d)) % p
     return (x[:, None] ** 2 + x[None, :] ** 2 + z * z - x[:, None] * x[None, :] * z - 2) % p
@@ -582,7 +573,7 @@ class TestCommutatorTraceOracle:
 
         rng = np.random.default_rng(5)
         for i, j in rng.integers(0, table.order, size=(60, 2)):
-            x, y = mat(table.elements[i]), mat(table.elements[j])
+            x, y = mat(element_of(table.handle, i)), mat(element_of(table.handle, j))
             commutator = x @ y @ sl2_inverse(x) @ sl2_inverse(y)
             assert traces[i, j] == np.trace(commutator) % 13
 

@@ -12,14 +12,7 @@ from coverforge.catalog import (
     build_once_punctured,
 )
 from coverforge.errors import BadParameters
-from coverforge.groups import (
-    FiniteGroupHandle,
-    Permutation,
-    Residue,
-    canonicalize,
-    enumerate_group,
-    group_table,
-)
+from coverforge.groups import FiniteGroupHandle, group_table
 from coverforge.surfaces import (
     PeripheralProfile,
     RepTuple,
@@ -30,24 +23,36 @@ from coverforge.surfaces import (
     verify_relation,
 )
 from coverforge.orbits import aut_classes, orbit_closure
+import element_oracle as oracle
+from element_oracle import Residue, canonicalize
+
+
+def rep_of(sig, handle, *elements):
+    """A representation with these oracle elements as its images."""
+    return RepTuple(sig, handle, oracle.ids_of(handle, *elements))
 
 
 def derived_last_peripheral(rep):
-    """The derived c_n of the pipeline, as an element object."""
-    return group_table(rep.target).elements[rep.peripheral_image_ids()[-1]]
+    """The derived c_n of the pipeline, as an oracle element."""
+    return oracle.element_of(rep.target, rep.peripheral_image_ids()[-1])
 
 
 def reference_last_peripheral(rep):
     """Oracle: c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i] by element
     products."""
     g = rep.signature.g
-    commutators = rep.target.identity()
-    for a, b in zip(rep.images[0 : 2 * g : 2], rep.images[1 : 2 * g : 2]):
+    images = [oracle.element_of(rep.target, i) for i in rep.images]
+    commutators = oracle.identity(rep.target)
+    for a, b in zip(images[0 : 2 * g : 2], images[1 : 2 * g : 2]):
         commutators = commutators * (a * b * a.inverse() * b.inverse())
-    prefix = rep.target.identity()
-    for c in rep.images[2 * g :]:
+    prefix = oracle.identity(rep.target)
+    for c in images[2 * g :]:
         prefix = prefix * c
     return prefix.inverse() * commutators
+
+
+def identity_rep(sig, handle):
+    return RepTuple(sig, handle, (group_table(handle).identity_id,) * sig.free_rank)
 
 
 class TestSignature:
@@ -77,17 +82,17 @@ class TestDerivedPeripheral:
         # c_3 = (c_1 c_2)^-1 = (1+t, -t, -1, 1)
         p, t = 5, 4
         sig = SurfaceSignature(0, 3)
-        rep = RepTuple(
+        rep = rep_of(
             sig,
             FiniteGroupHandle.psl2(p),
-            (canonicalize(1, 0, 1, 1, p), canonicalize(1, t, 0, 1, p)),
+            canonicalize(1, 0, 1, 1, p),
+            canonicalize(1, t, 0, 1, p),
         )
         assert derived_last_peripheral(rep) == canonicalize(1 + t, -t, -1, 1, p)
 
     def test_all_identity(self):
         sig = SurfaceSignature(1, 2)
-        h = FiniteGroupHandle.psl2(5)
-        rep = RepTuple(sig, h, (h.identity(),) * 3)
+        rep = identity_rep(sig, FiniteGroupHandle.psl2(5))
         assert derived_last_peripheral(rep).is_identity()
 
     def test_generic_derived_value(self):
@@ -95,8 +100,15 @@ class TestDerivedPeripheral:
         sig = SurfaceSignature(1, 2)
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
-        rep = RepTuple(sig, FiniteGroupHandle.psl2(p), (u, u, l))
+        rep = rep_of(sig, FiniteGroupHandle.psl2(p), u, u, l)
         assert derived_last_peripheral(rep) == canonicalize(1, 0, p - 2 + 1, 1, p)
+
+    def test_images_must_be_ids_of_the_target(self):
+        sig = SurfaceSignature(1, 2)
+        h = FiniteGroupHandle.psl2(5)
+        for images in ((0, 1, 60), (-1, 0, 0), (0, 0)):
+            with pytest.raises(BadParameters):
+                RepTuple(sig, h, images)
 
 
 class TestVerifyRelation:
@@ -105,15 +117,15 @@ class TestVerifyRelation:
         sig = SurfaceSignature(1, 2)
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
-        rep = RepTuple(sig, FiniteGroupHandle.psl2(p), (u, u, l))
-        assert verify_relation(rep, canonicalize(1, 0, 4, 1, p))
-        assert not verify_relation(rep, FiniteGroupHandle.psl2(p).identity())
+        h = FiniteGroupHandle.psl2(p)
+        rep = rep_of(sig, h, u, u, l)
+        assert verify_relation(rep, oracle.id_of(h, canonicalize(1, 0, 4, 1, p)))
+        assert not verify_relation(rep, oracle.id_of(h, oracle.identity(h)))
 
     def test_identity_rep(self):
         sig = SurfaceSignature(1, 2)
         h = FiniteGroupHandle.cyclic(4)
-        rep = RepTuple(sig, h, (h.identity(),) * 3)
-        assert verify_relation(rep, h.identity())
+        assert verify_relation(identity_rep(sig, h), group_table(h).identity_id)
 
 
 class TestSurjectivity:
@@ -122,19 +134,17 @@ class TestSurjectivity:
         sig = SurfaceSignature(1, 2)
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
-        rep = RepTuple(sig, FiniteGroupHandle.psl2(p), (u, u, l))
+        rep = rep_of(sig, FiniteGroupHandle.psl2(p), u, u, l)
         assert is_surjective(rep)
 
     def test_identity_rep_is_not(self):
         sig = SurfaceSignature(1, 2)
-        h = FiniteGroupHandle.psl2(5)
-        rep = RepTuple(sig, h, (h.identity(),) * 3)
-        assert not is_surjective(rep)
+        assert not is_surjective(identity_rep(sig, FiniteGroupHandle.psl2(5)))
 
     def test_cyclic_peripheral_rep(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(3)
-        rep = RepTuple(sig, h, (Residue(1, 3), Residue(1, 3)))
+        rep = rep_of(sig, h, Residue(1, 3), Residue(1, 3))
         assert is_surjective(rep)
 
 
@@ -144,14 +154,13 @@ class TestProfile:
         sig = SurfaceSignature(1, 2)
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
-        rep = RepTuple(sig, FiniteGroupHandle.psl2(p), (u, u, l))
+        rep = rep_of(sig, FiniteGroupHandle.psl2(p), u, u, l)
         prof = peripheral_profile(rep)
         assert prof.orders == (5, 5) and prof.delta == 5
 
     def test_identity_profile(self):
         sig = SurfaceSignature(1, 3)
-        h = FiniteGroupHandle.symmetric(3)
-        rep = RepTuple(sig, h, (h.identity(),) * 4)
+        rep = identity_rep(sig, FiniteGroupHandle.symmetric(3))
         assert peripheral_profile(rep).orders == (1, 1, 1)
 
     def test_profile_delta(self):
@@ -181,9 +190,9 @@ class TestPeripheralIds:
         matrix = peripheral_ids(table, b.signature, result.class_rep_ids)
         assert matrix.shape == (result.k, b.signature.n)
         for row, ids in zip(matrix.tolist(), result.class_rep_ids):
-            rep = RepTuple(b.signature, table.handle, tuple(table.elements[i] for i in ids))
-            expected = [table.id_of(c) for c in rep.images[2 * b.signature.g :]]
-            expected.append(table.id_of(reference_last_peripheral(rep)))
+            rep = RepTuple(b.signature, table.handle, ids)
+            expected = list(ids[2 * b.signature.g :])
+            expected.append(oracle.id_of(table.handle, reference_last_peripheral(rep)))
             assert row == expected
             assert rep.peripheral_image_ids().tolist() == expected
 
@@ -207,20 +216,20 @@ def test_relation_always_recomposes(target, g, n, seed):
         sig = SurfaceSignature(g, n)
     except BadParameters:
         return
-    els = enumerate_group(target)
+    els = oracle.elements(target)
     rng_state = seed
     images = []
     for _ in range(sig.free_rank):
         rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % 2**63
         images.append(els[rng_state % len(els)])
-    rep = RepTuple(sig, target, tuple(images))
+    rep = rep_of(sig, target, *images)
     cs = [els[i] for i in rep.peripheral_image_ids()]
     assert cs[:-1] == images[2 * sig.g :]
-    lhs = target.identity()
+    lhs = oracle.identity(target)
     for i in range(sig.g):
         a, b = images[2 * i], images[2 * i + 1]
         lhs = lhs * (a * b * a.inverse() * b.inverse())
-    rhs = target.identity()
+    rhs = oracle.identity(target)
     for c in cs:
         rhs = rhs * c
     assert lhs == rhs
