@@ -118,8 +118,8 @@ def _cmd_orbit(args) -> int:
         # one JSON form per element, shared by every line that holds it
         codes = encode(orbit.table, range(orbit.table.order))
         with open(args.dump, "w") as fh:
-            for ids in orbit.id_tuples():
-                fh.write(canonical_json([codes[i] for i in ids]) + "\n")
+            for block in orbit.id_tuples():
+                fh.writelines(canonical_json([codes[i] for i in ids]) + "\n" for ids in block)
         print(f"orbit dumped to {args.dump}")
     return 0
 

@@ -420,17 +420,25 @@ def encode(table: GroupTable, ids):
     return table.entries[np.asarray(ids, dtype=np.int64)].tolist()
 
 
+def _entry(x) -> int:
+    """A recorded entry, which must be an int: TypeError on a bool, a
+    string, a float or anything else ``int()`` would also read."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"element entries are integers, got {x!r}")
+    return x
+
+
 def decode(table: GroupTable, data) -> int:
-    """The id of an element given by its entries.  PSL2 takes
+    """The id of an element given by its int entries.  PSL2 takes
     ``[a, b, c, d]`` of either sign and unreduced, and raises
     NotUnimodular unless the determinant is 1 mod p; Sym(m) takes the
     one-line images and raises BadParameters unless they are a
     permutation of 0 .. m-1; Z/n takes any integer."""
     handle = table.handle
     if handle.kind == "cyclic":
-        return int(data) % handle.n
+        return _entry(data) % handle.n
     if handle.kind == "symmetric":
-        images = [int(x) for x in data]
+        images = [_entry(x) for x in data]
         if sorted(images) != list(range(handle.m)):
             raise BadParameters(f"not a permutation of 0 .. {handle.m - 1}: {images}")
         code = 0
@@ -439,7 +447,7 @@ def decode(table: GroupTable, data) -> int:
         return int(np.searchsorted(table.lookup, code))
     p = handle.p
     # Python ints, so an entry of any size reduces exactly
-    a, b, c, d = (int(x) % p for x in data)
+    a, b, c, d = (_entry(x) % p for x in data)
     gid = int(table.lookup[_encode_entries(a, b, c, d, p)])
     if gid < 0:
         raise NotUnimodular(f"determinant is {(a * d - b * c) % p}, not 1 mod {p}")

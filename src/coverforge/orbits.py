@@ -4,17 +4,22 @@ fundamental group, and its quotient by target-group automorphisms.
 Since a punctured surface has free fundamental group, the automorphism
 action by precomposition is realized as the elementary Nielsen moves on
 the r-tuple of generator images: swap adjacent entries, invert the first
-entry, multiply the first entry by the second (or its inverse).  Each
-move acts as a finite-order bijection on the finite set of tuples, so
-closing under the listed moves also closes under their inverses and the
-BFS closure is the full orbit of the generated action.
+entry, multiply the first entry by the second (or its inverse).  The
+list is closed under inverses: the swaps and the inversion undo
+themselves, and multiply_inv undoes multiply.  So the state graph is
+undirected and the BFS closure is the full orbit of the generated action.
 
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on id tuples).
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
-product-image closure) and one the class partition.  The partition runs
-in seed batches: each step takes the next unclassified states, computes
+product-image closure), and it takes only inverse-closed moves.  It
+keeps the BFS levels apart: the neighbours of a level lie in the level
+before it, the level itself or the next one, so the frontier is tested
+for membership against the last two levels only, in chunks whose
+candidates fill a fixed number of bytes, and the levels are sorted into
+the orbit once, at the end.  One engine runs the class partition, in
+seed batches: each step takes the next unclassified states, computes
 all their automorphism images from the group table at once
 (``automorphism_images``; no automorphism matrix is stored), finds them
 in the sorted orbit with one searchsorted and marks them classified; a
@@ -30,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +56,9 @@ DEFAULT_ORBIT_BUDGET = 20_000_000
 # degree is left uncomputed
 PRODUCT_CLOSURE_CAP = 10_000_000
 _INT64_KEYS = 2**62
-_CHUNK = 1_000_000
+# candidate bytes of one frontier chunk (moves x states x 8); on the bench
+# orbits 1 MiB ran faster than 256 KiB, and 4 MiB raised the overrun's RSS
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,10 +101,17 @@ class OrbitClosure:
     def size(self) -> int:
         return len(self.encoded)
 
-    def id_tuples(self) -> list[tuple[int, ...]]:
-        """All states as id tuples, in lexicographic order."""
-        digits = np.stack(_decode_digits(self.encoded, self.table.order, self.rank), axis=1)
-        return [tuple(ids) for ids in digits.tolist()]
+    def id_tuples(self) -> Iterator[list[tuple[int, ...]]]:
+        """The states as id tuples in lexicographic order, one list per
+        block of states, so a caller that streams them never holds the
+        whole orbit as Python objects.  A block's tuples, with the lists
+        they are made from, take about ``_BLOCK_BYTES``: some 64 bytes per
+        entry."""
+        step = max(1, _BLOCK_BYTES // (64 * self.rank))
+        for lo in range(0, self.size, step):
+            block = self.encoded[lo : lo + step]
+            digits = np.stack(_decode_digits(block, self.table.order, self.rank), axis=1)
+            yield [tuple(ids) for ids in digits.tolist()]
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
@@ -151,11 +165,25 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _sort(values: np.ndarray) -> np.ndarray:
+    """Sort a newly made array in place and return it.  int64 keys take
+    numpy's default (SIMD) sort; wide keys take timsort, which merges the
+    sorted runs that concatenated levels consist of with fewer
+    Python-int comparisons."""
+    values.sort(kind="stable" if values.dtype == object else None)
+    return values
+
+
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique through a stable sort: timsort merges the sorted runs
-    that moved or concatenated state arrays consist of."""
-    values = np.sort(values, kind="stable")
+    """np.unique of a newly made array, without its numpy.ma import."""
+    values = _sort(values)
     return values[_run_starts(values)]
+
+
+def _absent(values: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """The values not in the sorted array `known`."""
+    pos = np.minimum(np.searchsorted(known, values), known.size - 1)
+    return values[known[pos] != values]
 
 
 def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClosure:
@@ -175,42 +203,58 @@ def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClo
 
 def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     """BFS closure of the start tuple under the moves, each a map from a
-    chunk's encoded states and decoded digits to the moved encodings."""
+    chunk's encoded states and decoded digits to the moved encodings.
+
+    The moves must be closed under inverses.  The state graph is then
+    undirected, so the neighbours of a level lie in the level before it,
+    the level itself or the next one: a chunk of the frontier applies
+    every move, sorts and dedupes the candidates once, and keeps those
+    absent from the union of the last two levels.  A chunk holds as many
+    states as let its candidates fill ``_CHUNK_BYTES``.  Chunk results
+    are merged at the level's end, or earlier whenever their total, which
+    over-counts states that several chunks reach, exceeds the budget; so
+    the exact distinct count decides ``BudgetExceeded``.  The levels are
+    sorted together once, at the end.
+    """
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
-    visited = np.array([start_state], dtype=powers.dtype)
-    frontier = visited.copy()
+    frontier = np.array([start_state], dtype=powers.dtype)
+    found = [frontier]
+    near = frontier
+    reached = 1
+    step = max(1, _CHUNK_BYTES // (8 * len(moves)))
     levels = 0
     expansions = 0
     while frontier.size:
         levels += 1
-        new = np.empty(0, dtype=powers.dtype)
-        for lo in range(0, frontier.size, _CHUNK):
-            chunk = frontier[lo : lo + _CHUNK]
+        pieces = []
+        counted = reached
+        for lo in range(0, frontier.size, step):
+            chunk = frontier[lo : lo + step]
             digits = _decode_digits(chunk, n, rank)
-            for move in moves:
-                cand = _sorted_unique(move(chunk, digits))
-                expansions += int(chunk.size)
-                pos = np.searchsorted(visited, cand)
-                mask = (pos >= visited.size) | (visited[np.minimum(pos, visited.size - 1)] != cand)
-                cand = cand[mask]
-                if cand.size:
-                    new = _sorted_unique(np.concatenate([new, cand])) if new.size else cand
-                if visited.size + new.size > budget:
+            cand = _sorted_unique(np.concatenate([move(chunk, digits) for move in moves]))
+            expansions += len(moves) * chunk.size
+            pieces.append(_absent(cand, near))
+            counted += pieces[-1].size
+            if counted > budget:
+                pieces = [_sorted_unique(np.concatenate(pieces))]
+                counted = reached + pieces[0].size
+                if counted > budget:
                     raise BudgetExceeded(
-                        "orbit closure exceeded state budget",
-                        used=int(visited.size + new.size),
-                        budget=budget,
+                        "orbit closure exceeded state budget", used=counted, budget=budget
                     )
-        if new.size:
-            visited = np.sort(np.concatenate([visited, new]), kind="stable")
+        new = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
+        reached += new.size
+        found.append(new)
+        near = _sort(np.concatenate([frontier, new]))
         frontier = new
+    encoded = _sort(np.concatenate(found))
     return OrbitClosure(
         table=table,
         rank=rank,
         start_ids=start,
-        encoded=visited,
+        encoded=encoded,
         levels=levels,
         expansions=expansions,
     )
@@ -231,7 +275,7 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     digits = _decode_digits(states, n, orbit.rank)
     for move in nielsen_generators(orbit.rank):
         image = _apply_move_encoded(states, digits, move, orbit.table, powers)
-        if not np.array_equal(np.sort(image, kind="stable"), states):
+        if not np.array_equal(_sort(image), states):
             return False
     return True
 
@@ -395,16 +439,18 @@ def _product_closure_order(
     """Order of the image of the product of the class reps, or None when
     G^k is above ``PRODUCT_CLOSURE_CAP``: the orbit of the identity
     k-tuple in G^k under right multiplication by one k-tuple per free
-    generator (column of the class rep ids), which in a finite group is
-    the subgroup those tuples generate, so it never outgrows G^k."""
+    generator (column of the class rep ids) and by its inverse, which is
+    the subgroup those tuples generate, so it never outgrows G^k.  The
+    inverses make the moves closed under inverses, as the engine needs."""
     k = len(class_rep_ids)
     product_order = table.order**k
     if product_order > PRODUCT_CLOSURE_CAP:
         return None
     powers = _state_powers(table.order, k)
+    columns = np.asarray(class_rep_ids, dtype=np.int64).T
     moves = [
-        partial(_right_multiply, gens=np.asarray(column), table=table, powers=powers)
-        for column in zip(*class_rep_ids)
+        partial(_right_multiply, gens=gens, table=table, powers=powers)
+        for gens in (*columns, *table.inv[columns])
     ]
     start = (table.identity_id,) * k
     return _orbit_vectorized(table, k, start, moves, product_order).size

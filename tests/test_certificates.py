@@ -571,13 +571,20 @@ class TestCli:
              "a-infinity"],
     )
     def test_verify_tampered_commutator_pair_exits_4(
-        self, tmp_path, capsys, once_punctured_cert, tamper
+        self, tmp_path, capsys, monkeypatch, once_punctured_cert, tamper
     ):
         # a digest-valid once-punctured certificate whose recorded pair
         # fails its defining properties names the pair, with no traceback
-        from coverforge import cli
+        from coverforge import certificates, cli
 
         cert = {**once_punctured_cert, "constants": tamper(once_punctured_cert["constants"])}
+        if "A" in cert["constants"]:
+            # a recorded pair is refused before any replay work; without
+            # one build_once_punctured searches afresh and the final diff refuses it
+            def no_replay(*args, **kwargs):
+                raise AssertionError("the orbit replay ran on a refused pair")
+
+            monkeypatch.setattr(certificates, "orbit_closure", no_replay)
         path = tmp_path / "cert.json"
         path.write_text(canonical_json(attach_digest(cert)))
         assert cli.main(["verify", str(path)]) == 4
@@ -623,8 +630,12 @@ class TestCli:
             (("--case", "genus-zero", "--p", "5", "--punctures", "3"), 600,
              [[0, 1, 4, 0], [0, 1, 4, 1]],
              "70f058484a44138b6faed7a0f975fde49054d3899f4496130d5a17860938568e"),
+            # spans many id_tuples blocks
+            (("--case", "once-punctured", "--p", "13", "--genus", "1"), 107016,
+             [[0, 1, 12, 0], [0, 1, 12, 1]],
+             "3b09a7b65838b885bdaa92aacb36b29564c029579dff979036008bcaa5ddc599"),
         ],
-        ids=["char-cyclic-g0-n3", "char-sym3-g1", "genus-zero-p5-n3"],
+        ids=["char-cyclic-g0-n3", "char-sym3-g1", "genus-zero-p5-n3", "once-punctured-p13"],
     )
     def test_orbit_dump(self, tmp_path, case_args, size, first, sha256):
         # one state per line, each element in its JSON form, in id order

@@ -587,6 +587,19 @@ class TestValueSemantics:
                 decode(sym, data)
         cyclic = group_table(FiniteGroupHandle.cyclic(7))
         assert decode(cyclic, 10) == decode(cyclic, -4) == 3
+        # entries are ints only, not whatever int() would read
+        psl = group_table(FiniteGroupHandle.psl2(5))
+        for table, data in (
+            (psl, (True, False, False, True)),
+            (psl, ("1", "0", "0", "1")),
+            (psl, (1.0, 0, 0, 1)),
+            (sym, ("0", "1", "2")),
+            (sym, (False, True, 2)),
+            (cyclic, 3.0),
+            (cyclic, True),
+        ):
+            with pytest.raises(TypeError):
+                decode(table, data)
 
     def test_trivial_subgroup(self):
         # the closure of no generators is the trivial subgroup

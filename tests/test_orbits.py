@@ -33,6 +33,11 @@ from coverforge.surfaces import RepTuple, SurfaceSignature
 from element_oracle import Residue, element_of, element_order, elements, ids_of
 
 
+def all_id_tuples(orb):
+    """Every state of the orbit as an id tuple, in order."""
+    return [ids for block in orb.id_tuples() for ids in block]
+
+
 def toy_rep():
     """F_2 -> Z/2 sending the generators to (1, 0)."""
     sig = SurfaceSignature(0, 3)
@@ -76,7 +81,7 @@ def reference_partition(orb):
     aut_classes reports them: the starting tuple's class first, then the
     lexicographic minimum of every other class in increasing order."""
     perms = reference_aut_rows(orb.table)
-    states = set(orb.id_tuples())
+    states = set(all_id_tuples(orb))
     classes = {frozenset(map(tuple, perms[:, list(ids)].tolist())) & states for ids in states}
     start_class = next(c for c in classes if orb.start_ids in c)
     others = sorted((min(c), len(c)) for c in classes if c is not start_class)
@@ -107,7 +112,7 @@ class TestToyOrbit:
     def test_orbit_states(self):
         orb = orbit_closure(toy_rep())
         assert orb.size == 3
-        assert set(orb.id_tuples()) == {(1, 0), (0, 1), (1, 1)}
+        assert set(all_id_tuples(orb)) == {(1, 0), (0, 1), (1, 1)}
 
     def test_classes(self):
         res = aut_classes(orbit_closure(toy_rep()))
@@ -146,6 +151,67 @@ class TestToyOrbit:
         assert not verify_characteristic_closure(mutated)
 
 
+class TestEngineContract:
+    @pytest.mark.parametrize("rank", range(2, 7))
+    def test_nielsen_moves_closed_under_inverses(self, rank):
+        # the BFS tests new states against the last two levels only, which
+        # is exact when every move has a partner in the list undoing it
+        table = group_table(FiniteGroupHandle.symmetric(4))
+        n = table.order
+        powers = orbits._state_powers(n, rank)
+        moves = nielsen_generators(rank)
+
+        def apply(move, states):
+            digits = orbits._decode_digits(states, n, rank)
+            return orbits._apply_move_encoded(states, digits, move, table, powers)
+
+        states = np.random.default_rng(rank).integers(0, n, size=(300, rank)) @ powers
+        for move in moves:
+            moved = apply(move, states)
+            assert any(np.array_equal(apply(back, moved), states) for back in moves), move
+
+
+class TestChunks:
+    """A level spans many frontier chunks, whose results are deduped
+    against each other at the level's end or when their over-counted
+    total exceeds the budget."""
+
+    # label -> rep
+    CASES = {
+        "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
+        "generic-p5": lambda: build_generic(5, 1, 2).rep,
+        "genus-zero-p5": lambda: build_genus_zero(5, 3).rep,
+        "once-punctured-p13": lambda: build_once_punctured(13, 1).rep,
+    }
+    # candidate bytes of 51 to 64 states per chunk
+    TINY = 2048
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_chunk_size_does_not_change_result(self, label, monkeypatch):
+        rep = self.CASES[label]()
+        default = orbit_closure(rep)
+        classes = aut_classes(default)
+        monkeypatch.setattr(orbits, "_CHUNK_BYTES", self.TINY)
+        tiny = orbit_closure(rep)
+        assert tiny.encoded.dtype == default.encoded.dtype
+        assert np.array_equal(tiny.encoded, default.encoded)
+        assert (tiny.levels, tiny.expansions) == (default.levels, default.expansions)
+        assert aut_classes(tiny) == classes
+
+    @pytest.mark.parametrize("chunk_bytes", [TINY, orbits._CHUNK_BYTES])
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_budget_edge(self, label, chunk_bytes, monkeypatch):
+        monkeypatch.setattr(orbits, "_CHUNK_BYTES", chunk_bytes)
+        rep = self.CASES[label]()
+        size = orbit_closure(rep).size
+        assert orbit_closure(rep, budget=size).size == size
+        with pytest.raises(BudgetExceeded) as exc:
+            orbit_closure(rep, budget=size - 1)
+        # the exact distinct count at the first check over budget:
+        # above size - 1 and at most the orbit
+        assert exc.value.used == size
+
+
 class TestOrbitEngine:
     def test_identity_tuple_is_fixed(self):
         sig = SurfaceSignature(0, 3)
@@ -175,7 +241,7 @@ class TestOrbitEngine:
                         seen.add(cand)
                         fresh.append(cand)
             frontier = fresh
-        assert set(orb.id_tuples()) == seen
+        assert set(all_id_tuples(orb)) == seen
         assert orb.size == 600
 
     def test_generic_p5_rank3_regression(self):
@@ -222,7 +288,7 @@ class TestOrbitEngine:
                         seen.add(cand)
                         fresh.append(cand)
             frontier = fresh
-        assert orb.id_tuples() == sorted(seen)
+        assert all_id_tuples(orb) == sorted(seen)
         assert orb.size == 2047
 
         res = aut_classes(orb)
@@ -246,7 +312,7 @@ class TestOrbitEngine:
         table = orb.table
         from coverforge.groups import closure_ids
 
-        assert closure_ids(table, orb.id_tuples()[:40]).all()
+        assert closure_ids(table, next(orb.id_tuples())[:40]).all()
 
 
 def all_automorphisms(table):
@@ -526,22 +592,41 @@ def reference_product_closure(table, class_rep_ids):
     return elements
 
 
+def orbit_class_reps(rep):
+    """The table and class rep ids of the orbit of a rep."""
+    orb = orbit_closure(rep)
+    return orb.table, aut_classes(orb).class_rep_ids
+
+
+def given_reps(handle, *rep_ids):
+    return group_table(handle), rep_ids
+
+
 class TestProductClosure:
-    @pytest.mark.parametrize(
-        "rep,order",
-        [
-            (toy_rep, 4),
-            (lambda: build_characteristic_cyclic(0, 3).rep, 9),
-            (lambda: build_characteristic_cyclic(1, 2).rep, 8),
-            (lambda: build_characteristic_sym3(1).rep, 108),
-        ],
-        ids=["toy-z2", "char-cyclic-g0-n3", "char-cyclic-g1-n2", "char-sym3-g1"],
-    )
-    def test_matches_reference(self, rep, order):
-        orb = orbit_closure(rep())
-        rep_ids = aut_classes(orb).class_rep_ids
-        expected = reference_product_closure(orb.table, rep_ids)
-        assert _product_closure_order(orb.table, rep_ids) == len(expected) == order
+    # label -> (table and class rep ids, order of the product image).  The
+    # given reps do not generate their product group, so its Cayley graph
+    # needs the inverse generators to be undirected: without them the
+    # two-level BFS over-counts and raises (Sym(3)^3 reaches 219 > 216).
+    CASES = {
+        "toy-z2": (lambda: orbit_class_reps(toy_rep()), 4),
+        "char-cyclic-g0-n3": (lambda: orbit_class_reps(build_characteristic_cyclic(0, 3).rep), 9),
+        "char-cyclic-g1-n2": (lambda: orbit_class_reps(build_characteristic_cyclic(1, 2).rep), 8),
+        "char-sym3-g1": (lambda: orbit_class_reps(build_characteristic_sym3(1).rep), 108),
+        "sym3-cubed": (
+            lambda: given_reps(FiniteGroupHandle.symmetric(3), (1, 2), (2, 1), (3, 4)), 18
+        ),
+        "z6-squared": (lambda: given_reps(FiniteGroupHandle.cyclic(6), (1, 2), (5, 3)), 36),
+        "sym4-cubed": (
+            lambda: given_reps(FiniteGroupHandle.symmetric(4), (3, 5), (7, 2), (11, 20)), 288
+        ),
+    }
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_matches_reference(self, label):
+        build, order = self.CASES[label]
+        table, rep_ids = build()
+        expected = reference_product_closure(table, rep_ids)
+        assert _product_closure_order(table, rep_ids) == len(expected) == order
 
 
 def lifted_commutator_traces(table):
