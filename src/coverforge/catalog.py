@@ -38,7 +38,6 @@ from .surfaces import PeripheralProfile, RepTuple, SurfaceSignature
 class CatalogBuild:
     """One constructed family member plus its provenance."""
 
-    tag: str
     signature: SurfaceSignature
     p: int | None
     rep: RepTuple
@@ -88,9 +87,9 @@ class HypothesisReport:
         }
 
 
-def _require_valid_prime(p: int, minimum: int = 5) -> None:
-    if not is_prime(p) or p < minimum:
-        raise BadParameters(f"need a prime p >= {minimum}, got {p}")
+def _require_valid_prime(p: int) -> None:
+    if not is_prime(p) or p < 5:
+        raise BadParameters(f"need a prime p >= 5, got {p}")
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -211,17 +210,9 @@ def select_t(p: int) -> int:
     if p % 4 != 1:
         raise BadParameters(f"need p = 1 mod 4, got {p}")
     for t in range(1, p):
-        if validate_t(p, t, require_minimal=False):
+        if extension_root_order(p, t) == p + 1:
             return t
     raise SearchExhausted(f"no admissible t mod {p}")
-
-
-def validate_t(p: int, t: int, require_minimal: bool = True) -> bool:
-    if not 1 <= t < p or extension_root_order(p, t) != p + 1:
-        return False
-    if require_minimal:
-        return all(extension_root_order(p, s) != p + 1 for s in range(1, t))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +281,6 @@ def build_generic(p: int, g: int, n: int) -> CatalogBuild:
         "a0_generator": encode(table, a0_gen),
     }
     return CatalogBuild(
-        tag="generic",
         signature=sig,
         p=p,
         rep=rep,
@@ -325,16 +315,14 @@ def build_once_punctured(
     images = [a, b] + [table.identity_id] * (2 * (g - 1))
     rep = RepTuple(sig, handle, tuple(images))
     h0 = borel_subgroup(p)
-    _, _, root = diagonal_torus(p)
     constants = {
         "epsilon": nonsquare(p),
-        "primitive_root": root,
+        "primitive_root": smallest_primitive_root(p),
         "A": encode(table, a),
         "B": encode(table, b),
         "C": encode(table, c),
     }
     return CatalogBuild(
-        tag="once_punctured",
         signature=sig,
         p=p,
         rep=rep,
@@ -402,7 +390,6 @@ def build_genus_zero(p: int, n: int, explicit_t: int | None = None) -> CatalogBu
         constants["dihedral_order"] = order
         expected = None  # orders checked dynamically for the variant
     return CatalogBuild(
-        tag="genus_zero",
         signature=sig,
         p=p,
         rep=rep,
@@ -426,7 +413,6 @@ def build_characteristic_cyclic(g: int, n: int) -> CatalogBuild:
     images = [zero] * (2 * g) + [one] * (n - 1)
     rep = RepTuple(sig, handle, tuple(images))
     return CatalogBuild(
-        tag="char_cyclic",
         signature=sig,
         p=None,
         rep=rep,
@@ -453,7 +439,6 @@ def build_characteristic_sym3(g: int) -> CatalogBuild:
     rep = RepTuple(sig, handle, tuple(images))
     claimed = decode(table, (1, 2, 0))
     return CatalogBuild(
-        tag="char_sym3",
         signature=sig,
         p=None,
         rep=rep,

@@ -38,7 +38,6 @@ from .catalog import (
     verify_hypotheses,
 )
 from .covers import (
-    DEFAULT_COSET_BUDGET,
     characteristic_core,
     coset_permutation,
     coset_space,
@@ -75,6 +74,9 @@ _CHARACTERISTIC = ("char-cyclic", "char-sym3")
 # the deepest nesting parse_certificate accepts (certificates nest 6 deep):
 # the decoder, the digest's encoder and the diff recurse once per level
 _MAX_NESTING = 64
+# recorded as budgets.coset: a coset space has at most |G| <= TABLE_LIMIT
+# points, so no coset budget can bind and the recorded value is fixed
+_FIXED_COSET_VALUE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,12 @@ class ConstructConfig:
     explicit_t: int | None = None
     single_factor: bool = False
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
-    coset_budget: int = DEFAULT_COSET_BUDGET
 
     def __post_init__(self):
         if self.case not in CASES:
             raise BadParameters(f"unknown case {self.case!r}; pick one of {CASES}")
-        for name in ("orbit_budget", "coset_budget"):
-            value = getattr(self, name)
-            if value < 1:
-                raise BadParameters(f"{name.replace('_', ' ')} must be positive, got {value}")
+        if self.orbit_budget < 1:
+            raise BadParameters(f"orbit budget must be positive, got {self.orbit_budget}")
 
 
 def canonical_json(obj) -> str:
@@ -233,9 +232,9 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
         },
         "budgets": {
             "orbit": config.orbit_budget,
-            "coset": config.coset_budget,
             # fixed values, not budgets: a file that records another
             # value fails the replay's diff
+            "coset": _FIXED_COSET_VALUE,
             "closure": PRODUCT_CLOSURE_CAP,
             "hall_direct_cap": PRODUCT_CLOSURE_CAP,
         },
@@ -316,7 +315,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     cert["variant"] = variant
     cert["budget_used"] = {"hall_mode": hall_mode}
 
-    space = coset_space(h0, config.coset_budget, table)
+    space = coset_space(h0)
     index = space.degree
     degree = index**k
     # one row of c_1 .. c_n ids per class rep; each distinct id's coset
@@ -513,7 +512,6 @@ def _config_from_certificate(cert: dict) -> ConstructConfig:
         explicit_t=_recorded(flags, "inputs.flags.explicit_t", int, nullable=True),
         single_factor=_recorded(flags, "inputs.flags.single_factor", bool),
         orbit_budget=_recorded(budgets, "budgets.orbit", int),
-        coset_budget=_recorded(budgets, "budgets.coset", int),
     )
 
 
@@ -534,27 +532,23 @@ def _diff(expected, found, path: str, out: list[str]) -> None:
         out.append(path)
 
 
-def _check_verifier_caps(config: ConstructConfig, orbit_cap: int, coset_cap: int) -> None:
-    """BudgetExceeded when a recorded budget is above the verifier's own
-    cap: the file cannot choose how much work its replay may do.  The
-    group itself is held to the table limit when the replay names it,
-    and the product closure cap is fixed, so a file that records another
+def _check_verifier_caps(config: ConstructConfig, orbit_cap: int) -> None:
+    """BudgetExceeded when the recorded orbit budget is above the
+    verifier's own cap: the file cannot choose how much work its replay
+    may do.  The group itself (and so each of its coset spaces) is held
+    to the table limit when the replay names it, and the coset and
+    product closure values are fixed, so a file that records another
     value fails the diff."""
-    for name, cap in (("orbit_budget", orbit_cap), ("coset_budget", coset_cap)):
-        value = getattr(config, name)
-        if value > cap:
-            raise BudgetExceeded(
-                f"certificate {name.replace('_', ' ')} {value} exceeds the verifier cap {cap}",
-                used=value,
-                budget=cap,
-            )
+    budget = config.orbit_budget
+    if budget > orbit_cap:
+        raise BudgetExceeded(
+            f"certificate orbit budget {budget} exceeds the verifier cap {orbit_cap}",
+            used=budget,
+            budget=orbit_cap,
+        )
 
 
-def verify(
-    cert: dict,
-    orbit_cap: int = DEFAULT_ORBIT_BUDGET,
-    coset_cap: int = DEFAULT_COSET_BUDGET,
-) -> VerifyReport:
+def verify(cert: dict, orbit_cap: int = DEFAULT_ORBIT_BUDGET) -> VerifyReport:
     """Recompute everything derivable and compare bit for bit.
 
     The document digest is checked first, so a tampered certificate
@@ -572,7 +566,7 @@ def verify(
         return VerifyReport(False, True, False, False, ("certificate_digest",))
     try:
         config = _config_from_certificate(cert)
-        _check_verifier_caps(config, orbit_cap, coset_cap)
+        _check_verifier_caps(config, orbit_cap)
         constants = _recorded(cert, "constants", dict)
         rebuilt = attach_digest(_run_pipeline(config, constants=constants))
     except (BadParameters, BadModulus, NotUnimodular) as exc:

@@ -22,7 +22,6 @@ from .certificates import (
     write_certificate,
     _build_case,
 )
-from .covers import DEFAULT_COSET_BUDGET
 from .errors import (
     BadModulus,
     BadParameters,
@@ -54,16 +53,12 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=int, default=None, dest="explicit_t",
                         help="explicit t for the genus-zero dihedral variant")
     parser.add_argument("--orbit-budget", type=int, default=None)
-    parser.add_argument("--coset-budget", type=int, default=None)
 
 
 def _config_from_args(args) -> ConstructConfig:
     orbit_budget = args.orbit_budget
     if orbit_budget is None:
         orbit_budget = _env_int("COVERFORGE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET)
-    coset_budget = args.coset_budget
-    if coset_budget is None:
-        coset_budget = _env_int("COVERFORGE_COSET_BUDGET", DEFAULT_COSET_BUDGET)
     return ConstructConfig(
         case=args.case,
         p=args.p,
@@ -72,7 +67,6 @@ def _config_from_args(args) -> ConstructConfig:
         explicit_t=args.explicit_t,
         single_factor=getattr(args, "single_factor", False),
         orbit_budget=orbit_budget,
-        coset_budget=coset_budget,
     )
 
 
@@ -90,12 +84,8 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.certificate, "rb") as fh:
         cert = parse_certificate(fh.read())
-    # the verifier's caps, which a certificate's recorded budgets may not exceed
-    report = verify(
-        cert,
-        orbit_cap=_env_int("COVERFORGE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET),
-        coset_cap=_env_int("COVERFORGE_COSET_BUDGET", DEFAULT_COSET_BUDGET),
-    )
+    # the verifier's cap, which a certificate's recorded orbit budget may not exceed
+    report = verify(cert, orbit_cap=_env_int("COVERFORGE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET))
     print(canonical_json(report.to_dict()))
     for path in report.mismatches:
         print(f"mismatch at {path}", file=sys.stderr)

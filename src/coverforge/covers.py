@@ -22,12 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameters, BudgetExceeded, InconsistentRamification
+from .errors import BadParameters, InconsistentRamification
 from .groups import GroupTable, SubgroupData, group_table, normalizer
 from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
 from .surfaces import SurfaceSignature, peripheral_ids
-
-DEFAULT_COSET_BUDGET = 1_000_000
 
 
 @dataclass
@@ -35,27 +33,20 @@ class CosetSpace:
     """Right cosets H\\G, labeled 0..d-1 in order of smallest member."""
 
     table: GroupTable
-    subgroup: SubgroupData
     degree: int
     point_of: np.ndarray  # element id -> coset label
     reps: np.ndarray      # coset label -> representative element id
 
 
-def coset_space(
-    h0: SubgroupData, budget: int = DEFAULT_COSET_BUDGET, table: GroupTable | None = None
-) -> CosetSpace:
-    if table is None:
-        table = group_table(h0.ambient)
+def coset_space(h0: SubgroupData) -> CosetSpace:
+    """The right cosets of h0 in its ambient group.  There are at most
+    |G| of them, and the group itself is held to ``TABLE_LIMIT``, so the
+    space needs no budget of its own."""
+    table = group_table(h0.ambient)
     n = table.order
     if h0.order == 0 or n % h0.order:
         raise BadParameters("subgroup order must divide the group order")
     degree = n // h0.order
-    if degree > budget:
-        raise BudgetExceeded(
-            f"coset space of size {degree} exceeds budget {budget}",
-            used=degree,
-            budget=budget,
-        )
     h_ids = h0.ids
     point_of = np.full(n, -1, dtype=np.int32)
     reps = []
@@ -66,7 +57,7 @@ def coset_space(
         point_of[coset] = len(reps)
         reps.append(eid)
     assert len(reps) == degree
-    return CosetSpace(table, h0, degree, point_of, np.array(reps, dtype=np.int64))
+    return CosetSpace(table, degree, point_of, np.array(reps, dtype=np.int64))
 
 
 def coset_permutation(space: CosetSpace, gid: int) -> tuple[int, ...]:

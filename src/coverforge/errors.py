@@ -18,8 +18,8 @@ class BadParameters(CoverforgeError):
 
 
 class BudgetExceeded(CoverforgeError):
-    """A group was named above the table limit, an orbit or coset space
-    outgrew its budget, or a certificate recorded a budget above the
+    """A group was named above the table limit, an orbit outgrew its
+    budget, or a certificate recorded an orbit budget above the
     verifier's cap.
 
     Carries diagnostics but never partial results: a computation that

@@ -404,7 +404,6 @@ def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
 class HallReport:
     ok: bool
     mode: str  # "direct" | "hypothesis-only"
-    each_surjective: bool
     pairwise_inequivalent: bool
     direct_order: int | None
 
@@ -427,7 +426,6 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     return HallReport(
         ok=ok,
         mode="hypothesis-only" if direct_order is None else "direct",
-        each_surjective=each,
         pairwise_inequivalent=pairwise,
         direct_order=direct_order,
     )

@@ -23,8 +23,6 @@ from functools import cache
 from typing import Sequence
 
 from coverforge.covers import (
-    DEFAULT_COSET_BUDGET,
-    CosetSpace,
     coset_permutation,
     coset_space,
     cycle_type,
@@ -219,14 +217,8 @@ class CosetAction:
     peripheral_perms: tuple[tuple[int, ...], ...]  # c_1, .., c_n (derived last)
 
 
-def coset_action(
-    rep: RepTuple,
-    h0: SubgroupData,
-    budget: int = DEFAULT_COSET_BUDGET,
-    space: CosetSpace | None = None,
-) -> CosetAction:
-    if space is None:
-        space = coset_space(h0, budget)
+def coset_action(rep: RepTuple, h0: SubgroupData) -> CosetAction:
+    space = coset_space(h0)
     free = {
         name: coset_permutation(space, g)
         for name, g in zip(rep.signature.generator_names, rep.images)

@@ -204,7 +204,7 @@ def test_criterion_06_factored_direct_equivalence():
                         product_perm[x * d + y] = perm[x] * d + perm[y]
                 direct = cycle_type(product_perm)
                 factored = local_degrees_factored([cycle_type(perm)] * 2)
-                assert direct == factored, (build.tag, i)
+                assert direct == factored, (build.p, build.signature, i)
 
 
 def test_criterion_07_toy_orbit_ground_truth():

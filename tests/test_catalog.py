@@ -19,7 +19,6 @@ from coverforge.catalog import (
     smallest_element_of_order,
     smallest_primitive_root,
     validate_commutator_pair,
-    validate_t,
     verify_hypotheses,
 )
 from coverforge.errors import BadParameters, BudgetExceeded, SearchExhausted
@@ -65,9 +64,11 @@ class TestSelectT:
         assert extension_root_order(5, 4) == 6
 
     def test_validate_minimality(self):
-        assert validate_t(5, 4)
-        assert not validate_t(5, 1)
-        assert not validate_t(13, 12, require_minimal=True) or select_t(13) == 12
+        # select_t returns the smallest t whose roots have order p + 1
+        assert select_t(5) == 4
+        assert select_t(13) == 1
+        assert extension_root_order(13, 1) == 14
+        assert all(extension_root_order(5, t) != 6 for t in range(1, 4))
 
     def test_rejects_p3mod4(self):
         with pytest.raises(BadParameters):
@@ -344,7 +345,7 @@ class TestHypotheses:
             hyp = verify_hypotheses(
                 build.rep.target, build.h0, peripheral_profile(build.rep)
             )
-            assert hyp.all_pass, (build.tag, hyp)
+            assert hyp.all_pass, (build.signature, hyp)
 
     def test_d0_stabilizes_catalog_subgroups(self):
         for p in (5, 13):

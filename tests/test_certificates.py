@@ -19,7 +19,6 @@ from coverforge.certificates import (
     verify,
     write_certificate,
 )
-from coverforge.covers import DEFAULT_COSET_BUDGET
 from coverforge.errors import BadParameters, BudgetExceeded, SchemaMismatch
 from coverforge.orbits import DEFAULT_ORBIT_BUDGET, PRODUCT_CLOSURE_CAP
 
@@ -144,7 +143,7 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             ConstructConfig(case="nonsense")
 
-    @pytest.mark.parametrize("field", ["orbit_budget", "coset_budget"])
+    @pytest.mark.parametrize("field", ["orbit_budget"])
     def test_non_positive_budgets_rejected(self, field):
         for value in (0, -1):
             with pytest.raises(BadParameters):
@@ -289,6 +288,21 @@ class TestCli:
         assert proc.returncode == 3
         assert not out.exists()
 
+    def test_no_coset_budget(self, tmp_path, monkeypatch):
+        # the coset space of genus-zero p = 5 has 15 points; no option or
+        # environment variable bounds it
+        from coverforge import cli
+
+        args = ("construct", "--case", "genus-zero", "--p", "5", "--punctures", "3")
+        out = tmp_path / "cert.json"
+        proc = run_cli(*args, "--coset-budget", "5", "--out", str(out))
+        assert proc.returncode == 2
+        assert "--coset-budget" in proc.stderr
+        assert not out.exists()
+        monkeypatch.setenv("COVERFORGE_COSET_BUDGET", "5")
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["budgets"]["coset"] == 10**6
+
     @pytest.mark.parametrize("root", ["[1]", '"x"'])
     def test_verify_non_object_root_exit_code(self, tmp_path, root):
         path = tmp_path / "cert.json"
@@ -304,7 +318,7 @@ class TestCli:
             ("char_cyclic_cert", lambda cert: {"schema_version": "1"}),
             ("char_cyclic_cert", lambda cert: {**cert, "inputs": [1]}),
             ("char_cyclic_cert", _overwrite("budgets", orbit="x")),
-            ("char_cyclic_cert", _overwrite("budgets", coset=True)),
+            ("char_cyclic_cert", _overwrite("budgets", orbit=True)),
             ("char_cyclic_cert", lambda cert: {**cert, "inputs": {
                 k: v for k, v in cert["inputs"].items() if k != "flags"}}),
             # recorded inputs that fail a builder precondition of the replay
@@ -342,9 +356,7 @@ class TestCli:
     def test_non_positive_budget_exit_code(self, tmp_path, case_args):
         out = tmp_path / "nope.json"
         for budget_args, env in (
-            (("--coset-budget", "-1"), None),
             (("--orbit-budget", "0"), None),
-            ((), {"COVERFORGE_COSET_BUDGET": "0"}),
             ((), {"COVERFORGE_ORBIT_BUDGET": "-5"}),
         ):
             proc = run_cli("construct", *case_args, *budget_args, "--out", str(out),
@@ -507,18 +519,12 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,cap,env",
-        [
-            ("orbit", DEFAULT_ORBIT_BUDGET, "COVERFORGE_ORBIT_BUDGET"),
-            ("coset", DEFAULT_COSET_BUDGET, "COVERFORGE_COSET_BUDGET"),
-        ],
-        ids=["orbit", "coset"],
+        "key,cap,env", [("orbit", DEFAULT_ORBIT_BUDGET, "COVERFORGE_ORBIT_BUDGET")], ids=["orbit"]
     )
     def test_verifier_caps(self, tmp_path, monkeypatch, char_cyclic_cert, key, cap, env):
         from coverforge import cli
 
-        monkeypatch.delenv("COVERFORGE_ORBIT_BUDGET", raising=False)
-        monkeypatch.delenv("COVERFORGE_COSET_BUDGET", raising=False)
+        monkeypatch.delenv(env, raising=False)
         path = tmp_path / "cert.json"
         for budget, code in ((cap, 0), (cap + 1, 3)):
             cert = {**char_cyclic_cert, "budgets": {**char_cyclic_cert["budgets"], key: budget}}
@@ -531,15 +537,20 @@ class TestCli:
         monkeypatch.setenv(env, str(cap + 1))
         assert cli.main(["verify", str(path)]) == 0
 
-    @pytest.mark.parametrize("key", ["closure", "hall_direct_cap"], ids=["closure", "hall-direct"])
-    def test_fixed_product_cap(self, tmp_path, capsys, char_cyclic_cert, key):
-        # the product closure cap is no budget a file can choose: the
-        # replay records the fixed value, so any other one is a mismatch
+    @pytest.mark.parametrize(
+        "key,fixed",
+        [("closure", 10**7), ("hall_direct_cap", 10**7), ("coset", 10**6)],
+        ids=["closure", "hall-direct", "coset"],
+    )
+    def test_fixed_product_cap(self, tmp_path, capsys, char_cyclic_cert, key, fixed):
+        # the product closure cap and the coset value are no budgets a
+        # file can choose: the replay records the fixed value, so any
+        # other one is a mismatch
         from coverforge import cli
 
         assert PRODUCT_CLOSURE_CAP == 10**7
         path = tmp_path / "cert.json"
-        for value, code in ((10**7, 0), (1, 4), (10**7 - 1, 4), (10**7 + 1, 4)):
+        for value, code in ((fixed, 0), (1, 4), (fixed - 1, 4), (fixed + 1, 4)):
             cert = {**char_cyclic_cert, "budgets": {**char_cyclic_cert["budgets"], key: value}}
             path.write_text(canonical_json(attach_digest(cert)))
             assert cli.main(["verify", str(path)]) == code, (key, value)

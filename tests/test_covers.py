@@ -16,7 +16,7 @@ from coverforge.catalog import (
     borel_subgroup,
     diagonal_torus,
 )
-from coverforge.errors import BadParameters, BudgetExceeded, InconsistentRamification
+from coverforge.errors import BadParameters, InconsistentRamification
 from coverforge.covers import (
     characteristic_core,
     combine_cycle_types,
@@ -58,11 +58,6 @@ class TestCosetSpaces:
         space = coset_space(whole)
         assert space.degree == 1
         assert coset_permutation(space, u) == (0,)
-
-    def test_budget(self):
-        a0, _, _ = diagonal_torus(13)
-        with pytest.raises(BudgetExceeded):
-            coset_space(a0, budget=10)
 
     def test_action_is_a_homomorphism(self):
         b = build_generic(5, 1, 2)

@@ -2,10 +2,11 @@
 
 A top-level function, class or constant, or a non-dunder method, that
 nothing in ``src/coverforge`` names outside its own body is dead weight:
-only tests (or nobody) reach it.  The allowlist would name any kept on
-purpose; it is empty, since the tests keep their oracles under tests/
-(``element_oracle.py``).  An import that its own module never names is
-dead weight too.
+only tests (or nobody) reach it; the tests keep their oracles under
+tests/ (``element_oracle.py``).  An import that its own module never
+names is dead weight too, and so is a field of a top-level dataclass
+that nothing in the package reads as an attribute.  The allowlist names
+the fields kept on purpose, each with its reader.
 """
 
 import ast
@@ -13,7 +14,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coverforge"
 
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    "OrbitClosure.expansions": "read by perfbench/traced.py for orbits.expansions",
+    "OrbitResult.class_sizes": "the class partition, which tests compare with an oracle",
+    "HallReport.direct_order": "the product image order, which tests compare with an oracle",
+}
 
 
 def _is_dunder(name):
@@ -81,9 +86,45 @@ def unused_imports(src=SRC):
     return unused
 
 
+def _is_dataclass(node):
+    """Is the class decorated with ``@dataclass`` or ``@dataclass(...)``?"""
+    targets = (deco.func if isinstance(deco, ast.Call) else deco for deco in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def unread_fields(src=SRC):
+    """module:Class.field for each field of a top-level dataclass whose
+    name no attribute read in the package names (matched by name, so a
+    read of any object's attribute of that name counts)."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.target.id not in read
+                    ):
+                        unread.append(f"{module}:{node.name}.{item.target.id}")
+    return unread
+
+
 def test_no_dead_definitions():
     dead = [d for d in dead_definitions() if d.split(":")[1] not in ALLOWED]
     assert dead == []
+
+
+def test_no_unread_fields():
+    unread = [f for f in unread_fields() if f.split(":")[1] not in ALLOWED]
+    assert unread == []
 
 
 def test_no_unused_imports():
@@ -93,7 +134,7 @@ def test_no_unused_imports():
 def test_allowlist_is_still_needed():
     # an allowlisted name that the package itself starts to use must
     # leave the list
-    dead = {d.split(":")[1] for d in dead_definitions()}
+    dead = {d.split(":")[1] for d in dead_definitions() + unread_fields()}
     assert set(ALLOWED) <= dead
 
 
@@ -124,3 +165,16 @@ def test_guard_flags_an_unused_constant_and_import(tmp_path):
     )
     assert dead_definitions(tmp_path) == ["mod.py:UNUSED"]
     assert unused_imports(tmp_path) == ["mod.py:json", "mod.py:g"]
+
+
+def test_guard_flags_an_unread_field(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n"
+        "    ok: bool\n    note: str\n    size: int = 0\n\n"
+        "@dataclass\nclass Plain:\n    flag: bool\n\n"
+        "class NotData:\n    label: str\n\n"
+        "def f(r, p):\n    r.size = 1\n    return r.ok and p.flag\n\n"
+        "f(Report(True, 'x'), Plain(False))\n"
+    )
+    assert unread_fields(tmp_path) == ["mod.py:Report.note", "mod.py:Report.size"]
