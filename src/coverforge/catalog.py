@@ -406,8 +406,9 @@ def build_characteristic_cyclic(g: int, n: int) -> CatalogBuild:
     """All handles to 0, every peripheral to 1 in Z/n (n >= 2)."""
     if n < 2:
         raise BadParameters("characteristic cyclic family needs n >= 2")
-    sig = SurfaceSignature(g, n)
+    # the group's table limit first: n is also the puncture count
     handle = FiniteGroupHandle.cyclic(n)
+    sig = SurfaceSignature(g, n)
     table = group_table(handle)
     zero, one = decode(table, 0), decode(table, 1)
     images = [zero] * (2 * g) + [one] * (n - 1)

@@ -31,7 +31,7 @@ from .errors import (
     SchemaMismatch,
     SearchExhausted,
 )
-from .groups import encode
+from .groups import encode_json
 from .orbits import DEFAULT_ORBIT_BUDGET, orbit_closure
 
 
@@ -105,11 +105,11 @@ def _cmd_orbit(args) -> int:
     print(canonical_json({"case": config.case, "orbit_size": orbit.size,
                           "levels": orbit.levels}))
     if args.dump:
-        # one JSON form per element, shared by every line that holds it
-        codes = encode(orbit.table, range(orbit.table.order))
+        # one JSON text per element, joined into every line that holds it
+        texts = encode_json(orbit.table, range(orbit.table.order))
         with open(args.dump, "w") as fh:
             for block in orbit.id_tuples():
-                fh.writelines(canonical_json([codes[i] for i in ids]) + "\n" for ids in block)
+                fh.writelines("[" + ",".join([texts[i] for i in ids]) + "]\n" for ids in block)
         print(f"orbit dumped to {args.dump}")
     return 0
 

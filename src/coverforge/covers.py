@@ -92,12 +92,22 @@ def combine_cycle_types(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
 
 def local_degrees_factored(factor_types: Sequence[dict[int, int]]) -> dict[int, int]:
     """Cycle type of the diagonal action on a product of coset spaces,
-    from the per-factor cycle types; independent of combination order."""
+    from the per-factor cycle types.  Combining is commutative and
+    associative, so equal types are grouped and each is raised to its
+    multiplicity by repeated squaring: O(distinct types * log k)
+    combines for k factors instead of k - 1."""
     if not factor_types:
         raise BadParameters("need at least one factor")
-    result = dict(factor_types[0])
-    for t in factor_types[1:]:
-        result = combine_cycle_types(result, t)
+    counts = Counter(tuple(sorted(t.items())) for t in factor_types)
+    result = None
+    for items, multiplicity in counts.items():
+        base = dict(items)
+        while multiplicity:
+            if multiplicity & 1:
+                result = base if result is None else combine_cycle_types(result, base)
+            multiplicity >>= 1
+            if multiplicity:
+                base = combine_cycle_types(base, base)
     return result
 
 

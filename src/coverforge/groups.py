@@ -33,6 +33,7 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -418,6 +419,17 @@ def encode(table: GroupTable, ids):
     """The JSON form of one id or an array of ids: the entries of each
     element (`enumerate_group`), as Python ints."""
     return table.entries[np.asarray(ids, dtype=np.int64)].tolist()
+
+
+# json.dumps with compact separators, without building an encoder per call
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_json(table: GroupTable, ids) -> list[str]:
+    """The compact JSON text of each id's `encode` form, as ``json.dumps``
+    writes it with separators (",", ":"), so a list of elements is the
+    texts of its elements joined by commas in brackets."""
+    return [_compact_json(code) for code in encode(table, ids)]
 
 
 def _entry(x) -> int:

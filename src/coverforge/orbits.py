@@ -11,18 +11,32 @@ undirected and the BFS closure is the full orbit of the generated action.
 
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
-lexicographic order on id tuples).
+lexicographic order on id tuples).  A tuple of rank r over a group of
+order n has one of n**r keys.
+
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
 product-image closure), and it takes only inverse-closed moves.  It
-keeps the BFS levels apart: the neighbours of a level lie in the level
-before it, the level itself or the next one, so the frontier is tested
-for membership against the last two levels only, in chunks whose
-candidates fill a fixed number of bytes, and the levels are sorted into
-the orbit once, at the end.  One engine runs the class partition, in
-seed batches: each step takes the next unclassified states, computes
-all their automorphism images from the group table at once
-(``automorphism_images``; no automorphism matrix is stored), finds them
-in the sorted orbit with one searchsorted and marks them classified; a
+expands the frontier in chunks whose candidates fill a fixed number of
+bytes, keeps each BFS level sorted, and sorts the levels into the
+orbit once, at the end.  How it tests a candidate for membership depends
+on the key space alone:
+
+- When n**r is at most ``_BITSET_KEYS`` (every completed orbit of the
+  benchmark, and every product closure), the visited states are a
+  bitset with one bit per key.  A membership test is one gather, and a
+  chunk's new states are set in it at once.  The class partition and
+  the closure check test membership in the same bitset, which the orbit
+  carries.
+- Above that (and always for wide keys) the sorted path runs: the
+  neighbours of a level lie in the level before it, the level itself or
+  the next one, so the frontier is tested against the sorted union of
+  the last two levels only, with one searchsorted per chunk.  The later
+  stages search the sorted orbit.
+
+One engine runs the class partition, in seed batches: each step takes
+the next unclassified states, computes all their automorphism images
+from the group table at once (``automorphism_images``; no automorphism
+matrix is stored), finds them in the orbit and marks them classified; a
 seed's smallest image in the orbit is its class minimum.  State arrays
 are int64 while the encoding fits in 62 bits and hold Python ints (numpy
 ``object`` dtype) beyond, so large ranks over tiny groups take the same
@@ -32,9 +46,8 @@ code path with exact keys.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,7 +57,7 @@ from .groups import (
     GroupTable,
     automorphism_images,
     closure_ids,
-    encode,
+    encode_json,
     group_table,
     _BLOCK_BYTES,
 )
@@ -59,6 +72,18 @@ _INT64_KEYS = 2**62
 # candidate bytes of one frontier chunk (moves x states x 8); on the bench
 # orbits 1 MiB ran faster than 256 KiB, and 4 MiB raised the overrun's RSS
 _CHUNK_BYTES = 1 << 20
+# the largest key space n**rank whose states are kept as a bitset.  A
+# bitset costs n**rank / 8 bytes whatever the orbit's size, and 2**27 keys
+# take 16 MiB: what the sorted path's arrays take for a 2M-state orbit, a
+# tenth of the default budget.  Every completed orbit of the benchmark
+# lies below it (PSL(2,13) at rank 2 has 1.19M keys, and generic p = 7 at
+# rank 3 has 4.74M), and the p = 13 rank-3 overrun, at 1.30e9 keys (a
+# 163 MB bitset for a run that stops at 10**6 states), above it.
+_BITSET_KEYS = 1 << 27
+# bit i of a byte, for the key 8 * byte + i
+_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+# the number of set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -100,6 +125,18 @@ class OrbitClosure:
     @property
     def size(self) -> int:
         return len(self.encoded)
+
+    @cached_property
+    def members(self) -> np.ndarray | None:
+        """The states as a bitset over the key space, or None when the key
+        space is above ``_BITSET_KEYS``.  The BFS sets it to the bitset it
+        built; otherwise it is built from ``encoded`` on first use."""
+        if not _bitset_fits(self.table.order, self.rank):
+            return None
+        bits = _bitset(self.table.order**self.rank)
+        for lo in range(0, self.size, _BLOCK_BYTES // 8):
+            _set_bits(bits, self.encoded[lo : lo + _BLOCK_BYTES // 8])
+        return bits
 
     def id_tuples(self) -> Iterator[list[tuple[int, ...]]]:
         """The states as id tuples in lexicographic order, one list per
@@ -186,6 +223,35 @@ def _absent(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     return values[known[pos] != values]
 
 
+def _bitset_fits(n: int, rank: int) -> bool:
+    """Whether the states of rank-digit, base-n keys are kept as a bitset."""
+    return n**rank <= _BITSET_KEYS
+
+
+def _bitset(keys: int) -> np.ndarray:
+    """An empty bitset over the keys 0 .. keys-1: bit i of byte b holds
+    the key 8 * b + i."""
+    return np.zeros((keys + 7) >> 3, dtype=np.uint8)
+
+
+def _test_bits(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each int64 key's bit is set, in the keys' shape."""
+    return ((bits[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1).view(bool)
+
+
+def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
+    """Set the bits of the int64 keys, which may repeat."""
+    np.bitwise_or.at(bits, keys >> 3, _BIT[keys & 7])
+
+
+def _count_bits(bits: np.ndarray) -> int:
+    """The number of set bits, counted by table in blocks of bytes."""
+    return sum(
+        int(_POPCOUNT[bits[lo : lo + _BLOCK_BYTES]].sum())
+        for lo in range(0, bits.size, _BLOCK_BYTES)
+    )
+
+
 def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClosure:
     """BFS closure of the image tuple under all Nielsen moves."""
     if budget < 1:
@@ -201,63 +267,120 @@ def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClo
     return _orbit_vectorized(table, rank, start, moves, budget)
 
 
+class _BitsetStates:
+    """The visited states of a BFS as a bitset over the key space.  A
+    level's new states are exact after every chunk: a chunk keeps its
+    candidates whose bits are clear, dedupes them and sets their bits."""
+
+    def __init__(self, keys: int, start: np.ndarray):
+        self.bits = _bitset(keys)
+        _set_bits(self.bits, start)
+        self.pieces: list[np.ndarray] = []
+        self.count = 0
+
+    def add(self, cand: np.ndarray, room: int) -> int:
+        """Take in a chunk's candidates; return the number of the level's
+        new states so far, which is exact."""
+        piece = _sorted_unique(cand[~_test_bits(self.bits, cand)])
+        _set_bits(self.bits, piece)
+        self.pieces.append(piece)
+        self.count += piece.size
+        return self.count
+
+    def end_level(self) -> np.ndarray:
+        """The level's new states, sorted; the chunks' pieces are disjoint."""
+        new = _sort(np.concatenate(self.pieces)) if len(self.pieces) > 1 else self.pieces[0]
+        self.pieces, self.count = [], 0
+        return new
+
+
+class _SortedStates:
+    """The visited states of a BFS as sorted levels.  A chunk keeps its
+    candidates absent from the last two levels, and the chunks' pieces
+    are merged at the level's end, or earlier whenever their total, which
+    over-counts states that several chunks reach, exceeds the room left
+    in the budget."""
+
+    bits = None  # no bitset on this path
+
+    def __init__(self, start: np.ndarray):
+        self.near = start
+        self.frontier = start
+        self.pieces: list[np.ndarray] = []
+        self.count = 0
+
+    def add(self, cand: np.ndarray, room: int) -> int:
+        """Take in a chunk's candidates; return the number of the level's
+        new states so far, which is exact whenever it exceeds `room`."""
+        self.pieces.append(_absent(_sorted_unique(cand), self.near))
+        self.count += self.pieces[-1].size
+        if self.count > room:
+            self.pieces = [_sorted_unique(np.concatenate(self.pieces))]
+            self.count = self.pieces[0].size
+        return self.count
+
+    def end_level(self) -> np.ndarray:
+        pieces = self.pieces
+        new = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
+        self.near = _sort(np.concatenate([self.frontier, new]))
+        self.frontier = new
+        self.pieces, self.count = [], 0
+        return new
+
+
 def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     """BFS closure of the start tuple under the moves, each a map from a
     chunk's encoded states and decoded digits to the moved encodings.
 
-    The moves must be closed under inverses.  The state graph is then
-    undirected, so the neighbours of a level lie in the level before it,
-    the level itself or the next one: a chunk of the frontier applies
-    every move, sorts and dedupes the candidates once, and keeps those
-    absent from the union of the last two levels.  A chunk holds as many
-    states as let its candidates fill ``_CHUNK_BYTES``.  Chunk results
-    are merged at the level's end, or earlier whenever their total, which
-    over-counts states that several chunks reach, exceeds the budget; so
-    the exact distinct count decides ``BudgetExceeded``.  The levels are
-    sorted together once, at the end.
+    The moves must be closed under inverses.  A chunk of the frontier
+    holds as many states as let its candidates fill ``_CHUNK_BYTES``; it
+    applies every move and hands the candidates to the visited states, a
+    bitset when the n**rank keys fit in ``_BITSET_KEYS`` and sorted
+    levels otherwise.  Both report the level's exact count whenever it
+    could pass the budget, so the exact distinct count decides
+    ``BudgetExceeded``, and both return each level sorted, so the
+    chunks, and the count at the first check over budget, are the same
+    on either path.  The levels are sorted into the orbit once, at the
+    end.
     """
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
     frontier = np.array([start_state], dtype=powers.dtype)
     found = [frontier]
-    near = frontier
+    if _bitset_fits(n, rank):
+        states = _BitsetStates(n**rank, frontier)
+    else:
+        states = _SortedStates(frontier)
     reached = 1
     step = max(1, _CHUNK_BYTES // (8 * len(moves)))
     levels = 0
     expansions = 0
     while frontier.size:
         levels += 1
-        pieces = []
-        counted = reached
         for lo in range(0, frontier.size, step):
             chunk = frontier[lo : lo + step]
             digits = _decode_digits(chunk, n, rank)
-            cand = _sorted_unique(np.concatenate([move(chunk, digits) for move in moves]))
+            cand = np.concatenate([move(chunk, digits) for move in moves])
             expansions += len(moves) * chunk.size
-            pieces.append(_absent(cand, near))
-            counted += pieces[-1].size
+            counted = reached + states.add(cand, budget - reached)
             if counted > budget:
-                pieces = [_sorted_unique(np.concatenate(pieces))]
-                counted = reached + pieces[0].size
-                if counted > budget:
-                    raise BudgetExceeded(
-                        "orbit closure exceeded state budget", used=counted, budget=budget
-                    )
-        new = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
-        reached += new.size
-        found.append(new)
-        near = _sort(np.concatenate([frontier, new]))
-        frontier = new
-    encoded = _sort(np.concatenate(found))
-    return OrbitClosure(
+                raise BudgetExceeded(
+                    "orbit closure exceeded state budget", used=counted, budget=budget
+                )
+        frontier = states.end_level()
+        found.append(frontier)
+        reached += frontier.size
+    orbit = OrbitClosure(
         table=table,
         rank=rank,
         start_ids=start,
-        encoded=encoded,
+        encoded=_sort(np.concatenate(found)),
         levels=levels,
         expansions=expansions,
     )
+    orbit.members = states.bits
+    return orbit
 
 
 def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
@@ -265,18 +388,27 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
 
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
-    automorphisms.  A move is injective and the states are sorted and
-    distinct, so the orbit is closed under it exactly when the sorted
-    images equal the states.
+    automorphisms.  A move is injective and the states are distinct, so
+    the orbit is closed under it exactly when every image is a state: on
+    the bitset path, when every image's bit is set, tested in blocks of
+    states that fill ``_BLOCK_BYTES``; on the sorted path, when the
+    sorted images equal the states.
     """
-    states = orbit.encoded
-    n = orbit.table.order
-    powers = _state_powers(n, orbit.rank)
-    digits = _decode_digits(states, n, orbit.rank)
-    for move in nielsen_generators(orbit.rank):
-        image = _apply_move_encoded(states, digits, move, orbit.table, powers)
-        if not np.array_equal(_sort(image), states):
-            return False
+    states, bits = orbit.encoded, orbit.members
+    n, rank = orbit.table.order, orbit.rank
+    powers = _state_powers(n, rank)
+    step = max(1, states.size if bits is None else _BLOCK_BYTES // 8)
+    for lo in range(0, states.size, step):
+        block = states[lo : lo + step]
+        digits = _decode_digits(block, n, rank)
+        for move in nielsen_generators(rank):
+            image = _apply_move_encoded(block, digits, move, orbit.table, powers)
+            if bits is None:
+                closed = np.array_equal(_sort(image), states)
+            else:
+                closed = _test_bits(bits, image).all()
+            if not closed:
+                return False
     return True
 
 
@@ -301,13 +433,16 @@ class OrbitResult:
     levels: int  # BFS levels of the orbit
 
     def class_reps_digest(self) -> str:
-        # one JSON form per element, shared by every rep that holds it
-        codes = encode(self.table, range(self.table.order))
-        payload = json.dumps(
-            [[codes[i] for i in ids] for ids in self.class_rep_ids],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        """sha256 of the compact JSON list of the class reps, each a list
+        of element codes.  The text of each element that occurs is made
+        once and joined into every rep that holds it."""
+        texts = [""] * self.table.order
+        present = sorted(set().union(*self.class_rep_ids))
+        for i, text in zip(present, encode_json(self.table, present)):
+            texts[i] = text
+        payload = "[" + ",".join(
+            "[" + ",".join([texts[i] for i in ids]) + "]" for ids in self.class_rep_ids
+        ) + "]"
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -316,15 +451,26 @@ def _aut_count(table: GroupTable) -> int:
     return automorphism_images(table, [table.identity_id]).shape[0]
 
 
-def _classify_seeds(states, table, powers, seeds, classified):
-    """Mark the Aut images of each seed row that lie in the sorted states
-    as classified; return each seed's class minimum (its smallest image in
-    the states) and class size (its distinct images there)."""
+def _locate(orbit: OrbitClosure, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key is a state of the orbit, and its slot: the key
+    itself on the bitset path, its position in the sorted states on the
+    sorted path."""
+    if orbit.members is not None:
+        return _test_bits(orbit.members, keys), keys
+    states = orbit.encoded
+    where = np.minimum(np.searchsorted(states, keys), states.size - 1)
+    return states[where] == keys, where
+
+
+def _classify_seeds(orbit, table, powers, seeds, classified):
+    """Set the slots of the Aut images of each seed row that lie in the
+    orbit in the bitset `classified`; return each seed's class minimum
+    (its smallest image in the orbit) and class size (its distinct images
+    there)."""
     images = automorphism_images(table, seeds) @ powers
     images.sort(axis=0)
-    where = np.minimum(np.searchsorted(states, images), states.size - 1)
-    present = states[where] == images
-    classified[where[present]] = True
+    present, slots = _locate(orbit, images)
+    _set_bits(classified, slots[present])
     minima = images[present.argmax(axis=0), np.arange(images.shape[1])]
     return minima, (present & _run_starts(images)).sum(axis=0)
 
@@ -340,7 +486,9 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     a class; they give the same minimum and size, and the duplicates are
     dropped at the end.  A batch's images fill at most ``_BLOCK_BYTES``,
     and the scan for seeds looks at no more states than a batch has
-    images.
+    images.  The classified states are a bitset over the orbit's slots
+    (`_locate`): the key space on the bitset path, the positions in the
+    sorted states on the sorted path.
     """
     states = orbit.encoded
     size = states.size
@@ -350,27 +498,32 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     images_per_seed = _aut_count(table) * rank
     step = max(1, _BLOCK_BYTES // (8 * images_per_seed))
     span = step * images_per_seed
-    classified = np.zeros(size, dtype=bool)
+    by_key = orbit.members is not None
+    classified = _bitset(n**rank if by_key else size)
     start_min, start_size = _classify_seeds(
-        states, table, powers, np.array([orbit.start_ids]), classified
+        orbit, table, powers, np.array([orbit.start_ids]), classified
     )
     if not start_size[0]:
         raise AssertionError("starting state must belong to some class")
     minima, sizes = [start_min], [start_size]
     cursor = 0
     while cursor < size:
-        free = np.flatnonzero(~classified[cursor : cursor + span])[:step] + cursor
+        window = states[cursor : cursor + span]
+        slots = window if by_key else np.arange(cursor, cursor + window.size)
+        free = np.flatnonzero(~_test_bits(classified, slots))[:step] + cursor
         cursor = int(free[-1]) + 1 if free.size == step else cursor + span
         if free.size:
             seeds = np.stack(_decode_digits(states[free], n, rank), axis=1)
-            batch = _classify_seeds(states, table, powers, seeds, classified)
+            batch = _classify_seeds(orbit, table, powers, seeds, classified)
             minima.append(batch[0])
             sizes.append(batch[1])
     minima, sizes = np.concatenate(minima), np.concatenate(sizes)
     order = np.argsort(minima[1:], kind="stable") + 1
     keep = np.concatenate([[0], order[_run_starts(minima[order])]])
     minima, sizes = minima[keep], sizes[keep]
-    if not classified.all() or int(sizes.sum()) != size:
+    # only slots of states are ever set, so the count is the orbit's
+    # exactly when every state is classified
+    if _count_bits(classified) != size or int(sizes.sum()) != size:
         raise AssertionError("the classes must partition the orbit")
     digits = np.stack(_decode_digits(minima[1:], n, rank), axis=1)
     # the starting class reports the starting tuple itself

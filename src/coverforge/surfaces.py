@@ -19,8 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, BudgetExceeded
 from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table
+
+# the largest free rank 2g + n - 1 of a surface.  The work of a run grows
+# with the rank before its orbit budget can fire: the builders' image
+# tuples, the surface relation, the orbit's place values (which grow as
+# the rank squared) and its keys.  A recorded genus of 10**6 ran past
+# 30 s.  So the signature, which every builder makes before any
+# rank-long object, checks the rank.  64 is well above every rank a test
+# or benchmark orbit completes at (11 at most), and at rank 64 the keys
+# of even Z/2 are 64 bits wide.
+MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,12 @@ class SurfaceSignature:
         if self.euler >= 0:
             raise BadParameters(
                 f"surface (g={self.g}, n={self.n}) has chi = {self.euler} >= 0"
+            )
+        if self.free_rank > MAX_RANK:
+            raise BudgetExceeded(
+                f"free rank {self.free_rank} exceeds the rank limit {MAX_RANK}",
+                used=self.free_rank,
+                budget=MAX_RANK,
             )
 
     @property

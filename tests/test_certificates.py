@@ -433,6 +433,42 @@ class TestCli:
             verify(crafted)
         assert (exc.value.used, exc.value.budget) == (p * (p * p - 1) // 2, groups.TABLE_LIMIT)
 
+    def test_verify_huge_recorded_genus_exits_before_work(self, tmp_path, capsys):
+        # a char-sym3 certificate whose recorded genus is 10**6, with a
+        # valid digest: Sym(3) is far below the table limit, and the
+        # replay's work grows with the rank 2g, so the rank limit stops it
+        import coverforge.surfaces as surfaces
+        from coverforge import cli
+
+        cert = construct(ConstructConfig(case="char-sym3", genus=1))
+        crafted = attach_digest({**cert, "inputs": {**cert["inputs"], "genus": 10**6}})
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(crafted))
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "free rank 2000000 exceeds the rank limit" in capsys.readouterr().err
+        with pytest.raises(BudgetExceeded) as exc:
+            verify(crafted)
+        assert (exc.value.used, exc.value.budget) == (2 * 10**6, surfaces.MAX_RANK)
+
+    def test_construct_above_rank_limit_exits_3(self, tmp_path, capsys):
+        # the largest rank is accepted (the run then overruns its small
+        # orbit budget); one more is refused before any work
+        from coverforge import cli
+        from coverforge.surfaces import MAX_RANK
+
+        out = tmp_path / "cert.json"
+        for punctures, code, message in (
+            (MAX_RANK + 1, 3, "orbit closure exceeded"),
+            (MAX_RANK + 2, 3, f"free rank {MAX_RANK + 1} exceeds the rank limit {MAX_RANK}"),
+        ):
+            args = ["construct", "--case", "char-cyclic", "--genus", "0",
+                    "--punctures", str(punctures), "--orbit-budget", "1000", "--out", str(out)]
+            assert cli.main(args) == code
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("digits", [5000, 10**6])
     def test_verify_over_long_integer_exits_4(self, tmp_path, capsys, char_cyclic_cert, digits):
         # an integer beyond the int/str digit limit is an unreadable

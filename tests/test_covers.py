@@ -1,8 +1,10 @@
 """Tests for coset actions, ramification multisets, and genus bookkeeping."""
 
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,19 @@ class TestFactoredCombination:
         lhs = combine_cycle_types(combine_cycle_types(a, b), c)
         rhs = combine_cycle_types(a, combine_cycle_types(b, c))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squaring_matches_plain_reduce(self, seed):
+        # equal factor types are raised to their multiplicity by squaring;
+        # the plain left fold over every factor is the oracle
+        rng = np.random.default_rng(seed)
+        types = [
+            {int(l): int(rng.integers(1, 5)) for l in rng.choice([1, 2, 3, 4, 6, 12], size=3)}
+            for _ in range(3)
+        ]
+        factors = [t for t in types for _ in range(int(rng.integers(1, 2001)))]
+        rng.shuffle(factors)
+        assert local_degrees_factored(factors) == functools.reduce(combine_cycle_types, factors)
 
     def test_combine_preserves_total(self):
         a, b = {5: 3, 1: 2}, {3: 4, 2: 1}

@@ -1,6 +1,8 @@
 """Tests for the Nielsen-move orbit machinery and its class partition."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -17,7 +19,13 @@ from coverforge.catalog import (
 )
 from coverforge.covers import characteristic_core
 from coverforge.errors import BadParameters, BudgetExceeded
-from coverforge.groups import FiniteGroupHandle, automorphism_images, d0_perm, group_table
+from coverforge.groups import (
+    FiniteGroupHandle,
+    automorphism_images,
+    d0_perm,
+    encode,
+    group_table,
+)
 from coverforge.orbits import (
     NielsenMove,
     OrbitResult,
@@ -38,6 +46,12 @@ def all_id_tuples(orb):
     return [ids for block in orb.id_tuples() for ids in block]
 
 
+@pytest.fixture
+def sorted_path(monkeypatch):
+    """Force the sorted membership path: no key space fits a bitset."""
+    monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
+
+
 def toy_rep():
     """F_2 -> Z/2 sending the generators to (1, 0)."""
     sig = SurfaceSignature(0, 3)
@@ -56,6 +70,32 @@ def involution_rep(rank, last=False):
     x = involutions[-1 if last else 0]
     identity = group_table(h).identity_id
     return RepTuple(SurfaceSignature(0, rank + 1), h, (x,) + (identity,) * (rank - 1))
+
+
+def reference_orbit(rep):
+    """Oracle: the orbit as sorted id tuples, by a set-based BFS over the
+    Nielsen moves written out on tuples."""
+    table = group_table(rep.target)
+    mul, inv = table.mul, table.inv
+    rank = len(rep.images)
+    seen = {rep.images}
+    frontier = [rep.images]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            head, rest = x[0], x[1:]
+            cands = [x[:i] + (x[i + 1], x[i]) + x[i + 2 :] for i in range(rank - 1)]
+            cands += [
+                (int(inv[head]),) + rest,
+                (int(mul[head, x[1]]),) + rest,
+                (int(mul[head, int(inv[x[1]])]),) + rest,
+            ]
+            for cand in cands:
+                if cand not in seen:
+                    seen.add(cand)
+                    fresh.append(cand)
+        frontier = fresh
+    return sorted(seen)
 
 
 def reference_aut_rows(table):
@@ -212,6 +252,52 @@ class TestChunks:
         assert exc.value.used == size
 
 
+@pytest.mark.usefixtures("sorted_path")
+class TestChunksSortedPath(TestChunks):
+    """The chunk tests on the sorted membership path."""
+
+
+class TestMembershipPaths:
+    """The bitset and the sorted path give the same orbit, classes and
+    budget counts; the key space alone picks the path."""
+
+    @pytest.mark.parametrize("label", sorted(TestChunks.CASES))
+    def test_paths_agree(self, label, monkeypatch):
+        rep = TestChunks.CASES[label]()
+        # many chunks per level, so the budget check runs mid-level
+        monkeypatch.setattr(orbits, "_CHUNK_BYTES", TestChunks.TINY)
+
+        def run():
+            orb = orbit_closure(rep)
+            with pytest.raises(BudgetExceeded) as exc:
+                orbit_closure(rep, budget=orb.size - 1)
+            return orb, aut_classes(orb), exc.value.used
+
+        bitset, bitset_classes, bitset_used = run()
+        monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
+        sorted_, sorted_classes, sorted_used = run()
+        assert bitset.members is not None and sorted_.members is None
+        assert bitset.encoded.dtype == sorted_.encoded.dtype
+        assert np.array_equal(bitset.encoded, sorted_.encoded)
+        assert (bitset.levels, bitset.expansions) == (sorted_.levels, sorted_.expansions)
+        assert bitset_classes == sorted_classes
+        assert bitset_used == sorted_used == bitset.size
+
+    def test_members_is_the_bitset_of_encoded(self):
+        orb = orbit_closure(build_characteristic_sym3(1).rep)
+        keys = np.flatnonzero(np.unpackbits(orb.members, bitorder="little"))
+        assert np.array_equal(keys, orb.encoded)
+        # a copy with other states rebuilds its bitset from them
+        fewer = dataclasses.replace(orb, encoded=orb.encoded[1:])
+        assert orbits._count_bits(fewer.members) == orb.size - 1
+
+    def test_psl2_p13_rank2_bitset_rank3_sorted(self):
+        # 1092**2 = 1.19M keys fit the bitset; 1092**3 = 1.30e9 do not
+        assert orbits._bitset_fits(1092, 2) and not orbits._bitset_fits(1092, 3)
+        orb = orbit_closure(build_once_punctured(13, 1).rep)
+        assert orb.members.nbytes == (1092**2 + 7) // 8
+
+
 class TestOrbitEngine:
     def test_identity_tuple_is_fixed(self):
         sig = SurfaceSignature(0, 3)
@@ -267,28 +353,8 @@ class TestOrbitEngine:
         rep = involution_rep(11)
         table = group_table(rep.target)
         orb = orbit_closure(rep)
-        assert orb.encoded.dtype == object
-
-        mul, inv = table.mul, table.inv
-        start = rep.images
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                head, rest = x[0], x[1:]
-                cands = [x[:i] + (x[i + 1], x[i]) + x[i + 2 :] for i in range(10)]
-                cands += [
-                    (int(inv[head]),) + rest,
-                    (int(mul[head, x[1]]),) + rest,
-                    (int(mul[head, int(inv[x[1]])]),) + rest,
-                ]
-                for cand in cands:
-                    if cand not in seen:
-                        seen.add(cand)
-                        fresh.append(cand)
-            frontier = fresh
-        assert all_id_tuples(orb) == sorted(seen)
+        assert orb.encoded.dtype == object and orb.members is None
+        assert all_id_tuples(orb) == reference_orbit(rep)
         assert orb.size == 2047
 
         res = aut_classes(orb)
@@ -304,6 +370,21 @@ class TestOrbitEngine:
             for ids in res.class_rep_ids
         ]
         assert canonical_class_keys(table, res.class_rep_ids).tolist() == exact
+
+    @pytest.mark.parametrize("path", ["bitset", "sorted"])
+    def test_narrow_keys_match_set_oracle(self, path, monkeypatch):
+        # 60**4 keys: a bitset unless the sorted path is forced
+        if path == "sorted":
+            monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
+        rep = involution_rep(4)
+        orb = orbit_closure(rep)
+        assert orb.encoded.dtype == np.int64
+        assert (orb.members is not None) == (path == "bitset")
+        assert all_id_tuples(orb) == reference_orbit(rep)
+        assert orb.size == 15
+        res = aut_classes(orb)
+        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
+        assert verify_characteristic_closure(orb)
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup
@@ -406,19 +487,23 @@ class TestAutClasses:
         assert res.orbit_size == 18
         assert res.k == 3
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_characteristic_sym3(1).rep,
-            lambda: build_characteristic_cyclic(0, 6).rep,
-            lambda: involution_rep(3, last=True),
-        ],
-        ids=["char-sym3-g1", "char-cyclic-g0-n6", "psl2-p5-rank3-last-involution"],
-    )
-    def test_matches_set_oracle(self, build):
-        orb = orbit_closure(build())
+    # label -> rep
+    SET_ORACLE_CASES = {
+        "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
+        "char-cyclic-g0-n6": lambda: build_characteristic_cyclic(0, 6).rep,
+        "psl2-p5-rank3-last-involution": lambda: involution_rep(3, last=True),
+    }
+
+    @pytest.mark.parametrize("label", sorted(SET_ORACLE_CASES))
+    def test_matches_set_oracle(self, label):
+        orb = orbit_closure(self.SET_ORACLE_CASES[label]())
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
+
+    @pytest.mark.usefixtures("sorted_path")
+    @pytest.mark.parametrize("label", sorted(SET_ORACLE_CASES))
+    def test_matches_set_oracle_on_sorted_path(self, label):
+        self.test_matches_set_oracle(label)
 
     # label -> rep; the partition runs in seed batches that fill at most
     # orbits._BLOCK_BYTES with automorphism images
@@ -571,6 +656,34 @@ class TestHall:
         assert report.ok
 
 
+class TestClassRepsDigest:
+    @pytest.mark.parametrize(
+        "handle,rank",
+        [
+            (FiniteGroupHandle.psl2(13), 2),
+            (FiniteGroupHandle.psl2(5), 3),
+            (FiniteGroupHandle.cyclic(6), 5),
+            (FiniteGroupHandle.symmetric(3), 6),
+        ],
+        ids=["psl2-13-rank2", "psl2-5-rank3", "cyclic-6-scalars", "sym-3-rows"],
+    )
+    def test_joined_texts_match_json_dumps(self, handle, rank):
+        table = group_table(handle)
+        rng = np.random.default_rng(rank)
+        for count in (1, 7, 300):
+            reps = tuple(map(tuple, rng.integers(0, table.order, size=(count, rank)).tolist()))
+            result = OrbitResult(
+                table=table, rank=rank, orbit_size=count, k=count,
+                class_rep_ids=reps, class_sizes=(1,) * count, levels=1,
+            )
+            payload = json.dumps(
+                [[encode(table, i) for i in ids] for ids in reps],
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            assert result.class_reps_digest() == hashlib.sha256(payload.encode()).hexdigest()
+
+
 def reference_product_closure(table, class_rep_ids):
     """Oracle: the set-based loop the orbit engine replaced.  The closure,
     inside the k-fold power of the base group, of one k-component id
@@ -627,6 +740,11 @@ class TestProductClosure:
         table, rep_ids = build()
         expected = reference_product_closure(table, rep_ids)
         assert _product_closure_order(table, rep_ids) == len(expected) == order
+
+
+@pytest.mark.usefixtures("sorted_path")
+class TestProductClosureSortedPath(TestProductClosure):
+    """The product closures on the sorted membership path."""
 
 
 def lifted_commutator_traces(table):
