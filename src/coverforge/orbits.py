@@ -12,7 +12,8 @@ undirected and the BFS closure is the full orbit of the generated action.
 Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on id tuples).  A tuple of rank r over a group of
-order n has one of n**r keys.
+order n has one of n**r keys, and every state array is int64: a key
+space of 2**62 keys or more is refused before any BFS (``_state_powers``).
 
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
 product-image closure), and it takes only inverse-closed moves.  It
@@ -27,20 +28,16 @@ on the key space alone:
   chunk's new states are set in it at once.  The class partition and
   the closure check test membership in the same bitset, which the orbit
   carries.
-- Above that (and always for wide keys) the sorted path runs: the
-  neighbours of a level lie in the level before it, the level itself or
-  the next one, so the frontier is tested against the sorted union of
-  the last two levels only, with one searchsorted per chunk.  The later
-  stages search the sorted orbit.
+- Above that the sorted path runs: the neighbours of a level lie in the
+  level before it, the level itself or the next one, so the frontier is
+  tested against the sorted union of the last two levels only, with one
+  searchsorted per chunk.  The later stages search the sorted orbit.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
 from the group table at once (``automorphism_images``; no automorphism
 matrix is stored), finds them in the orbit and marks them classified; a
-seed's smallest image in the orbit is its class minimum.  State arrays
-are int64 while the encoding fits in 62 bits and hold Python ints (numpy
-``object`` dtype) beyond, so large ranks over tiny groups take the same
-code path with exact keys.
+seed's smallest image in the orbit is its class minimum.
 """
 
 from __future__ import annotations
@@ -68,6 +65,8 @@ DEFAULT_ORBIT_BUDGET = 20_000_000
 # above it the Hall check runs on hypotheses and the characteristic
 # degree is left uncomputed
 PRODUCT_CLOSURE_CAP = 10_000_000
+# the size of the key space n**rank from which a run is refused: keys below
+# 2**62 leave int64 room for a move's change of place values
 _INT64_KEYS = 2**62
 # candidate bytes of one frontier chunk (moves x states x 8); on the bench
 # orbits 1 MiB ran faster than 256 KiB, and 4 MiB raised the overrun's RSS
@@ -118,7 +117,7 @@ class OrbitClosure:
     table: GroupTable
     rank: int
     start_ids: tuple[int, ...]
-    encoded: np.ndarray  # sorted state encodings, in the dtype of _state_powers()
+    encoded: np.ndarray  # sorted int64 state encodings
     levels: int
     expansions: int
 
@@ -152,21 +151,31 @@ class OrbitClosure:
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
-    """Place values of the rank-digit, base-n state encoding.
+    """Int64 place values of the rank-digit, base-n state encoding.
 
-    Their dtype is the dtype of every state array: int64 while n**rank
-    stays below 2**62, Python ints (``object``) beyond, so wide keys run
-    through the same code and never wrap.
+    Raises BudgetExceeded when the n**rank keys reach ``_INT64_KEYS``.
+    No run of the command line that could complete is lost: every
+    builder's tuple holds a generating pair, so Nielsen moves put any
+    element of G in every other slot, and the orbit has at least
+    n**(rank - 2) states, which is at least 2**62 / 10**8 (n is at most
+    the table limit 10**4), far above any budget.  (For PSL(2,p) at
+    rank >= 3 the orbit is every generating tuple; Gilman, Canad. J.
+    Math. 29, 1977.)
     """
-    dtype = np.int64 if n**rank < _INT64_KEYS else object
-    return np.array([n ** (rank - 1 - j) for j in range(rank)], dtype=dtype)
+    if n**rank >= _INT64_KEYS:
+        raise BudgetExceeded(
+            f"state key space {n}**{rank} reaches the key limit 2**62",
+            used=n**rank,
+            budget=_INT64_KEYS,
+        )
+    return np.array([n ** (rank - 1 - j) for j in range(rank)], dtype=np.int64)
 
 
 def _decode_digits(states: np.ndarray, n: int, rank: int) -> list[np.ndarray]:
     """Per-position int64 digit arrays of the states, most significant first."""
     digits = []
     for _ in range(rank):
-        digits.append((states % n).astype(np.int64, copy=False))
+        digits.append(states % n)
         states = states // n
     digits.reverse()
     return digits
@@ -176,21 +185,18 @@ def _apply_move_encoded(states, digits, move, table, powers):
     """Encodings of the moved states; `digits` are the decoded `states`.
 
     A move rewrites one or two digits, so only their place values are
-    touched.  Each digit change is cast to the state dtype before it
-    meets a place value: an int64 array times a Python int is computed
-    in int64 and would wrap on wide keys.
+    touched.
     """
     i = move.i
     if move.kind == "swap":
-        change = (digits[move.j] - digits[i]).astype(powers.dtype)
-        return states + change * (powers[i] - powers[move.j])
+        return states + (digits[move.j] - digits[i]) * (powers[i] - powers[move.j])
     if move.kind == "invert":
         moved = table.inv[digits[i]]
     elif move.kind == "multiply":
         moved = table.mul[digits[i], digits[move.j]]
     else:
         moved = table.mul[digits[i], table.inv[digits[move.j]]]
-    return states + (moved - digits[i]).astype(powers.dtype) * powers[i]
+    return states + (moved - digits[i]) * powers[i]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -203,11 +209,8 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def _sort(values: np.ndarray) -> np.ndarray:
-    """Sort a newly made array in place and return it.  int64 keys take
-    numpy's default (SIMD) sort; wide keys take timsort, which merges the
-    sorted runs that concatenated levels consist of with fewer
-    Python-int comparisons."""
-    values.sort(kind="stable" if values.dtype == object else None)
+    """Sort a newly made array in place and return it."""
+    values.sort()
     return values
 
 
@@ -250,6 +253,17 @@ def _count_bits(bits: np.ndarray) -> int:
         int(_POPCOUNT[bits[lo : lo + _BLOCK_BYTES]].sum())
         for lo in range(0, bits.size, _BLOCK_BYTES)
     )
+
+
+def _locate(orbit: OrbitClosure, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key is a state of the orbit, and its slot: the key
+    itself on the bitset path, its position in the sorted states on the
+    sorted path."""
+    if orbit.members is not None:
+        return _test_bits(orbit.members, keys), keys
+    states = orbit.encoded
+    where = np.minimum(np.searchsorted(states, keys), states.size - 1)
+    return states[where] == keys, where
 
 
 def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClosure:
@@ -346,7 +360,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
-    frontier = np.array([start_state], dtype=powers.dtype)
+    frontier = np.array([start_state], dtype=np.int64)
     found = [frontier]
     if _bitset_fits(n, rank):
         states = _BitsetStates(n**rank, frontier)
@@ -389,25 +403,19 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
     automorphisms.  A move is injective and the states are distinct, so
-    the orbit is closed under it exactly when every image is a state: on
-    the bitset path, when every image's bit is set, tested in blocks of
-    states that fill ``_BLOCK_BYTES``; on the sorted path, when the
-    sorted images equal the states.
+    the orbit is closed under it exactly when every image is a state
+    (``_locate``), tested in blocks of states that fill ``_BLOCK_BYTES``.
     """
-    states, bits = orbit.encoded, orbit.members
+    states = orbit.encoded
     n, rank = orbit.table.order, orbit.rank
     powers = _state_powers(n, rank)
-    step = max(1, states.size if bits is None else _BLOCK_BYTES // 8)
+    step = max(1, _BLOCK_BYTES // 8)
     for lo in range(0, states.size, step):
         block = states[lo : lo + step]
         digits = _decode_digits(block, n, rank)
         for move in nielsen_generators(rank):
             image = _apply_move_encoded(block, digits, move, orbit.table, powers)
-            if bits is None:
-                closed = np.array_equal(_sort(image), states)
-            else:
-                closed = _test_bits(bits, image).all()
-            if not closed:
+            if not _locate(orbit, image)[0].all():
                 return False
     return True
 
@@ -449,17 +457,6 @@ class OrbitResult:
 def _aut_count(table: GroupTable) -> int:
     """The number of automorphisms, read off the images of one id."""
     return automorphism_images(table, [table.identity_id]).shape[0]
-
-
-def _locate(orbit: OrbitClosure, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each key is a state of the orbit, and its slot: the key
-    itself on the bitset path, its position in the sorted states on the
-    sorted path."""
-    if orbit.members is not None:
-        return _test_bits(orbit.members, keys), keys
-    states = orbit.encoded
-    where = np.minimum(np.searchsorted(states, keys), states.size - 1)
-    return states[where] == keys, where
 
 
 def _classify_seeds(orbit, table, powers, seeds, classified):
@@ -609,5 +606,4 @@ def _product_closure_order(
 
 def _right_multiply(states, digits, gens, table, powers):
     """Encodings of the states times the k-tuple gens, componentwise."""
-    moved = table.mul[np.stack(digits), gens[:, None]].astype(powers.dtype)
-    return powers @ moved
+    return powers @ table.mul[np.stack(digits), gens[:, None]]

@@ -22,14 +22,12 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded
 from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table
 
-# the largest free rank 2g + n - 1 of a surface.  The work of a run grows
-# with the rank before its orbit budget can fire: the builders' image
-# tuples, the surface relation, the orbit's place values (which grow as
-# the rank squared) and its keys.  A recorded genus of 10**6 ran past
-# 30 s.  So the signature, which every builder makes before any
-# rank-long object, checks the rank.  64 is well above every rank a test
-# or benchmark orbit completes at (11 at most), and at rank 64 the keys
-# of even Z/2 are 64 bits wide.
+# the largest free rank 2g + n - 1 of a surface.  Work that grows with
+# the rank runs before any orbit: the builders' rank-long image lists
+# and the surface relation's loop over the g commutators.  A recorded
+# genus of 10**6 ran past 30 s.  So the signature, which every builder
+# makes before any rank-long object, checks the rank.  64 is well above
+# every rank a test or benchmark orbit completes at (10 at most).
 MAX_RANK = 64
 
 

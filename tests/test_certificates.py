@@ -453,14 +453,14 @@ class TestCli:
         assert (exc.value.used, exc.value.budget) == (2 * 10**6, surfaces.MAX_RANK)
 
     def test_construct_above_rank_limit_exits_3(self, tmp_path, capsys):
-        # the largest rank is accepted (the run then overruns its small
-        # orbit budget); one more is refused before any work
+        # the largest rank passes the rank limit (Z/65 at rank 64 then
+        # stops at the key limit); one more is refused by the rank limit
         from coverforge import cli
         from coverforge.surfaces import MAX_RANK
 
         out = tmp_path / "cert.json"
         for punctures, code, message in (
-            (MAX_RANK + 1, 3, "orbit closure exceeded"),
+            (MAX_RANK + 1, 3, f"state key space 65**{MAX_RANK} reaches the key limit 2**62"),
             (MAX_RANK + 2, 3, f"free rank {MAX_RANK + 1} exceeds the rank limit {MAX_RANK}"),
         ):
             args = ["construct", "--case", "char-cyclic", "--genus", "0",
@@ -468,6 +468,43 @@ class TestCli:
             assert cli.main(args) == code
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["construct", "orbit"])
+    def test_key_limit_exits_3_before_the_bfs(self, tmp_path, capsys, command):
+        # Sym(3) at rank 24 has 6**24 >= 2**62 keys and is refused at
+        # once, writing nothing; rank 22 still runs its BFS and overruns
+        from coverforge import cli
+
+        out = tmp_path / "out"
+        flag = "--out" if command == "construct" else "--dump"
+        for genus, message in ((12, "state key space 6**24 reaches the key limit 2**62"),
+                               (11, "orbit closure exceeded")):
+            args = [command, "--case", "char-sym3", "--genus", str(genus),
+                    "--orbit-budget", "1000", flag, str(out)]
+            start = time.perf_counter()
+            assert cli.main(args) == 3
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
+            assert not out.exists()
+
+    def test_verify_recorded_genus_above_key_limit_exits_3(self, tmp_path, capsys):
+        # a char-sym3 certificate whose recorded genus is 12, with a valid
+        # digest: inside the rank limit, but its 6**24 keys reach the key
+        # limit, so the replay stops before the orbit BFS
+        from coverforge import cli
+
+        cert = construct(ConstructConfig(case="char-sym3", genus=1))
+        crafted = attach_digest({**cert, "inputs": {**cert["inputs"], "genus": 12}})
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(crafted))
+        start = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "state key space 6**24 reaches the key limit" in capsys.readouterr().err
+        with pytest.raises(BudgetExceeded) as exc:
+            verify(crafted)
+        assert (exc.value.used, exc.value.budget) == (6**24, 2**62)
 
     @pytest.mark.parametrize("digits", [5000, 10**6])
     def test_verify_over_long_integer_exits_4(self, tmp_path, capsys, char_cyclic_cert, digits):

@@ -64,7 +64,7 @@ def involution_rep(rank, last=False):
     rank - 1 identities.  The orbit is the 2**rank - 1 nonzero tuples over
     {e, x}, which is not Aut-invariant: every class is one state.  For the
     last involution a state's smallest Aut image lies outside the orbit.
-    At rank 11, 60**11 >= 2**63, so the states are Python ints."""
+    At rank 10 the 60**10 (about 6.0e17) keys take the sorted path."""
     h = FiniteGroupHandle.psl2(5)
     involutions = [i for i, g in enumerate(elements(h)) if element_order(g) == 2]
     x = involutions[-1 if last else 0]
@@ -189,6 +189,10 @@ class TestToyOrbit:
         orb = orbit_closure(toy_rep())
         mutated = dataclasses.replace(orb, encoded=orb.encoded[:-1])
         assert not verify_characteristic_closure(mutated)
+
+    @pytest.mark.usefixtures("sorted_path")
+    def test_mutated_orbit_fails_closure_on_sorted_path(self):
+        self.test_mutated_orbit_fails_closure()
 
 
 class TestEngineContract:
@@ -350,21 +354,22 @@ class TestOrbitEngine:
             orbit_closure(b.rep, budget=5000)
 
     def test_wide_keys_match_set_oracle(self):
-        rep = involution_rep(11)
+        rep = involution_rep(10)
         table = group_table(rep.target)
         orb = orbit_closure(rep)
-        assert orb.encoded.dtype == object and orb.members is None
+        assert orb.encoded.dtype == np.int64 and orb.members is None
         assert all_id_tuples(orb) == reference_orbit(rep)
-        assert orb.size == 2047
+        assert orb.size == 1023
 
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
-        assert res.k == 2047
+        assert res.k == 1023
 
         perms = reference_aut_rows(table)
+        # the exact class minima, in Python ints
         exact = [
             min(
-                sum(d * 60 ** (10 - j) for j, d in enumerate(row))
+                sum(d * 60 ** (9 - j) for j, d in enumerate(row))
                 for row in perms[:, list(ids)].tolist()
             )
             for ids in res.class_rep_ids
@@ -385,6 +390,27 @@ class TestOrbitEngine:
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
         assert verify_characteristic_closure(orb)
+
+    def test_key_space_limit(self, monkeypatch):
+        # (1, 0, .., 0) over Z/2: the orbit is every nonzero tuple.  At
+        # rank 61 (2**61 keys) the BFS runs and overruns its budget; at
+        # rank 62 the key space is refused before any BFS
+        h = FiniteGroupHandle.cyclic(2)
+
+        def rep(rank):
+            ids = ids_of(h, Residue(1, 2), *[Residue(0, 2)] * (rank - 1))
+            return RepTuple(SurfaceSignature(0, rank + 1), h, ids)
+
+        with pytest.raises(BudgetExceeded, match="orbit closure exceeded"):
+            orbit_closure(rep(61), budget=1000)
+
+        def no_bfs(*args):
+            raise AssertionError("the BFS ran on a refused key space")
+
+        monkeypatch.setattr(orbits, "_orbit_vectorized", no_bfs)
+        with pytest.raises(BudgetExceeded, match=r"key space 2\*\*62 reaches the key limit") as exc:
+            orbit_closure(rep(62), budget=1000)
+        assert (exc.value.used, exc.value.budget) == (2**62, 2**62)
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup
@@ -513,7 +539,7 @@ class TestAutClasses:
         "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
         "generic-p5": lambda: build_generic(5, 1, 2).rep,
         "genus-zero-p13": lambda: build_genus_zero(13, 3).rep,
-        "psl2-p5-rank11-wide": lambda: involution_rep(11),
+        "psl2-p5-rank10-wide": lambda: involution_rep(10),
     }
 
     @pytest.mark.parametrize("label", sorted(BATCH_CASES))
