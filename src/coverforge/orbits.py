@@ -14,6 +14,8 @@ significant digit first, so numeric order on encodings equals
 lexicographic order on id tuples).  A tuple of rank r over a group of
 order n has one of n**r keys, and every state array is int64: a key
 space of 2**62 keys or more is refused before any BFS (``_state_powers``).
+At rank 3 or more, a Nielsen orbit that a rank-2 suborbit proves larger
+than its budget is refused before the BFS too (``_check_suborbit_bound``).
 
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
 product-image closure), and it takes only inverse-closed moves.  It
@@ -43,6 +45,7 @@ seed's smallest image in the orbit is its class minimum.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, Sequence
@@ -76,13 +79,12 @@ _CHUNK_BYTES = 1 << 20
 # take 16 MiB: what the sorted path's arrays take for a 2M-state orbit, a
 # tenth of the default budget.  Every completed orbit of the benchmark
 # lies below it (PSL(2,13) at rank 2 has 1.19M keys, and generic p = 7 at
-# rank 3 has 4.74M), and the p = 13 rank-3 overrun, at 1.30e9 keys (a
-# 163 MB bitset for a run that stops at 10**6 states), above it.
+# rank 3 has 4.74M), and the p = 13 rank-3 key space, at 1.30e9 keys (a
+# 163 MB bitset), above it.  Its overruns no longer reach the BFS: the
+# suborbit bound (``_check_suborbit_bound``) proves them before it.
 _BITSET_KEYS = 1 << 27
 # bit i of a byte, for the key 8 * byte + i
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
-# the number of set bits of each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,13 @@ def _state_powers(n: int, rank: int) -> np.ndarray:
 
     Raises BudgetExceeded when the n**rank keys reach ``_INT64_KEYS``.
     No run of the command line that could complete is lost: every
-    builder's tuple holds a generating pair, so Nielsen moves put any
-    element of G in every other slot, and the orbit has at least
-    n**(rank - 2) states, which is at least 2**62 / 10**8 (n is at most
-    the table limit 10**4), far above any budget.  (For PSL(2,p) at
-    rank >= 3 the orbit is every generating tuple; Gilman, Canad. J.
-    Math. 29, 1977.)
+    builder's tuple holds a generating pair, so by the suborbit bound
+    (``_check_suborbit_bound``) the orbit has at least n**(rank - 2)
+    states, which is at least 2**62 / 10**8 (n is at most the table
+    limit 10**4), far above any budget.  (For PSL(2,p) at rank >= 3 the
+    orbit is every generating tuple; Gilman, Canad. J. Math. 29, 1977.)
+    The check runs before that bound, so such a key space reports the
+    key limit, not an overrun.
     """
     if n**rank >= _INT64_KEYS:
         raise BudgetExceeded(
@@ -248,9 +251,9 @@ def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
 
 
 def _count_bits(bits: np.ndarray) -> int:
-    """The number of set bits, counted by table in blocks of bytes."""
+    """The number of set bits, counted in blocks of bytes."""
     return sum(
-        int(_POPCOUNT[bits[lo : lo + _BLOCK_BYTES]].sum())
+        int(np.bitwise_count(bits[lo : lo + _BLOCK_BYTES]).sum())
         for lo in range(0, bits.size, _BLOCK_BYTES)
     )
 
@@ -266,19 +269,88 @@ def _locate(orbit: OrbitClosure, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return states[where] == keys, where
 
 
+def _nielsen_moves(table: GroupTable, rank: int) -> list:
+    """The Nielsen moves at this rank as maps for ``_orbit_vectorized``."""
+    powers = _state_powers(table.order, rank)
+    return [
+        partial(_apply_move_encoded, move=move, table=table, powers=powers)
+        for move in nielsen_generators(rank)
+    ]
+
+
 def orbit_closure(rep: RepTuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitClosure:
-    """BFS closure of the image tuple under all Nielsen moves."""
+    """BFS closure of the image tuple under all Nielsen moves.  At rank
+    3 or more, an orbit proven larger than the budget by
+    ``_check_suborbit_bound`` raises before the BFS."""
     if budget < 1:
         raise BadParameters("orbit budget must be positive")
     table = group_table(rep.target)
     rank = rep.signature.free_rank
     start = rep.images
-    powers = _state_powers(table.order, rank)
-    moves = [
-        partial(_apply_move_encoded, move=move, table=table, powers=powers)
-        for move in nielsen_generators(rank)
-    ]
+    moves = _nielsen_moves(table, rank)
+    if rank >= 3:
+        _check_suborbit_bound(table, rank, start, budget)
     return _orbit_vectorized(table, rank, start, moves, budget)
+
+
+def _check_suborbit_bound(
+    table: GroupTable, rank: int, start: tuple[int, ...], budget: int
+) -> None:
+    """Raise BudgetExceeded when a lower bound on the rank-r orbit of
+    `start` passes the budget; return when it does not, or when no pair of
+    slots of `start` generates G.
+
+    The bound: let slots (i, j) generate G, let O2 be the rank-2 orbit of
+    (start[i], start[j]) and n = |G|.  Then the orbit O holds at least
+    |O2| * n**(r - 2) states, because it holds every (a, b, c) with (a, b)
+    in O2 and c in G**(r - 2):
+
+    - adjacent swaps permute the slots, so a state of O has start[i] and
+      start[j] in slots 0 and 1;
+    - the four rank-2 moves are the rank-r moves on slots 0 and 1
+      (swap 0 1, invert 0, multiply 0 by 1, multiply 0 by 1's inverse),
+      so every (a, b) in O2 occurs in slots 0 and 1 with the other slots
+      unchanged;
+    - Nielsen moves keep the subgroup a tuple generates, so every (a, b)
+      in O2 generates G;
+    - a right transvection g_k -> g_k * g_l^(+-1) is the multiply move
+      with its slots permuted by swaps; applied with l in {0, 1}, it
+      turns slot k >= 2 into g_k * w for any word w in a and b, which is
+      any element of G, and leaves every other slot as it is.  So each
+      slot k >= 2 takes every value, independently.
+
+    The rank-2 orbit runs on the BFS engine under the budget
+    B2 = budget // n**(r - 2).  When it overruns at the exact count
+    used2 > B2 (at most |O2|), the orbit has at least
+    used2 * n**(r - 2) > budget states, and that bound is the error's
+    `used`; when B2 is 0, the pair alone gives n**(r - 2) > budget.  A
+    suborbit that fits costs at most budget / n states.  A run that
+    completes has bound <= |O| <= budget, so the check never changes a
+    completed orbit.
+    """
+    pairs = list(itertools.combinations(range(rank), 2))
+    generates = closure_ids(table, [(start[i], start[j]) for i, j in pairs]).all(axis=1)
+    if not generates.any():
+        return
+    i, j = pairs[int(generates.argmax())]
+    n = table.order
+    rest = n ** (rank - 2)
+    sub_budget = budget // rest
+    used = 1  # the pair itself
+    if sub_budget:
+        pair, moves = (start[i], start[j]), _nielsen_moves(table, 2)
+        try:
+            _orbit_vectorized(table, 2, pair, moves, sub_budget)
+        except BudgetExceeded as exc:
+            used = exc.used
+        else:
+            return
+    raise BudgetExceeded(
+        f"orbit closure exceeded state budget: at least {used * rest} states "
+        f"(slots {i}, {j}: rank-2 suborbit over {sub_budget} times {n}**{rank - 2})",
+        used=used * rest,
+        budget=budget,
+    )
 
 
 class _BitsetStates:
@@ -405,6 +477,9 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     automorphisms.  A move is injective and the states are distinct, so
     the orbit is closed under it exactly when every image is a state
     (``_locate``), tested in blocks of states that fill ``_BLOCK_BYTES``.
+    On the sorted path a block's images are sorted first, so the binary
+    searches walk the sorted states in order; at once-punctured p = 23
+    that cut the check from about 4 s to 1.2 s.
     """
     states = orbit.encoded
     n, rank = orbit.table.order, orbit.rank
@@ -415,6 +490,8 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
         digits = _decode_digits(block, n, rank)
         for move in nielsen_generators(rank):
             image = _apply_move_encoded(block, digits, move, orbit.table, powers)
+            if orbit.members is None:
+                image.sort()
             if not _locate(orbit, image)[0].all():
                 return False
     return True

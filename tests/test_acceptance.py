@@ -294,6 +294,9 @@ def test_criterion_11_budget_discipline():
         out = "/tmp/coverforge-acceptance-budget.json"
         if os.path.exists(out):
             os.unlink(out)
+        # the suborbit bound proves the overrun before any BFS, which
+        # takes about 7 s to reach the 20M default budget
+        start = time.perf_counter()
         proc = subprocess.run(
             [
                 sys.executable, "-m", "coverforge", "construct",
@@ -303,5 +306,7 @@ def test_criterion_11_budget_discipline():
             capture_output=True,
             text=True,
         )
+        assert time.perf_counter() - start < 5.0
         assert proc.returncode == 3, proc.stderr
+        assert "rank-2 suborbit" in proc.stderr
         assert not os.path.exists(out)

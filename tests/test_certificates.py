@@ -472,7 +472,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["construct", "orbit"])
     def test_key_limit_exits_3_before_the_bfs(self, tmp_path, capsys, command):
         # Sym(3) at rank 24 has 6**24 >= 2**62 keys and is refused at
-        # once, writing nothing; rank 22 still runs its BFS and overruns
+        # once, writing nothing; rank 22 passes the key limit and overruns
+        # its budget at the suborbit bound, also before any BFS
         from coverforge import cli
 
         out = tmp_path / "out"

@@ -2,12 +2,15 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coverforge import orbits
 from coverforge.catalog import (
@@ -38,7 +41,7 @@ from coverforge.orbits import (
     verify_hall_surjectivity,
 )
 from coverforge.surfaces import RepTuple, SurfaceSignature
-from element_oracle import Residue, element_of, element_order, elements, ids_of
+from element_oracle import Residue, element_of, element_order, elements, identity, ids_of
 
 
 def all_id_tuples(orb):
@@ -337,7 +340,7 @@ class TestOrbitEngine:
     def test_generic_p5_rank3_regression(self):
         b = build_generic(5, 1, 2)
         orb = orbit_closure(b.rep)
-        assert orb.size == 200160
+        assert orb.size == psl2_5_generating_tuples(3) == 200160
         res = aut_classes(orb)
         assert res.k == 1668
         assert sum(res.class_sizes) == orb.size
@@ -393,8 +396,8 @@ class TestOrbitEngine:
 
     def test_key_space_limit(self, monkeypatch):
         # (1, 0, .., 0) over Z/2: the orbit is every nonzero tuple.  At
-        # rank 61 (2**61 keys) the BFS runs and overruns its budget; at
-        # rank 62 the key space is refused before any BFS
+        # rank 61 (2**61 keys) the key space passes and the suborbit bound
+        # overruns the budget; at rank 62 the key space is refused first
         h = FiniteGroupHandle.cyclic(2)
 
         def rep(rank):
@@ -420,6 +423,167 @@ class TestOrbitEngine:
         from coverforge.groups import closure_ids
 
         assert closure_ids(table, next(orb.id_tuples())[:40]).all()
+
+
+def reference_generates(handle, gen_ids):
+    """Oracle: whether the ids generate the whole group, by a set-based
+    closure of the elements under right multiplication, with the element
+    arithmetic instead of the table."""
+    gens = [element_of(handle, g) for g in gen_ids]
+    seen = {identity(handle)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return len(seen) == handle.order
+
+
+def reference_bound(rep):
+    """Oracle: (|O2| * n**(r - 2), (i, j)) for the first pair of slots, in
+    combinations order, whose entries generate G, with O2 the pair's
+    rank-2 orbit by the set-based BFS; None when no pair generates G."""
+    table = group_table(rep.target)
+    rank = len(rep.images)
+    for i, j in itertools.combinations(range(rank), 2):
+        pair = (rep.images[i], rep.images[j])
+        if reference_generates(rep.target, pair):
+            sub = reference_orbit(RepTuple(SurfaceSignature(0, 3), rep.target, pair))
+            return len(sub) * table.order ** (rank - 2), (i, j)
+    return None
+
+
+def spy_engine_ranks(monkeypatch):
+    """The rank of every run of the BFS engine, in order, from now on."""
+    ranks = []
+    engine = orbits._orbit_vectorized
+
+    def spy(table, rank, *args):
+        ranks.append(rank)
+        return engine(table, rank, *args)
+
+    monkeypatch.setattr(orbits, "_orbit_vectorized", spy)
+    return ranks
+
+
+def psl2_5_generating_tuples(r):
+    """Hall's Eulerian function of PSL(2,5) (Q. J. Math. 7, 1936): the
+    number of generating r-tuples, which at r >= 3 form one Nielsen orbit
+    (Gilman, Canad. J. Math. 29, 1977).  The generic p = 5 regression
+    test checks it against the BFS at r = 3."""
+    return 60**r - 5 * 12**r - 6 * 10**r - 10 * 6**r + 20 * 3**r + 60 * 2**r - 60
+
+
+class TestSuborbitBound:
+    """At rank >= 3, a pair of slots that generates G bounds the orbit
+    from below by |O2| * n**(r - 2), with O2 the pair's rank-2 orbit, and
+    an orbit so bounded above its budget raises before the BFS."""
+
+    @pytest.mark.parametrize("rank", range(3, 7))
+    def test_premise_rank_two_moves_and_swaps(self, rank):
+        moves = nielsen_generators(rank)
+        # the rank-2 moves are the rank-r moves that touch only slots 0, 1
+        assert tuple(m for m in moves if {m.i, m.j} <= {0, 1, None}) == nielsen_generators(2)
+        # the adjacent swaps generate every permutation of the slots
+        swaps = [(m.i, m.j) for m in moves if m.kind == "swap"]
+        perms = {tuple(range(rank))}
+        frontier = list(perms)
+        while frontier:
+            fresh = []
+            for perm in frontier:
+                for i, j in swaps:
+                    moved = list(perm)
+                    moved[i], moved[j] = moved[j], moved[i]
+                    if tuple(moved) not in perms:
+                        perms.add(tuple(moved))
+                        fresh.append(tuple(moved))
+            frontier = fresh
+        assert len(perms) == math.factorial(rank)
+
+    # label -> (group, rank, orbit size of a tuple of that rank, or None
+    # to run the BFS)
+    SOUNDNESS_CASES = {
+        "sym3-rank3": (lambda: FiniteGroupHandle.symmetric(3), 3, None),
+        "sym3-rank4": (lambda: FiniteGroupHandle.symmetric(3), 4, None),
+        "z6-rank3": (lambda: FiniteGroupHandle.cyclic(6), 3, None),
+        "z6-rank4": (lambda: FiniteGroupHandle.cyclic(6), 4, None),
+        "psl2-5-rank3": (lambda: FiniteGroupHandle.psl2(5), 3, None),
+        # about 1.3e7 states: too many to run, so Hall's count
+        "psl2-5-rank4": (lambda: FiniteGroupHandle.psl2(5), 4, psl2_5_generating_tuples(4)),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(label=st.sampled_from(sorted(SOUNDNESS_CASES)), seed=st.integers(0, 2**32 - 1))
+    def test_bound_is_at_most_the_orbit(self, label, seed):
+        handle, rank, size = self.SOUNDNESS_CASES[label]
+        handle = handle()
+        table = group_table(handle)
+        ids = tuple(np.random.default_rng(seed).integers(0, table.order, size=rank).tolist())
+        rep = RepTuple(SurfaceSignature(0, rank + 1), handle, ids)
+        found = reference_bound(rep)
+        assume(found is not None)
+        bound, (i, j) = found
+        size = size or orbit_closure(rep).size
+        assert bound <= size
+        # the check passes at the orbit size and fires one below the bound
+        orbits._check_suborbit_bound(table, rank, ids, size)
+        with pytest.raises(BudgetExceeded, match=f"slots {i}, {j}: rank-2 suborbit") as exc:
+            orbits._check_suborbit_bound(table, rank, ids, bound - 1)
+        assert (exc.value.used, exc.value.budget) == (bound, bound - 1)
+
+    # label -> rep of a completed orbit on which the bound runs
+    COMPLETED_CASES = {
+        "generic-p5": lambda: build_generic(5, 1, 2).rep,
+        "char-cyclic-g0-n6": lambda: build_characteristic_cyclic(0, 6).rep,
+        "char-sym3-g3": lambda: build_characteristic_sym3(3).rep,
+    }
+
+    @pytest.mark.parametrize("label", sorted(COMPLETED_CASES))
+    def test_budget_at_the_orbit_size_completes(self, label):
+        rep = self.COMPLETED_CASES[label]()
+        size = orbit_closure(rep).size
+        assert orbit_closure(rep, budget=size).size == size
+
+    @pytest.mark.parametrize(
+        "p,budget,used,ranks",
+        [
+            # one below the bound: the rank-2 suborbit of 600 overruns 599
+            (5, 35_999, 36_000, [2]),
+            # below n**(r - 2) = 60: the pair alone proves it, no BFS runs
+            (5, 59, 60, []),
+            # the 1M overrun: the suborbit overruns 915 at 1375 states
+            (13, 1_000_000, 1_501_500, [2]),
+        ],
+    )
+    def test_early_exit(self, p, budget, used, ranks, monkeypatch):
+        rep = build_generic(p, 1, 2).rep
+        seen = spy_engine_ranks(monkeypatch)
+        n = group_table(rep.target).order
+        message = (
+            rf"orbit closure exceeded state budget: at least {used} states "
+            rf"\(slots \d, \d: rank-2 suborbit over {budget // n} times {n}\*\*1\)"
+        )
+        with pytest.raises(BudgetExceeded, match=message) as exc:
+            orbit_closure(rep, budget=budget)
+        assert (exc.value.used, exc.value.budget) == (used, budget)
+        assert seen == ranks
+
+    def test_no_generating_pair_runs_the_bfs(self, monkeypatch):
+        # (x, e, e, e) with x an involution: no pair generates PSL(2,5),
+        # so the rank-4 BFS alone decides, as before the bound
+        rep = involution_rep(4)
+        seen = spy_engine_ranks(monkeypatch)
+        with pytest.raises(BudgetExceeded) as exc:
+            orbit_closure(rep, budget=14)
+        assert str(exc.value) == "orbit closure exceeded state budget"
+        assert exc.value.used == 15
+        assert orbit_closure(rep, budget=15).size == 15
+        assert seen == [4, 4]
 
 
 def all_automorphisms(table):
