@@ -7,6 +7,10 @@ Conventions fixed here and relied on by every other module:
   (`GroupTable`): products, inverses, orders, closures, subgroups
   (`SubgroupData`), normalizers, conjugacy and the automorphisms all
   work on ids.
+* The tables store ids as 16-bit unsigned integers (``_ID_DTYPE``), so
+  the n x n product table takes 2 n**2 bytes.  Table values are used as
+  indices, or mixed with wider integers before any arithmetic: a sum or
+  product of 16-bit ids would wrap.
 * The size of a group is limited in one place: `FiniteGroupHandle`
   refuses an order above ``TABLE_LIMIT`` when the group is named.
   Every table, closure, normalizer and search here works within the
@@ -43,6 +47,9 @@ import numpy as np
 from .errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 
 TABLE_LIMIT = 10_000
+# the dtype of the stored ids: TABLE_LIMIT is at most 2**16, so every id
+# of a group the handle admits fits it
+_ID_DTYPE = np.uint16
 # working-array size of one block of the table builds, the batched
 # closure and the conjugation tests
 _BLOCK_BYTES = 1 << 18
@@ -297,10 +304,11 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
     if handle.kind == "psl2":
         flat = np.concatenate([flat, d0_perm(table)[flat]])
     # row g: (g x) g^-1 for each x in flat, read from the flat mul at index
-    # g x * n + g^-1 (int32 while n <= 46340); a PSL2 row holds two automorphisms
+    # g x * n + g^-1; a PSL2 row holds two automorphisms.  The index is
+    # computed in intp: in the 16-bit ids it would wrap once n > 256
     n = table.order
-    images = table.mul.ravel()[table.mul[:, flat] * n + table.inv[:, None]]
-    return images.reshape((-1,) + ids.shape)
+    index = np.multiply(table.mul[:, flat], n, dtype=np.intp) + table.inv[:, None]
+    return table.mul.ravel()[index].reshape((-1,) + ids.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +317,13 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
 class GroupTable:
     """Dense multiplication and inversion tables over the ids 0 .. n-1,
     the entries of each id (`enumerate_group`) and the lookup that
-    `decode` reads: for PSL2 the id of the base-p code of either sign of
-    each matrix (-1 off the group), for Sym(m) the sorted base-m codes of
-    the one-line images, none for Z/n."""
+    `decode` reads: for PSL2 the int32 id of the base-p code of either
+    sign of each matrix (-1 off the group), for Sym(m) the sorted base-m
+    codes of the one-line images, none for Z/n.
+
+    ``mul`` (n, n) and ``inv`` (n,) hold 16-bit ids (``_ID_DTYPE``), so
+    ``mul`` takes 2 n**2 bytes.  Index with them, or widen them before
+    arithmetic."""
 
     def __init__(self, handle, entries, lookup, mul, inv, identity_id):
         self.handle = handle
@@ -360,9 +372,10 @@ def group_table(handle: FiniteGroupHandle) -> GroupTable:
     if handle.kind == "psl2":
         table = _psl2_table(handle, entries)
     elif handle.kind == "cyclic":
-        r = np.arange(n, dtype=np.int32)
-        mul = (np.add.outer(r, r) % n).astype(np.int32)
-        inv = ((n - r) % n).astype(np.int32)
+        # row i is (i + j) mod n: the window at i of the ids written twice
+        twice = np.tile(np.arange(n, dtype=_ID_DTYPE), 2)
+        mul = np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
+        inv = ((n - np.arange(n)) % n).astype(_ID_DTYPE)
         table = GroupTable(handle, entries, None, mul, inv, 0)
     else:
         table = _symmetric_table(handle, entries)
@@ -374,7 +387,8 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     """Products by row vectors: a row (u, v) times element j is the row
     (u a_j + v c_j, u b_j + v d_j), so one (p**2, n) array of row codes
     gives both rows of every product, and the lookup maps the product's
-    entry code, of either sign, to its id."""
+    entry code, of either sign, to its id.  Each block of rows is looked
+    up in int32 and stored as 16-bit ids."""
     p = handle.p
     n = len(entries)
     ids = np.arange(n, dtype=np.int32)
@@ -386,29 +400,30 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     v = np.tile(np.arange(p, dtype=np.int32), p)[:, None]
     row_code = (u * a + v * c) % p * p + (u * b + v * d) % p
     top, bottom = a * p + b, c * p + d
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=_ID_DTYPE)
     step = max(1, _BLOCK_BYTES // (4 * n))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         mul[rows] = lookup[row_code[top[rows]] * (p * p) + row_code[bottom[rows]]]
-    inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)]
+    inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)].astype(_ID_DTYPE)
     identity_id = int(lookup[_encode_entries(1, 0, 0, 1, p)])
     return GroupTable(handle, entries, lookup, mul, inv, identity_id)
 
 
 def _symmetric_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     """Products of one-line image arrays, looked up by their base-m codes:
-    the entries are in lexicographic order, so the codes are sorted."""
+    the entries are in lexicographic order, so the codes are sorted.  Each
+    block of rows is searched in intp and stored as 16-bit ids."""
     m, n = handle.m, len(entries)
     place = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
     codes = entries @ place
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=_ID_DTYPE)
     step = max(1, _BLOCK_BYTES // (8 * n * m))
     for lo in range(0, n, step):
         # (x * y)(pt) = y(x(pt)): entry [j, i, pt] is entries[j][entries[i][pt]]
         products = entries[:, entries[lo : lo + step]] @ place
         mul[lo : lo + step] = np.searchsorted(codes, products.T)
-    inv = np.searchsorted(codes, np.argsort(entries, axis=1) @ place).astype(np.int32)
+    inv = np.searchsorted(codes, np.argsort(entries, axis=1) @ place).astype(_ID_DTYPE)
     return GroupTable(handle, entries, codes, mul, inv, 0)  # the identity sorts first
 
 

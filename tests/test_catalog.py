@@ -30,6 +30,7 @@ from coverforge.groups import (
     normalizer,
     subgroup_closure,
 )
+from coverforge.orbits import aut_classes, orbit_closure
 from coverforge.surfaces import (
     is_surjective,
     peripheral_profile,
@@ -413,3 +414,29 @@ class TestSubgroupBuilders:
     def test_dihedral_rejects_other_orders(self):
         with pytest.raises(BadParameters):
             dihedral_subgroup(13, 10)
+
+
+class TestIdsArePythonInts:
+    """The ids a builder hands on, and the class reps of their orbits, are
+    Python ints.  The tables store 16-bit ids, and under NEP 50 a uint16
+    scalar times a state place value would wrap or raise."""
+
+    # label -> build
+    BUILDS = {
+        "generic-p5": lambda: build_generic(5, 1, 2),
+        "genus-zero-p5": lambda: build_genus_zero(5, 3),
+        "dihedral-p13-t4": lambda: build_genus_zero(13, 3, explicit_t=4),
+        "once-punctured-p13": lambda: build_once_punctured(13, 1),
+        "char-cyclic-g0-n3": lambda: build_characteristic_cyclic(0, 3),
+        "char-sym3-g1": lambda: build_characteristic_sym3(1),
+    }
+
+    @pytest.mark.parametrize("label", sorted(BUILDS))
+    def test_builder_and_class_rep_ids(self, label):
+        build = self.BUILDS[label]()
+        ids = list(build.rep.images) + [build.claimed_cn]
+        if build.h0 is not None:
+            ids += build.h0.generators
+        reps = aut_classes(orbit_closure(build.rep)).class_rep_ids
+        ids += [x for rep in reps for x in rep]
+        assert {type(x) for x in ids} == {int}

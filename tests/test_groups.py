@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from coverforge.errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 from coverforge.groups import (
+    TABLE_LIMIT,
     FiniteGroupHandle,
     are_conjugate_subgroups,
     closure_ids,
@@ -440,6 +441,36 @@ class TestTables:
     def test_table_limit(self):
         with pytest.raises(BudgetExceeded):
             group_table(FiniteGroupHandle.cyclic(10001))
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.psl2(13),
+            FiniteGroupHandle.symmetric(3),
+            FiniteGroupHandle.symmetric(5),
+            FiniteGroupHandle.cyclic(6),
+        ],
+        ids=["psl2-5", "psl2-13", "sym-3", "sym-5", "cyclic-6"],
+    )
+    def test_tables_hold_16_bit_ids(self, handle):
+        table = group_table(handle)
+        n = table.order
+        assert table.mul.dtype == table.inv.dtype == np.uint16
+        assert table.mul.shape == (n, n) and table.inv.shape == (n,)
+        assert table.mul.nbytes == 2 * n * n
+
+    def test_table_limit_keeps_ids_in_16_bits(self):
+        # the ids 0 .. n-1 of every group a handle admits fit a uint16;
+        # PSL(2, 53), with n = 74 412, would not
+        assert TABLE_LIMIT <= 2**16
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7])
+    def test_cyclic_table_is_addition_mod_n(self, n):
+        table = group_table(FiniteGroupHandle.cyclic(n))
+        r = np.arange(n)
+        assert np.array_equal(table.mul, np.add.outer(r, r) % n)
+        assert np.array_equal(table.inv, (n - r) % n)
 
     def test_handle_refuses_groups_above_the_table_limit(self, monkeypatch):
         # p = 10**16 + 61 is a prime whose trial division would run for

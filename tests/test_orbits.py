@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coverforge import orbits
+from coverforge import groups, orbits
 from coverforge.catalog import (
     build_characteristic_cyclic,
     build_characteristic_sym3,
@@ -24,6 +24,7 @@ from coverforge.covers import characteristic_core
 from coverforge.errors import BadParameters, BudgetExceeded
 from coverforge.groups import (
     FiniteGroupHandle,
+    GroupTable,
     automorphism_images,
     d0_perm,
     encode,
@@ -785,6 +786,60 @@ class TestAutClasses:
             assert [
                 cycle_type(coset_permutation(space, g)) for g in moved.peripheral_image_ids()
             ] == types0
+
+
+def relabelled_table(table, seed):
+    """An isomorphic copy of a PSL2 table whose ids are permuted: old id i
+    becomes relabel[i].  The entries are shuffled, and mul, inv, lookup and
+    the identity are mapped through the same permutation, so the copy
+    keeps the group law and the codec but not the lexicographic id order."""
+    relabel = np.random.default_rng(seed).permutation(table.order)
+    old = np.argsort(relabel)  # the old id of each new id
+    mul = relabel[table.mul[old[:, None], old[None, :]]].astype(table.mul.dtype)
+    inv = relabel[table.inv[old]].astype(table.inv.dtype)
+    lookup = np.where(table.lookup >= 0, relabel[table.lookup], -1).astype(table.lookup.dtype)
+    identity_id = int(relabel[table.identity_id])
+    return GroupTable(table.handle, table.entries[old], lookup, mul, inv, identity_id), relabel
+
+
+class TestRelabelledIds:
+    """Relabelling the ids of the group is an isomorphism of the state
+    graph: from the relabelled start the orbit is the relabelled orbit,
+    with the same levels and expansions, and the classes have the same
+    count and sizes.  Only the class reps past the first, which are
+    minima in id order, may differ."""
+
+    # label -> rep
+    CASES = {
+        "genus-zero-p5": lambda: build_genus_zero(5, 3).rep,
+        "once-punctured-p13": lambda: build_once_punctured(13, 1).rep,
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_same_orbit_and_classes(self, label, seed, monkeypatch):
+        rep = self.CASES[label]()
+        orb = orbit_closure(rep)
+        res = aut_classes(orb)
+        table, relabel = relabelled_table(orb.table, seed)
+        monkeypatch.setitem(groups._TABLE_CACHE, rep.target, table)
+        start = tuple(int(relabel[x]) for x in rep.images)
+        moved = orbit_closure(RepTuple(rep.signature, rep.target, start))
+        moved_res = aut_classes(moved)
+        assert moved.table is table and (moved.members is None) == (orb.members is None)
+        powers = orbits._state_powers(table.order, orb.rank)
+        digits = np.stack(orbits._decode_digits(orb.encoded, table.order, orb.rank), axis=1)
+        assert np.array_equal(moved.encoded, np.sort(relabel[digits] @ powers))
+        assert (moved.levels, moved.expansions) == (orb.levels, orb.expansions)
+        assert (moved_res.orbit_size, moved_res.k) == (res.orbit_size, res.k)
+        assert moved_res.class_rep_ids[0] == start
+        assert moved_res.class_sizes[0] == res.class_sizes[0]
+        assert sorted(moved_res.class_sizes) == sorted(res.class_sizes)
+
+
+@pytest.mark.usefixtures("sorted_path")
+class TestRelabelledIdsSortedPath(TestRelabelledIds):
+    """The relabelled-ids relation on the sorted membership path."""
 
 
 class TestHall:
