@@ -55,6 +55,7 @@ from .groups import FiniteGroupHandle, decode, encode, group_table
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     PRODUCT_CLOSURE_CAP,
+    OrbitResult,
     aut_classes,
     orbit_closure,
     verify_characteristic_closure,
@@ -261,6 +262,17 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     return cert
 
 
+def _orbit_json(result: OrbitResult) -> dict:
+    """The certificate's summary of a completed orbit and its classes."""
+    return {
+        "size": result.orbit_size,
+        "k": result.k,
+        "class_reps_digest": result.class_reps_digest(),
+        "states_explored": result.orbit_size,
+        "levels": result.levels,
+    }
+
+
 def _irregular_stages(config, build, profile, cert, checks) -> None:
     rep = build.rep
     sig = build.signature
@@ -303,13 +315,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
         hall_mode = hall.mode
-        orbit_info = {
-            "size": result.orbit_size,
-            "k": k,
-            "class_reps_digest": result.class_reps_digest(),
-            "states_explored": result.orbit_size,
-            "levels": result.levels,
-        }
+        orbit_info = _orbit_json(result)
         variant = "irregular"
     cert["orbit"] = orbit_info
     cert["variant"] = variant
@@ -384,13 +390,7 @@ def _characteristic_stages(config, build, cert, checks) -> None:
     checks["orbit_completed"] = True
     checks["characteristic_closure"] = core.aut_invariant
     checks["peripheral_orders_ge_2"] = core.all_at_least_two
-    cert["orbit"] = {
-        "size": result.orbit_size,
-        "k": result.k,
-        "class_reps_digest": result.class_reps_digest(),
-        "states_explored": result.orbit_size,
-        "levels": result.levels,
-    }
+    cert["orbit"] = _orbit_json(result)
     cert["variant"] = "characteristic-core (orbit variant)"
     cert["budget_used"] = {"hall_mode": None}
     cover: dict = {

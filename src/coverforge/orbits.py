@@ -13,27 +13,19 @@ Tuples are encoded as mixed-radix integers over table indices (most
 significant digit first, so numeric order on encodings equals
 lexicographic order on id tuples).  A tuple of rank r over a group of
 order n has one of n**r keys, and every state array is int64: a key
-space of 2**62 keys or more is refused before any BFS (``_state_powers``).
-At rank 3 or more, a Nielsen orbit that a rank-2 suborbit proves larger
-than its budget is refused before the BFS too (``_check_suborbit_bound``).
+space of ``_KEY_LIMIT`` = 2**32 keys or more is refused before any BFS
+(``_state_powers``).  At rank 3 or more, a Nielsen orbit that a rank-2
+suborbit proves larger than its budget is refused before the BFS too
+(``_check_suborbit_bound``).
 
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
-product-image closure), and it takes only inverse-closed moves.  It
-expands the frontier in chunks whose candidates fill a fixed number of
-bytes, keeps each BFS level sorted, and sorts the levels into the
-orbit once, at the end.  How it tests a candidate for membership depends
-on the key space alone:
-
-- When n**r is at most ``_BITSET_KEYS`` (every completed orbit of the
-  benchmark, and every product closure), the visited states are a
-  bitset with one bit per key.  A membership test is one gather, and a
-  chunk's new states are set in it at once.  The class partition and
-  the closure check test membership in the same bitset, which the orbit
-  carries.
-- Above that the sorted path runs: the neighbours of a level lie in the
-  level before it, the level itself or the next one, so the frontier is
-  tested against the sorted union of the last two levels only, with one
-  searchsorted per chunk.  The later stages search the sorted orbit.
+product-image closure).  It expands the frontier in chunks whose
+candidates fill a fixed number of bytes, keeps each BFS level sorted,
+and sorts the levels into the orbit once, at the end.  The visited
+states are a bitset with one bit per key: a membership test is one
+gather, and a chunk's new states are set in it at once.  The class
+partition and the closure check test membership in the same bitset,
+which the orbit carries.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
@@ -68,21 +60,13 @@ DEFAULT_ORBIT_BUDGET = 20_000_000
 # above it the Hall check runs on hypotheses and the characteristic
 # degree is left uncomputed
 PRODUCT_CLOSURE_CAP = 10_000_000
-# the size of the key space n**rank from which a run is refused: keys below
-# 2**62 leave int64 room for a move's change of place values
-_INT64_KEYS = 2**62
+# the size of the key space n**rank from which a run is refused.  An orbit's
+# states are a bitset with one bit per key, which takes 512 MiB at 2**32
+# keys; int64 holds every key and every move's change of place values
+_KEY_LIMIT = 2**32
 # candidate bytes of one frontier chunk (moves x states x 8); on the bench
 # orbits 1 MiB ran faster than 256 KiB, and 4 MiB raised the overrun's RSS
 _CHUNK_BYTES = 1 << 20
-# the largest key space n**rank whose states are kept as a bitset.  A
-# bitset costs n**rank / 8 bytes whatever the orbit's size, and 2**27 keys
-# take 16 MiB: what the sorted path's arrays take for a 2M-state orbit, a
-# tenth of the default budget.  Every completed orbit of the benchmark
-# lies below it (PSL(2,13) at rank 2 has 1.19M keys, and generic p = 7 at
-# rank 3 has 4.74M), and the p = 13 rank-3 key space, at 1.30e9 keys (a
-# 163 MB bitset), above it.  Its overruns no longer reach the BFS: the
-# suborbit bound (``_check_suborbit_bound``) proves them before it.
-_BITSET_KEYS = 1 << 27
 # bit i of a byte, for the key 8 * byte + i
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
@@ -128,12 +112,10 @@ class OrbitClosure:
         return len(self.encoded)
 
     @cached_property
-    def members(self) -> np.ndarray | None:
-        """The states as a bitset over the key space, or None when the key
-        space is above ``_BITSET_KEYS``.  The BFS sets it to the bitset it
-        built; otherwise it is built from ``encoded`` on first use."""
-        if not _bitset_fits(self.table.order, self.rank):
-            return None
+    def members(self) -> np.ndarray:
+        """The states as a bitset over the key space.  The BFS sets it to
+        the bitset it built; otherwise it is built from ``encoded`` on
+        first use."""
         bits = _bitset(self.table.order**self.rank)
         for lo in range(0, self.size, _BLOCK_BYTES // 8):
             _set_bits(bits, self.encoded[lo : lo + _BLOCK_BYTES // 8])
@@ -155,21 +137,21 @@ class OrbitClosure:
 def _state_powers(n: int, rank: int) -> np.ndarray:
     """Int64 place values of the rank-digit, base-n state encoding.
 
-    Raises BudgetExceeded when the n**rank keys reach ``_INT64_KEYS``.
-    No run of the command line that could complete is lost: every
-    builder's tuple holds a generating pair, so by the suborbit bound
-    (``_check_suborbit_bound``) the orbit has at least n**(rank - 2)
-    states, which is at least 2**62 / 10**8 (n is at most the table
-    limit 10**4), far above any budget.  (For PSL(2,p) at rank >= 3 the
-    orbit is every generating tuple; Gilman, Canad. J. Math. 29, 1977.)
-    The check runs before that bound, so such a key space reports the
-    key limit, not an overrun.
+    Raises BudgetExceeded when the n**rank keys reach ``_KEY_LIMIT``,
+    so no orbit's bitset (one bit per key) exceeds 512 MiB.  The check
+    runs before the suborbit bound (``_check_suborbit_bound``), so such a
+    key space reports the key limit, not an overrun, and nothing is
+    allocated.  No run of the command line that could complete is lost:
+    every builder's tuple holds a generating pair, at rank >= 3 its orbit
+    is every generating tuple (for PSL(2,p): Gilman, Canad. J. Math. 29,
+    1977), and generating tuples are at least 7/9 of the keys (Sym(3) at
+    rank 3), so above the limit the orbit has more than 3e9 states.
     """
-    if n**rank >= _INT64_KEYS:
+    if n**rank >= _KEY_LIMIT:
         raise BudgetExceeded(
-            f"state key space {n}**{rank} reaches the key limit 2**62",
+            f"state key space {n}**{rank} reaches the key limit 2**32",
             used=n**rank,
-            budget=_INT64_KEYS,
+            budget=_KEY_LIMIT,
         )
     return np.array([n ** (rank - 1 - j) for j in range(rank)], dtype=np.int64)
 
@@ -223,17 +205,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
-def _absent(values: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """The values not in the sorted array `known`."""
-    pos = np.minimum(np.searchsorted(known, values), known.size - 1)
-    return values[known[pos] != values]
-
-
-def _bitset_fits(n: int, rank: int) -> bool:
-    """Whether the states of rank-digit, base-n keys are kept as a bitset."""
-    return n**rank <= _BITSET_KEYS
-
-
 def _bitset(keys: int) -> np.ndarray:
     """An empty bitset over the keys 0 .. keys-1: bit i of byte b holds
     the key 8 * b + i."""
@@ -256,17 +227,6 @@ def _count_bits(bits: np.ndarray) -> int:
         int(np.bitwise_count(bits[lo : lo + _BLOCK_BYTES]).sum())
         for lo in range(0, bits.size, _BLOCK_BYTES)
     )
-
-
-def _locate(orbit: OrbitClosure, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each key is a state of the orbit, and its slot: the key
-    itself on the bitset path, its position in the sorted states on the
-    sorted path."""
-    if orbit.members is not None:
-        return _test_bits(orbit.members, keys), keys
-    states = orbit.encoded
-    where = np.minimum(np.searchsorted(states, keys), states.size - 1)
-    return states[where] == keys, where
 
 
 def _nielsen_moves(table: GroupTable, rank: int) -> list:
@@ -353,110 +313,46 @@ def _check_suborbit_bound(
     )
 
 
-class _BitsetStates:
-    """The visited states of a BFS as a bitset over the key space.  A
-    level's new states are exact after every chunk: a chunk keeps its
-    candidates whose bits are clear, dedupes them and sets their bits."""
-
-    def __init__(self, keys: int, start: np.ndarray):
-        self.bits = _bitset(keys)
-        _set_bits(self.bits, start)
-        self.pieces: list[np.ndarray] = []
-        self.count = 0
-
-    def add(self, cand: np.ndarray, room: int) -> int:
-        """Take in a chunk's candidates; return the number of the level's
-        new states so far, which is exact."""
-        piece = _sorted_unique(cand[~_test_bits(self.bits, cand)])
-        _set_bits(self.bits, piece)
-        self.pieces.append(piece)
-        self.count += piece.size
-        return self.count
-
-    def end_level(self) -> np.ndarray:
-        """The level's new states, sorted; the chunks' pieces are disjoint."""
-        new = _sort(np.concatenate(self.pieces)) if len(self.pieces) > 1 else self.pieces[0]
-        self.pieces, self.count = [], 0
-        return new
-
-
-class _SortedStates:
-    """The visited states of a BFS as sorted levels.  A chunk keeps its
-    candidates absent from the last two levels, and the chunks' pieces
-    are merged at the level's end, or earlier whenever their total, which
-    over-counts states that several chunks reach, exceeds the room left
-    in the budget."""
-
-    bits = None  # no bitset on this path
-
-    def __init__(self, start: np.ndarray):
-        self.near = start
-        self.frontier = start
-        self.pieces: list[np.ndarray] = []
-        self.count = 0
-
-    def add(self, cand: np.ndarray, room: int) -> int:
-        """Take in a chunk's candidates; return the number of the level's
-        new states so far, which is exact whenever it exceeds `room`."""
-        self.pieces.append(_absent(_sorted_unique(cand), self.near))
-        self.count += self.pieces[-1].size
-        if self.count > room:
-            self.pieces = [_sorted_unique(np.concatenate(self.pieces))]
-            self.count = self.pieces[0].size
-        return self.count
-
-    def end_level(self) -> np.ndarray:
-        pieces = self.pieces
-        new = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
-        self.near = _sort(np.concatenate([self.frontier, new]))
-        self.frontier = new
-        self.pieces, self.count = [], 0
-        return new
-
-
 def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     """BFS closure of the start tuple under the moves, each a map from a
     chunk's encoded states and decoded digits to the moved encodings.
 
-    The moves must be closed under inverses.  A chunk of the frontier
-    holds as many states as let its candidates fill ``_CHUNK_BYTES``; it
-    applies every move and hands the candidates to the visited states, a
-    bitset when the n**rank keys fit in ``_BITSET_KEYS`` and sorted
-    levels otherwise.  Both report the level's exact count whenever it
-    could pass the budget, so the exact distinct count decides
-    ``BudgetExceeded``, and both return each level sorted, so the
-    chunks, and the count at the first check over budget, are the same
-    on either path.  The levels are sorted into the orbit once, at the
-    end.
+    A chunk of the frontier holds as many states as let its candidates
+    fill ``_CHUNK_BYTES``; it applies every move, keeps the candidates
+    whose bits in the visited bitset are clear, dedupes them and sets
+    their bits.  So the level's new states are exact after every chunk,
+    and the exact distinct count decides ``BudgetExceeded``.  Each level
+    is sorted, and the levels are sorted into the orbit once, at the end.
     """
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
     frontier = np.array([start_state], dtype=np.int64)
     found = [frontier]
-    if _bitset_fits(n, rank):
-        states = _BitsetStates(n**rank, frontier)
-    else:
-        states = _SortedStates(frontier)
+    visited = _bitset(n**rank)
+    _set_bits(visited, frontier)
     reached = 1
     step = max(1, _CHUNK_BYTES // (8 * len(moves)))
     levels = 0
     expansions = 0
     while frontier.size:
         levels += 1
+        pieces = []
         for lo in range(0, frontier.size, step):
             chunk = frontier[lo : lo + step]
             digits = _decode_digits(chunk, n, rank)
             cand = np.concatenate([move(chunk, digits) for move in moves])
             expansions += len(moves) * chunk.size
-            counted = reached + states.add(cand, budget - reached)
-            if counted > budget:
+            pieces.append(_sorted_unique(cand[~_test_bits(visited, cand)]))
+            _set_bits(visited, pieces[-1])
+            reached += pieces[-1].size
+            if reached > budget:
                 raise BudgetExceeded(
-                    "orbit closure exceeded state budget", used=counted, budget=budget
+                    "orbit closure exceeded state budget", used=reached, budget=budget
                 )
-        frontier = states.end_level()
+        # the pieces are disjoint
+        frontier = _sort(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
         found.append(frontier)
-        reached += frontier.size
     orbit = OrbitClosure(
         table=table,
         rank=rank,
@@ -465,7 +361,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
         levels=levels,
         expansions=expansions,
     )
-    orbit.members = states.bits
+    orbit.members = visited
     return orbit
 
 
@@ -475,11 +371,8 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
     automorphisms.  A move is injective and the states are distinct, so
-    the orbit is closed under it exactly when every image is a state
-    (``_locate``), tested in blocks of states that fill ``_BLOCK_BYTES``.
-    On the sorted path a block's images are sorted first, so the binary
-    searches walk the sorted states in order; at once-punctured p = 23
-    that cut the check from about 4 s to 1.2 s.
+    the orbit is closed under it exactly when every image's bit is set
+    in ``members``, tested in blocks of states that fill ``_BLOCK_BYTES``.
     """
     states = orbit.encoded
     n, rank = orbit.table.order, orbit.rank
@@ -490,9 +383,7 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
         digits = _decode_digits(block, n, rank)
         for move in nielsen_generators(rank):
             image = _apply_move_encoded(block, digits, move, orbit.table, powers)
-            if orbit.members is None:
-                image.sort()
-            if not _locate(orbit, image)[0].all():
+            if not _test_bits(orbit.members, image).all():
                 return False
     return True
 
@@ -537,14 +428,14 @@ def _aut_count(table: GroupTable) -> int:
 
 
 def _classify_seeds(orbit, table, powers, seeds, classified):
-    """Set the slots of the Aut images of each seed row that lie in the
+    """Set the bits of the Aut images of each seed row that lie in the
     orbit in the bitset `classified`; return each seed's class minimum
     (its smallest image in the orbit) and class size (its distinct images
     there)."""
     images = automorphism_images(table, seeds) @ powers
     images.sort(axis=0)
-    present, slots = _locate(orbit, images)
-    _set_bits(classified, slots[present])
+    present = _test_bits(orbit.members, images)
+    _set_bits(classified, images[present])
     minima = images[present.argmax(axis=0), np.arange(images.shape[1])]
     return minima, (present & _run_starts(images)).sum(axis=0)
 
@@ -560,9 +451,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     a class; they give the same minimum and size, and the duplicates are
     dropped at the end.  A batch's images fill at most ``_BLOCK_BYTES``,
     and the scan for seeds looks at no more states than a batch has
-    images.  The classified states are a bitset over the orbit's slots
-    (`_locate`): the key space on the bitset path, the positions in the
-    sorted states on the sorted path.
+    images.  The classified states are a bitset over the key space.
     """
     states = orbit.encoded
     size = states.size
@@ -572,8 +461,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     images_per_seed = _aut_count(table) * rank
     step = max(1, _BLOCK_BYTES // (8 * images_per_seed))
     span = step * images_per_seed
-    by_key = orbit.members is not None
-    classified = _bitset(n**rank if by_key else size)
+    classified = _bitset(n**rank)
     start_min, start_size = _classify_seeds(
         orbit, table, powers, np.array([orbit.start_ids]), classified
     )
@@ -583,8 +471,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     cursor = 0
     while cursor < size:
         window = states[cursor : cursor + span]
-        slots = window if by_key else np.arange(cursor, cursor + window.size)
-        free = np.flatnonzero(~_test_bits(classified, slots))[:step] + cursor
+        free = np.flatnonzero(~_test_bits(classified, window))[:step] + cursor
         cursor = int(free[-1]) + 1 if free.size == step else cursor + span
         if free.size:
             seeds = np.stack(_decode_digits(states[free], n, rank), axis=1)
@@ -595,7 +482,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     order = np.argsort(minima[1:], kind="stable") + 1
     keep = np.concatenate([[0], order[_run_starts(minima[order])]])
     minima, sizes = minima[keep], sizes[keep]
-    # only slots of states are ever set, so the count is the orbit's
+    # only keys of states are ever set, so the count is the orbit's
     # exactly when every state is classified
     if _count_bits(classified) != size or int(sizes.sum()) != size:
         raise AssertionError("the classes must partition the orbit")
@@ -664,9 +551,8 @@ def _product_closure_order(
     """Order of the image of the product of the class reps, or None when
     G^k is above ``PRODUCT_CLOSURE_CAP``: the orbit of the identity
     k-tuple in G^k under right multiplication by one k-tuple per free
-    generator (column of the class rep ids) and by its inverse, which is
-    the subgroup those tuples generate, so it never outgrows G^k.  The
-    inverses make the moves closed under inverses, as the engine needs."""
+    generator (column of the class rep ids).  In a finite group that is
+    the subgroup those tuples generate, so it never outgrows G^k."""
     k = len(class_rep_ids)
     product_order = table.order**k
     if product_order > PRODUCT_CLOSURE_CAP:
@@ -675,7 +561,7 @@ def _product_closure_order(
     columns = np.asarray(class_rep_ids, dtype=np.int64).T
     moves = [
         partial(_right_multiply, gens=gens, table=table, powers=powers)
-        for gens in (*columns, *table.inv[columns])
+        for gens in columns
     ]
     start = (table.identity_id,) * k
     return _orbit_vectorized(table, k, start, moves, product_order).size

@@ -460,7 +460,7 @@ class TestCli:
 
         out = tmp_path / "cert.json"
         for punctures, code, message in (
-            (MAX_RANK + 1, 3, f"state key space 65**{MAX_RANK} reaches the key limit 2**62"),
+            (MAX_RANK + 1, 3, f"state key space 65**{MAX_RANK} reaches the key limit 2**32"),
             (MAX_RANK + 2, 3, f"free rank {MAX_RANK + 1} exceeds the rank limit {MAX_RANK}"),
         ):
             args = ["construct", "--case", "char-cyclic", "--genus", "0",
@@ -471,15 +471,16 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["construct", "orbit"])
     def test_key_limit_exits_3_before_the_bfs(self, tmp_path, capsys, command):
-        # Sym(3) at rank 24 has 6**24 >= 2**62 keys and is refused at
-        # once, writing nothing; rank 22 passes the key limit and overruns
-        # its budget at the suborbit bound, also before any BFS
+        # Sym(3) at rank 24 has 6**24 >= 2**32 keys and is refused at
+        # once, writing nothing; rank 12 (6**12, about 2.18e9 keys) passes
+        # the key limit and overruns its budget at the suborbit bound, also
+        # before any BFS
         from coverforge import cli
 
         out = tmp_path / "out"
         flag = "--out" if command == "construct" else "--dump"
-        for genus, message in ((12, "state key space 6**24 reaches the key limit 2**62"),
-                               (11, "orbit closure exceeded")):
+        for genus, message in ((12, "state key space 6**24 reaches the key limit 2**32"),
+                               (6, "orbit closure exceeded")):
             args = [command, "--case", "char-sym3", "--genus", str(genus),
                     "--orbit-budget", "1000", flag, str(out)]
             start = time.perf_counter()
@@ -505,7 +506,7 @@ class TestCli:
         assert "state key space 6**24 reaches the key limit" in capsys.readouterr().err
         with pytest.raises(BudgetExceeded) as exc:
             verify(crafted)
-        assert (exc.value.used, exc.value.budget) == (6**24, 2**62)
+        assert (exc.value.used, exc.value.budget) == (6**24, 2**32)
 
     @pytest.mark.parametrize("digits", [5000, 10**6])
     def test_verify_over_long_integer_exits_4(self, tmp_path, capsys, char_cyclic_cert, digits):

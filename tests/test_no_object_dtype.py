@@ -1,7 +1,8 @@
 """The package has one state-key type, int64.
 
-Orbit keys are int64 and a key space of 2**62 keys or more is refused
-(``orbits._state_powers``), so no array of Python ints is needed.  A
+Orbit keys are int64 and a key space of 2**32 keys or more is refused
+(``orbits._state_powers``), so every key fits with room to spare and no
+array of Python ints is needed.  A
 reference to the name ``object`` in the code of ``src/coverforge`` (a
 ``dtype=object``, or ``np.object_``) would bring a second key type
 back; docstrings and strings do not count.

@@ -50,12 +50,6 @@ def all_id_tuples(orb):
     return [ids for block in orb.id_tuples() for ids in block]
 
 
-@pytest.fixture
-def sorted_path(monkeypatch):
-    """Force the sorted membership path: no key space fits a bitset."""
-    monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
-
-
 def toy_rep():
     """F_2 -> Z/2 sending the generators to (1, 0)."""
     sig = SurfaceSignature(0, 3)
@@ -68,7 +62,9 @@ def involution_rep(rank, last=False):
     rank - 1 identities.  The orbit is the 2**rank - 1 nonzero tuples over
     {e, x}, which is not Aut-invariant: every class is one state.  For the
     last involution a state's smallest Aut image lies outside the orbit.
-    At rank 10 the 60**10 (about 6.0e17) keys take the sorted path."""
+    No pair of its entries generates PSL(2,5), so the suborbit bound
+    leaves it to the BFS.  At rank 10 the 60**10 (about 6.0e17) keys
+    reach the key limit, so its orbit is refused."""
     h = FiniteGroupHandle.psl2(5)
     involutions = [i for i, g in enumerate(elements(h)) if element_order(g) == 2]
     x = involutions[-1 if last else 0]
@@ -194,16 +190,12 @@ class TestToyOrbit:
         mutated = dataclasses.replace(orb, encoded=orb.encoded[:-1])
         assert not verify_characteristic_closure(mutated)
 
-    @pytest.mark.usefixtures("sorted_path")
-    def test_mutated_orbit_fails_closure_on_sorted_path(self):
-        self.test_mutated_orbit_fails_closure()
-
 
 class TestEngineContract:
     @pytest.mark.parametrize("rank", range(2, 7))
     def test_nielsen_moves_closed_under_inverses(self, rank):
-        # the BFS tests new states against the last two levels only, which
-        # is exact when every move has a partner in the list undoing it
+        # every move has a partner in the list undoing it, so the state
+        # graph is undirected
         table = group_table(FiniteGroupHandle.symmetric(4))
         n = table.order
         powers = orbits._state_powers(n, rank)
@@ -220,9 +212,9 @@ class TestEngineContract:
 
 
 class TestChunks:
-    """A level spans many frontier chunks, whose results are deduped
-    against each other at the level's end or when their over-counted
-    total exceeds the budget."""
+    """A level spans many frontier chunks, each deduped against the
+    visited bitset as it comes, so the count is exact after every
+    chunk."""
 
     # label -> rep
     CASES = {
@@ -260,36 +252,8 @@ class TestChunks:
         assert exc.value.used == size
 
 
-@pytest.mark.usefixtures("sorted_path")
-class TestChunksSortedPath(TestChunks):
-    """The chunk tests on the sorted membership path."""
-
-
-class TestMembershipPaths:
-    """The bitset and the sorted path give the same orbit, classes and
-    budget counts; the key space alone picks the path."""
-
-    @pytest.mark.parametrize("label", sorted(TestChunks.CASES))
-    def test_paths_agree(self, label, monkeypatch):
-        rep = TestChunks.CASES[label]()
-        # many chunks per level, so the budget check runs mid-level
-        monkeypatch.setattr(orbits, "_CHUNK_BYTES", TestChunks.TINY)
-
-        def run():
-            orb = orbit_closure(rep)
-            with pytest.raises(BudgetExceeded) as exc:
-                orbit_closure(rep, budget=orb.size - 1)
-            return orb, aut_classes(orb), exc.value.used
-
-        bitset, bitset_classes, bitset_used = run()
-        monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
-        sorted_, sorted_classes, sorted_used = run()
-        assert bitset.members is not None and sorted_.members is None
-        assert bitset.encoded.dtype == sorted_.encoded.dtype
-        assert np.array_equal(bitset.encoded, sorted_.encoded)
-        assert (bitset.levels, bitset.expansions) == (sorted_.levels, sorted_.expansions)
-        assert bitset_classes == sorted_classes
-        assert bitset_used == sorted_used == bitset.size
+class TestMembers:
+    """An orbit carries its states as a bitset over the key space."""
 
     def test_members_is_the_bitset_of_encoded(self):
         orb = orbit_closure(build_characteristic_sym3(1).rep)
@@ -299,11 +263,14 @@ class TestMembershipPaths:
         fewer = dataclasses.replace(orb, encoded=orb.encoded[1:])
         assert orbits._count_bits(fewer.members) == orb.size - 1
 
-    def test_psl2_p13_rank2_bitset_rank3_sorted(self):
-        # 1092**2 = 1.19M keys fit the bitset; 1092**3 = 1.30e9 do not
-        assert orbits._bitset_fits(1092, 2) and not orbits._bitset_fits(1092, 3)
+    def test_members_take_one_bit_per_key(self):
         orb = orbit_closure(build_once_punctured(13, 1).rep)
         assert orb.members.nbytes == (1092**2 + 7) // 8
+        # PSL(2,13) at rank 3 has 1.30e9 keys, a 163 MB bitset, below the
+        # key limit; PSL(2,17) at rank 3 has 1.47e10 keys, above it
+        orbits._state_powers(1092, 3)
+        with pytest.raises(BudgetExceeded, match=r"2448\*\*3 reaches the key limit"):
+            orbits._state_powers(2448, 3)
 
 
 class TestOrbitEngine:
@@ -357,48 +324,47 @@ class TestOrbitEngine:
         with pytest.raises(BudgetExceeded):
             orbit_closure(b.rep, budget=5000)
 
-    def test_wide_keys_match_set_oracle(self):
+    def test_wide_key_space_refused_before_allocation(self):
+        # a 1023-state orbit over 60**10 keys: no pair of its entries
+        # generates, so only the key limit stops a bitset of 7.6e16 bytes
         rep = involution_rep(10)
-        table = group_table(rep.target)
-        orb = orbit_closure(rep)
-        assert orb.encoded.dtype == np.int64 and orb.members is None
-        assert all_id_tuples(orb) == reference_orbit(rep)
-        assert orb.size == 1023
+        group_table(rep.target)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"60\*\*10 reaches the key limit") as exc:
+                orbit_closure(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.used, exc.value.budget) == (60**10, 2**32)
+        assert peak < 1 << 20
 
-        res = aut_classes(orb)
-        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
-        assert res.k == 1023
-
-        perms = reference_aut_rows(table)
-        # the exact class minima, in Python ints
-        exact = [
-            min(
-                sum(d * 60 ** (9 - j) for j, d in enumerate(row))
-                for row in perms[:, list(ids)].tolist()
-            )
-            for ids in res.class_rep_ids
-        ]
-        assert canonical_class_keys(table, res.class_rep_ids).tolist() == exact
-
-    @pytest.mark.parametrize("path", ["bitset", "sorted"])
-    def test_narrow_keys_match_set_oracle(self, path, monkeypatch):
-        # 60**4 keys: a bitset unless the sorted path is forced
-        if path == "sorted":
-            monkeypatch.setattr(orbits, "_BITSET_KEYS", 0)
+    def test_narrow_keys_match_set_oracle(self):
+        # 60**4 keys
         rep = involution_rep(4)
         orb = orbit_closure(rep)
         assert orb.encoded.dtype == np.int64
-        assert (orb.members is not None) == (path == "bitset")
         assert all_id_tuples(orb) == reference_orbit(rep)
         assert orb.size == 15
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
         assert verify_characteristic_closure(orb)
 
+        perms = reference_aut_rows(orb.table)
+        # the exact class minima, in Python ints
+        exact = [
+            min(
+                sum(d * 60 ** (3 - j) for j, d in enumerate(row))
+                for row in perms[:, list(ids)].tolist()
+            )
+            for ids in res.class_rep_ids
+        ]
+        assert canonical_class_keys(orb.table, res.class_rep_ids).tolist() == exact
+
     def test_key_space_limit(self, monkeypatch):
         # (1, 0, .., 0) over Z/2: the orbit is every nonzero tuple.  At
-        # rank 61 (2**61 keys) the key space passes and the suborbit bound
-        # overruns the budget; at rank 62 the key space is refused first
+        # rank 31 (2**31 keys) the key space passes and the suborbit bound
+        # overruns the budget; at rank 32 the key space is refused first
         h = FiniteGroupHandle.cyclic(2)
 
         def rep(rank):
@@ -406,15 +372,15 @@ class TestOrbitEngine:
             return RepTuple(SurfaceSignature(0, rank + 1), h, ids)
 
         with pytest.raises(BudgetExceeded, match="orbit closure exceeded"):
-            orbit_closure(rep(61), budget=1000)
+            orbit_closure(rep(31), budget=1000)
 
         def no_bfs(*args):
             raise AssertionError("the BFS ran on a refused key space")
 
         monkeypatch.setattr(orbits, "_orbit_vectorized", no_bfs)
-        with pytest.raises(BudgetExceeded, match=r"key space 2\*\*62 reaches the key limit") as exc:
-            orbit_closure(rep(62), budget=1000)
-        assert (exc.value.used, exc.value.budget) == (2**62, 2**62)
+        with pytest.raises(BudgetExceeded, match=r"key space 2\*\*32 reaches the key limit") as exc:
+            orbit_closure(rep(32), budget=1000)
+        assert (exc.value.used, exc.value.budget) == (2**32, 2**32)
 
     def test_orbit_members_stay_surjective(self):
         # Nielsen moves do not change the generated subgroup
@@ -574,6 +540,43 @@ class TestSuborbitBound:
         assert (exc.value.used, exc.value.budget) == (used, budget)
         assert seen == ranks
 
+    # label -> rep of a builder at rank >= 3
+    MEMORY_CASES = {
+        "generic-p5": lambda: build_generic(5, 1, 2).rep,
+        "generic-p13": lambda: build_generic(13, 1, 2).rep,
+        "generic-p17": lambda: build_generic(17, 1, 2).rep,
+        "genus-zero-p5-n4": lambda: build_genus_zero(5, 4).rep,
+        "genus-zero-p13-n4": lambda: build_genus_zero(13, 4).rep,
+        "genus-zero-p17-n4": lambda: build_genus_zero(17, 4).rep,
+        "once-punctured-p13-g2": lambda: build_once_punctured(13, 2).rep,
+        "once-punctured-p17-g2": lambda: build_once_punctured(17, 2).rep,
+        "char-cyclic-g1-n2": lambda: build_characteristic_cyclic(1, 2).rep,
+        "char-cyclic-g1-n6": lambda: build_characteristic_cyclic(1, 6).rep,
+        "char-sym3-g2": lambda: build_characteristic_sym3(2).rep,
+    }
+
+    @pytest.mark.parametrize("label", sorted(MEMORY_CASES))
+    def test_bitset_bytes_per_budget_state(self, label, monkeypatch):
+        # a run that gets past the bound has budget >= |O2| * n**(r - 2),
+        # so its n**r / 8 bitset bytes are at most 16 per budget state
+        # when n**2 <= 128 * |O2|, for the pair the bound picks
+        rep = self.MEMORY_CASES[label]()
+        table = group_table(rep.target)
+        rank = len(rep.images)
+        engine = orbits._orbit_vectorized
+        suborbits = []
+
+        def spy(*args):
+            suborbits.append(engine(*args))
+            return suborbits[-1]
+
+        monkeypatch.setattr(orbits, "_orbit_vectorized", spy)
+        # a budget of n**rank lets the rank-2 suborbit complete
+        orbits._check_suborbit_bound(table, rank, rep.images, table.order**rank)
+        (suborbit,) = suborbits
+        assert suborbit.rank == 2
+        assert table.order**2 <= 128 * suborbit.size
+
     def test_no_generating_pair_runs_the_bfs(self, monkeypatch):
         # (x, e, e, e) with x an involution: no pair generates PSL(2,5),
         # so the rank-4 BFS alone decides, as before the bound
@@ -691,11 +694,6 @@ class TestAutClasses:
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
 
-    @pytest.mark.usefixtures("sorted_path")
-    @pytest.mark.parametrize("label", sorted(SET_ORACLE_CASES))
-    def test_matches_set_oracle_on_sorted_path(self, label):
-        self.test_matches_set_oracle(label)
-
     # label -> rep; the partition runs in seed batches that fill at most
     # orbits._BLOCK_BYTES with automorphism images
     BATCH_CASES = {
@@ -704,7 +702,6 @@ class TestAutClasses:
         "char-sym3-g1": lambda: build_characteristic_sym3(1).rep,
         "generic-p5": lambda: build_generic(5, 1, 2).rep,
         "genus-zero-p13": lambda: build_genus_zero(13, 3).rep,
-        "psl2-p5-rank10-wide": lambda: involution_rep(10),
     }
 
     @pytest.mark.parametrize("label", sorted(BATCH_CASES))
@@ -826,7 +823,7 @@ class TestRelabelledIds:
         start = tuple(int(relabel[x]) for x in rep.images)
         moved = orbit_closure(RepTuple(rep.signature, rep.target, start))
         moved_res = aut_classes(moved)
-        assert moved.table is table and (moved.members is None) == (orb.members is None)
+        assert moved.table is table
         powers = orbits._state_powers(table.order, orb.rank)
         digits = np.stack(orbits._decode_digits(orb.encoded, table.order, orb.rank), axis=1)
         assert np.array_equal(moved.encoded, np.sort(relabel[digits] @ powers))
@@ -835,11 +832,6 @@ class TestRelabelledIds:
         assert moved_res.class_rep_ids[0] == start
         assert moved_res.class_sizes[0] == res.class_sizes[0]
         assert sorted(moved_res.class_sizes) == sorted(res.class_sizes)
-
-
-@pytest.mark.usefixtures("sorted_path")
-class TestRelabelledIdsSortedPath(TestRelabelledIds):
-    """The relabelled-ids relation on the sorted membership path."""
 
 
 class TestHall:
@@ -962,9 +954,7 @@ def given_reps(handle, *rep_ids):
 
 class TestProductClosure:
     # label -> (table and class rep ids, order of the product image).  The
-    # given reps do not generate their product group, so its Cayley graph
-    # needs the inverse generators to be undirected: without them the
-    # two-level BFS over-counts and raises (Sym(3)^3 reaches 219 > 216).
+    # given reps do not generate their product group.
     CASES = {
         "toy-z2": (lambda: orbit_class_reps(toy_rep()), 4),
         "char-cyclic-g0-n3": (lambda: orbit_class_reps(build_characteristic_cyclic(0, 3).rep), 9),
@@ -985,11 +975,6 @@ class TestProductClosure:
         table, rep_ids = build()
         expected = reference_product_closure(table, rep_ids)
         assert _product_closure_order(table, rep_ids) == len(expected) == order
-
-
-@pytest.mark.usefixtures("sorted_path")
-class TestProductClosureSortedPath(TestProductClosure):
-    """The product closures on the sorted membership path."""
 
 
 def lifted_commutator_traces(table):
