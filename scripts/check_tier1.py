@@ -9,7 +9,8 @@ pytest's exit status is 1 on every healthy run.  This script reads the
 JUnit XML report and exits 0 only when the failed or errored tests are
 exactly those two: it exits 1 when any other test fails or errors, and
 also when either known failure passes or is missing, since that means
-the suite or the p = 5 data changed.
+the suite or the p = 5 data changed.  It exits 1 on a skipped test as
+well, so a check that skips itself (a memory guard, say) cannot pass.
 """
 
 from __future__ import annotations
@@ -24,23 +25,26 @@ EXPECTED_FAILURES = frozenset({
 })
 
 
-def failed_tests(report_path: str) -> tuple[set[str], set[str]]:
-    """(ids of failed or errored test cases, ids of all test cases)."""
+def failed_tests(report_path: str) -> tuple[set[str], set[str], set[str]]:
+    """(ids of failed or errored test cases, ids of skipped ones, ids of
+    all test cases)."""
     root = ET.parse(report_path).getroot()
-    failed, seen = set(), set()
+    failed, skipped, seen = set(), set(), set()
     for case in root.iter("testcase"):
         test_id = f"{case.get('classname', '')}::{case.get('name', '')}"
         seen.add(test_id)
         if case.find("failure") is not None or case.find("error") is not None:
             failed.add(test_id)
-    return failed, seen
+        elif case.find("skipped") is not None:
+            skipped.add(test_id)
+    return failed, skipped, seen
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: check_tier1.py REPORT.xml", file=sys.stderr)
         return 2
-    failed, seen = failed_tests(argv[0])
+    failed, skipped, seen = failed_tests(argv[0])
     unexpected = sorted(failed - EXPECTED_FAILURES)
     missing = sorted(EXPECTED_FAILURES - seen)
     passing = sorted(EXPECTED_FAILURES - failed - set(missing))
@@ -50,7 +54,9 @@ def main(argv: list[str]) -> int:
         print(f"known failure not run: {name}", file=sys.stderr)
     for name in passing:
         print(f"known failure now passes: {name}", file=sys.stderr)
-    if unexpected or missing or passing:
+    for name in sorted(skipped):
+        print(f"skipped: {name}", file=sys.stderr)
+    if unexpected or missing or passing or skipped:
         return 1
     print(f"tier-1 ok: {len(seen)} test cases, only the {len(failed)} known failures failed")
     return 0

@@ -19,13 +19,17 @@ suborbit proves larger than its budget is refused before the BFS too
 (``_check_suborbit_bound``).
 
 One vectorized engine runs every tuple BFS (the Nielsen orbit and the
-product-image closure).  It expands the frontier in chunks whose
-candidates fill a fixed number of bytes, keeps each BFS level sorted,
-and sorts the levels into the orbit once, at the end.  The visited
-states are a bitset with one bit per key: a membership test is one
-gather, and a chunk's new states are set in it at once.  The class
+product-image closure).  It expands the frontier in chunks whose working
+arrays fill one block of bytes and keeps each BFS level sorted, but
+holds no level but the frontier.  The visited states are a bitset with
+one bit per key: a membership test is one gather, and a chunk's new
+states are set in it at once.  At the end the sorted orbit is read off
+that bitset, so the run never holds a second copy of it.  The class
 partition and the closure check test membership in the same bitset,
-which the orbit carries.
+which the orbit carries.  Every stage that runs in blocks (the BFS
+chunk, the closure check, the class-partition batches, the class keys)
+sizes a block by all the arrays it makes, so a stage's working memory
+stays within one block of bytes on top of the data the run keeps.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
@@ -64,11 +68,10 @@ PRODUCT_CLOSURE_CAP = 10_000_000
 # states are a bitset with one bit per key, which takes 512 MiB at 2**32
 # keys; int64 holds every key and every move's change of place values
 _KEY_LIMIT = 2**32
-# candidate bytes of one frontier chunk (moves x states x 8); on the bench
-# orbits 1 MiB ran faster than 256 KiB, and 4 MiB raised the overrun's RSS
-_CHUNK_BYTES = 1 << 20
-# bit i of a byte, for the key 8 * byte + i
-_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+# working bytes of one frontier chunk, with every array it makes counted;
+# the same block as every other stage, kept under its own name so that
+# the BFS chunk can be resized alone
+_CHUNK_BYTES = _BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,8 @@ class OrbitClosure:
     def id_tuples(self) -> Iterator[list[tuple[int, ...]]]:
         """The states as id tuples in lexicographic order, one list per
         block of states, so a caller that streams them never holds the
-        whole orbit as Python objects.  A block's tuples, with the lists
-        they are made from, take about ``_BLOCK_BYTES``: some 64 bytes per
-        entry."""
-        step = max(1, _BLOCK_BYTES // (64 * self.rank))
-        for lo in range(0, self.size, step):
-            block = self.encoded[lo : lo + step]
-            digits = np.stack(_decode_digits(block, self.table.order, self.rank), axis=1)
-            yield [tuple(ids) for ids in digits.tolist()]
+        whole orbit as Python objects."""
+        return _id_tuple_blocks(self.encoded, self.table.order, self.rank)
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
@@ -157,13 +154,25 @@ def _state_powers(n: int, rank: int) -> np.ndarray:
 
 
 def _decode_digits(states: np.ndarray, n: int, rank: int) -> list[np.ndarray]:
-    """Per-position int64 digit arrays of the states, most significant first."""
-    digits = []
-    for _ in range(rank):
-        digits.append(states % n)
-        states = states // n
-    digits.reverse()
+    """Per-position int64 digit arrays of the states, most significant
+    first.  Digit j is q_j - n * q_(j-1), for the quotients
+    q_j = states // n**(rank - 1 - j): numpy divides by a constant fast
+    but takes remainders slowly.  Decoding holds one array beyond the
+    digits."""
+    digits = [states // n ** (rank - 1 - j) for j in range(rank)]
+    for j in range(rank - 1, 0, -1):
+        digits[j] -= digits[j - 1] * n
     return digits
+
+
+def _id_tuple_blocks(states: np.ndarray, n: int, rank: int) -> Iterator[list[tuple[int, ...]]]:
+    """The states as id tuples, one list per block of states.  A block's
+    tuples, with the lists they are made from, take about
+    ``_BLOCK_BYTES``: some 64 bytes per entry."""
+    step = max(1, _BLOCK_BYTES // (64 * rank))
+    for lo in range(0, states.size, step):
+        digits = np.stack(_decode_digits(states[lo : lo + step], n, rank), axis=1)
+        yield [tuple(ids) for ids in digits.tolist()]
 
 
 def _apply_move_encoded(states, digits, move, table, powers):
@@ -211,14 +220,51 @@ def _bitset(keys: int) -> np.ndarray:
     return np.zeros((keys + 7) >> 3, dtype=np.uint8)
 
 
+def _bit_shifts(keys: np.ndarray) -> np.ndarray:
+    """The uint8 position of each int64 key's bit in its byte."""
+    # the cast keeps the low byte, and so the low three bits
+    shifts = keys.astype(np.uint8)
+    shifts &= 7
+    return shifts
+
+
 def _test_bits(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each int64 key's bit is set, in the keys' shape."""
-    return ((bits[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1).view(bool)
+    """Whether each int64 key's bit is set, in the keys' shape.  It makes
+    one intp byte index (8 bytes per key), dropped after the gather, and
+    the gathered bytes, shifted in place."""
+    got = bits[keys >> 3]
+    got >>= _bit_shifts(keys)
+    got &= 1
+    return got.view(bool)
 
 
 def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
     """Set the bits of the int64 keys, which may repeat."""
-    np.bitwise_or.at(bits, keys >> 3, _BIT[keys & 7])
+    masks = _bit_shifts(keys)
+    np.left_shift(1, masks, out=masks)
+    np.bitwise_or.at(bits, keys >> 3, masks)
+
+
+def _decode_bits(bits: np.ndarray, count: int) -> np.ndarray:
+    """The keys whose bits are set, ascending, as an int64 array of
+    `count` entries, filled a block of bytes at a time.  Raises
+    AssertionError, and truncates nothing, when the bitset holds another
+    number of keys."""
+    keys = np.empty(count, dtype=np.int64)
+    filled = 0
+    # a block's unpacked bits take 8 bytes per byte, its keys up to 64
+    step = max(1, _BLOCK_BYTES // 72)
+    for lo in range(0, bits.size, step):
+        block = np.flatnonzero(np.unpackbits(bits[lo : lo + step], bitorder="little").view(bool))
+        if filled + block.size > count:
+            raise AssertionError(f"the bitset holds more than {count} keys")
+        block += 8 * lo
+        keys[filled : filled + block.size] = block
+        filled += block.size
+        del block  # before the next block is made
+    if filled != count:
+        raise AssertionError(f"the bitset holds {filled} keys, not {count}")
+    return keys
 
 
 def _count_bits(bits: np.ndarray) -> int:
@@ -317,22 +363,21 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     """BFS closure of the start tuple under the moves, each a map from a
     chunk's encoded states and decoded digits to the moved encodings.
 
-    A chunk of the frontier holds as many states as let its candidates
-    fill ``_CHUNK_BYTES``; it applies every move, keeps the candidates
-    whose bits in the visited bitset are clear, dedupes them and sets
-    their bits.  So the level's new states are exact after every chunk,
-    and the exact distinct count decides ``BudgetExceeded``.  Each level
-    is sorted, and the levels are sorted into the orbit once, at the end.
+    The frontier is expanded in chunks (``_new_states``) whose working
+    arrays fill ``_CHUNK_BYTES``.  Each chunk's new states are exact, so
+    the exact distinct count decides ``BudgetExceeded``.  Each level is
+    sorted, and only the frontier is held; the orbit is read off the
+    visited bitset, in key order, once the BFS ends.
     """
     n = table.order
     powers = _state_powers(n, rank)
     start_state = sum(s * int(p) for s, p in zip(start, powers))
     frontier = np.array([start_state], dtype=np.int64)
-    found = [frontier]
     visited = _bitset(n**rank)
     _set_bits(visited, frontier)
     reached = 1
-    step = max(1, _CHUNK_BYTES // (8 * len(moves)))
+    # 8 bytes per digit and 18 per candidate (`_new_states`)
+    step = max(1, _CHUNK_BYTES // (8 * rank + 18 * len(moves)))
     levels = 0
     expansions = 0
     while frontier.size:
@@ -340,29 +385,47 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
         pieces = []
         for lo in range(0, frontier.size, step):
             chunk = frontier[lo : lo + step]
-            digits = _decode_digits(chunk, n, rank)
-            cand = np.concatenate([move(chunk, digits) for move in moves])
             expansions += len(moves) * chunk.size
-            pieces.append(_sorted_unique(cand[~_test_bits(visited, cand)]))
-            _set_bits(visited, pieces[-1])
+            pieces.append(_new_states(chunk, n, rank, moves, visited))
             reached += pieces[-1].size
             if reached > budget:
                 raise BudgetExceeded(
                     "orbit closure exceeded state budget", used=reached, budget=budget
                 )
-        # the pieces are disjoint
+        # the pieces are disjoint; the level is dropped before they are joined
+        frontier = chunk = None
         frontier = _sort(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
-        found.append(frontier)
     orbit = OrbitClosure(
         table=table,
         rank=rank,
         start_ids=start,
-        encoded=_sort(np.concatenate(found)),
+        encoded=_decode_bits(visited, reached),
         levels=levels,
         expansions=expansions,
     )
     orbit.members = visited
     return orbit
+
+
+def _new_states(chunk, n, rank, moves, visited) -> np.ndarray:
+    """The sorted distinct states one move from the chunk whose bits in
+    `visited` are clear; their bits are set.
+
+    While the moves run it holds the digits (8 bytes each per chunk
+    state), the candidates (8 bytes each) and one move's temporaries (18
+    bytes per chunk state); then, per candidate, the candidates with
+    their membership test (9) or with its mask and the kept ones (10).
+    So 8 bytes per digit and 18 per candidate bound it."""
+    digits = _decode_digits(chunk, n, rank)
+    cand = np.empty(len(moves) * chunk.size, dtype=np.int64)
+    for k, move in enumerate(moves):
+        cand[k * chunk.size : (k + 1) * chunk.size] = move(chunk, digits)
+    del digits
+    fresh = cand[~_test_bits(visited, cand)]
+    del cand
+    fresh = _sorted_unique(fresh)
+    _set_bits(visited, fresh)
+    return fresh
 
 
 def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
@@ -372,20 +435,24 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     kernels over the orbit is invariant under all free-group
     automorphisms.  A move is injective and the states are distinct, so
     the orbit is closed under it exactly when every image's bit is set
-    in ``members``, tested in blocks of states that fill ``_BLOCK_BYTES``.
+    in ``members``.  The states go in blocks whose working arrays fill
+    ``_BLOCK_BYTES``: per state the digits (8 bytes each), and one move's
+    image while it is made (18) or tested (17).
     """
-    states = orbit.encoded
-    n, rank = orbit.table.order, orbit.rank
-    powers = _state_powers(n, rank)
-    step = max(1, _BLOCK_BYTES // 8)
-    for lo in range(0, states.size, step):
-        block = states[lo : lo + step]
-        digits = _decode_digits(block, n, rank)
-        for move in nielsen_generators(rank):
-            image = _apply_move_encoded(block, digits, move, orbit.table, powers)
-            if not _test_bits(orbit.members, image).all():
-                return False
-    return True
+    states, n, rank = orbit.encoded, orbit.table.order, orbit.rank
+    moves = _nielsen_moves(orbit.table, rank)
+    step = max(1, _BLOCK_BYTES // (8 * rank + 18))
+    return all(
+        _block_closed(orbit.members, states[lo : lo + step], n, rank, moves)
+        for lo in range(0, states.size, step)
+    )
+
+
+def _block_closed(members, block, n, rank, moves) -> bool:
+    """Whether every move maps every state of the block to a key set in
+    `members`; each image is dropped once it is tested."""
+    digits = _decode_digits(block, n, rank)
+    return all(_test_bits(members, move(block, digits)).all() for move in moves)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +494,16 @@ def _aut_count(table: GroupTable) -> int:
     return automorphism_images(table, [table.identity_id]).shape[0]
 
 
+def _image_rows(table: GroupTable, rank: int) -> int:
+    """How many rank-r id rows fit one ``_BLOCK_BYTES`` block together
+    with their images under every automorphism, at 24 bytes per image
+    digit.  ``automorphism_images`` peaks at about 21 bytes per image
+    digit (two intp index arrays and its 16-bit ids; tracemalloc), more
+    than the encodings, their membership test and the kept images take
+    (26 bytes per image, so at most 13 per digit from rank 2)."""
+    return max(1, _BLOCK_BYTES // (24 * rank * _aut_count(table)))
+
+
 def _classify_seeds(orbit, table, powers, seeds, classified):
     """Set the bits of the Aut images of each seed row that lie in the
     orbit in the bitset `classified`; return each seed's class minimum
@@ -449,18 +526,18 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     batches.  The starting tuple's class goes first; then each step takes
     the next unclassified states as seeds.  Seeds of one batch may share
     a class; they give the same minimum and size, and the duplicates are
-    dropped at the end.  A batch's images fill at most ``_BLOCK_BYTES``,
-    and the scan for seeds looks at no more states than a batch has
-    images.  The classified states are a bitset over the key space.
+    dropped at the end.  A batch's working arrays fill at most
+    ``_BLOCK_BYTES`` (``_image_rows``), and the scan for seeds looks at
+    no more states than a batch has images.  The classified states are a
+    bitset over the key space.
     """
     states = orbit.encoded
     size = states.size
     table, rank = orbit.table, orbit.rank
     n = table.order
     powers = _state_powers(n, rank)
-    images_per_seed = _aut_count(table) * rank
-    step = max(1, _BLOCK_BYTES // (8 * images_per_seed))
-    span = step * images_per_seed
+    step = _image_rows(table, rank)
+    span = step * _aut_count(table)
     classified = _bitset(n**rank)
     start_min, start_size = _classify_seeds(
         orbit, table, powers, np.array([orbit.start_ids]), classified
@@ -486,16 +563,20 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     # exactly when every state is classified
     if _count_bits(classified) != size or int(sizes.sum()) != size:
         raise AssertionError("the classes must partition the orbit")
-    digits = np.stack(_decode_digits(minima[1:], n, rank), axis=1)
+    class_sizes = tuple(sizes.tolist())
+    # dropped before the reps are made
+    del order, keep, sizes, classified
     # the starting class reports the starting tuple itself
-    reps = [orbit.start_ids] + [tuple(ids) for ids in digits.tolist()]
+    reps = [orbit.start_ids]
+    for block in _id_tuple_blocks(minima[1:], n, rank):
+        reps += block
     return OrbitResult(
         table=table,
         rank=rank,
         orbit_size=int(size),
         k=len(reps),
         class_rep_ids=tuple(reps),
-        class_sizes=tuple(sizes.tolist()),
+        class_sizes=class_sizes,
         levels=orbit.levels,
     )
 
@@ -503,15 +584,17 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
 def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
     """Per row of the (k, r) id matrix, the minimum encoding over its
     full automorphism class: a complete invariant for postcomposition
-    equivalence.  Rows go in blocks of at most ``_BLOCK_BYTES`` of
-    automorphism images."""
-    rep_ids = np.asarray(rep_ids, dtype=np.int64)
-    powers = _state_powers(table.order, rep_ids.shape[1])
-    step = max(1, _BLOCK_BYTES // (8 * _aut_count(table) * rep_ids.shape[1]))
-    return np.concatenate([
-        (automorphism_images(table, rep_ids[lo : lo + step]) @ powers).min(axis=0)
-        for lo in range(0, rep_ids.shape[0], step)
-    ])
+    equivalence.  Rows go in blocks whose working arrays fill at most
+    ``_BLOCK_BYTES`` (``_image_rows``)."""
+    rank = len(rep_ids[0])
+    powers = _state_powers(table.order, rank)
+    step = _image_rows(table, rank)
+    keys = np.empty(len(rep_ids), dtype=np.int64)
+    for lo in range(0, keys.size, step):
+        images = automorphism_images(table, rep_ids[lo : lo + step]) @ powers
+        images.min(axis=0, out=keys[lo : lo + step])
+        del images  # before the next block is made
+    return keys
 
 
 @dataclass(frozen=True)
@@ -529,12 +612,19 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     surjects onto the base group and no two class reps are related by a
     target automorphism.  Direct mode additionally closes the product
     tuples inside the full product group when its order is at most
-    ``PRODUCT_CLOSURE_CAP``.
+    ``PRODUCT_CLOSURE_CAP``.  Class reps go to ``closure_ids`` in blocks,
+    so the (k, |G|) membership matrix is never held: a block takes about
+    16 bytes per cell of its own matrix (the matrix and two masks, 1 byte
+    each per cell, and 34 bytes per cell that one level of the closure
+    reaches, which is well under half of them).
     """
     table = result.table
-    each = bool(closure_ids(table, result.class_rep_ids).all())
-    keys = canonical_class_keys(table, result.class_rep_ids)
-    pairwise = len(set(keys.tolist())) == result.k
+    reps = result.class_rep_ids
+    step = max(1, _BLOCK_BYTES // (16 * table.order))
+    each = all(
+        closure_ids(table, reps[lo : lo + step]).all() for lo in range(0, len(reps), step)
+    )
+    pairwise = bool(_run_starts(_sort(canonical_class_keys(table, reps))).all())
     direct_order = _product_closure_order(table, result.class_rep_ids)
     ok = each and pairwise and (direct_order is None or direct_order == table.order**result.k)
     return HallReport(
@@ -568,5 +658,9 @@ def _product_closure_order(
 
 
 def _right_multiply(states, digits, gens, table, powers):
-    """Encodings of the states times the k-tuple gens, componentwise."""
-    return powers @ table.mul[np.stack(digits), gens[:, None]]
+    """Encodings of the states times the k-tuple gens, componentwise,
+    one component at a time."""
+    moved = np.zeros_like(states)
+    for digit, gen, power in zip(digits, gens, powers):
+        moved += table.mul[digit, gen] * power
+    return moved

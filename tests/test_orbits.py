@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coverforge import groups, orbits
@@ -271,6 +271,104 @@ class TestMembers:
         orbits._state_powers(1092, 3)
         with pytest.raises(BudgetExceeded, match=r"2448\*\*3 reaches the key limit"):
             orbits._state_powers(2448, 3)
+
+
+# the keys one `_decode_bits` block covers; the bitsets drawn below span
+# up to four blocks and one key more
+DECODE_BLOCK_KEYS = 8 * (orbits._BLOCK_BYTES // 72)
+
+
+class TestDecoding:
+    """The BFS reads the sorted orbit off its bitset, and every stage
+    decodes keys into digits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.integers(1, 4 * DECODE_BLOCK_KEYS + 1),
+        fill=st.sampled_from(["empty", "full", "top", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(keys=1, fill="empty", seed=0)
+    @example(keys=13, fill="full", seed=0)  # a partial last byte
+    @example(keys=DECODE_BLOCK_KEYS + 3, fill="full", seed=0)
+    @example(keys=DECODE_BLOCK_KEYS + 1, fill="top", seed=0)  # alone in its block
+    def test_bitset_decode_matches_unpacked_bits(self, keys, fill, seed):
+        bits = orbits._bitset(keys)
+        rng = np.random.default_rng(seed)
+        if fill == "full":
+            orbits._set_bits(bits, np.arange(keys))
+        elif fill == "random":
+            orbits._set_bits(bits, np.flatnonzero(rng.random(keys) < rng.random()))
+        if fill in ("top", "random"):
+            orbits._set_bits(bits, np.array([keys - 1]))
+        expected = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+        decoded = orbits._decode_bits(bits, expected.size)
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, expected)
+        # a count the bitset does not hold raises; nothing is truncated
+        for wrong in (expected.size - 1, expected.size + 1):
+            if wrong >= 0:
+                with pytest.raises(AssertionError, match="the bitset holds"):
+                    orbits._decode_bits(bits, wrong)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 10_000), rank=st.integers(2, 31), seed=st.integers(0, 2**32 - 1))
+    def test_digits_match_unravel_index(self, n, rank, seed):
+        assume(n**rank < orbits._KEY_LIMIT)
+        states = np.random.default_rng(seed).integers(0, n**rank, size=200)
+        states[:2] = 0, n**rank - 1
+        digits = orbits._decode_digits(states, n, rank)
+        assert all(d.dtype == np.int64 for d in digits)
+        assert np.array_equal(np.stack(digits), np.unravel_index(states, (n,) * rank))
+
+
+class TestWorkingMemory:
+    """Each orbit stage holds the data it keeps plus one block of working
+    arrays, measured with tracemalloc once the group table and the orbit
+    it reads exist."""
+
+    # the Python objects of one call (frames, lists, partials) besides
+    # the arrays a block is sized by
+    OBJECTS = 16 << 10
+
+    @pytest.fixture(scope="class")
+    def sym3_orbit(self):
+        return orbit_closure(build_characteristic_sym3(3).rep)
+
+    @staticmethod
+    def traced(fn):
+        """fn's result, and its peak traced bytes above those it keeps."""
+        tracemalloc.start()
+        try:
+            out = fn()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - kept
+
+    def test_bfs_holds_one_copy_of_the_orbit(self):
+        rep = build_generic(5, 1, 2).rep
+        group_table(rep.target)
+        tracemalloc.start()
+        try:
+            orb = orbit_closure(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding the levels with their concatenation peaked at 4.40 MiB
+        assert peak <= orb.encoded.nbytes + 2 * orb.members.nbytes + orbits._BLOCK_BYTES
+
+    def test_closure_check_within_one_block(self, sym3_orbit):
+        closed, over = self.traced(lambda: verify_characteristic_closure(sym3_orbit))
+        assert closed
+        # a block of 32768 states held 2.55 MiB of digits and images
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
+
+    def test_class_partition_within_one_block(self, sym3_orbit):
+        res, over = self.traced(lambda: aut_classes(sym3_orbit))
+        assert res.k == 7623
+        # besides the block, the bitset of classified states
+        assert over <= orbits._BLOCK_BYTES + sym3_orbit.members.nbytes + self.OBJECTS
 
 
 class TestOrbitEngine:
@@ -891,6 +989,24 @@ class TestHall:
         report = verify_hall_surjectivity(res)
         assert report.mode == "hypothesis-only"
         assert report.ok
+
+    def test_surjectivity_checks_every_block_of_reps(self, monkeypatch):
+        # the class reps then the identity tuple, which generates nothing;
+        # in blocks of one rep the last block alone fails
+        res = aut_classes(orbit_closure(build_genus_zero(5, 3).rep))
+        table = res.table
+        bad = dataclasses.replace(
+            res,
+            k=res.k + 1,
+            class_rep_ids=res.class_rep_ids + ((table.identity_id,) * res.rank,),
+            class_sizes=res.class_sizes + (1,),
+        )
+        whole = verify_hall_surjectivity(bad)
+        assert whole.mode == "hypothesis-only" and whole.pairwise_inequivalent
+        assert not whole.ok
+        monkeypatch.setattr(orbits, "_BLOCK_BYTES", 16 * table.order)
+        assert verify_hall_surjectivity(bad) == whole
+        assert verify_hall_surjectivity(res).ok
 
 
 class TestClassRepsDigest:
