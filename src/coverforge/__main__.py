@@ -1,3 +1,6 @@
-from .cli import main
+"""`python -m coverforge`: the command line through `cli.entry`, the
+process entry that the installed `coverforge` script runs too."""
 
-raise SystemExit(main())
+from .cli import entry
+
+raise SystemExit(entry())

@@ -297,7 +297,9 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
     handle = table.handle
     if handle.kind == "cyclic":
         units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        return np.multiply.outer(units, ids) % handle.n
+        images = np.multiply.outer(units, ids)
+        images %= handle.n
+        return images
     if handle.kind == "symmetric" and handle.m == 6:
         raise BadParameters("Sym(6) has outer automorphisms; not supported")
     flat = ids.ravel()
@@ -305,9 +307,12 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
         flat = np.concatenate([flat, d0_perm(table)[flat]])
     # row g: (g x) g^-1 for each x in flat, read from the flat mul at index
     # g x * n + g^-1; a PSL2 row holds two automorphisms.  The index is
-    # computed in intp: in the 16-bit ids it would wrap once n > 256
-    n = table.order
-    index = np.multiply(table.mul[:, flat], n, dtype=np.intp) + table.inv[:, None]
+    # one intp array, widened once and built in place: in the 16-bit ids
+    # it would wrap once n > 256.  `take` gathers it in C order, so the
+    # images come out contiguous
+    index = table.mul.take(flat, axis=1).astype(np.intp)
+    index *= table.order
+    index += table.inv[:, None]
     return table.mul.ravel()[index].reshape((-1,) + ids.shape)
 
 
@@ -488,27 +493,35 @@ def closure_ids(table: GroupTable, gen_rows) -> np.ndarray:
     per row; row i of the (m, order) boolean result marks the closure of
     row i.  Positive words suffice in a finite group, so each BFS level
     multiplies the newly reached elements of every row on the right by
-    that row's generators.  Rows go in blocks of at most ``_BLOCK_BYTES``
-    membership cells.  A closure is a subset of the group, so its size
-    and its number of levels are bounded by the table's order and need
-    no budget of their own.
+    that row's generators.  A closure is a subset of the group, so its
+    size and its number of levels are bounded by the table's order and
+    need no budget of their own.
+
+    Rows go in blocks whose working arrays fill at most ``_BLOCK_BYTES``
+    beside the result.  Per row a block holds its generators (8 bytes
+    each) and per membership cell a mask of the level's new cells
+    (1 byte) and, for a cell the level reaches, 34 bytes: its row and
+    element, the generator, the product and its index.  A level may
+    reach every cell of a small group, so the block is sized for that.
     """
-    gens = np.asarray(gen_rows, dtype=np.int64)
-    if gens.ndim != 2:
+    first = np.asarray(gen_rows[:1], dtype=np.int64)
+    if first.ndim != 2:
         raise BadParameters("closure_ids takes an (m, r) array of generator rows")
     n = table.order
-    out = np.zeros((gens.shape[0], n), dtype=bool)
+    out = np.zeros((len(gen_rows), n), dtype=bool)
     out[:, table.identity_id] = True
-    step = max(1, _BLOCK_BYTES // n)
-    for lo in range(0, gens.shape[0], step):
-        block, member = gens[lo : lo + step], out[lo : lo + step]
+    step = max(1, _BLOCK_BYTES // (8 * first.shape[1] + 35 * n))
+    for lo in range(0, len(out), step):
+        block = np.asarray(gen_rows[lo : lo + step], dtype=np.int64)
+        member = out[lo : lo + step]
         rows, elems = np.nonzero(member)
         while rows.size:
             fresh = np.zeros_like(member)
             for j in range(block.shape[1]):
                 fresh[rows, table.mul[elems, block[rows, j]]] = True
-            fresh &= ~member
+            # the cells reached now and not before
+            np.greater(fresh, member, out=fresh)
             member |= fresh
+            del rows, elems  # before the next level's are made
             rows, elems = np.nonzero(fresh)
     return out
-

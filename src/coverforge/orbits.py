@@ -496,12 +496,14 @@ def _aut_count(table: GroupTable) -> int:
 
 def _image_rows(table: GroupTable, rank: int) -> int:
     """How many rank-r id rows fit one ``_BLOCK_BYTES`` block together
-    with their images under every automorphism, at 24 bytes per image
-    digit.  ``automorphism_images`` peaks at about 21 bytes per image
-    digit (two intp index arrays and its 16-bit ids; tracemalloc), more
-    than the encodings, their membership test and the kept images take
-    (26 bytes per image, so at most 13 per digit from rank 2)."""
-    return max(1, _BLOCK_BYTES // (24 * rank * _aut_count(table)))
+    with their images under every automorphism, at 16 bytes per image
+    digit.  ``automorphism_images`` peaks at 10 bytes per image digit
+    (its intp index and the 16-bit images) besides the ufunc buffer of
+    its broadcast add, up to 64 KiB; encoding the images widens them to
+    int64 next to their keys, 10 + 8/r bytes per digit.  With the
+    membership test and the kept images, a partition batch or a block of
+    class keys peaked at 14 bytes per digit at rank 2 (tracemalloc)."""
+    return max(1, _BLOCK_BYTES // (16 * rank * _aut_count(table)))
 
 
 def _classify_seeds(orbit, table, powers, seeds, classified):
@@ -612,18 +614,13 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     surjects onto the base group and no two class reps are related by a
     target automorphism.  Direct mode additionally closes the product
     tuples inside the full product group when its order is at most
-    ``PRODUCT_CLOSURE_CAP``.  Class reps go to ``closure_ids`` in blocks,
-    so the (k, |G|) membership matrix is never held: a block takes about
-    16 bytes per cell of its own matrix (the matrix and two masks, 1 byte
-    each per cell, and 34 bytes per cell that one level of the closure
-    reaches, which is well under half of them).
+    ``PRODUCT_CLOSURE_CAP``.  The class reps are closed in one
+    ``closure_ids`` call, which holds the (k, |G|) membership matrix
+    (1 byte per cell) and works in blocks of its own.
     """
     table = result.table
     reps = result.class_rep_ids
-    step = max(1, _BLOCK_BYTES // (16 * table.order))
-    each = all(
-        closure_ids(table, reps[lo : lo + step]).all() for lo in range(0, len(reps), step)
-    )
+    each = bool(closure_ids(table, reps).all())
     pairwise = bool(_run_starts(_sort(canonical_class_keys(table, reps))).all())
     direct_order = _product_closure_order(table, result.class_rep_ids)
     ok = each and pairwise and (direct_order is None or direct_order == table.order**result.k)

@@ -1,11 +1,16 @@
 """Tests for certificate construction, verification, and the CLI."""
 
+import ast
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -745,3 +750,65 @@ class TestCli:
         code = cli.main(["construct", "--case", "once-punctured", "--p", "13",
                          "--genus", "1"])
         assert code == 5
+
+
+class TestProcessEntry:
+    """`python -m coverforge` and the installed script run `cli.entry`,
+    which freezes the imported heap before `main`; `main` leaves the
+    collector alone."""
+
+    BUNDLE_ARGS = ["bundle-report", "--fiber-genus", "2", "--base-genus", "2"]
+
+    def test_module_run_freezes_the_imported_heap(self):
+        script = (
+            "import gc, json, runpy, sys\n"
+            "before = gc.get_freeze_count()\n"
+            f"sys.argv = ['coverforge', *{self.BUNDLE_ARGS!r}]\n"
+            "try:\n"
+            "    runpy.run_module('coverforge', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps([code, before, gc.get_freeze_count(), gc.isenabled()]),"
+            " file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, before, frozen, enabled = json.loads(proc.stderr.splitlines()[-1])
+        assert json.loads(proc.stdout)["euler_total"] == 4
+        assert code == 0 and before == 0
+        assert frozen > 0
+        assert enabled
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        from coverforge import cli
+
+        before = gc.get_freeze_count()
+        assert cli.main(self.BUNDLE_ARGS) == 0
+        assert json.loads(capsys.readouterr().out)["euler_total"] == 4
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
+
+    def test_installed_script_runs_what_module_run_calls(self):
+        import coverforge
+
+        root = Path(__file__).resolve().parent.parent
+        target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        module, name = target["coverforge"].split(":")
+        script = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(coverforge.__file__).with_name("__main__.py").read_text())
+        imported = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        called = [
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in imported
+        ]
+        assert len(called) == 1
+        source, attr = imported[called[0]]
+        assert getattr(importlib.import_module(f"coverforge.{source}"), attr) is script

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverforge import groups
 from coverforge.errors import BadModulus, BadParameters, BudgetExceeded, NotUnimodular
 from coverforge.groups import (
     TABLE_LIMIT,
@@ -542,6 +544,25 @@ class TestBatchedClosure:
         rows = _class_rep_ids(build_generic(5, 1, 2))
         assert len(rows) == 1668
         self._check_rows(group_table(FiniteGroupHandle.psl2(5)), rows)
+
+    @pytest.mark.parametrize("label", ["generic-p5", "char-sym3-g3"])
+    def test_one_call_within_one_block_above_its_output(self, label):
+        from coverforge.catalog import build_characteristic_sym3, build_generic
+
+        build = build_generic(5, 1, 2) if label == "generic-p5" else build_characteristic_sym3(3)
+        rows = _class_rep_ids(build)
+        table = group_table(build.rep.target)
+        tracemalloc.start()
+        try:
+            member = closure_ids(table, rows)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert member.all()
+        # blocks of _BLOCK_BYTES // n rows peaked 1.06 MiB above the
+        # 100 KB matrix of generic p5's 1668 reps; char-sym3 g3's 7623
+        # reps have a level that reaches most cells of the group
+        assert peak - kept <= groups._BLOCK_BYTES
 
     def test_proper_subgroups_p13(self):
         # random pairs and single ids mostly generate proper subgroups

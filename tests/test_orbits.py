@@ -311,10 +311,26 @@ class TestDecoding:
                 with pytest.raises(AssertionError, match="the bitset holds"):
                     orbits._decode_bits(bits, wrong)
 
+    @staticmethod
+    def _largest_n(rank):
+        """The largest group order up to 10 000 whose key space at this
+        rank is below the key limit."""
+        n = min(10_000, round(orbits._KEY_LIMIT ** (1 / rank)) + 1)
+        while n**rank >= orbits._KEY_LIMIT:
+            n -= 1
+        return n
+
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 10_000), rank=st.integers(2, 31), seed=st.integers(0, 2**32 - 1))
-    def test_digits_match_unravel_index(self, n, rank, seed):
-        assume(n**rank < orbits._KEY_LIMIT)
+    @given(
+        # every (n, rank) with n**rank below the key limit, drawn without
+        # filtering: most pairs of the two ranges lie above it
+        key_space=st.integers(2, 31).flatmap(
+            lambda rank: st.tuples(st.integers(2, TestDecoding._largest_n(rank)), st.just(rank))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_digits_match_unravel_index(self, key_space, seed):
+        n, rank = key_space
         states = np.random.default_rng(seed).integers(0, n**rank, size=200)
         states[:2] = 0, n**rank - 1
         digits = orbits._decode_digits(states, n, rank)
@@ -744,6 +760,25 @@ class TestAutomorphismPerms:
         assert rows.shape == expected.shape
         assert np.array_equal(np.unique(rows, axis=0), np.unique(expected, axis=0))
 
+    @pytest.mark.parametrize(
+        "handle",
+        [FiniteGroupHandle.psl2(5), FiniteGroupHandle.symmetric(3), FiniteGroupHandle.cyclic(6)],
+        ids=["psl2-5", "sym-3", "cyclic-6"],
+    )
+    def test_images_peak_at_one_index(self, handle):
+        # one intp index and the 16-bit images: 10 bytes per image digit,
+        # and the ufunc's buffer for the broadcast add of the inverses
+        table = group_table(handle)
+        ids = np.random.default_rng(5).integers(0, table.order, size=(4000 // table.order, 3))
+        tracemalloc.start()
+        try:
+            images = automorphism_images(table, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the index and its product with n side by side peaked at 22 bytes
+        assert peak <= 10 * images.size + (64 << 10)
+
     def test_images_keep_the_id_array_shape(self):
         table = group_table(FiniteGroupHandle.psl2(5))
         ids = np.array([[1, 2, 3], [4, 5, 6]])
@@ -1004,7 +1039,8 @@ class TestHall:
         whole = verify_hall_surjectivity(bad)
         assert whole.mode == "hypothesis-only" and whole.pairwise_inequivalent
         assert not whole.ok
-        monkeypatch.setattr(orbits, "_BLOCK_BYTES", 16 * table.order)
+        # closure_ids then closes one rep per block
+        monkeypatch.setattr(groups, "_BLOCK_BYTES", 1)
         assert verify_hall_surjectivity(bad) == whole
         assert verify_hall_surjectivity(res).ok
 
