@@ -22,7 +22,6 @@ from .groups import (
     SubgroupData,
     are_conjugate_subgroups,
     closure_ids,
-    d0_perm,
     decode,
     encode,
     group_table,
@@ -468,7 +467,7 @@ def verify_hypotheses(
     """
     self_norm = normalizer(h0) == h0
     if g0.kind == "psl2":
-        d0 = d0_perm(group_table(g0))
+        d0 = group_table(g0).d0
         image = np.zeros(d0.size, dtype=bool)
         image[d0[h0.members]] = True
         conjugated = SubgroupData(g0, tuple(int(d0[g]) for g in h0.generators), image)

@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -269,25 +270,10 @@ def nonsquare(p: int) -> int:
     raise BadModulus(f"no non-square mod {p}")  # unreachable for odd primes
 
 
-def d0_perm(table: "GroupTable") -> np.ndarray:
-    """Conjugation by d0 = diag(1, epsilon), epsilon the smallest
-    non-square, as a map on PSL2(F_p) ids: (a, b, c, d) goes to
-    (a, b/epsilon, c*epsilon, d).
-
-    d0 is a PGL2 representative, not a group element; with the inner
-    automorphisms it gives Aut(PSL2(F_p)) = PGL2(F_p).  Conjugating by it
-    preserves the determinant, and the table's lookup takes either sign.
-    """
-    p = table.handle.p
-    eps = nonsquare(p)
-    a, b, c, d = table.entries.T
-    b, c = b * pow(eps, p - 2, p) % p, c * eps % p
-    return table.lookup[_encode_entries(a, b, c, d, p)].astype(np.int64)
-
-
 def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
-    """Images of an id array under every automorphism of the group,
-    stacked along a new first axis.
+    """Images of an id array under every automorphism of the group, as
+    16-bit ids stacked along a new first axis.  It peaks at 10 bytes per
+    image, besides a ufunc buffer of up to 64 KiB.
 
     Z/n: multiplication by each unit.  Sym(m), m != 6: the inner
     automorphisms x -> g x g^-1, one per g (Sym(2) repeats one).  PSL2:
@@ -299,12 +285,12 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
         units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
         images = np.multiply.outer(units, ids)
         images %= handle.n
-        return images
+        return images.astype(_ID_DTYPE)
     if handle.kind == "symmetric" and handle.m == 6:
         raise BadParameters("Sym(6) has outer automorphisms; not supported")
     flat = ids.ravel()
     if handle.kind == "psl2":
-        flat = np.concatenate([flat, d0_perm(table)[flat]])
+        flat = np.concatenate([flat, table.d0[flat]])
     # row g: (g x) g^-1 for each x in flat, read from the flat mul at index
     # g x * n + g^-1; a PSL2 row holds two automorphisms.  The index is
     # one intp array, widened once and built in place: in the 16-bit ids
@@ -337,30 +323,43 @@ class GroupTable:
         self.mul = mul
         self.inv = inv
         self.identity_id = identity_id
-        self._orders = None
 
     @property
     def order(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
         """Read-only element orders by id, built once: the s-th step
         multiplies every id's (s-1)-th power by the id, so it takes as
         many vectorized steps as the group's exponent."""
-        if self._orders is None:
-            ids = np.arange(self.order)
-            orders = np.zeros(self.order, dtype=np.int64)
-            power, step = ids, 1
-            while True:
-                orders[(power == self.identity_id) & (orders == 0)] = step
-                if orders.all():
-                    break
-                power = self.mul[power, ids]
-                step += 1
-            orders.setflags(write=False)
-            self._orders = orders
-        return self._orders
+        ids = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power, step = ids, 1
+        while True:
+            orders[(power == self.identity_id) & (orders == 0)] = step
+            if orders.all():
+                break
+            power = self.mul[power, ids]
+            step += 1
+        orders.setflags(write=False)
+        return orders
+
+    @cached_property
+    def d0(self) -> np.ndarray:
+        """Read-only conjugation by d0 = diag(1, epsilon), epsilon the
+        smallest non-square, as a map on PSL2(F_p) ids, built once:
+        (a, b, c, d) goes to (a, b/epsilon, c*epsilon, d).  d0 is a PGL2
+        representative, not a group element; with the inner automorphisms
+        it gives Aut(PSL2(F_p)) = PGL2(F_p).  Conjugating by it preserves
+        the determinant, and the table's lookup takes either sign."""
+        p = self.handle.p
+        eps = nonsquare(p)
+        a, b, c, d = self.entries.T
+        b, c = b * pow(eps, p - 2, p) % p, c * eps % p
+        d0 = self.lookup[_encode_entries(a, b, c, d, p)].astype(np.int64)
+        d0.setflags(write=False)
+        return d0
 
 
 _TABLE_CACHE: dict[FiniteGroupHandle, GroupTable] = {}

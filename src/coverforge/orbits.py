@@ -23,13 +23,13 @@ product-image closure).  It expands the frontier in chunks whose working
 arrays fill one block of bytes and keeps each BFS level sorted, but
 holds no level but the frontier.  The visited states are a bitset with
 one bit per key: a membership test is one gather, and a chunk's new
-states are set in it at once.  At the end the sorted orbit is read off
-that bitset, so the run never holds a second copy of it.  The class
-partition and the closure check test membership in the same bitset,
-which the orbit carries.  Every stage that runs in blocks (the BFS
-chunk, the closure check, the class-partition batches, the class keys)
-sizes a block by all the arrays it makes, so a stage's working memory
-stays within one block of bytes on top of the data the run keeps.
+states are set in it at once.  That bitset and the number of states are
+the orbit: no array of all the states is made, and every stage after the
+BFS reads the states off the bitset in key order, a block of keys at a
+time (``_key_blocks``).  Every stage that runs in blocks (the BFS chunk,
+the closure check, the class-partition batches, the class keys) sizes a
+block by all the arrays it makes, so a stage's working memory stays
+within one block of bytes on top of the data the run keeps.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -106,29 +106,17 @@ class OrbitClosure:
     table: GroupTable
     rank: int
     start_ids: tuple[int, ...]
-    encoded: np.ndarray  # sorted int64 state encodings
+    members: np.ndarray  # the states' bitset over the key space (`_bitset`)
+    size: int  # the number of states
     levels: int
     expansions: int
-
-    @property
-    def size(self) -> int:
-        return len(self.encoded)
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """The states as a bitset over the key space.  The BFS sets it to
-        the bitset it built; otherwise it is built from ``encoded`` on
-        first use."""
-        bits = _bitset(self.table.order**self.rank)
-        for lo in range(0, self.size, _BLOCK_BYTES // 8):
-            _set_bits(bits, self.encoded[lo : lo + _BLOCK_BYTES // 8])
-        return bits
 
     def id_tuples(self) -> Iterator[list[tuple[int, ...]]]:
         """The states as id tuples in lexicographic order, one list per
         block of states, so a caller that streams them never holds the
         whole orbit as Python objects."""
-        return _id_tuple_blocks(self.encoded, self.table.order, self.rank)
+        for keys in _key_blocks(self.members, _BLOCK_BYTES // 64):
+            yield from _id_tuple_blocks(keys, self.table.order, self.rank)
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
@@ -245,26 +233,28 @@ def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
     np.bitwise_or.at(bits, keys >> 3, masks)
 
 
-def _decode_bits(bits: np.ndarray, count: int) -> np.ndarray:
-    """The keys whose bits are set, ascending, as an int64 array of
-    `count` entries, filled a block of bytes at a time.  Raises
-    AssertionError, and truncates nothing, when the bitset holds another
-    number of keys."""
-    keys = np.empty(count, dtype=np.int64)
-    filled = 0
-    # a block's unpacked bits take 8 bytes per byte, its keys up to 64
-    step = max(1, _BLOCK_BYTES // 72)
-    for lo in range(0, bits.size, step):
-        block = np.flatnonzero(np.unpackbits(bits[lo : lo + step], bitorder="little").view(bool))
-        if filled + block.size > count:
-            raise AssertionError(f"the bitset holds more than {count} keys")
-        block += 8 * lo
-        keys[filled : filled + block.size] = block
-        filled += block.size
-        del block  # before the next block is made
-    if filled != count:
-        raise AssertionError(f"the bitset holds {filled} keys, not {count}")
-    return keys
+def _key_blocks(bits: np.ndarray, keys: int) -> Iterator[np.ndarray]:
+    """The keys whose bits are set, ascending, as int64 arrays of at most
+    ``max(8, keys)`` keys each: the longest run of whole bytes of a window
+    whose bits number at most `keys` (or one byte).  The window starts at
+    keys / 8 bytes, which a full bitset fills, and doubles, up to `keys`
+    bytes, after a block that took all of it at under half the bound.
+    Reading a block makes 5 bytes per byte of its window (the bit counts
+    and their running sum), then 8 per byte it covers (the unpacked bits)
+    and 8 per key: at most 16 bytes per key of the bound."""
+    width, lo = max(1, keys >> 3), 0
+    while lo < bits.size:
+        window = bits[lo : lo + width]
+        counts = np.cumsum(np.bitwise_count(window), dtype=np.int32)
+        cut = max(1, int(np.searchsorted(counts, keys, side="right")))
+        if cut == width and counts[-1] < keys // 2:
+            width = min(keys, 2 * width)
+        del counts  # before the bits are unpacked
+        block = np.flatnonzero(np.unpackbits(window[:cut], bitorder="little").view(bool))
+        if block.size:
+            block += 8 * lo
+            yield block
+        lo += cut
 
 
 def _count_bits(bits: np.ndarray) -> int:
@@ -366,8 +356,8 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     The frontier is expanded in chunks (``_new_states``) whose working
     arrays fill ``_CHUNK_BYTES``.  Each chunk's new states are exact, so
     the exact distinct count decides ``BudgetExceeded``.  Each level is
-    sorted, and only the frontier is held; the orbit is read off the
-    visited bitset, in key order, once the BFS ends.
+    sorted, and only the frontier is held.  The visited bitset is the
+    orbit; its bit count must equal the states reached.
     """
     n = table.order
     powers = _state_powers(n, rank)
@@ -395,16 +385,18 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
         # the pieces are disjoint; the level is dropped before they are joined
         frontier = chunk = None
         frontier = _sort(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
-    orbit = OrbitClosure(
+    count = _count_bits(visited)
+    if count != reached:
+        raise AssertionError(f"the bitset holds {count} states, not {reached}")
+    return OrbitClosure(
         table=table,
         rank=rank,
         start_ids=start,
-        encoded=_decode_bits(visited, reached),
+        members=visited,
+        size=reached,
         levels=levels,
         expansions=expansions,
     )
-    orbit.members = visited
-    return orbit
 
 
 def _new_states(chunk, n, rank, moves, visited) -> np.ndarray:
@@ -435,16 +427,16 @@ def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
     kernels over the orbit is invariant under all free-group
     automorphisms.  A move is injective and the states are distinct, so
     the orbit is closed under it exactly when every image's bit is set
-    in ``members``.  The states go in blocks whose working arrays fill
-    ``_BLOCK_BYTES``: per state the digits (8 bytes each), and one move's
-    image while it is made (18) or tested (17).
+    in ``members``.  The states go in key blocks whose working arrays
+    fill ``_BLOCK_BYTES``: per state its key and digits (8 bytes each),
+    and one move's image while it is made (18) or tested (17), or 24
+    bytes while the next block is read (``_key_blocks``).
     """
-    states, n, rank = orbit.encoded, orbit.table.order, orbit.rank
+    members, n, rank = orbit.members, orbit.table.order, orbit.rank
     moves = _nielsen_moves(orbit.table, rank)
-    step = max(1, _BLOCK_BYTES // (8 * rank + 18))
+    step = max(1, _BLOCK_BYTES // (8 * rank + 26))
     return all(
-        _block_closed(orbit.members, states[lo : lo + step], n, rank, moves)
-        for lo in range(0, states.size, step)
+        _block_closed(members, keys, n, rank, moves) for keys in _key_blocks(members, step)
     )
 
 
@@ -494,16 +486,24 @@ def _aut_count(table: GroupTable) -> int:
     return automorphism_images(table, [table.identity_id]).shape[0]
 
 
-def _image_rows(table: GroupTable, rank: int) -> int:
-    """How many rank-r id rows fit one ``_BLOCK_BYTES`` block together
-    with their images under every automorphism, at 16 bytes per image
-    digit.  ``automorphism_images`` peaks at 10 bytes per image digit
-    (its intp index and the 16-bit images) besides the ufunc buffer of
-    its broadcast add, up to 64 KiB; encoding the images widens them to
-    int64 next to their keys, 10 + 8/r bytes per digit.  With the
-    membership test and the kept images, a partition batch or a block of
-    class keys peaked at 14 bytes per digit at rank 2 (tracemalloc)."""
-    return max(1, _BLOCK_BYTES // (16 * rank * _aut_count(table)))
+def _image_rows(table: GroupTable, rank: int, block: int = _BLOCK_BYTES) -> int:
+    """How many rank-r id rows fit `block` bytes together with their
+    images under every automorphism, at 14 bytes per image digit.
+    ``automorphism_images`` peaks at 10 bytes per image digit besides its
+    ufunc buffer of up to 64 KiB; the encoded images (``_encode_rows``)
+    and their membership test take less.  A partition batch or a block
+    of class keys peaked at 14.1 bytes per digit at rank 2 and 13.1 at
+    rank 3, that buffer included (tracemalloc)."""
+    return max(1, block // (14 * rank * _aut_count(table)))
+
+
+def _encode_rows(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The int64 keys of the id rows along the last axis, summed a column
+    at a time (16 bytes per row): a matmul copies every id to int64."""
+    keys = rows[..., 0] * powers[0]
+    for j in range(1, powers.size):
+        keys += rows[..., j] * powers[j]
+    return keys
 
 
 def _classify_seeds(orbit, table, powers, seeds, classified):
@@ -511,7 +511,7 @@ def _classify_seeds(orbit, table, powers, seeds, classified):
     orbit in the bitset `classified`; return each seed's class minimum
     (its smallest image in the orbit) and class size (its distinct images
     there)."""
-    images = automorphism_images(table, seeds) @ powers
+    images = _encode_rows(automorphism_images(table, seeds), powers)
     images.sort(axis=0)
     present = _test_bits(orbit.members, images)
     _set_bits(classified, images[present])
@@ -526,20 +526,20 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     so any unclassified state seeds a new class, and the smallest present
     image of a seed is its class minimum.  The partition runs in seed
     batches.  The starting tuple's class goes first; then each step takes
-    the next unclassified states as seeds.  Seeds of one batch may share
-    a class; they give the same minimum and size, and the duplicates are
-    dropped at the end.  A batch's working arrays fill at most
-    ``_BLOCK_BYTES`` (``_image_rows``), and the scan for seeds looks at
-    no more states than a batch has images.  The classified states are a
-    bitset over the key space.
+    the next unclassified states of a key block as seeds.  Seeds of one
+    batch may share a class; they give the same minimum and size, and
+    the duplicates are dropped at the end.  A key block takes an eighth
+    of ``_BLOCK_BYTES`` (8 bytes per key; three times that while it is
+    read or tested, between batches) and a batch's working arrays the
+    rest (``_image_rows``).  The classified states are a bitset over the
+    key space.
     """
-    states = orbit.encoded
-    size = states.size
+    size = orbit.size
     table, rank = orbit.table, orbit.rank
     n = table.order
     powers = _state_powers(n, rank)
-    step = _image_rows(table, rank)
-    span = step * _aut_count(table)
+    span = _BLOCK_BYTES // 64
+    step = _image_rows(table, rank, _BLOCK_BYTES - 8 * span)
     classified = _bitset(n**rank)
     start_min, start_size = _classify_seeds(
         orbit, table, powers, np.array([orbit.start_ids]), classified
@@ -547,16 +547,15 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     if not start_size[0]:
         raise AssertionError("starting state must belong to some class")
     minima, sizes = [start_min], [start_size]
-    cursor = 0
-    while cursor < size:
-        window = states[cursor : cursor + span]
-        free = np.flatnonzero(~_test_bits(classified, window))[:step] + cursor
-        cursor = int(free[-1]) + 1 if free.size == step else cursor + span
-        if free.size:
-            seeds = np.stack(_decode_digits(states[free], n, rank), axis=1)
-            batch = _classify_seeds(orbit, table, powers, seeds, classified)
-            minima.append(batch[0])
-            sizes.append(batch[1])
+    for keys in _key_blocks(orbit.members, span):
+        while keys.size:
+            keys = keys[~_test_bits(classified, keys)]
+            seeds, keys = keys[:step], keys[step:]
+            if seeds.size:
+                seeds = np.stack(_decode_digits(seeds, n, rank), axis=1)
+                batch = _classify_seeds(orbit, table, powers, seeds, classified)
+                minima.append(batch[0])
+                sizes.append(batch[1])
     minima, sizes = np.concatenate(minima), np.concatenate(sizes)
     order = np.argsort(minima[1:], kind="stable") + 1
     keep = np.concatenate([[0], order[_run_starts(minima[order])]])
@@ -593,7 +592,7 @@ def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
     step = _image_rows(table, rank)
     keys = np.empty(len(rep_ids), dtype=np.int64)
     for lo in range(0, keys.size, step):
-        images = automorphism_images(table, rep_ids[lo : lo + step]) @ powers
+        images = _encode_rows(automorphism_images(table, rep_ids[lo : lo + step]), powers)
         images.min(axis=0, out=keys[lo : lo + step])
         del images  # before the next block is made
     return keys

@@ -17,8 +17,8 @@ from coverforge.groups import (
     TABLE_LIMIT,
     FiniteGroupHandle,
     are_conjugate_subgroups,
+    automorphism_images,
     closure_ids,
-    d0_perm,
     decode,
     encode,
     enumerate_group,
@@ -347,7 +347,7 @@ class TestD0Map:
     @pytest.mark.parametrize("p", [5, 13])
     def test_is_a_table_automorphism(self, p):
         table = group_table(FiniteGroupHandle.psl2(p))
-        d0 = d0_perm(table)
+        d0 = table.d0
         assert sorted(d0.tolist()) == list(range(table.order))
         assert (d0[table.mul] == table.mul[d0[:, None], d0[None, :]]).all()
 
@@ -365,14 +365,27 @@ class TestD0Map:
         for x in oracle.elements(handle):
             conj = d0 @ np.array(oracle.encode_element(x)).reshape(2, 2) @ d0_inv
             images.append(oracle.id_of(handle, canonicalize(*conj.ravel().tolist(), p)))
-        assert d0_perm(table).tolist() == images
+        assert table.d0.tolist() == images
 
     @pytest.mark.parametrize("p", [5, 13])
     def test_is_not_inner(self, p):
         table = group_table(FiniteGroupHandle.psl2(p))
         # row g of inner is x -> g x g^-1
         inner = table.mul[np.arange(table.order)[:, None], table.mul[:, table.inv].T]
-        assert not (inner == d0_perm(table)).all(axis=1).any()
+        assert not (inner == table.d0).all(axis=1).any()
+
+    def test_built_once_read_only(self, monkeypatch):
+        table = group_table(FiniteGroupHandle.psl2(13))
+        d0 = table.d0
+        assert not d0.flags.writeable
+
+        def no_search(p):
+            raise AssertionError("the d0 map was built again")
+
+        # the automorphism images read the map the table holds
+        monkeypatch.setattr(groups, "nonsquare", no_search)
+        automorphism_images(table, [[1, 2]])
+        assert table.d0 is d0
 
 
 class TestTables:

@@ -26,7 +26,6 @@ from coverforge.groups import (
     FiniteGroupHandle,
     GroupTable,
     automorphism_images,
-    d0_perm,
     encode,
     group_table,
 )
@@ -48,6 +47,20 @@ from element_oracle import Residue, element_of, element_order, elements, identit
 def all_id_tuples(orb):
     """Every state of the orbit as an id tuple, in order."""
     return [ids for block in orb.id_tuples() for ids in block]
+
+
+def orbit_keys(orb):
+    """Every state's key, ascending, unpacked from the orbit's bitset at
+    once."""
+    return np.flatnonzero(np.unpackbits(orb.members, bitorder="little"))
+
+
+def drop_state(orb, key):
+    """A planted fault: a copy of the orbit whose bitset lacks the state
+    `key`, with the size one less."""
+    members = orb.members.copy()
+    members[key >> 3] &= np.uint8(0xFF ^ (1 << (key & 7)))
+    return dataclasses.replace(orb, members=members, size=orb.size - 1)
 
 
 def toy_rep():
@@ -111,7 +124,7 @@ def reference_aut_rows(table):
     for gid in range(n):
         inner[gid] = table.mul[gid, table.mul[:, table.inv[gid]]]
     if handle.kind == "psl2":
-        return np.concatenate([inner, inner[:, d0_perm(table)]])
+        return np.concatenate([inner, inner[:, table.d0]])
     return inner
 
 
@@ -187,8 +200,12 @@ class TestToyOrbit:
 
     def test_mutated_orbit_fails_closure(self):
         orb = orbit_closure(toy_rep())
-        mutated = dataclasses.replace(orb, encoded=orb.encoded[:-1])
-        assert not verify_characteristic_closure(mutated)
+        for key in orbit_keys(orb).tolist():
+            assert not verify_characteristic_closure(drop_state(orb, key))
+        # without the starting state the partition has no first class
+        start = drop_state(orb, 2 * 1 + 0)
+        with pytest.raises(AssertionError, match="starting state"):
+            aut_classes(start)
 
 
 class TestEngineContract:
@@ -233,8 +250,8 @@ class TestChunks:
         classes = aut_classes(default)
         monkeypatch.setattr(orbits, "_CHUNK_BYTES", self.TINY)
         tiny = orbit_closure(rep)
-        assert tiny.encoded.dtype == default.encoded.dtype
-        assert np.array_equal(tiny.encoded, default.encoded)
+        assert tiny.size == default.size
+        assert np.array_equal(tiny.members, default.members)
         assert (tiny.levels, tiny.expansions) == (default.levels, default.expansions)
         assert aut_classes(tiny) == classes
 
@@ -255,13 +272,17 @@ class TestChunks:
 class TestMembers:
     """An orbit carries its states as a bitset over the key space."""
 
-    def test_members_is_the_bitset_of_encoded(self):
-        orb = orbit_closure(build_characteristic_sym3(1).rep)
-        keys = np.flatnonzero(np.unpackbits(orb.members, bitorder="little"))
-        assert np.array_equal(keys, orb.encoded)
-        # a copy with other states rebuilds its bitset from them
-        fewer = dataclasses.replace(orb, encoded=orb.encoded[1:])
-        assert orbits._count_bits(fewer.members) == orb.size - 1
+    def test_members_is_the_bitset_of_the_states(self):
+        # the bitset and the count are the only record of the states
+        fields = [field.name for field in dataclasses.fields(orbits.OrbitClosure)]
+        assert fields == ["table", "rank", "start_ids", "members", "size", "levels", "expansions"]
+        rep = build_characteristic_sym3(1).rep
+        orb = orbit_closure(rep)
+        keys = orbit_keys(orb)
+        assert keys.size == orb.size == orbits._count_bits(orb.members) == 18
+        digits = np.unravel_index(keys, (orb.table.order,) * orb.rank)
+        assert all_id_tuples(orb) == list(zip(*(d.tolist() for d in digits)))
+        assert set(all_id_tuples(orb)) == set(reference_orbit(rep))
 
     def test_members_take_one_bit_per_key(self):
         orb = orbit_closure(build_once_punctured(13, 1).rep)
@@ -273,26 +294,28 @@ class TestMembers:
             orbits._state_powers(2448, 3)
 
 
-# the keys one `_decode_bits` block covers; the bitsets drawn below span
-# up to four blocks and one key more
-DECODE_BLOCK_KEYS = 8 * (orbits._BLOCK_BYTES // 72)
+# the most keys of one `_key_blocks` block drawn below; the bitsets span
+# up to four blocks' bytes and one key more
+DECODE_BLOCK_KEYS = 1024
 
 
 class TestDecoding:
-    """The BFS reads the sorted orbit off its bitset, and every stage
-    decodes keys into digits."""
+    """Every stage after the BFS reads the sorted states off the orbit's
+    bitset in blocks of keys, and decodes keys into digits."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        keys=st.integers(1, 4 * DECODE_BLOCK_KEYS + 1),
+        keys=st.integers(1, 32 * DECODE_BLOCK_KEYS + 1),
+        per_block=st.integers(1, DECODE_BLOCK_KEYS),
         fill=st.sampled_from(["empty", "full", "top", "random"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(keys=1, fill="empty", seed=0)
-    @example(keys=13, fill="full", seed=0)  # a partial last byte
-    @example(keys=DECODE_BLOCK_KEYS + 3, fill="full", seed=0)
-    @example(keys=DECODE_BLOCK_KEYS + 1, fill="top", seed=0)  # alone in its block
-    def test_bitset_decode_matches_unpacked_bits(self, keys, fill, seed):
+    @example(keys=1, per_block=1, fill="empty", seed=0)
+    @example(keys=13, per_block=8, fill="full", seed=0)  # a partial last byte
+    @example(keys=13, per_block=3, fill="full", seed=0)  # a byte above the bound
+    @example(keys=8 * DECODE_BLOCK_KEYS + 3, per_block=DECODE_BLOCK_KEYS, fill="full", seed=0)
+    @example(keys=8 * DECODE_BLOCK_KEYS + 1, per_block=DECODE_BLOCK_KEYS, fill="top", seed=0)
+    def test_bitset_decode_matches_unpacked_bits(self, keys, per_block, fill, seed):
         bits = orbits._bitset(keys)
         rng = np.random.default_rng(seed)
         if fill == "full":
@@ -302,14 +325,11 @@ class TestDecoding:
         if fill in ("top", "random"):
             orbits._set_bits(bits, np.array([keys - 1]))
         expected = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-        decoded = orbits._decode_bits(bits, expected.size)
-        assert decoded.dtype == np.int64
+        blocks = list(orbits._key_blocks(bits, per_block))
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert all(0 < block.size <= max(8, per_block) for block in blocks)
+        decoded = np.concatenate(blocks) if blocks else np.array([], dtype=np.int64)
         assert np.array_equal(decoded, expected)
-        # a count the bitset does not hold raises; nothing is truncated
-        for wrong in (expected.size - 1, expected.size + 1):
-            if wrong >= 0:
-                with pytest.raises(AssertionError, match="the bitset holds"):
-                    orbits._decode_bits(bits, wrong)
 
     @staticmethod
     def _largest_n(rank):
@@ -371,8 +391,9 @@ class TestWorkingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # holding the levels with their concatenation peaked at 4.40 MiB
-        assert peak <= orb.encoded.nbytes + 2 * orb.members.nbytes + orbits._BLOCK_BYTES
+        # the bitset, the frontier and a chunk; the sorted int64 copy of
+        # the orbit, when the BFS made one, was 1.6 MB alone
+        assert peak < 8 * orb.size
 
     def test_closure_check_within_one_block(self, sym3_orbit):
         closed, over = self.traced(lambda: verify_characteristic_closure(sym3_orbit))
@@ -385,6 +406,26 @@ class TestWorkingMemory:
         assert res.k == 7623
         # besides the block, the bitset of classified states
         assert over <= orbits._BLOCK_BYTES + sym3_orbit.members.nbytes + self.OBJECTS
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            FiniteGroupHandle.psl2(5),
+            FiniteGroupHandle.psl2(13),
+            FiniteGroupHandle.symmetric(3),
+            FiniteGroupHandle.cyclic(6),
+        ],
+        ids=["psl2-5", "psl2-13", "sym-3", "cyclic-6"],
+    )
+    def test_class_keys_within_one_block(self, handle, rank):
+        # three blocks of rows, at _IMAGE_BYTES per automorphism image digit
+        table = group_table(handle)
+        rows = orbits._image_rows(table, rank)
+        ids = np.random.default_rng(rank).integers(0, table.order, size=(3 * rows, rank))
+        keys, over = self.traced(lambda: canonical_class_keys(table, ids))
+        assert keys.shape == (3 * rows,)
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
 
 
 class TestOrbitEngine:
@@ -431,7 +472,15 @@ class TestOrbitEngine:
         b = build_genus_zero(5, 3)
         first = orbit_closure(b.rep)
         second = orbit_closure(b.rep)
-        assert np.array_equal(first.encoded, second.encoded)
+        assert first.size == second.size
+        assert np.array_equal(first.members, second.members)
+
+    def test_bit_count_must_match_the_states_reached(self, monkeypatch):
+        # a planted fault: without the dedupe, the toy orbit's third state
+        # is reached twice in one chunk and counted twice
+        monkeypatch.setattr(orbits, "_sorted_unique", orbits._sort)
+        with pytest.raises(AssertionError, match="the bitset holds 3 states, not 4"):
+            orbit_closure(toy_rep())
 
     def test_budget_exceeded(self):
         b = build_generic(13, 1, 2)  # rank 3 over a group of order 1092
@@ -457,7 +506,7 @@ class TestOrbitEngine:
         # 60**4 keys
         rep = involution_rep(4)
         orb = orbit_closure(rep)
-        assert orb.encoded.dtype == np.int64
+        assert all(keys.dtype == np.int64 for keys in orbits._key_blocks(orb.members, 64))
         assert all_id_tuples(orb) == reference_orbit(rep)
         assert orb.size == 15
         res = aut_classes(orb)
@@ -866,6 +915,15 @@ class TestAutClasses:
         res = aut_classes(orb)
         assert set(res.class_sizes) == {len(all_automorphisms(orb.table))}
 
+    def test_dropped_state_breaks_closure_and_its_class(self):
+        # a planted fault in an Aut-invariant orbit: 3 classes of 6
+        orb = orbit_closure(build_characteristic_sym3(1).rep)
+        assert aut_classes(orb).class_sizes == (6, 6, 6)
+        mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
+        assert not verify_characteristic_closure(mutated)
+        res = aut_classes(mutated)
+        assert (res.orbit_size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
+
     def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
         # this orbit is not Aut-invariant: half of each class's images
         # lie outside it
@@ -958,8 +1016,8 @@ class TestRelabelledIds:
         moved_res = aut_classes(moved)
         assert moved.table is table
         powers = orbits._state_powers(table.order, orb.rank)
-        digits = np.stack(orbits._decode_digits(orb.encoded, table.order, orb.rank), axis=1)
-        assert np.array_equal(moved.encoded, np.sort(relabel[digits] @ powers))
+        digits = np.stack(orbits._decode_digits(orbit_keys(orb), table.order, orb.rank), axis=1)
+        assert np.array_equal(orbit_keys(moved), np.sort(relabel[digits] @ powers))
         assert (moved.levels, moved.expansions) == (orb.levels, orb.expansions)
         assert (moved_res.orbit_size, moved_res.k) == (res.orbit_size, res.k)
         assert moved_res.class_rep_ids[0] == start
@@ -1178,5 +1236,5 @@ class TestCommutatorTraceOracle:
         traces = lifted_commutator_traces(orb.table)
         level_set = (traces == traces[orb.start_ids]).ravel()
         # a rank-2 state encodes (i, j) as i * n + j, the row-major index
-        assert level_set[orb.encoded].all()
+        assert level_set[orbit_keys(orb)].all()
         assert (orb.size, int(level_set.sum())) == (orbit_size, l_size)
