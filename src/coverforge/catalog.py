@@ -50,17 +50,12 @@ class CatalogBuild:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of the subgroup conditions needed by the irregular pipeline.
-
-    aut_eq_inn is None when the target is not of PSL2 kind; the
-    characteristic pipeline never needs that condition, so it is
-    reported as not applicable and excluded from the conjunction.
-    """
+    """Outcome of the subgroup conditions needed by the irregular pipeline."""
 
     self_normalizing: bool
-    aut_eq_inn: bool | None
+    aut_eq_inn: bool
     aut_witness: int | None  # table id
-    d0_stabilizes_h0: bool | None
+    d0_stabilizes_h0: bool
     delta_ge_2: bool
     coprimality: tuple[tuple[int, int, int, bool], ...]
 
@@ -68,7 +63,7 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return (
             self.self_normalizing
-            and self.aut_eq_inn is not False
+            and self.aut_eq_inn
             and self.delta_ge_2
             and all(row[3] for row in self.coprimality)
         )
@@ -461,29 +456,24 @@ def verify_hypotheses(
     H0 self-normalizing, every automorphism image of H0 conjugate to H0,
     and peripheral orders >= 2 and coprime to |H0|.
 
-    For PSL2 targets, every automorphism is inner composed with
+    Every automorphism of the PSL2 target is inner composed with
     conjugation by d0 = diag(1, epsilon), so the second condition
     reduces to: d0 H0 d0^-1 is conjugate to H0 in the group.
     """
-    self_norm = normalizer(h0) == h0
-    if g0.kind == "psl2":
-        d0 = group_table(g0).d0
-        image = np.zeros(d0.size, dtype=bool)
-        image[d0[h0.members]] = True
-        conjugated = SubgroupData(g0, tuple(int(d0[g]) for g in h0.generators), image)
-        d0_stable = conjugated == h0
-        aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0)
-    else:
-        aut_eq_inn, witness, d0_stable = None, None, None
+    d0 = group_table(g0).d0
+    image = np.zeros(d0.size, dtype=bool)
+    image[d0[h0.members]] = True
+    conjugated = SubgroupData(g0, tuple(int(d0[g]) for g in h0.generators), image)
+    aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0)
     coprimality = tuple(
         (order, h0.order, math.gcd(order, h0.order), math.gcd(order, h0.order) == 1)
         for order in profile.orders
     )
     return HypothesisReport(
-        self_normalizing=self_norm,
+        self_normalizing=normalizer(h0) == h0,
         aut_eq_inn=aut_eq_inn,
         aut_witness=witness,
-        d0_stabilizes_h0=d0_stable,
+        d0_stabilizes_h0=conjugated == h0,
         delta_ge_2=all(order >= 2 for order in profile.orders),
         coprimality=coprimality,
     )

@@ -280,7 +280,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     table = group_table(rep.target)
     hyp = verify_hypotheses(rep.target, h0, profile)
     checks["self_normalizing"] = hyp.self_normalizing
-    checks["aut_eq_inn"] = bool(hyp.aut_eq_inn)
+    checks["aut_eq_inn"] = hyp.aut_eq_inn
     checks["delta_ge_2"] = hyp.delta_ge_2
     checks["coprimality"] = all(row[3] for row in hyp.coprimality)
     checks["hypotheses_all_pass"] = hyp.all_pass
@@ -292,7 +292,6 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         "generators": encode(table, sorted(h0.generators)),
     }
 
-    hall_mode = None
     if config.single_factor:
         k = 1
         class_rep_ids = (rep.images,)
@@ -314,12 +313,11 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         hall = verify_hall_surjectivity(result)
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
-        hall_mode = hall.mode
         orbit_info = _orbit_json(result)
         variant = "irregular"
     cert["orbit"] = orbit_info
     cert["variant"] = variant
-    cert["budget_used"] = {"hall_mode": hall_mode}
+    cert["budget_used"] = {"hall_mode": None if config.single_factor else "hypothesis-only"}
 
     space = coset_space(h0)
     index = space.degree
@@ -556,8 +554,11 @@ def verify(cert: dict, orbit_cap: int = DEFAULT_ORBIT_BUDGET) -> VerifyReport:
     (SchemaMismatch) and against the verifier's caps (BudgetExceeded),
     and the recomputation replays the pipeline from them and the
     recorded constants without repeating any search.  Recorded inputs
-    that fail a precondition of the replay are a SchemaMismatch too.
+    that fail a precondition of the replay are a SchemaMismatch too; a
+    cap below 1 is a BadParameters, before the certificate is read.
     """
+    if orbit_cap < 1:
+        raise BadParameters(f"verifier orbit cap must be positive, got {orbit_cap}")
     schema_ok = cert.get("schema_version") == SCHEMA_VERSION
     if not schema_ok:
         return VerifyReport(False, False, False, False, ("schema_version",))

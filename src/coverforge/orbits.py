@@ -60,9 +60,8 @@ from .groups import (
 from .surfaces import RepTuple
 
 DEFAULT_ORBIT_BUDGET = 20_000_000
-# the largest product group G^k whose image is closed element by element;
-# above it the Hall check runs on hypotheses and the characteristic
-# degree is left uncomputed
+# the largest product group G^k whose image is closed element by element,
+# for the characteristic degree, which is left uncomputed above it
 PRODUCT_CLOSURE_CAP = 10_000_000
 # the size of the key space n**rank from which a run is refused.  An orbit's
 # states are a bitset with one bit per key, which takes 512 MiB at 2**32
@@ -601,34 +600,43 @@ def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
 @dataclass(frozen=True)
 class HallReport:
     ok: bool
-    mode: str  # "direct" | "hypothesis-only"
     pairwise_inequivalent: bool
-    direct_order: int | None
 
 
 def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
-    """Surjectivity of the product representation.
+    """Surjectivity of the product of the class reps onto G**k, by Hall's
+    lemma (The Eulerian functions of a group, Q. J. Math. 7, 1936): every
+    class rep surjects onto G, and no two are related by an automorphism
+    of G.  The reps are closed in one ``closure_ids`` call (a (k, |G|)
+    byte matrix, in blocks of its own).
 
-    Hypothesis mode checks what the product lemma needs: every class rep
-    surjects onto the base group and no two class reps are related by a
-    target automorphism.  Direct mode additionally closes the product
-    tuples inside the full product group when its order is at most
-    ``PRODUCT_CLOSURE_CAP``.  The class reps are closed in one
-    ``closure_ids`` call, which holds the (k, |G|) membership matrix
-    (1 byte per cell) and works in blocks of its own.
+    Closing the image in G**k could add a check only while |G|**k is at
+    most ``PRODUCT_CLOSURE_CAP`` = 10**7, so k <= 3 as |G| >= 60; but on
+    PSL(2,p), the one target here, k >= 4.  Aut G = PGL(2,p) keeps the
+    SL(2,p) trace triple (tr X, tr Y, tr XY) of a state up to the lifts'
+    signs, so a class has one sign class of triples.  Rank 2: the start
+    (A, B) generates G; let B have the larger order m, so m >= 3 (two
+    involutions generate a dihedral group), B~**m = -I and y = tr B~ != 0.
+    The states (A B**j, B) have triples (x_j, y, x_(j+1)) for
+    x_j = tr A~B~**j, and x_j = y x_(j-1) - x_(j-2) runs both ways, so a
+    repeat of (x_j, x_(j+1)) at a shift 0 < P < 2m gives tr A~XN = 0 for
+    N = B~**P - I and X in {I, B~}.  If N is invertible, N and B~N span
+    I and B~, so tr A~ = tr A~B~ = 0 and <A, B> = <A, AB> is dihedral;
+    else B~**P is unipotent, so B is, and A lies in B's Borel subgroup.
+    So the 2m triples are distinct, a sign class holds at most two of
+    them (y is fixed), k >= m >= 3, and k = 3 needs |G| <= 215: p = 5 or
+    7, where the one rank-2 input is genus-zero p = 5, whose unipotent
+    entries give m = 5.  Rank r >= 3: every builder tuple holds a
+    generating pair, so the orbit has at least |O2| * n**(r - 2) states
+    (``_check_suborbit_bound``); |O2| >= n, as conjugation is a word in
+    Nielsen moves and G acts on the pair freely; and a class has at most
+    |Aut G| = 2n states, so k >= n**(r - 2) / 2 >= 30.
     """
     table = result.table
     reps = result.class_rep_ids
     each = bool(closure_ids(table, reps).all())
     pairwise = bool(_run_starts(_sort(canonical_class_keys(table, reps))).all())
-    direct_order = _product_closure_order(table, result.class_rep_ids)
-    ok = each and pairwise and (direct_order is None or direct_order == table.order**result.k)
-    return HallReport(
-        ok=ok,
-        mode="hypothesis-only" if direct_order is None else "direct",
-        pairwise_inequivalent=pairwise,
-        direct_order=direct_order,
-    )
+    return HallReport(ok=each and pairwise, pairwise_inequivalent=pairwise)
 
 
 def _product_closure_order(

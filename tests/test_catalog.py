@@ -354,14 +354,6 @@ class TestHypotheses:
             for sub in (normalizer(a0), borel_subgroup(p)):
                 assert sorted(d0[sub.ids].tolist()) == sub.ids.tolist()
 
-    def test_non_psl2_targets_report_not_applicable(self):
-        b = build_characteristic_cyclic(0, 3)
-        hyp = verify_hypotheses(
-            b.rep.target, subgroup_closure((), b.rep.target), peripheral_profile(b.rep)
-        )
-        assert hyp.aut_eq_inn is None
-        assert hyp.d0_stabilizes_h0 is None
-
 
 class TestSubgroupBuilders:
     def test_primitive_roots(self):

@@ -394,6 +394,26 @@ class TestCli:
         assert time.perf_counter() - start < 0.5
         assert "verifier cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_verify_non_positive_cap_exits_2_before_work(
+        self, tmp_path, monkeypatch, capsys, char_cyclic_cert, cap
+    ):
+        # a parameter error, as in construct; the certificate is never
+        # checked, so its digest is not even computed
+        import coverforge.certificates as certificates
+        from coverforge import cli
+
+        def spy(*args, **kwargs):
+            raise AssertionError("certificate read under a non-positive cap")
+
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(char_cyclic_cert))
+        monkeypatch.setenv("COVERFORGE_ORBIT_BUDGET", cap)
+        monkeypatch.setattr(certificates, "_digest_payload", spy)
+        assert cli.main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "must be positive" in err
+
     @pytest.mark.parametrize(
         "case,p",
         [

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "coverforge"
 ALLOWED: dict[str, str] = {
     "OrbitClosure.expansions": "read by perfbench/traced.py for orbits.expansions",
     "OrbitResult.class_sizes": "the class partition, which tests compare with an oracle",
-    "HallReport.direct_order": "the product image order, which tests compare with an oracle",
 }
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1026,25 +1027,6 @@ class TestRelabelledIds:
 
 
 class TestHall:
-    def test_two_inequivalent_psl2_epimorphisms_direct(self):
-        # two class reps of a rank-2 representation into the order-60
-        # group: the direct product closure has order 60^2 = 3600
-        b = build_genus_zero(5, 3)
-        res = aut_classes(orbit_closure(b.rep))
-        two = OrbitResult(
-            table=res.table,
-            rank=res.rank,
-            orbit_size=res.orbit_size,
-            k=2,
-            class_rep_ids=res.class_rep_ids[:2],
-            class_sizes=res.class_sizes[:2],
-            levels=res.levels,
-        )
-        report = verify_hall_surjectivity(two)
-        assert report.mode == "direct"
-        assert report.direct_order == 3600
-        assert report.ok
-
     def test_duplicated_rep_fails(self):
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
@@ -1073,15 +1055,12 @@ class TestHall:
             class_sizes=res.class_sizes[:1],
             levels=res.levels,
         )
-        report = verify_hall_surjectivity(one)
-        assert report.ok and report.mode == "direct"
+        assert verify_hall_surjectivity(one).ok
 
     def test_hypothesis_mode_on_large_products(self):
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
-        report = verify_hall_surjectivity(res)
-        assert report.mode == "hypothesis-only"
-        assert report.ok
+        assert verify_hall_surjectivity(res).ok
 
     def test_surjectivity_checks_every_block_of_reps(self, monkeypatch):
         # the class reps then the identity tuple, which generates nothing;
@@ -1095,12 +1074,112 @@ class TestHall:
             class_sizes=res.class_sizes + (1,),
         )
         whole = verify_hall_surjectivity(bad)
-        assert whole.mode == "hypothesis-only" and whole.pairwise_inequivalent
+        assert whole.pairwise_inequivalent
         assert not whole.ok
         # closure_ids then closes one rep per block
         monkeypatch.setattr(groups, "_BLOCK_BYTES", 1)
         assert verify_hall_surjectivity(bad) == whole
         assert verify_hall_surjectivity(res).ok
+
+
+def lift(handle, gid):
+    """The SL(2,p) matrix of an element's canonical representative."""
+    g = element_of(handle, gid)
+    return np.array([[g.a, g.b], [g.c, g.d]], dtype=np.int64)
+
+
+def sign_class(x, y, z, p):
+    """The trace triple (tr X, tr Y, tr XY) up to the signs of the lifts
+    of X and Y: an invariant of a pair under conjugation in GL(2,p)."""
+    return min(
+        ((sx * x) % p, (sy * y) % p, (sx * sy * z) % p) for sx in (1, -1) for sy in (1, -1)
+    )
+
+
+def power_sign_classes(handle, a, b):
+    """The sign classes of the trace triples of the states (A B**j, B),
+    0 <= j < 2m, for m the order of B, from oracle matrices.  B's lift
+    is the one whose m-th power is -I."""
+    p = handle.p
+    a_lift, b_lift = lift(handle, a), lift(handle, b)
+    m = element_order(element_of(handle, b))
+    powers = [np.eye(2, dtype=np.int64)]
+    for _ in range(2 * m):
+        powers.append(powers[-1] @ b_lift % p)
+    if (powers[m] == powers[0]).all():
+        powers = [power * (-1) ** j % p for j, power in enumerate(powers)]
+    assert (powers[m] == -powers[0] % p).all()
+    y = int(np.trace(powers[1]))
+    traces = [int(np.trace(a_lift @ power)) % p for power in powers]
+    return m, {sign_class(x, y, z, p) for x, z in zip(traces, traces[1:])}
+
+
+class TestHallLemma:
+    """`verify_hall_surjectivity`'s proof that the product image never
+    needs closing: on every PSL2 input, |G|**k is above
+    PRODUCT_CLOSURE_CAP.  A rank-2 orbit has k >= m, the larger order of
+    a generating pair's entries, because the states (A B**j, B) fall in
+    m sign classes of trace triples; a rank-r orbit has
+    k >= |G|**(r - 2) / 2."""
+
+    # label -> build.  Every t of the genus-zero families at p = 5 and 13,
+    # whose entries are unipotent (m = p), and the once-punctured pairs,
+    # whose larger order is 3
+    CASES = {
+        **{f"genus-zero-p5-t{t}": partial(build_genus_zero, 5, 3, t) for t in range(1, 5)},
+        **{f"genus-zero-p13-t{t}": partial(build_genus_zero, 13, 3, t) for t in range(1, 13)},
+        "genus-zero-p17": partial(build_genus_zero, 17, 3),
+        "once-punctured-p13": partial(build_once_punctured, 13, 1),
+        "once-punctured-p17": partial(build_once_punctured, 17, 1),
+    }
+
+    def test_rank2_classes_outnumber_the_larger_order(self):
+        for label, build in self.CASES.items():
+            rep = build().rep
+            res = aut_classes(orbit_closure(rep))
+            # the larger order in the second slot; the swap keeps the orbit
+            a, b = sorted(rep.images, key=lambda g: int(res.table.orders[g]))
+            m, classes = power_sign_classes(rep.target, a, b)
+            assert len(classes) >= m >= 3, label
+            assert res.k >= m, label
+            assert res.table.order**res.k > orbits.PRODUCT_CLOSURE_CAP, label
+
+    def test_rank3_classes_outnumber_half_the_group(self):
+        res = aut_classes(orbit_closure(build_generic(5, 1, 2).rep))
+        assert res.rank == 3 and res.k >= res.table.order / 2
+
+    def test_random_generating_pairs(self):
+        rng = np.random.default_rng(23)
+        for p in (5, 7, 11, 13):
+            handle = FiniteGroupHandle.psl2(p)
+            table = group_table(handle)
+            pairs = rng.integers(0, table.order, size=(40, 2))
+            pairs = pairs[groups.closure_ids(table, pairs).all(axis=1)]
+            assert len(pairs) >= 10, p
+            for a, b in pairs.tolist():
+                if table.orders[a] > table.orders[b]:
+                    a, b = b, a
+                m, classes = power_sign_classes(handle, a, b)
+                assert len(classes) >= m >= 3, (p, a, b)
+                # the m states (A B**j, B) lie in m distinct classes
+                states, x = [], a
+                for _ in range(m):
+                    states.append((x, b))
+                    x = int(table.mul[x, b])
+                assert np.unique(canonical_class_keys(table, states)).size == m, (p, a, b)
+
+    def test_sign_class_is_an_automorphism_invariant(self):
+        handle = FiniteGroupHandle.psl2(7)
+        table = group_table(handle)
+        rng = np.random.default_rng(7)
+        for a, b in rng.integers(0, table.order, size=(20, 2)).tolist():
+            images = automorphism_images(table, [a, b])
+            classes = set()
+            for x, y in images.tolist():
+                x_lift, y_lift = lift(handle, x), lift(handle, y)
+                traces = (np.trace(x_lift), np.trace(y_lift), np.trace(x_lift @ y_lift))
+                classes.add(sign_class(*map(int, traces), 7))
+            assert len(classes) == 1, (a, b)
 
 
 class TestClassRepsDigest:
@@ -1152,10 +1231,11 @@ def reference_product_closure(table, class_rep_ids):
     return elements
 
 
-def orbit_class_reps(rep):
-    """The table and class rep ids of the orbit of a rep."""
+def orbit_class_reps(rep, count=None):
+    """The table and the first `count` (default all) class rep ids of
+    the orbit of a rep."""
     orb = orbit_closure(rep)
-    return orb.table, aut_classes(orb).class_rep_ids
+    return orb.table, aut_classes(orb).class_rep_ids[:count]
 
 
 def given_reps(handle, *rep_ids):
@@ -1163,9 +1243,11 @@ def given_reps(handle, *rep_ids):
 
 
 class TestProductClosure:
-    # label -> (table and class rep ids, order of the product image).  The
+    # label -> (table and class rep ids, order of the product image).  Two
+    # inequivalent surjections onto PSL(2,5) generate all of 60**2; the
     # given reps do not generate their product group.
     CASES = {
+        "psl2-5-two-reps": (lambda: orbit_class_reps(build_genus_zero(5, 3).rep, 2), 3600),
         "toy-z2": (lambda: orbit_class_reps(toy_rep()), 4),
         "char-cyclic-g0-n3": (lambda: orbit_class_reps(build_characteristic_cyclic(0, 3).rep), 9),
         "char-cyclic-g1-n2": (lambda: orbit_class_reps(build_characteristic_cyclic(1, 2).rep), 8),
@@ -1208,15 +1290,12 @@ class TestCommutatorTraceOracle:
         table = group_table(FiniteGroupHandle.psl2(13))
         traces = lifted_commutator_traces(table)
 
-        def mat(g):
-            return np.array([[g.a, g.b], [g.c, g.d]], dtype=np.int64)
-
         def sl2_inverse(m):
             return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
 
         rng = np.random.default_rng(5)
         for i, j in rng.integers(0, table.order, size=(60, 2)):
-            x, y = mat(element_of(table.handle, i)), mat(element_of(table.handle, j))
+            x, y = lift(table.handle, i), lift(table.handle, j)
             commutator = x @ y @ sl2_inverse(x) @ sl2_inverse(y)
             assert traces[i, j] == np.trace(commutator) % 13
 
