@@ -55,6 +55,7 @@ from .groups import FiniteGroupHandle, decode, encode, group_table
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     PRODUCT_CLOSURE_CAP,
+    OrbitClosure,
     OrbitResult,
     aut_classes,
     orbit_closure,
@@ -131,6 +132,11 @@ def _build_case(config: ConstructConfig, constants: dict | None = None) -> Catal
     """Build the configured family member; `constants` replays recorded
     searched values instead of searching."""
     case = config.case
+    # a parameter the case does not read would change the digest alone
+    if config.explicit_t is not None and case != "genus-zero":
+        raise BadParameters(f"case {case} takes no --t; only genus-zero does")
+    if config.p is not None and case in _CHARACTERISTIC:
+        raise BadParameters(f"case {case} takes no --p")
     if case == "generic":
         _need(config, p=True, genus=True, punctures=True)
         return build_generic(config.p, config.genus, config.punctures)
@@ -249,12 +255,13 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
         },
     }
 
+    if config.single_factor and config.case in _CHARACTERISTIC:
+        raise BadParameters("single-factor mode applies to the PSL2 cases only")
+    orbit, result = _orbit_stage(config, rep, cert, checks)
     if config.case in _CHARACTERISTIC:
-        if config.single_factor:
-            raise BadParameters("single-factor mode applies to the PSL2 cases only")
-        _characteristic_stages(config, build, cert, checks)
+        _characteristic_stages(build, orbit, result, cert, checks)
     else:
-        _irregular_stages(config, build, profile, cert, checks)
+        _irregular_stages(build, profile, result, cert, checks)
 
     checks_sorted = dict(sorted(checks.items()))
     cert["checks"] = checks_sorted
@@ -262,18 +269,34 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     return cert
 
 
-def _orbit_json(result: OrbitResult) -> dict:
-    """The certificate's summary of a completed orbit and its classes."""
-    return {
+def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitResult | None]:
+    """The Nielsen orbit of the built representation, its Aut classes and
+    the closure check, for every case; (None, None) for single-factor,
+    which records k = 1 and no orbit."""
+    if config.single_factor:
+        cert["orbit"] = {
+            "size": None,
+            "k": 1,
+            "class_reps_digest": None,
+            "states_explored": None,
+            "levels": None,
+        }
+        return None, None
+    orbit = orbit_closure(rep, config.orbit_budget)
+    result = aut_classes(orbit)
+    checks["orbit_completed"] = True
+    checks["characteristic_closure"] = verify_characteristic_closure(orbit)
+    cert["orbit"] = {
         "size": result.orbit_size,
         "k": result.k,
         "class_reps_digest": result.class_reps_digest(),
         "states_explored": result.orbit_size,
         "levels": result.levels,
     }
+    return orbit, result
 
 
-def _irregular_stages(config, build, profile, cert, checks) -> None:
+def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) -> None:
     rep = build.rep
     sig = build.signature
     h0 = build.h0
@@ -292,32 +315,17 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         "generators": encode(table, sorted(h0.generators)),
     }
 
-    if config.single_factor:
-        k = 1
-        class_rep_ids = (rep.images,)
-        orbit_info = {
-            "size": None,
-            "k": 1,
-            "class_reps_digest": None,
-            "states_explored": None,
-            "levels": None,
-        }
-        variant = "single-factor-diagnostic"
+    if result is None:
+        k, class_rep_ids = 1, (rep.images,)
+        cert["variant"] = "single-factor-diagnostic"
+        cert["budget_used"] = {"hall_mode": None}
     else:
-        orbit = orbit_closure(rep, config.orbit_budget)
-        result = aut_classes(orbit)
-        k = result.k
-        class_rep_ids = result.class_rep_ids
-        checks["orbit_completed"] = True
-        checks["characteristic_closure"] = verify_characteristic_closure(orbit)
+        k, class_rep_ids = result.k, result.class_rep_ids
         hall = verify_hall_surjectivity(result)
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
-        orbit_info = _orbit_json(result)
-        variant = "irregular"
-    cert["orbit"] = orbit_info
-    cert["variant"] = variant
-    cert["budget_used"] = {"hall_mode": None if config.single_factor else "hypothesis-only"}
+        cert["variant"] = "irregular"
+        cert["budget_used"] = {"hall_mode": "hypothesis-only"}
 
     space = coset_space(h0)
     index = space.degree
@@ -329,7 +337,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
     where = where.reshape(peripheral.shape)
     types = [cycle_type(coset_permutation(space, g)) for g in distinct]
     ramification = []
-    ram_json = []
+    elevation = []
     sums_ok = True
     divisible = True
     quotient_divides = True
@@ -344,10 +352,7 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
             d_i % length == 0 and h_order_k % (d_i // length) == 0 for length in multiset
         )
         ramification.append(multiset)
-        ram_json.append(
-            {"puncture": i, "elevation_order": d_i, "local_degrees": _multiset_pairs(multiset)}
-        )
-    chi, genus = riemann_hurwitz(degree, sig.euler_closed, ramification)
+        elevation.append(d_i)
     if build.mode == "dihedral-remark":
         bound = proposition_genus_bound(index, k, sig.g, sig.n, profile.delta)
         bound_kind = "proposition"
@@ -355,40 +360,32 @@ def _irregular_stages(config, build, profile, cert, checks) -> None:
         bound = genus_lower_bound(build.p, k, sig.g, sig.n)
         bound_kind = "theorem"
     deck = verify_deck_trivial(h0)
-    checks["degree_formula"] = degree == (rep.target.order // h0.order) ** k
-    checks["ramification_sums_to_degree"] = sums_ok
-    checks["local_degrees_divisible_by_delta"] = divisible
-    checks["elevation_quotient_divides_h_order"] = quotient_divides
-    checks["chi_even"] = chi % 2 == 0
-    checks["genus_nonnegative_integer"] = genus >= 0
-    checks["genus_ge_bound"] = Fraction(genus) >= bound
-    checks["deck_trivial"] = deck
-    cert["cover"] = {
+    cover = {
         "degree": degree,
         "index": index,
-        "euler": chi,
-        "genus": genus,
         "bound": _fraction_pair(bound),
         "bound_kind": bound_kind,
         "deck_trivial": deck,
         "regular": index == 1,
-        "ramification": ram_json,
     }
+    genus = _riemann_hurwitz_stage(degree, sig, ramification, elevation, cover, checks)
+    checks["degree_formula"] = degree == (rep.target.order // h0.order) ** k
+    checks["ramification_sums_to_degree"] = sums_ok
+    checks["local_degrees_divisible_by_delta"] = divisible
+    checks["elevation_quotient_divides_h_order"] = quotient_divides
+    checks["genus_ge_bound"] = Fraction(genus) >= bound
+    checks["deck_trivial"] = deck
+    cert["cover"] = cover
     cert["blanket_hypothesis"] = (
         build.p >= max(sig.n, 13) and build.p % 4 == 1
     )
 
 
-def _characteristic_stages(config, build, cert, checks) -> None:
-    rep = build.rep
+def _characteristic_stages(build, orbit, result: OrbitResult, cert, checks) -> None:
     sig = build.signature
-    orbit = orbit_closure(rep, config.orbit_budget)
-    result = aut_classes(orbit)
     core = characteristic_core(result.class_rep_ids, sig, orbit)
-    checks["orbit_completed"] = True
-    checks["characteristic_closure"] = core.aut_invariant
     checks["peripheral_orders_ge_2"] = core.all_at_least_two
-    cert["orbit"] = _orbit_json(result)
+    checks["degree_computed"] = core.degree is not None
     cert["variant"] = "characteristic-core (orbit variant)"
     cert["budget_used"] = {"hall_mode": None}
     cover: dict = {
@@ -397,32 +394,33 @@ def _characteristic_stages(config, build, cert, checks) -> None:
         "regular": True,
         "deck_trivial": False,
         "bound": None,
+        "euler": None,
+        "genus": None,
+        "ramification": None,
     }
     if core.degree is not None:
-        checks["degree_computed"] = True
-        ramification = [
-            {order: core.degree // order} for order in core.peripheral_orders
-        ]
-        chi, genus = riemann_hurwitz(core.degree, sig.euler_closed, ramification)
-        checks["chi_even"] = chi % 2 == 0
-        checks["genus_nonnegative_integer"] = genus >= 0
-        cover["euler"] = chi
-        cover["genus"] = genus
-        cover["ramification"] = [
-            {
-                "puncture": i + 1,
-                "elevation_order": order,
-                "local_degrees": _multiset_pairs({order: core.degree // order}),
-            }
-            for i, order in enumerate(core.peripheral_orders)
-        ]
-    else:
-        checks["degree_computed"] = False
-        cover["euler"] = None
-        cover["genus"] = None
-        cover["ramification"] = None
+        ramification = [{order: core.degree // order} for order in core.peripheral_orders]
+        _riemann_hurwitz_stage(
+            core.degree, sig, ramification, core.peripheral_orders, cover, checks
+        )
     cert["cover"] = cover
     cert["blanket_hypothesis"] = None
+
+
+def _riemann_hurwitz_stage(degree, sig, ramification, elevation, cover, checks) -> int:
+    """Write the cover's Euler characteristic, genus and per-puncture
+    ramification, given each puncture's local-degree multiset and
+    elevation order, and the two checks on them; return the genus."""
+    chi, genus = riemann_hurwitz(degree, sig.euler_closed, ramification)
+    checks["chi_even"] = chi % 2 == 0
+    checks["genus_nonnegative_integer"] = genus >= 0
+    cover["euler"] = chi
+    cover["genus"] = genus
+    cover["ramification"] = [
+        {"puncture": i, "elevation_order": d_i, "local_degrees": _multiset_pairs(multiset)}
+        for i, (d_i, multiset) in enumerate(zip(elevation, ramification), start=1)
+    ]
+    return genus
 
 
 # ---------------------------------------------------------------------------

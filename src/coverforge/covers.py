@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadParameters, InconsistentRamification
 from .groups import GroupTable, SubgroupData, group_table, normalizer
-from .orbits import OrbitClosure, _product_closure_order, verify_characteristic_closure
+from .orbits import OrbitClosure, _product_closure_order
 from .surfaces import SurfaceSignature, peripheral_ids
 
 
@@ -174,7 +174,6 @@ class CharacteristicCoreReport:
     peripheral_orders: tuple[int, ...]  # order of each peripheral product image
     all_at_least_two: bool
     degree: int | None                  # |image of the product rep|, None above the cap
-    aut_invariant: bool
 
 
 def characteristic_core(
@@ -195,5 +194,4 @@ def characteristic_core(
         peripheral_orders=orders,
         all_at_least_two=all(o >= 2 for o in orders),
         degree=_product_closure_order(table, class_rep_ids),
-        aut_invariant=verify_characteristic_closure(orbit),
     )

@@ -274,6 +274,32 @@ class TestCli:
         assert proc.returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case_args,flag",
+        [
+            (("--case", "once-punctured", "--p", "13", "--genus", "1", "--t", "4"), "--t"),
+            (("--case", "generic", "--p", "5", "--genus", "1", "--punctures", "2", "--t", "3"),
+             "--t"),
+            (("--case", "char-cyclic", "--genus", "0", "--punctures", "3", "--t", "2"), "--t"),
+            (("--case", "char-sym3", "--genus", "1", "--t", "2"), "--t"),
+            (("--case", "char-cyclic", "--genus", "0", "--punctures", "3", "--p", "13"), "--p"),
+            (("--case", "char-sym3", "--genus", "1", "--p", "13"), "--p"),
+        ],
+        ids=["once-punctured-t", "generic-t", "char-cyclic-t", "char-sym3-t", "char-cyclic-p",
+             "char-sym3-p"],
+    )
+    def test_unused_parameter_exit_code(self, tmp_path, capsys, case_args, flag):
+        # a value the case would not read changes only the recorded
+        # inputs, so construct and orbit refuse it as a parameter error
+        from coverforge import cli
+
+        out = tmp_path / "nope.json"
+        for command in (["construct", *case_args, "--out", str(out)], ["orbit", *case_args]):
+            assert cli.main(command) == 2, command
+            err = capsys.readouterr().err
+            assert f"parameter error: case {case_args[1]} takes no {flag}" in err
+        assert not out.exists()
+
     def test_budget_exit_code_and_no_file(self, tmp_path):
         out = tmp_path / "nope.json"
         proc = run_cli(
@@ -336,10 +362,15 @@ class TestCli:
             ("genus_zero_cert", _overwrite("inputs", genus=1)),
             ("char_cyclic_cert", _overwrite("inputs", case="nope")),
             ("char_cyclic_cert", _overwrite("budgets", orbit=0)),
+            # a parameter the case does not read
+            ("char_cyclic_cert", _overwrite("inputs", p=13)),
+            ("once_punctured_cert",
+             _overwrite("inputs", flags={"single_factor": False, "explicit_t": 4})),
         ],
         ids=["schema-only", "inputs-list", "budget-string", "budget-bool", "no-flags",
              "explicit-t-zero-mod-p", "p-9", "p-3", "p-minus-7", "genus-zero-two-punctures",
-             "genus-zero-genus-1", "unknown-case", "budget-zero"],
+             "genus-zero-genus-1", "unknown-case", "budget-zero", "char-cyclic-p",
+             "once-punctured-t"],
     )
     def test_verify_malformed_inputs_exit_code(self, tmp_path, request, fixture, probe):
         # the digest is valid, so only the schema check or the replay's

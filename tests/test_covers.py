@@ -34,7 +34,7 @@ from coverforge.covers import (
     verify_deck_trivial,
 )
 from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
-from coverforge.orbits import aut_classes, orbit_closure
+from coverforge.orbits import aut_classes, orbit_closure, verify_characteristic_closure
 from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
 from element_oracle import (
     Residue,
@@ -291,7 +291,7 @@ class TestCharacteristicCore:
         orb = orbit_closure(rep)
         core = characteristic_core(aut_classes(orb).class_rep_ids, sig, orb)
         assert core.degree == 4
-        assert core.aut_invariant
+        assert verify_characteristic_closure(orb)
 
     def test_char_cyclic_numbers(self):
         b = build_characteristic_cyclic(0, 3)

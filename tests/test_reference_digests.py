@@ -14,8 +14,9 @@ import pathlib
 
 import pytest
 
-from coverforge import groups
+from coverforge import certificates, groups
 from coverforge.certificates import ConstructConfig, construct, verify
+from coverforge.errors import BadParameters
 
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent / "scripts" / "build_reference_certificates.py"
@@ -71,6 +72,46 @@ def test_reference_certificate_digest(name):
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
 
 
+_ORBIT_STAGE = ("orbit_closure", "aut_classes", "verify_characteristic_closure")
+
+
+def _count_orbit_stage(monkeypatch) -> dict:
+    """Count the pipeline's calls of each orbit-stage function."""
+    counts = dict.fromkeys(_ORBIT_STAGE, 0)
+    for name in _ORBIT_STAGE:
+        def counted(*args, _name=name, _original=getattr(certificates, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_one_orbit_stage_per_construct(name, monkeypatch):
+    """Every case runs the orbit, its Aut classes and the closure check
+    once, in the pipeline's one orbit stage; single-factor runs none."""
+    counts = _count_orbit_stage(monkeypatch)
+    construct(CONFIGS[name])
+    expected = 0 if CONFIGS[name].single_factor else 1
+    assert counts == dict.fromkeys(_ORBIT_STAGE, expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ConstructConfig(case="char-cyclic", genus=0, punctures=3, single_factor=True),
+        ConstructConfig(case="char-sym3", genus=1, single_factor=True),
+    ],
+    ids=["char-cyclic", "char-sym3"],
+)
+def test_characteristic_single_factor_refused_before_the_orbit(config, monkeypatch):
+    counts = _count_orbit_stage(monkeypatch)
+    with pytest.raises(BadParameters, match="single-factor mode applies to the PSL2 cases only"):
+        construct(config)
+    assert counts == dict.fromkeys(_ORBIT_STAGE, 0)
+
+
 # the benchmark's many-class configurations (perfbench/run.py): thousands
 # of class reps each, so every per-rep peripheral image and order counts
 MANY_CLASS_GOLDEN = {
@@ -115,6 +156,41 @@ PSL2_RANK2_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(PSL2_RANK2_GOLDEN))
 def test_psl2_rank2_certificate_digest(name):
     config, certificate_digest, class_reps_digest = PSL2_RANK2_GOLDEN[name]
+    cert = construct(config)
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+
+
+# one more configuration per path through the orbit stage and the two
+# cover stages: single-factor on a PSL2 target, each characteristic
+# builder at another signature, and the dihedral variant at another t
+STAGE_PATH_GOLDEN = {
+    "genus-zero-p13-n3-single-factor": (
+        ConstructConfig(case="genus-zero", p=13, punctures=3, single_factor=True),
+        "440d37ec08afc8e9bbdf65b4eb2a689fa31bb53b475ba674388dfa2fc6bfa4a8",
+        None,
+    ),
+    "char-cyclic-g1-n2": (
+        ConstructConfig(case="char-cyclic", genus=1, punctures=2),
+        "1fd97852d2e7b9d0ed8c5ca5081005564ae6529bbd370e0b6b9ffa020c6b1dc2",
+        "a18322d62a1879b7ba7a71dce552eab2397f2333be0e92c411734a765cd47d55",
+    ),
+    "char-sym3-g2": (
+        ConstructConfig(case="char-sym3", genus=2),
+        "b11a6ee7f79cd564bcbd99083a6f6595671aafb6603e404843a5a696a452aac1",
+        "1df5f497a1dc423e0ee06f661ce4464cb96487f820dd23d78aaf23f9fbd2d231",
+    ),
+    "genus-zero-p13-n3-dihedral-t2": (
+        ConstructConfig(case="genus-zero", p=13, punctures=3, explicit_t=2),
+        "0d687d38bf5fd60d3a3f96ba336e81df232784340ea3b7abcab8618a594788ef",
+        "114c171a156a15e3f9aeaba9f176cf1f12e6231bd532cb9018d8525259cc3d3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_PATH_GOLDEN))
+def test_stage_path_certificate_digest(name):
+    config, certificate_digest, class_reps_digest = STAGE_PATH_GOLDEN[name]
     cert = construct(config)
     assert cert["certificate_digest"] == certificate_digest
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
