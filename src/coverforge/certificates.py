@@ -7,10 +7,12 @@ and a named check vector.  Construction is deterministic, so two runs
 with the same configuration produce byte-identical files.
 
 Verification re-derives every derivable field from the recorded inputs
-and constants (searches are replayed from the recorded constants, not
-repeated), diffs the result field by field, and additionally checks a
-whole-document digest so that any single-field tampering is detected
-even before the recomputation runs.
+and constants, diffs the result field by field, and additionally checks
+a whole-document digest so that any single-field tampering is detected
+even before the recomputation runs.  The once-punctured commutator pair
+is replayed from its recorded constants; the other searched constants
+(t, epsilon, the primitive root, the a0 generator, the dihedral order)
+are searched again and diffed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +102,14 @@ class ConstructConfig:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    # integers of any length are written: the int/str digit limit, which
+    # guards parsing, is lifted around the encode alone
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def sha256_hex(text: str) -> str:
@@ -284,14 +294,14 @@ def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitR
         return None, None
     orbit = orbit_closure(rep, config.orbit_budget)
     result = aut_classes(orbit)
-    checks["orbit_completed"] = True
+    checks["orbit_completed"] = orbit.size <= config.orbit_budget
     checks["characteristic_closure"] = verify_characteristic_closure(orbit)
     cert["orbit"] = {
-        "size": result.orbit_size,
+        "size": orbit.size,
         "k": result.k,
         "class_reps_digest": result.class_reps_digest(),
-        "states_explored": result.orbit_size,
-        "levels": result.levels,
+        "states_explored": orbit.size,
+        "levels": orbit.levels,
     }
     return orbit, result
 
@@ -550,8 +560,8 @@ def verify(cert: dict, orbit_cap: int = DEFAULT_ORBIT_BUDGET) -> VerifyReport:
     The document digest is checked first, so a tampered certificate
     fails immediately; the recorded inputs are then checked for shape
     (SchemaMismatch) and against the verifier's caps (BudgetExceeded),
-    and the recomputation replays the pipeline from them and the
-    recorded constants without repeating any search.  Recorded inputs
+    and the recomputation replays the pipeline from them, with the
+    recorded commutator pair in place of its search.  Recorded inputs
     that fail a precondition of the replay are a SchemaMismatch too; a
     cap below 1 is a BadParameters, before the certificate is read.
     """

@@ -41,12 +41,12 @@ class CosetSpace:
 def coset_space(h0: SubgroupData) -> CosetSpace:
     """The right cosets of h0 in its ambient group.  There are at most
     |G| of them, and the group itself is held to ``TABLE_LIMIT``, so the
-    space needs no budget of its own."""
+    space needs no budget of its own.  The degree is the count of cosets
+    enumerated, which ``degree_formula`` compares with |G|/|h0|."""
     table = group_table(h0.ambient)
     n = table.order
     if h0.order == 0 or n % h0.order:
         raise BadParameters("subgroup order must divide the group order")
-    degree = n // h0.order
     h_ids = h0.ids
     point_of = np.full(n, -1, dtype=np.int32)
     reps = []
@@ -56,8 +56,7 @@ def coset_space(h0: SubgroupData) -> CosetSpace:
         coset = table.mul[h_ids, eid]
         point_of[coset] = len(reps)
         reps.append(eid)
-    assert len(reps) == degree
-    return CosetSpace(table, degree, point_of, np.array(reps, dtype=np.int64))
+    return CosetSpace(table, len(reps), point_of, np.array(reps, dtype=np.int64))
 
 
 def coset_permutation(space: CosetSpace, gid: int) -> tuple[int, ...]:
@@ -130,25 +129,14 @@ def riemann_hurwitz(
     """chi and genus of the cover: chi = d*chi(S) - sum_y (deg_y - 1).
 
     The base Euler characteristic is that of the closed base surface
-    (punctures filled); each ramification multiset must sum to the
-    degree, and the result must be the Euler characteristic of a closed
-    orientable surface.
+    (punctures filled).  The formula alone: the certificate's checks
+    record whether each multiset sums to the degree, whether chi is even
+    and whether the genus is not negative.
     """
-    correction = 0
-    for multiset in ramification:
-        total = sum(length * count for length, count in multiset.items())
-        if total != degree:
-            raise InconsistentRamification(
-                f"local degrees sum to {total}, expected the degree {degree}"
-            )
-        correction += sum((length - 1) * count for length, count in multiset.items())
-    chi = degree * euler_closed_base - correction
-    if chi % 2:
-        raise InconsistentRamification(f"Euler characteristic {chi} is odd")
-    genus = 1 - chi // 2
-    if genus < 0:
-        raise InconsistentRamification(f"negative genus {genus}")
-    return chi, genus
+    chi = degree * euler_closed_base - sum(
+        (length - 1) * count for multiset in ramification for length, count in multiset.items()
+    )
+    return chi, 1 - chi // 2
 
 
 def genus_lower_bound(p: int, k: int, g: int, n: int) -> Fraction:
@@ -184,14 +172,22 @@ def characteristic_core(
     rows of free-generator image ids, since postcomposition preserves
     kernels).  The image can only be bounded a priori by the ambient
     order, so the degree is computed only when the whole product G^k is
-    within ``orbits.PRODUCT_CLOSURE_CAP``."""
+    within ``orbits.PRODUCT_CLOSURE_CAP``.  Each peripheral order is an
+    element order of the image, so it divides the degree (Lagrange); the
+    cover's ramification rests on that, so InconsistentRamification is
+    raised when it fails."""
     table = orbit.table
     peripheral = peripheral_ids(table, signature, class_rep_ids)
     orders = tuple(
         elevation_degree(table, peripheral, i) for i in range(1, signature.n + 1)
     )
+    degree = _product_closure_order(table, class_rep_ids)
+    if degree is not None and any(degree % order for order in orders):
+        raise InconsistentRamification(
+            f"peripheral orders {orders} do not all divide the image degree {degree}"
+        )
     return CharacteristicCoreReport(
         peripheral_orders=orders,
         all_at_least_two=all(o >= 2 for o in orders),
-        degree=_product_closure_order(table, class_rep_ids),
+        degree=degree,
     )

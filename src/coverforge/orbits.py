@@ -459,12 +459,9 @@ class OrbitResult:
     """
 
     table: GroupTable
-    rank: int
-    orbit_size: int
     k: int
     class_rep_ids: tuple[tuple[int, ...], ...]
     class_sizes: tuple[int, ...]
-    levels: int  # BFS levels of the orbit
 
     def class_reps_digest(self) -> str:
         """sha256 of the compact JSON list of the class reps, each a list
@@ -533,7 +530,6 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     rest (``_image_rows``).  The classified states are a bitset over the
     key space.
     """
-    size = orbit.size
     table, rank = orbit.table, orbit.rank
     n = table.order
     powers = _state_powers(n, rank)
@@ -561,7 +557,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     minima, sizes = minima[keep], sizes[keep]
     # only keys of states are ever set, so the count is the orbit's
     # exactly when every state is classified
-    if _count_bits(classified) != size or int(sizes.sum()) != size:
+    if _count_bits(classified) != orbit.size or int(sizes.sum()) != orbit.size:
         raise AssertionError("the classes must partition the orbit")
     class_sizes = tuple(sizes.tolist())
     # dropped before the reps are made
@@ -572,12 +568,9 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
         reps += block
     return OrbitResult(
         table=table,
-        rank=rank,
-        orbit_size=int(size),
         k=len(reps),
         class_rep_ids=tuple(reps),
         class_sizes=class_sizes,
-        levels=orbit.levels,
     )
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import tomllib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from coverforge.certificates import (
     ConstructConfig,
@@ -26,6 +29,7 @@ from coverforge.certificates import (
 )
 from coverforge.errors import BadParameters, BudgetExceeded, SchemaMismatch
 from coverforge.orbits import DEFAULT_ORBIT_BUDGET, PRODUCT_CLOSURE_CAP
+from test_reference_digests import CONFIGS as REFERENCE_CONFIGS
 
 
 def run_cli(*args, env_extra=None):
@@ -158,6 +162,20 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             construct(ConstructConfig(case="generic", p=5))
 
+    def test_orbit_completed_is_computed(self, monkeypatch):
+        # an orbit stage that ignores its budget of 5 and returns all 8
+        # states: the check records the overrun
+        from coverforge import certificates
+
+        original = certificates.orbit_closure
+        monkeypatch.setattr(certificates, "orbit_closure", lambda rep, budget: original(rep))
+        cert = construct(
+            ConstructConfig(case="char-cyclic", genus=0, punctures=3, orbit_budget=5)
+        )
+        assert cert["orbit"]["size"] == 8
+        assert cert["checks"]["orbit_completed"] is False
+        assert cert["all_checks_pass"] is False
+
 
 class TestVerification:
     def test_round_trip(self, char_cyclic_cert):
@@ -201,6 +219,12 @@ class TestVerification:
         report = verify(mutated)
         assert not report.passed
         assert any(path.startswith("constants.t") for path in report.mismatches)
+
+    def test_canonical_json_writes_long_integers(self):
+        # the int/str digit limit is lifted for the encode only
+        limit = sys.get_int_max_str_digits()
+        assert canonical_json({"x": 7 * 10**5000}) == '{"x":7' + "0" * 5000 + "}"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
@@ -299,6 +323,35 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"parameter error: case {case_args[1]} takes no {flag}" in err
         assert not out.exists()
+
+    def test_generic_p7_writes_its_long_integers(self, tmp_path):
+        # the cover degree has 19 346 digits, past the default int/str
+        # digit limit of 4300: construct writes them in a fresh process
+        # under that limit, and verify still refuses to read them
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+        out = tmp_path / "generic-p7.json"
+        args = ("--case", "generic", "--p", "7", "--genus", "1", "--punctures", "2")
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverforge", "construct", *args, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text()
+        assert re.search(r'"certificate_digest":"(\w+)"', text)[1] == (
+            "58156edb447cb9d8a486981955a01d843eee4f596e799f53f00b08b2c0ffb0b6"
+        )
+        assert re.search(r'"class_reps_digest":"(\w+)"', text)[1] == (
+            "b6f94cb9961029665df87438e612c5b27891efd201508eb90b91c4adc528f447"
+        )
+        assert '"all_checks_pass":true' in text
+        assert "false" not in re.search(r'"checks":\{([^}]*)\}', text)[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverforge", "verify", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 4
+        assert "unreadable integer" in proc.stderr and "12073 digits" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_budget_exit_code_and_no_file(self, tmp_path):
         out = tmp_path / "nope.json"
@@ -801,6 +854,73 @@ class TestCli:
         code = cli.main(["construct", "--case", "once-punctured", "--p", "13",
                          "--genus", "1"])
         assert code == 5
+
+
+def _positions(value, path=()):
+    """The path of every key and list index below `value`, parents first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _positions(child, path + (key,))
+
+
+class TestVerifyFuzz:
+    """Mutated reference certificates: `verify` returns a documented exit
+    code, and 0 only for a mutation that left the canonical text as it
+    was; it never raises."""
+
+    # the values a position is set to
+    VALUES = (None, True, False, 0, -1, 2**70, "", [], {}, 1.5, "x" * 5000)
+    # written in place of its JSON string once the text is made
+    HUGE = "\x00huge"
+
+    @pytest.fixture(scope="class")
+    def references(self, tmp_path_factory):
+        certs = {name: construct(config) for name, config in REFERENCE_CONFIGS.items()}
+        return certs, tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.sampled_from(sorted(REFERENCE_CONFIGS)),
+        where=st.integers(0, 10**6),
+        kind=st.sampled_from(["drop", "set", "nest"]),
+        value=st.sampled_from(VALUES),
+        redigest=st.integers(0, 4).map(bool),
+    )
+    # a literal of 10**6 digits, refused from its length alone
+    @example(name="once-punctured-p13", where=0, kind="huge", value=None, redigest=True)
+    def test_verify_exits_with_a_documented_code(
+        self, references, name, where, kind, value, redigest
+    ):
+        from coverforge import cli
+
+        certs, path = references
+        original = canonical_json(certs[name])
+        cert = json.loads(original)
+        positions = list(_positions(cert))
+        position = positions[where % len(positions)]
+        parent = cert
+        for key in position[:-1]:
+            parent = parent[key]
+        key = position[-1]
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = {"set": value, "nest": [parent[key]], "huge": self.HUGE}[kind]
+        if redigest:
+            cert = attach_digest(cert)
+        text = canonical_json(cert)
+        path.write_text(text.replace(json.dumps(self.HUGE), "7" * 10**6))
+        start = time.perf_counter()
+        code = cli.main(["verify", str(path)])
+        if kind == "huge":
+            assert code == 4 and time.perf_counter() - start < 1.0
+        elif text == original:
+            assert code in (0, 4)
+        else:
+            assert code in (2, 3, 4)
 
 
 class TestProcessEntry:

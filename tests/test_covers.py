@@ -18,6 +18,7 @@ from coverforge.catalog import (
     borel_subgroup,
     diagonal_torus,
 )
+from coverforge.certificates import ConstructConfig, _riemann_hurwitz_stage, construct
 from coverforge.errors import BadParameters, InconsistentRamification
 from coverforge.covers import (
     characteristic_core,
@@ -33,7 +34,13 @@ from coverforge.covers import (
     sums_to_degree,
     verify_deck_trivial,
 )
-from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
+from coverforge.groups import (
+    FiniteGroupHandle,
+    SubgroupData,
+    group_table,
+    normalizer,
+    subgroup_closure,
+)
 from coverforge.orbits import aut_classes, orbit_closure, verify_characteristic_closure
 from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
 from element_oracle import (
@@ -60,6 +67,18 @@ class TestCosetSpaces:
         space = coset_space(whole)
         assert space.degree == 1
         assert coset_permutation(space, u) == (0,)
+
+    def test_degree_is_the_count_of_cosets(self):
+        # a mask that is no subgroup, {1, u} with u of order 5: a new label
+        # takes its translate {g, ug}, so each of the 12 cycles of g -> ug
+        # needs at least 3 labels, where Lagrange would give 60 / 2 = 30
+        h = FiniteGroupHandle.psl2(5)
+        table = group_table(h)
+        (u,) = ids_of(h, canonicalize(1, 1, 0, 1, 5))
+        mask = np.zeros(table.order, dtype=bool)
+        mask[[table.identity_id, u]] = True
+        space = coset_space(SubgroupData(h, (u,), mask))
+        assert space.degree == len(space.reps) >= 36
 
     def test_action_is_a_homomorphism(self):
         b = build_generic(5, 1, 2)
@@ -221,9 +240,20 @@ class TestRiemannHurwitz:
         chi, genus = riemann_hurwitz(3, 2, [{3: 1}, {3: 1}, {3: 1}])
         assert (chi, genus) == (0, 1)
 
-    def test_bad_sum_rejected(self):
-        with pytest.raises(InconsistentRamification):
-            riemann_hurwitz(15, 0, [{5: 2}])
+    def test_bad_sum_rejected(self, monkeypatch):
+        # the sum's one judge is the certificate's check: with one cycle
+        # dropped from every puncture's local degrees, the cover is still
+        # written, and it records the fault
+        def drop_one_cycle(factor_types):
+            multiset = dict(local_degrees_factored(factor_types))
+            length = max(multiset)
+            multiset[length] -= 1
+            return {l: c for l, c in multiset.items() if c}
+
+        monkeypatch.setattr("coverforge.certificates.local_degrees_factored", drop_one_cycle)
+        cert = construct(ConstructConfig(case="genus-zero", p=13, punctures=3))
+        assert cert["checks"]["ramification_sums_to_degree"] is False
+        assert cert["all_checks_pass"] is False
 
     def test_sums_to_degree(self):
         assert sums_to_degree({5: 3}, 15)
@@ -232,8 +262,28 @@ class TestRiemannHurwitz:
         assert not sums_to_degree({5: 3, 1: 1}, 15)
 
     def test_odd_euler_rejected(self):
-        with pytest.raises(InconsistentRamification):
-            riemann_hurwitz(3, 2, [{3: 1}, {2: 1, 1: 1}])
+        # the formula alone gives chi = 1; the certificate's stage records
+        # the parity
+        ramification = [{3: 1}, {3: 1}, {2: 1, 1: 1}]
+        assert riemann_hurwitz(3, 2, ramification) == (1, 1)
+        checks = _riemann_hurwitz_checks(3, ramification)
+        assert checks == {"chi_even": False, "genus_nonnegative_integer": True}
+
+    def test_negative_genus_recorded(self):
+        # a degree-2 cover of the sphere with no branching has chi = 4
+        ramification = [{1: 2}] * 3
+        assert riemann_hurwitz(2, 2, ramification) == (4, -1)
+        checks = _riemann_hurwitz_checks(2, ramification)
+        assert checks == {"chi_even": True, "genus_nonnegative_integer": False}
+
+
+def _riemann_hurwitz_checks(degree, ramification) -> dict:
+    """The checks the certificate's Riemann-Hurwitz stage records for a
+    cover of the thrice-punctured sphere."""
+    checks: dict = {}
+    elevation = [max(multiset) for multiset in ramification]
+    _riemann_hurwitz_stage(degree, SurfaceSignature(0, 3), ramification, elevation, {}, checks)
+    return checks
 
 
 class TestGenusBounds:
@@ -311,6 +361,17 @@ class TestCharacteristicCore:
         assert core.degree == 108
         chi, genus = riemann_hurwitz(108, 0, [{3: 36}])
         assert (chi, genus) == (-72, 37)
+
+    def test_peripheral_order_not_dividing_the_degree_raises(self, monkeypatch):
+        # a product image of order 10 cannot hold the order-3 peripheral
+        # images, so no ramification of degree / 3 points exists
+        import coverforge.covers as covers
+
+        monkeypatch.setattr(covers, "_product_closure_order", lambda table, reps: 10)
+        b = build_characteristic_cyclic(0, 3)
+        orb = orbit_closure(b.rep)
+        with pytest.raises(InconsistentRamification, match="do not all divide"):
+            characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
 
     def test_degree_uncomputed_when_ambient_exceeds_budget(self, monkeypatch):
         import coverforge.orbits as orbits

@@ -840,9 +840,10 @@ class TestAutomorphismPerms:
 class TestAutClasses:
     def test_partition_property(self):
         b = build_genus_zero(5, 3)
-        res = aut_classes(orbit_closure(b.rep))
+        orb = orbit_closure(b.rep)
+        res = aut_classes(orb)
         assert res.k == 10
-        assert sum(res.class_sizes) == res.orbit_size == 600
+        assert sum(res.class_sizes) == orb.size == 600
 
     def test_single_identity_class(self):
         sig = SurfaceSignature(0, 3)
@@ -853,15 +854,17 @@ class TestAutClasses:
 
     def test_char_cyclic_classes(self):
         b = build_characteristic_cyclic(0, 3)
-        res = aut_classes(orbit_closure(b.rep))
-        assert res.orbit_size == 8
+        orb = orbit_closure(b.rep)
+        res = aut_classes(orb)
+        assert orb.size == 8
         assert res.k == 4
         assert res.class_rep_ids == ((1, 1), (0, 1), (1, 0), (1, 2))
 
     def test_char_sym3_classes(self):
         b = build_characteristic_sym3(1)
-        res = aut_classes(orbit_closure(b.rep))
-        assert res.orbit_size == 18
+        orb = orbit_closure(b.rep)
+        res = aut_classes(orb)
+        assert orb.size == 18
         assert res.k == 3
 
     # label -> rep
@@ -923,7 +926,7 @@ class TestAutClasses:
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
         assert not verify_characteristic_closure(mutated)
         res = aut_classes(mutated)
-        assert (res.orbit_size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
+        assert (mutated.size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
 
     def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
         # this orbit is not Aut-invariant: half of each class's images
@@ -1020,7 +1023,7 @@ class TestRelabelledIds:
         digits = np.stack(orbits._decode_digits(orbit_keys(orb), table.order, orb.rank), axis=1)
         assert np.array_equal(orbit_keys(moved), np.sort(relabel[digits] @ powers))
         assert (moved.levels, moved.expansions) == (orb.levels, orb.expansions)
-        assert (moved_res.orbit_size, moved_res.k) == (res.orbit_size, res.k)
+        assert (moved.size, moved_res.k) == (orb.size, res.k)
         assert moved_res.class_rep_ids[0] == start
         assert moved_res.class_sizes[0] == res.class_sizes[0]
         assert sorted(moved_res.class_sizes) == sorted(res.class_sizes)
@@ -1032,12 +1035,9 @@ class TestHall:
         res = aut_classes(orbit_closure(b.rep))
         dup = OrbitResult(
             table=res.table,
-            rank=res.rank,
-            orbit_size=res.orbit_size,
             k=2,
             class_rep_ids=(res.class_rep_ids[0], res.class_rep_ids[0]),
             class_sizes=(res.class_sizes[0],) * 2,
-            levels=res.levels,
         )
         report = verify_hall_surjectivity(dup)
         assert not report.pairwise_inequivalent
@@ -1048,12 +1048,9 @@ class TestHall:
         res = aut_classes(orbit_closure(b.rep))
         one = OrbitResult(
             table=res.table,
-            rank=res.rank,
-            orbit_size=res.orbit_size,
             k=1,
             class_rep_ids=res.class_rep_ids[:1],
             class_sizes=res.class_sizes[:1],
-            levels=res.levels,
         )
         assert verify_hall_surjectivity(one).ok
 
@@ -1070,7 +1067,7 @@ class TestHall:
         bad = dataclasses.replace(
             res,
             k=res.k + 1,
-            class_rep_ids=res.class_rep_ids + ((table.identity_id,) * res.rank,),
+            class_rep_ids=res.class_rep_ids + ((table.identity_id,) * len(res.class_rep_ids[0]),),
             class_sizes=res.class_sizes + (1,),
         )
         whole = verify_hall_surjectivity(bad)
@@ -1145,8 +1142,9 @@ class TestHallLemma:
             assert res.table.order**res.k > orbits.PRODUCT_CLOSURE_CAP, label
 
     def test_rank3_classes_outnumber_half_the_group(self):
-        res = aut_classes(orbit_closure(build_generic(5, 1, 2).rep))
-        assert res.rank == 3 and res.k >= res.table.order / 2
+        orb = orbit_closure(build_generic(5, 1, 2).rep)
+        res = aut_classes(orb)
+        assert orb.rank == 3 and res.k >= res.table.order / 2
 
     def test_random_generating_pairs(self):
         rng = np.random.default_rng(23)
@@ -1199,8 +1197,7 @@ class TestClassRepsDigest:
         for count in (1, 7, 300):
             reps = tuple(map(tuple, rng.integers(0, table.order, size=(count, rank)).tolist()))
             result = OrbitResult(
-                table=table, rank=rank, orbit_size=count, k=count,
-                class_rep_ids=reps, class_sizes=(1,) * count, levels=1,
+                table=table, k=count, class_rep_ids=reps, class_sizes=(1,) * count,
             )
             payload = json.dumps(
                 [[encode(table, i) for i in ids] for ids in reps],
