@@ -295,7 +295,7 @@ def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitR
     orbit = orbit_closure(rep, config.orbit_budget)
     result = aut_classes(orbit)
     checks["orbit_completed"] = orbit.size <= config.orbit_budget
-    checks["characteristic_closure"] = verify_characteristic_closure(orbit)
+    checks["characteristic_closure"] = verify_characteristic_closure(orbit, result)
     cert["orbit"] = {
         "size": orbit.size,
         "k": result.k,
@@ -341,7 +341,8 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
     index = space.degree
     degree = index**k
     # one row of c_1 .. c_n ids per class rep; each distinct id's coset
-    # cycle type is computed once and shared by every rep that has it
+    # cycle type is computed once, and each puncture counts the reps
+    # that have each id
     peripheral = peripheral_ids(table, sig, class_rep_ids)
     distinct, where = np.unique(peripheral, return_inverse=True)
     where = where.reshape(peripheral.shape)
@@ -353,7 +354,8 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
     quotient_divides = True
     h_order_k = h0.order**k
     for i in range(1, sig.n + 1):
-        multiset = local_degrees_factored([types[j] for j in where[:, i - 1]])
+        reps_with = np.bincount(where[:, i - 1], minlength=len(types))
+        multiset = local_degrees_factored(types, reps_with.tolist())
         d_i = elevation_degree(table, peripheral, i)
         delta_i = profile.orders[i - 1]
         sums_ok &= sums_to_degree(multiset, degree)

@@ -89,15 +89,20 @@ def combine_cycle_types(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
     return dict(out)
 
 
-def local_degrees_factored(factor_types: Sequence[dict[int, int]]) -> dict[int, int]:
+def local_degrees_factored(
+    factor_types: Sequence[dict[int, int]], multiplicities: Sequence[int]
+) -> dict[int, int]:
     """Cycle type of the diagonal action on a product of coset spaces,
-    from the per-factor cycle types.  Combining is commutative and
-    associative, so equal types are grouped and each is raised to its
-    multiplicity by repeated squaring: O(distinct types * log k)
-    combines for k factors instead of k - 1."""
-    if not factor_types:
+    given per-factor cycle types with the number of factors that have
+    each.  Combining is commutative and associative, so equal types are
+    grouped and each is raised to its multiplicity by repeated squaring:
+    O(distinct types * log k) combines for k factors instead of k - 1."""
+    counts: Counter = Counter()
+    for factor_type, multiplicity in zip(factor_types, multiplicities, strict=True):
+        if multiplicity:
+            counts[tuple(sorted(factor_type.items()))] += multiplicity
+    if not counts:
         raise BadParameters("need at least one factor")
-    counts = Counter(tuple(sorted(t.items())) for t in factor_types)
     result = None
     for items, multiplicity in counts.items():
         base = dict(items)

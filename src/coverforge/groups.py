@@ -391,8 +391,9 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     """Products by row vectors: a row (u, v) times element j is the row
     (u a_j + v c_j, u b_j + v d_j), so one (p**2, n) array of row codes
     gives both rows of every product, and the lookup maps the product's
-    entry code, of either sign, to its id.  Each block of rows is looked
-    up in int32 and stored as 16-bit ids."""
+    entry code, of either sign, to its id.  The row codes are made one
+    value of u at a time; each block of rows joins its two row codes in
+    int32, is looked up and is stored as 16-bit ids."""
     p = handle.p
     n = len(entries)
     ids = np.arange(n, dtype=np.int32)
@@ -400,15 +401,22 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     lookup[_encode_entries(*entries.T, p)] = ids
     lookup[_encode_entries(*((p - entries.T) % p), p)] = ids
     a, b, c, d = entries.T.astype(np.int32)
-    u = np.repeat(np.arange(p, dtype=np.int32), p)[:, None]
-    v = np.tile(np.arange(p, dtype=np.int32), p)[:, None]
-    row_code = (u * a + v * c) % p * p + (u * b + v * d) % p
+    # a row code is below p**2, and 16-bit ids already hold n < 2**16,
+    # so p < 52 and p**2 < 2**16
+    row_code = np.empty((p * p, n), dtype=np.uint16)
+    v = np.arange(p, dtype=np.int32)[:, None]
+    for u in range(p):
+        row_code[u * p : (u + 1) * p] = (u * a + v * c) % p * p + (u * b + v * d) % p
     top, bottom = a * p + b, c * p + d
     mul = np.empty((n, n), dtype=_ID_DTYPE)
     step = max(1, _BLOCK_BYTES // (4 * n))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        mul[rows] = lookup[row_code[top[rows]] * (p * p) + row_code[bottom[rows]]]
+        code = row_code[top[rows]].astype(np.int32)
+        code *= p * p
+        code += row_code[bottom[rows]]
+        mul[rows] = lookup[code]
+        del code  # before the next block is made
     inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)].astype(_ID_DTYPE)
     identity_id = int(lookup[_encode_entries(1, 0, 0, 1, p)])
     return GroupTable(handle, entries, lookup, mul, inv, identity_id)
@@ -497,30 +505,45 @@ def closure_ids(table: GroupTable, gen_rows) -> np.ndarray:
     need no budget of their own.
 
     Rows go in blocks whose working arrays fill at most ``_BLOCK_BYTES``
-    beside the result.  Per row a block holds its generators (8 bytes
-    each) and per membership cell a mask of the level's new cells
-    (1 byte) and, for a cell the level reaches, 34 bytes: its row and
-    element, the generator, the product and its index.  A level may
-    reach every cell of a small group, so the block is sized for that.
+    beside the result.  A block's cells are flat indices into its rows
+    of the result, and each product is one gather from the flat table
+    at ``element * n + generator``.  Per row a block holds its generators
+    (8 bytes each) and per membership cell a mask of the level's new
+    cells (1 byte); per cell the level reaches it holds the cell's row
+    and its element times n (8 bytes each), made from the cell's flat
+    index (8) in place, and for one generator at a time the gather or
+    output index (8) and the product (2, 4 while the next replaces it).
+    So 29 bytes per membership cell bound it.  A level may reach every
+    cell of a small group, so the block is sized for that.
     """
     first = np.asarray(gen_rows[:1], dtype=np.int64)
     if first.ndim != 2:
         raise BadParameters("closure_ids takes an (m, r) array of generator rows")
     n = table.order
+    mul = table.mul.ravel()
     out = np.zeros((len(gen_rows), n), dtype=bool)
     out[:, table.identity_id] = True
-    step = max(1, _BLOCK_BYTES // (8 * first.shape[1] + 35 * n))
+    step = max(1, _BLOCK_BYTES // (8 * first.shape[1] + 29 * n))
     for lo in range(0, len(out), step):
         block = np.asarray(gen_rows[lo : lo + step], dtype=np.int64)
-        member = out[lo : lo + step]
-        rows, elems = np.nonzero(member)
-        while rows.size:
+        member = out[lo : lo + step].reshape(-1)
+        cells = np.flatnonzero(member)
+        while cells.size:
+            rows = cells // n
+            cells -= rows * n
+            cells *= n
+            index = np.empty_like(rows)
             fresh = np.zeros_like(member)
-            for j in range(block.shape[1]):
-                fresh[rows, table.mul[elems, block[rows, j]]] = True
+            for gens in block.T:
+                np.take(gens, rows, out=index)
+                index += cells
+                products = mul[index]
+                np.multiply(rows, n, out=index)
+                index += products
+                fresh[index] = True
             # the cells reached now and not before
             np.greater(fresh, member, out=fresh)
             member |= fresh
-            del rows, elems  # before the next level's are made
-            rows, elems = np.nonzero(fresh)
+            del rows, cells, index  # before the next level's are made
+            cells = np.flatnonzero(fresh)
     return out

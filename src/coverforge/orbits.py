@@ -24,12 +24,15 @@ arrays fill one block of bytes and keeps each BFS level sorted, but
 holds no level but the frontier.  The visited states are a bitset with
 one bit per key: a membership test is one gather, and a chunk's new
 states are set in it at once.  That bitset and the number of states are
-the orbit: no array of all the states is made, and every stage after the
-BFS reads the states off the bitset in key order, a block of keys at a
-time (``_key_blocks``).  Every stage that runs in blocks (the BFS chunk,
-the closure check, the class-partition batches, the class keys) sizes a
-block by all the arrays it makes, so a stage's working memory stays
-within one block of bytes on top of the data the run keeps.
+the orbit: no array of all the states is made.  The class partition,
+``orbit --dump`` and the closure check's fallback read the states off
+the bitset in key order, a block of keys at a time (``_key_blocks``);
+the closure check of an orbit made of whole Aut classes reads only the
+class reps and tests their moves against the bitset.  Every stage that
+runs in blocks (the BFS chunk, the closure check, the class-partition
+batches, the class keys) sizes a block by all the arrays it makes, so a
+stage's working memory stays within one block of bytes on top of the
+data the run keeps.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
@@ -419,31 +422,74 @@ def _new_states(chunk, n, rank, moves, visited) -> np.ndarray:
     return fresh
 
 
-def verify_characteristic_closure(orbit: OrbitClosure) -> bool:
-    """Every Nielsen move maps every orbit member back into the orbit.
+def verify_characteristic_closure(orbit: OrbitClosure, result: OrbitResult) -> bool:
+    """Every Nielsen move maps every orbit member back into the orbit,
+    given the orbit's Aut classes (``aut_classes``).
 
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
     automorphisms.  A move is injective and the states are distinct, so
-    the orbit is closed under it exactly when every image's bit is set
-    in ``members``.  The states go in key blocks whose working arrays
-    fill ``_BLOCK_BYTES``: per state its key and digits (8 bytes each),
-    and one move's image while it is made (18) or tested (17), or 24
-    bytes while the next block is read (``_key_blocks``).
+    the orbit S is closed under it exactly when the image of every state
+    has its bit set in ``members``.  The check has two branches.
+
+    - The reps, when every class has |Aut G| states.  A class is the Aut
+      images of its rep that lie in S, and it has at most |Aut G| of
+      them, so then every image of every rep is in S, and S is a union
+      of whole Aut orbits: sigma(S) = S for every sigma in Aut G.
+      Postcomposition by sigma commutes with the moves, which act by
+      precomposition (Gross and Tucker, Topological Graph Theory, 1987,
+      ch. 2).  So for x = sigma(c), c a rep, m(x) = sigma(m(c)), and
+      m(S) is in S exactly when m(c) is in S for every rep c: k tests
+      per move (``_reps_closed``).
+    - Every state, otherwise (``_states_closed``).
+
+    The premise is read off the data: a class size counts the images
+    found in S (``aut_classes``), so an S that holds part of an Aut orbit
+    has a class short of |Aut G| and takes the second branch.
     """
+    if set(result.class_sizes) == {_aut_count(orbit.table)}:
+        return _reps_closed(orbit, result.class_rep_ids)
+    return _states_closed(orbit)
+
+
+def _reps_closed(orbit: OrbitClosure, reps: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every move maps every rep (an id tuple) to a key set in
+    ``members``.  The reps go in blocks whose working arrays fill
+    ``_BLOCK_BYTES``: per rep its ids and key (8 bytes each), and one
+    move's image while it is made (18) or tested (17)."""
+    n, rank = orbit.table.order, orbit.rank
+    moves, powers = _nielsen_moves(orbit.table, rank), _state_powers(n, rank)
+    step = max(1, _BLOCK_BYTES // (8 * rank + 26))
+    ids = itertools.chain.from_iterable(reps)
+    for lo in range(0, len(reps), step):
+        count = min(step, len(reps) - lo) * rank
+        rows = np.fromiter(ids, dtype=np.int64, count=count).reshape(-1, rank)
+        if not _block_closed(orbit.members, _encode_rows(rows, powers), list(rows.T), moves):
+            return False
+        del rows  # before the next block is made
+    return True
+
+
+def _states_closed(orbit: OrbitClosure) -> bool:
+    """Whether every move maps every state to a key set in ``members``.
+    The states go in key blocks whose working arrays fill
+    ``_BLOCK_BYTES``: per state its key and digits (8 bytes each), and
+    one move's image while it is made (18) or tested (17), or 24 bytes
+    while the next block is read (``_key_blocks``)."""
     members, n, rank = orbit.members, orbit.table.order, orbit.rank
     moves = _nielsen_moves(orbit.table, rank)
     step = max(1, _BLOCK_BYTES // (8 * rank + 26))
     return all(
-        _block_closed(members, keys, n, rank, moves) for keys in _key_blocks(members, step)
+        _block_closed(members, keys, _decode_digits(keys, n, rank), moves)
+        for keys in _key_blocks(members, step)
     )
 
 
-def _block_closed(members, block, n, rank, moves) -> bool:
-    """Whether every move maps every state of the block to a key set in
-    `members`; each image is dropped once it is tested."""
-    digits = _decode_digits(block, n, rank)
-    return all(_test_bits(members, move(block, digits)).all() for move in moves)
+def _block_closed(members, keys, digits, moves) -> bool:
+    """Whether every move maps every state of the block, given by its
+    keys and their digits, to a key set in `members`; each image is
+    dropped once it is tested."""
+    return all(_test_bits(members, move(keys, digits)).all() for move in moves)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_criterion_06_factored_direct_equivalence():
                     for y in range(d):
                         product_perm[x * d + y] = perm[x] * d + perm[y]
                 direct = cycle_type(product_perm)
-                factored = local_degrees_factored([cycle_type(perm)] * 2)
+                factored = local_degrees_factored([cycle_type(perm)], [2])
                 assert direct == factored, (build.p, build.signature, i)
 
 

@@ -168,7 +168,7 @@ class TestFactoredCombination:
                 for y in range(d):
                     product_perm[x * d + y] = perm[x] * d + perm[y]
             direct = cycle_type(product_perm)
-            factored = local_degrees_factored([cycle_type(perm), cycle_type(perm)])
+            factored = local_degrees_factored([cycle_type(perm)], [2])
             assert direct == factored
 
     @settings(max_examples=50)
@@ -185,16 +185,30 @@ class TestFactoredCombination:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_squaring_matches_plain_reduce(self, seed):
-        # equal factor types are raised to their multiplicity by squaring;
-        # the plain left fold over every factor is the oracle
+        # each distinct type is raised to its number of factors by
+        # squaring; the plain left fold over one factor per rep, drawn
+        # the way the pipeline's reps pick peripheral ids, is the oracle.
+        # The last type is drawn by no rep, so its count is 0
         rng = np.random.default_rng(seed)
         types = [
             {int(l): int(rng.integers(1, 5)) for l in rng.choice([1, 2, 3, 4, 6, 12], size=3)}
-            for _ in range(3)
+            for _ in range(4)
         ]
-        factors = [t for t in types for _ in range(int(rng.integers(1, 2001)))]
-        rng.shuffle(factors)
-        assert local_degrees_factored(factors) == functools.reduce(combine_cycle_types, factors)
+        where = rng.integers(0, 3, size=int(rng.integers(1, 4001)))
+        counts = np.bincount(where, minlength=len(types)).tolist()
+        factors = [types[j] for j in where]
+        assert counts[-1] == 0
+        assert local_degrees_factored(types, counts) == functools.reduce(
+            combine_cycle_types, factors
+        )
+        with pytest.raises(BadParameters, match="at least one factor"):
+            local_degrees_factored(types, [0] * len(types))
+        # a count without its type, or a type without its count, is refused
+        # rather than dropped from the multiset
+        with pytest.raises(ValueError):
+            local_degrees_factored(types, counts + [1])
+        with pytest.raises(ValueError):
+            local_degrees_factored(types, counts[:-1])
 
     def test_combine_preserves_total(self):
         a, b = {5: 3, 1: 2}, {3: 4, 2: 1}
@@ -244,8 +258,8 @@ class TestRiemannHurwitz:
         # the sum's one judge is the certificate's check: with one cycle
         # dropped from every puncture's local degrees, the cover is still
         # written, and it records the fault
-        def drop_one_cycle(factor_types):
-            multiset = dict(local_degrees_factored(factor_types))
+        def drop_one_cycle(factor_types, multiplicities):
+            multiset = local_degrees_factored(factor_types, multiplicities)
             length = max(multiset)
             multiset[length] -= 1
             return {l: c for l, c in multiset.items() if c}
@@ -339,9 +353,10 @@ class TestCharacteristicCore:
         h = FiniteGroupHandle.cyclic(2)
         rep = RepTuple(sig, h, ids_of(h, Residue(1, 2), Residue(0, 2)))
         orb = orbit_closure(rep)
-        core = characteristic_core(aut_classes(orb).class_rep_ids, sig, orb)
+        res = aut_classes(orb)
+        core = characteristic_core(res.class_rep_ids, sig, orb)
         assert core.degree == 4
-        assert verify_characteristic_closure(orb)
+        assert verify_characteristic_closure(orb, res)
 
     def test_char_cyclic_numbers(self):
         b = build_characteristic_cyclic(0, 3)

@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "coverforge"
 
 ALLOWED: dict[str, str] = {
     "OrbitClosure.expansions": "read by perfbench/traced.py for orbits.expansions",
-    "OrbitResult.class_sizes": "the class partition, which tests compare with an oracle",
 }
 
 

@@ -399,6 +399,41 @@ class TestTables:
             for j in range(60):
                 assert els[table.mul[i, j]] == x * els[j]
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_psl2_table_is_the_product_of_entries(self, p):
+        # every cell against the 2x2 product of the entries mod p, found
+        # by its base-p code, of either sign, among the sorted codes of
+        # the entries; the inverse times the element is +-I
+        table = group_table(FiniteGroupHandle.psl2(p))
+        n = table.order
+        place = p ** np.arange(3, -1, -1)
+        codes = table.entries @ place
+        a2, b2, c2, d2 = table.entries.T
+
+        def ids_of_entries(entries):
+            found = np.full(entries.shape[:-1], -1)
+            for sign in (1, -1):
+                code = (sign * entries % p) @ place
+                at = np.minimum(np.searchsorted(codes, code), n - 1)
+                found = np.where(codes[at] == code, at, found)
+            assert (found >= 0).all()
+            return found
+
+        assert table.mul.dtype == np.uint16 and table.mul.shape == (n, n)
+        for lo in range(0, n, 64):
+            a1, b1, c1, d1 = (x[:, None] for x in table.entries[lo : lo + 64].T)
+            products = np.stack(
+                [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2],
+                axis=-1,
+            )
+            assert np.array_equal(table.mul[lo : lo + 64], ids_of_entries(products))
+        a1, b1, c1, d1 = table.entries[table.inv].T
+        identity = np.stack(
+            [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2], axis=-1
+        )
+        assert (ids_of_entries(identity) == table.identity_id).all()
+        assert table.entries[table.identity_id].tolist() == [1, 0, 0, 1]
+
     def test_psl2_table_p13_samples(self):
         handle = FiniteGroupHandle.psl2(13)
         table = group_table(handle)

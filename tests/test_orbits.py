@@ -6,14 +6,14 @@ import itertools
 import json
 import math
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coverforge import groups, orbits
+from coverforge import certificates, groups, orbits
 from coverforge.catalog import (
     build_characteristic_cyclic,
     build_characteristic_sym3,
@@ -43,6 +43,13 @@ from coverforge.orbits import (
 )
 from coverforge.surfaces import RepTuple, SurfaceSignature
 from element_oracle import Residue, element_of, element_order, elements, identity, ids_of
+from test_reference_digests import (
+    CONFIGS,
+    GOLDEN,
+    MANY_CLASS_GOLDEN,
+    PSL2_RANK2_GOLDEN,
+    STAGE_PATH_GOLDEN,
+)
 
 
 def all_id_tuples(orb):
@@ -62,6 +69,17 @@ def drop_state(orb, key):
     members = orb.members.copy()
     members[key >> 3] &= np.uint8(0xFF ^ (1 << (key & 7)))
     return dataclasses.replace(orb, members=members, size=orb.size - 1)
+
+
+def drop_class(orb, rep_ids):
+    """A planted fault: a copy of the orbit whose bitset lacks the whole
+    Aut class of the state `rep_ids`, its images under every automorphism
+    (``reference_aut_rows``), with the size reduced by their number."""
+    images = reference_aut_rows(orb.table)[:, list(rep_ids)]
+    keys = np.unique(images @ orbits._state_powers(orb.table.order, orb.rank))
+    members = orb.members.copy()
+    np.bitwise_and.at(members, keys >> 3, ~np.left_shift(1, keys & 7).astype(np.uint8))
+    return dataclasses.replace(orb, members=members, size=orb.size - keys.size)
 
 
 def toy_rep():
@@ -197,16 +215,21 @@ class TestToyOrbit:
 
     def test_characteristic_closure(self):
         orb = orbit_closure(toy_rep())
-        assert verify_characteristic_closure(orb)
+        assert verify_characteristic_closure(orb, aut_classes(orb))
 
     def test_mutated_orbit_fails_closure(self):
         orb = orbit_closure(toy_rep())
+        start_key = 2 * 1 + 0
         for key in orbit_keys(orb).tolist():
-            assert not verify_characteristic_closure(drop_state(orb, key))
-        # without the starting state the partition has no first class
-        start = drop_state(orb, 2 * 1 + 0)
+            if key != start_key:
+                mutated = drop_state(orb, key)
+                assert not verify_characteristic_closure(mutated, aut_classes(mutated))
+        # without the starting state the partition has no first class, so
+        # only the full branch, which takes no partition, can judge it
+        start = drop_state(orb, start_key)
         with pytest.raises(AssertionError, match="starting state"):
             aut_classes(start)
+        assert not orbits._states_closed(start)
 
 
 class TestEngineContract:
@@ -397,7 +420,16 @@ class TestWorkingMemory:
         assert peak < 8 * orb.size
 
     def test_closure_check_within_one_block(self, sym3_orbit):
-        closed, over = self.traced(lambda: verify_characteristic_closure(sym3_orbit))
+        res = aut_classes(sym3_orbit)
+        # every class is full, so the check runs on the 7623 reps
+        assert set(res.class_sizes) == {orbits._aut_count(sym3_orbit.table)}
+        closed, over = self.traced(lambda: verify_characteristic_closure(sym3_orbit, res))
+        assert closed
+        # converting every rep at once would add some 0.37 MB
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
+
+    def test_full_closure_check_within_one_block(self, sym3_orbit):
+        closed, over = self.traced(lambda: orbits._states_closed(sym3_orbit))
         assert closed
         # a block of 32768 states held 2.55 MiB of digits and images
         assert over <= orbits._BLOCK_BYTES + self.OBJECTS
@@ -512,7 +544,7 @@ class TestOrbitEngine:
         assert orb.size == 15
         res = aut_classes(orb)
         assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
-        assert verify_characteristic_closure(orb)
+        assert verify_characteristic_closure(orb, res)
 
         perms = reference_aut_rows(orb.table)
         # the exact class minima, in Python ints
@@ -924,8 +956,8 @@ class TestAutClasses:
         orb = orbit_closure(build_characteristic_sym3(1).rep)
         assert aut_classes(orb).class_sizes == (6, 6, 6)
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
-        assert not verify_characteristic_closure(mutated)
         res = aut_classes(mutated)
+        assert not verify_characteristic_closure(mutated, res)
         assert (mutated.size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
 
     def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
@@ -1314,3 +1346,113 @@ class TestCommutatorTraceOracle:
         # a rank-2 state encodes (i, j) as i * n + j, the row-major index
         assert level_set[orbit_keys(orb)].all()
         assert (orb.size, int(level_set.sum())) == (orbit_size, l_size)
+
+
+def pinned_orbit_configs():
+    """name -> config of every orbit that the digest tables pin
+    (tests/test_reference_digests.py); a single-factor run has none."""
+    configs = {name: CONFIGS[name] for name in GOLDEN}
+    for table in (MANY_CLASS_GOLDEN, PSL2_RANK2_GOLDEN, STAGE_PATH_GOLDEN):
+        configs.update((name, entry[0]) for name, entry in table.items())
+    return {name: config for name, config in configs.items() if not config.single_factor}
+
+
+PINNED_ORBIT_CONFIGS = pinned_orbit_configs()
+
+
+@cache
+def pinned_orbit(name):
+    """The orbit of a pinned configuration and its Aut classes, built once."""
+    config = PINNED_ORBIT_CONFIGS[name]
+    orb = orbit_closure(certificates._build_case(config).rep, config.orbit_budget)
+    return orb, aut_classes(orb)
+
+
+def refuse_branch(*args):
+    raise AssertionError("the closure check took the other branch")
+
+
+class TestClosureBranches:
+    """The closure check tests the class reps when every class has
+    |Aut G| states, and every state otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ORBIT_CONFIGS))
+    def test_branches_agree_on_pinned_orbits(self, name):
+        orb, res = pinned_orbit(name)
+        full = set(res.class_sizes) == {len(reference_aut_rows(orb.table))}
+        # genus-zero p5 is the one pinned orbit with classes of half |Aut G|
+        assert full == (name != "genus-zero-p5-n3")
+        assert orbits._reps_closed(orb, res.class_rep_ids)
+        assert orbits._states_closed(orb)
+        assert verify_characteristic_closure(orb, res)
+        if full and res.k > 1:
+            # both branches see a whole class taken out
+            mutated = drop_class(orb, res.class_rep_ids[-1])
+            cut = aut_classes(mutated)
+            assert set(cut.class_sizes) == set(res.class_sizes) and cut.k == res.k - 1
+            assert not orbits._reps_closed(mutated, cut.class_rep_ids)
+            assert not orbits._states_closed(mutated)
+
+    @pytest.mark.parametrize("name", ["char-sym3-g1", "genus-zero-p13-n3"])
+    def test_missing_class_fails_on_the_reps(self, name, monkeypatch):
+        # every remaining class is full, so the reps decide: a move from
+        # some state lands in the removed class, and so does the same move
+        # from that state's rep
+        orb, res = pinned_orbit(name)
+        mutated = drop_class(orb, res.class_rep_ids[-1])
+        cut = aut_classes(mutated)
+        monkeypatch.setattr(orbits, "_states_closed", refuse_branch)
+        assert not verify_characteristic_closure(mutated, cut)
+        assert verify_characteristic_closure(orb, res)
+
+    def test_genus_zero_p5_takes_the_full_check(self, monkeypatch):
+        orb, res = pinned_orbit("genus-zero-p5-n3")
+        monkeypatch.setattr(orbits, "_reps_closed", refuse_branch)
+        assert verify_characteristic_closure(orb, res)
+        mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
+        assert not verify_characteristic_closure(mutated, aut_classes(mutated))
+
+
+def jordan_totient(r, n):
+    """J_r(n): the r-tuples over Z/n that generate it."""
+    out = n**r
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            out = out // p**r * (p**r - 1)
+    return out
+
+
+class TestClosedFormOrbits:
+    """Closed forms for the characteristic orbits, which are every
+    generating tuple: Z/n has J_r(n) of them and Aut Z/n acts freely with
+    phi(n) elements; Sym(3) has 6**r - 3**r - 3 * 2**r + 3 (a tuple
+    generates unless it lies in A_3 or in one of the three subgroups of
+    order 2) and Aut Sym(3) acts freely with 6.  So every class is full,
+    and the closure check runs on the reps."""
+
+    CHARACTERISTIC = {
+        "char-cyclic-g0-n3": (8, 4),
+        "char-cyclic-g1-n2": (7, 7),
+        "char-cyclic-n6": (7502, 3751),
+        "char-sym3-g1": (18, 3),
+        "char-sym3-g2": (1170, 195),
+        "char-sym3-g3": (45738, 7623),
+    }
+
+    def test_every_pinned_characteristic_orbit_is_listed(self):
+        assert {
+            name for name, config in PINNED_ORBIT_CONFIGS.items()
+            if config.case in ("char-cyclic", "char-sym3")
+        } == set(self.CHARACTERISTIC)
+
+    @pytest.mark.parametrize("name", sorted(CHARACTERISTIC))
+    def test_orbit_and_class_count(self, name):
+        orb, res = pinned_orbit(name)
+        n, r = orb.table.order, orb.rank
+        if orb.table.handle.kind == "cyclic":
+            size, aut = jordan_totient(r, n), jordan_totient(1, n)
+        else:
+            size, aut = 6**r - 3**r - 3 * 2**r + 3, 6
+        states = int(np.unpackbits(orb.members).sum())
+        assert (states, res.k) == (size, size // aut) == self.CHARACTERISTIC[name]
+        assert orb.size == states
