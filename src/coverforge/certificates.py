@@ -326,7 +326,7 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
     }
 
     if result is None:
-        k, class_rep_ids = 1, (rep.images,)
+        k, class_rep_ids = 1, np.array([rep.images], dtype=np.int64)
         cert["variant"] = "single-factor-diagnostic"
         cert["budget_used"] = {"hall_mode": None}
     else:

@@ -170,17 +170,17 @@ class CharacteristicCoreReport:
 
 
 def characteristic_core(
-    class_rep_ids, signature: SurfaceSignature, orbit: OrbitClosure
+    class_rep_ids: np.ndarray, signature: SurfaceSignature, orbit: OrbitClosure
 ) -> CharacteristicCoreReport:
     """Summarize the regular cover attached to the intersection of the
     kernels over the orbit (equivalently over the class reps, given as
-    rows of free-generator image ids, since postcomposition preserves
-    kernels).  The image can only be bounded a priori by the ambient
-    order, so the degree is computed only when the whole product G^k is
-    within ``orbits.PRODUCT_CLOSURE_CAP``.  Each peripheral order is an
-    element order of the image, so it divides the degree (Lagrange); the
-    cover's ramification rests on that, so InconsistentRamification is
-    raised when it fails."""
+    the (k, r) int64 matrix of free-generator image ids, since
+    postcomposition preserves kernels).  The image can only be bounded a
+    priori by the ambient order, so the degree is computed only when the
+    whole product G^k is within ``orbits.PRODUCT_CLOSURE_CAP``.  Each
+    peripheral order is an element order of the image, so it divides the
+    degree (Lagrange); the cover's ramification rests on that, so
+    InconsistentRamification is raised when it fails."""
     table = orbit.table
     peripheral = peripheral_ids(table, signature, class_rep_ids)
     orders = tuple(

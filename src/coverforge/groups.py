@@ -393,7 +393,9 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
     gives both rows of every product, and the lookup maps the product's
     entry code, of either sign, to its id.  The row codes are made one
     value of u at a time; each block of rows joins its two row codes in
-    int32, is looked up and is stored as 16-bit ids."""
+    int32, is looked up and is stored as 16-bit ids.  A block holds the
+    int32 code, the intp index the lookup makes of it and the int32 ids
+    it gathers at once: 16 bytes per cell."""
     p = handle.p
     n = len(entries)
     ids = np.arange(n, dtype=np.int32)
@@ -409,7 +411,7 @@ def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
         row_code[u * p : (u + 1) * p] = (u * a + v * c) % p * p + (u * b + v * d) % p
     top, bottom = a * p + b, c * p + d
     mul = np.empty((n, n), dtype=_ID_DTYPE)
-    step = max(1, _BLOCK_BYTES // (4 * n))
+    step = max(1, _BLOCK_BYTES // (16 * n))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         code = row_code[top[rows]].astype(np.int32)

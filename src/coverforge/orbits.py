@@ -30,15 +30,20 @@ the bitset in key order, a block of keys at a time (``_key_blocks``);
 the closure check of an orbit made of whole Aut classes reads only the
 class reps and tests their moves against the bitset.  Every stage that
 runs in blocks (the BFS chunk, the closure check, the class-partition
-batches, the class keys) sizes a block by all the arrays it makes, so a
-stage's working memory stays within one block of bytes on top of the
-data the run keeps.
+batches, the class keys, the reps digest) sizes a block by all the
+arrays it makes, so a stage's working memory stays within one block of
+bytes on top of the data the run keeps.
 
 One engine runs the class partition, in seed batches: each step takes
 the next unclassified states, computes all their automorphism images
 from the group table at once (``automorphism_images``; no automorphism
 matrix is stored), finds them in the orbit and marks them classified; a
-seed's smallest image in the orbit is its class minimum.
+seed's smallest image in the orbit is its class minimum.  It stops
+reading key blocks once every state is classified.  The class reps are
+one read-only (k, r) int64 id matrix (``OrbitResult.class_rep_ids``),
+which every class stage reads as it is: the closure check, the
+peripheral ids and the reps digest take it a block of rows at a time,
+and the product image takes its columns.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -452,21 +457,18 @@ def verify_characteristic_closure(orbit: OrbitClosure, result: OrbitResult) -> b
     return _states_closed(orbit)
 
 
-def _reps_closed(orbit: OrbitClosure, reps: Sequence[tuple[int, ...]]) -> bool:
-    """Whether every move maps every rep (an id tuple) to a key set in
-    ``members``.  The reps go in blocks whose working arrays fill
-    ``_BLOCK_BYTES``: per rep its ids and key (8 bytes each), and one
+def _reps_closed(orbit: OrbitClosure, reps: np.ndarray) -> bool:
+    """Whether every move maps every rep (a row of the id matrix) to a
+    key set in ``members``.  The reps go in blocks of rows whose working
+    arrays fill ``_BLOCK_BYTES``: per rep its key (8 bytes), and one
     move's image while it is made (18) or tested (17)."""
     n, rank = orbit.table.order, orbit.rank
     moves, powers = _nielsen_moves(orbit.table, rank), _state_powers(n, rank)
-    step = max(1, _BLOCK_BYTES // (8 * rank + 26))
-    ids = itertools.chain.from_iterable(reps)
+    step = max(1, _BLOCK_BYTES // 26)
     for lo in range(0, len(reps), step):
-        count = min(step, len(reps) - lo) * rank
-        rows = np.fromiter(ids, dtype=np.int64, count=count).reshape(-1, rank)
+        rows = reps[lo : lo + step]
         if not _block_closed(orbit.members, _encode_rows(rows, powers), list(rows.T), moves):
             return False
-        del rows  # before the next block is made
     return True
 
 
@@ -495,32 +497,54 @@ def _block_closed(members, keys, digits, moves) -> bool:
 # ---------------------------------------------------------------------------
 # Target-group automorphisms
 
-@dataclass
+@dataclass(eq=False)
 class OrbitResult:
     """The orbit partitioned into target-automorphism classes.
 
-    class_reps holds the starting tuple first (for its own class), then
-    the lexicographically smallest member of each remaining class in
-    increasing order.
+    class_rep_ids is a read-only (k, r) int64 id matrix: the starting
+    tuple first (for its own class), then the lexicographically smallest
+    member of each remaining class in increasing order.  It holds an
+    array, so results are not compared with ``==``.
     """
 
     table: GroupTable
     k: int
-    class_rep_ids: tuple[tuple[int, ...], ...]
+    class_rep_ids: np.ndarray
     class_sizes: tuple[int, ...]
 
     def class_reps_digest(self) -> str:
         """sha256 of the compact JSON list of the class reps, each a list
-        of element codes.  The text of each element that occurs is made
-        once and joined into every rep that holds it."""
-        texts = [""] * self.table.order
-        present = sorted(set().union(*self.class_rep_ids))
-        for i, text in zip(present, encode_json(self.table, present)):
-            texts[i] = text
-        payload = "[" + ",".join(
-            "[" + ",".join([texts[i] for i in ids]) + "]" for ids in self.class_rep_ids
-        ) + "]"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        of element codes, hashed a block of reps at a time.
+
+        The text of each id that occurs is made once and laid, after a
+        ``,``, into the id's row of a zero-padded byte alphabet.  A rep's
+        text is its ids' rows side by side, the first ``,`` made ``[``,
+        then ``],``; JSON text holds no NUL byte, so dropping the zero
+        bytes leaves exactly the rep's text and the comma before the next
+        one.  Per rep a block holds its text row, the gathered rows, the
+        mask of kept bytes and the kept bytes: 4 bytes per byte of row."""
+        reps, n = self.class_rep_ids, self.table.order
+        present = np.zeros(n, dtype=bool)
+        present[reps] = True
+        ids = np.flatnonzero(present)
+        texts = np.array([("," + text).encode() for text in encode_json(self.table, ids)])
+        alphabet = np.zeros((n, texts.itemsize), dtype=np.uint8)
+        alphabet[ids] = texts.view(np.uint8).reshape(ids.size, -1)
+        width = reps.shape[1] * alphabet.shape[1] + 2
+        step = max(1, _BLOCK_BYTES // (4 * width))
+        digest = hashlib.sha256(b"[")
+        for lo in range(0, len(reps), step):
+            rows = reps[lo : lo + step]
+            text = np.empty((len(rows), width), dtype=np.uint8)
+            text[:, :-2] = alphabet[rows].reshape(len(rows), -1)
+            text[:, 0] = ord("[")
+            text[:, -2] = ord("]")
+            text[:, -1] = ord(",")
+            text = text[text != 0]
+            # no comma after the last rep
+            digest.update(text[:-1] if lo + step >= len(reps) else text)
+        digest.update(b"]")
+        return digest.hexdigest()
 
 
 def _aut_count(table: GroupTable) -> int:
@@ -574,7 +598,14 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     of ``_BLOCK_BYTES`` (8 bytes per key; three times that while it is
     read or tested, between batches) and a batch's working arrays the
     rest (``_image_rows``).  The classified states are a bitset over the
-    key space.
+    key space.  The key blocks stop once every state is classified: the
+    summed class sizes bound the classified count from above (a batch
+    may count one class twice), so the bits are counted only when that
+    sum reaches the orbit's size.
+
+    The reps are one read-only (k, r) int64 id matrix, the starting tuple
+    in row 0 and the other class minima decoded into rows 1.. a block of
+    minima at a time (their digits fill half of ``_BLOCK_BYTES``).
     """
     table, rank = orbit.table, orbit.rank
     n = table.order
@@ -588,6 +619,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     if not start_size[0]:
         raise AssertionError("starting state must belong to some class")
     minima, sizes = [start_min], [start_size]
+    claimed = int(start_size[0])
     for keys in _key_blocks(orbit.members, span):
         while keys.size:
             keys = keys[~_test_bits(classified, keys)]
@@ -597,6 +629,11 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
                 batch = _classify_seeds(orbit, table, powers, seeds, classified)
                 minima.append(batch[0])
                 sizes.append(batch[1])
+                claimed += int(batch[1].sum())
+        if claimed >= orbit.size:
+            claimed = _count_bits(classified)
+            if claimed == orbit.size:
+                break
     minima, sizes = np.concatenate(minima), np.concatenate(sizes)
     order = np.argsort(minima[1:], kind="stable") + 1
     keep = np.concatenate([[0], order[_run_starts(minima[order])]])
@@ -608,16 +645,15 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     class_sizes = tuple(sizes.tolist())
     # dropped before the reps are made
     del order, keep, sizes, classified
+    reps = np.empty((minima.size, rank), dtype=np.int64)
     # the starting class reports the starting tuple itself
-    reps = [orbit.start_ids]
-    for block in _id_tuple_blocks(minima[1:], n, rank):
-        reps += block
-    return OrbitResult(
-        table=table,
-        k=len(reps),
-        class_rep_ids=tuple(reps),
-        class_sizes=class_sizes,
-    )
+    reps[0] = orbit.start_ids
+    step = max(1, _BLOCK_BYTES // (16 * (rank + 1)))
+    for lo in range(1, minima.size, step):
+        for j, digits in enumerate(_decode_digits(minima[lo : lo + step], n, rank)):
+            reps[lo : lo + step, j] = digits
+    reps.setflags(write=False)
+    return OrbitResult(table=table, k=minima.size, class_rep_ids=reps, class_sizes=class_sizes)
 
 
 def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
@@ -678,9 +714,7 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     return HallReport(ok=each and pairwise, pairwise_inequivalent=pairwise)
 
 
-def _product_closure_order(
-    table: GroupTable, class_rep_ids: Sequence[tuple[int, ...]]
-) -> int | None:
+def _product_closure_order(table: GroupTable, class_rep_ids: np.ndarray) -> int | None:
     """Order of the image of the product of the class reps, or None when
     G^k is above ``PRODUCT_CLOSURE_CAP``: the orbit of the identity
     k-tuple in G^k under right multiplication by one k-tuple per free

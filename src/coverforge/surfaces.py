@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, BudgetExceeded
-from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table
+from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table, _BLOCK_BYTES
 
 # the largest free rank 2g + n - 1 of a surface.  Work that grows with
 # the rank runs before any orbit: the builders' rank-long image lists
@@ -119,26 +119,35 @@ def peripheral_ids(
     table: GroupTable, signature: SurfaceSignature, rep_ids
 ) -> np.ndarray:
     """The peripheral images of many representations at once: rows of
-    `rep_ids` are free-generator image ids (k, r), rows of the result the
-    ids of c_1, .., c_n (k, n), with c_n the unique value making the
-    surface relation hold, c_n = (c_1 .. c_{n-1})^-1 * prod_i [a_i, b_i],
-    taken column by column."""
+    `rep_ids` are free-generator image ids (k, r), rows of the int64
+    result the ids of c_1, .., c_n (k, n), with c_n the unique value
+    making the surface relation hold, c_n = (c_1 .. c_{n-1})^-1 *
+    prod_i [a_i, b_i], taken column by column.
+
+    An int64 array is read as it is, and the result is filled a block of
+    rows at a time.  A block's working arrays are 16-bit products and
+    the intp copies a gather makes of two of them: 27 bytes per row at
+    most (tracemalloc), so a block takes ``_BLOCK_BYTES`` // 32 rows."""
     rep_ids = np.asarray(rep_ids, dtype=np.int64)
     if rep_ids.ndim != 2 or rep_ids.shape[1] != signature.free_rank:
         raise BadParameters(
             f"expected rows of {signature.free_rank} image ids, got shape {rep_ids.shape}"
         )
-    mul, inv = table.mul, table.inv
-    commutators = np.full(len(rep_ids), table.identity_id, dtype=np.int64)
-    for i in range(signature.g):
-        a, b = rep_ids[:, 2 * i], rep_ids[:, 2 * i + 1]
-        commutators = mul[commutators, mul[mul[mul[a, b], inv[a]], inv[b]]]
-    free = rep_ids[:, 2 * signature.g :]
-    prefix = np.full(len(rep_ids), table.identity_id, dtype=np.int64)
-    for j in range(free.shape[1]):
-        prefix = mul[prefix, free[:, j]]
-    last = mul[inv[prefix], commutators]
-    return np.column_stack([free, last])
+    mul, inv, g = table.mul, table.inv, signature.g
+    out = np.empty((len(rep_ids), signature.n), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // 32)
+    for lo in range(0, len(out), step):
+        rows, block = rep_ids[lo : lo + step], out[lo : lo + step]
+        commutators = np.full(len(rows), table.identity_id, dtype=mul.dtype)
+        for i in range(g):
+            a, b = rows[:, 2 * i], rows[:, 2 * i + 1]
+            commutators = mul[commutators, mul[mul[mul[a, b], inv[a]], inv[b]]]
+        block[:, :-1] = rows[:, 2 * g :]
+        prefix = np.full(len(rows), table.identity_id, dtype=mul.dtype)
+        for j in range(2 * g, rows.shape[1]):
+            prefix = mul[prefix, rows[:, j]]
+        block[:, -1] = mul[inv[prefix], commutators]
+    return out
 
 
 def verify_relation(rep: RepTuple, claimed_cn: int) -> bool:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from coverforge.catalog import (
@@ -408,9 +409,11 @@ class TestSubgroupBuilders:
 
 
 class TestIdsArePythonInts:
-    """The ids a builder hands on, and the class reps of their orbits, are
-    Python ints.  The tables store 16-bit ids, and under NEP 50 a uint16
-    scalar times a state place value would wrap or raise."""
+    """The ids a builder hands on are Python ints, and the class reps of
+    their orbits are one read-only 2-D int64 id matrix.  The tables store
+    16-bit ids, and under NEP 50 a uint16 scalar times a state place value
+    would wrap or raise; the swap move subtracts digits, which 16-bit ids
+    would wrap too."""
 
     # label -> build
     BUILDS = {
@@ -428,6 +431,7 @@ class TestIdsArePythonInts:
         ids = list(build.rep.images) + [build.claimed_cn]
         if build.h0 is not None:
             ids += build.h0.generators
-        reps = aut_classes(orbit_closure(build.rep)).class_rep_ids
-        ids += [x for rep in reps for x in rep]
         assert {type(x) for x in ids} == {int}
+        reps = aut_classes(orbit_closure(build.rep)).class_rep_ids
+        assert reps.dtype == np.int64 and reps.ndim == 2
+        assert not reps.flags.writeable

@@ -808,6 +808,27 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_each_command_alone_does_not_import_numpy_ma(self, tmp_path):
+        # one fresh process per command, so none rides on the imports or
+        # tables an earlier command made; plain np.unique imports numpy.ma
+        script = (
+            "import sys\n"
+            "from coverforge.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        out = str(tmp_path / "cert.json")
+        for args in (
+            ["construct", "--case", "char-sym3", "--genus", "1", "--out", out],
+            ["construct", "--case", "genus-zero", "--p", "13", "--punctures", "3"],
+            ["verify", out],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *args], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "0 False", args
+
     def test_bundle_report_cli(self):
         proc = run_cli("bundle-report", "--fiber-genus", "13", "--base-genus", "2",
                        "--premise", "null-homologous")

@@ -434,6 +434,21 @@ class TestTables:
         assert (ids_of_entries(identity) == table.identity_id).all()
         assert table.entries[table.identity_id].tolist() == [1, 0, 0, 1]
 
+    def test_psl2_table_build_within_one_block(self):
+        # besides the table it keeps, the build holds the (p**2, n) row
+        # codes and one block; blocks sized at 4 bytes per cell peaked
+        # 990 KB above the table at p = 13
+        handle = FiniteGroupHandle.psl2(13)
+        entries = groups.enumerate_group(handle)
+        tracemalloc.start()
+        try:
+            table = groups._psl2_table(handle, entries)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_codes = 13**2 * table.order * 2
+        assert peak - kept <= row_codes + groups._BLOCK_BYTES + (16 << 10)
+
     def test_psl2_table_p13_samples(self):
         handle = FiniteGroupHandle.psl2(13)
         table = group_table(handle)

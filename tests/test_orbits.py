@@ -41,7 +41,7 @@ from coverforge.orbits import (
     verify_characteristic_closure,
     verify_hall_surjectivity,
 )
-from coverforge.surfaces import RepTuple, SurfaceSignature
+from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
 from element_oracle import Residue, element_of, element_order, elements, identity, ids_of
 from test_reference_digests import (
     CONFIGS,
@@ -147,6 +147,21 @@ def reference_aut_rows(table):
     return inner
 
 
+def rep_tuples(res):
+    """The class reps of a partition as id tuples, in order."""
+    return tuple(map(tuple, res.class_rep_ids.tolist()))
+
+
+def same_classes(a, b):
+    """Whether two partitions have the same table, class reps and sizes."""
+    return (
+        a.table is b.table
+        and a.k == b.k
+        and np.array_equal(a.class_rep_ids, b.class_rep_ids)
+        and a.class_sizes == b.class_sizes
+    )
+
+
 def reference_partition(orb):
     """Oracle: the classes as sets, each the Aut images of a state that
     lie in the orbit.  Returns the class reps and sizes in the order
@@ -190,7 +205,7 @@ class TestToyOrbit:
         res = aut_classes(orbit_closure(toy_rep()))
         assert res.k == 3
         # the starting tuple leads; the others follow in lexicographic order
-        assert res.class_rep_ids == ((1, 0), (0, 1), (1, 1))
+        assert rep_tuples(res) == ((1, 0), (0, 1), (1, 1))
         assert res.class_sizes == (1, 1, 1)
 
     def test_product_rep(self):
@@ -277,7 +292,7 @@ class TestChunks:
         assert tiny.size == default.size
         assert np.array_equal(tiny.members, default.members)
         assert (tiny.levels, tiny.expansions) == (default.levels, default.expansions)
-        assert aut_classes(tiny) == classes
+        assert same_classes(aut_classes(tiny), classes)
 
     @pytest.mark.parametrize("chunk_bytes", [TINY, orbits._CHUNK_BYTES])
     @pytest.mark.parametrize("label", sorted(CASES))
@@ -440,6 +455,23 @@ class TestWorkingMemory:
         # besides the block, the bitset of classified states
         assert over <= orbits._BLOCK_BYTES + sym3_orbit.members.nbytes + self.OBJECTS
 
+    def test_reps_digest_within_one_block(self, sym3_orbit):
+        res = aut_classes(sym3_orbit)
+        digest, over = self.traced(res.class_reps_digest)
+        assert digest == MANY_CLASS_GOLDEN["char-sym3-g3"][2]
+        # one payload of all 7623 reps' text took 1168 KiB
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
+
+    def test_peripheral_ids_within_one_block(self):
+        # as many Sym(3) rank-6 rows as a class partition of 2e5 classes;
+        # k-long products per commutator took some 1.6 MB each
+        table = group_table(FiniteGroupHandle.symmetric(3))
+        sig = SurfaceSignature(3, 1)
+        rows = np.random.default_rng(6).integers(0, table.order, size=(200_000, sig.free_rank))
+        ids, over = self.traced(lambda: peripheral_ids(table, sig, rows))
+        assert ids.shape == (200_000, 1) and ids.dtype == np.int64
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
+
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize(
         "handle",
@@ -543,7 +575,7 @@ class TestOrbitEngine:
         assert all_id_tuples(orb) == reference_orbit(rep)
         assert orb.size == 15
         res = aut_classes(orb)
-        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
+        assert (rep_tuples(res), res.class_sizes) == reference_partition(orb)
         assert verify_characteristic_closure(orb, res)
 
         perms = reference_aut_rows(orb.table)
@@ -890,7 +922,25 @@ class TestAutClasses:
         res = aut_classes(orb)
         assert orb.size == 8
         assert res.k == 4
-        assert res.class_rep_ids == ((1, 1), (0, 1), (1, 0), (1, 2))
+        assert rep_tuples(res) == ((1, 1), (0, 1), (1, 0), (1, 2))
+
+    def test_key_blocks_stop_once_every_state_is_classified(self, monkeypatch):
+        # at genus-zero p13 every class minimum past the starting class
+        # has first entry a = 0, so the first key blocks hold all 49
+        orb = orbit_closure(build_genus_zero(13, 3).rep)
+        span = orbits._BLOCK_BYTES // 64
+        total = sum(1 for _ in orbits._key_blocks(orb.members, span))
+        key_blocks, read = orbits._key_blocks, []
+
+        def counted(bits, keys):
+            for block in key_blocks(bits, keys):
+                read.append(block)
+                yield block
+
+        monkeypatch.setattr(orbits, "_key_blocks", counted)
+        res = aut_classes(orb)
+        assert total == 39 and len(read) < total
+        assert res.k == 49 and sum(res.class_sizes) == orb.size
 
     def test_char_sym3_classes(self):
         b = build_characteristic_sym3(1)
@@ -910,7 +960,7 @@ class TestAutClasses:
     def test_matches_set_oracle(self, label):
         orb = orbit_closure(self.SET_ORACLE_CASES[label]())
         res = aut_classes(orb)
-        assert (res.class_rep_ids, res.class_sizes) == reference_partition(orb)
+        assert (rep_tuples(res), res.class_sizes) == reference_partition(orb)
 
     # label -> rep; the partition runs in seed batches that fill at most
     # orbits._BLOCK_BYTES with automorphism images
@@ -929,7 +979,7 @@ class TestAutClasses:
         # 64 bytes gives one seed per batch, 64 MiB up to thousands
         for block_bytes in (64, 64 << 20):
             monkeypatch.setattr(orbits, "_BLOCK_BYTES", block_bytes)
-            assert aut_classes(orb) == default
+            assert same_classes(aut_classes(orb), default)
 
     # label -> rep of a completed orbit pinned elsewhere in the tests
     FREE_ACTION_CASES = {
@@ -1056,7 +1106,7 @@ class TestRelabelledIds:
         assert np.array_equal(orbit_keys(moved), np.sort(relabel[digits] @ powers))
         assert (moved.levels, moved.expansions) == (orb.levels, orb.expansions)
         assert (moved.size, moved_res.k) == (orb.size, res.k)
-        assert moved_res.class_rep_ids[0] == start
+        assert rep_tuples(moved_res)[0] == start
         assert moved_res.class_sizes[0] == res.class_sizes[0]
         assert sorted(moved_res.class_sizes) == sorted(res.class_sizes)
 
@@ -1068,7 +1118,7 @@ class TestHall:
         dup = OrbitResult(
             table=res.table,
             k=2,
-            class_rep_ids=(res.class_rep_ids[0], res.class_rep_ids[0]),
+            class_rep_ids=res.class_rep_ids[[0, 0]],
             class_sizes=(res.class_sizes[0],) * 2,
         )
         report = verify_hall_surjectivity(dup)
@@ -1095,11 +1145,11 @@ class TestHall:
         # the class reps then the identity tuple, which generates nothing;
         # in blocks of one rep the last block alone fails
         res = aut_classes(orbit_closure(build_genus_zero(5, 3).rep))
-        table = res.table
+        identity = np.full((1, res.class_rep_ids.shape[1]), res.table.identity_id)
         bad = dataclasses.replace(
             res,
             k=res.k + 1,
-            class_rep_ids=res.class_rep_ids + ((table.identity_id,) * len(res.class_rep_ids[0]),),
+            class_rep_ids=np.vstack([res.class_rep_ids, identity]),
             class_sizes=res.class_sizes + (1,),
         )
         whole = verify_hall_surjectivity(bad)
@@ -1224,15 +1274,23 @@ class TestClassRepsDigest:
         ids=["psl2-13-rank2", "psl2-5-rank3", "cyclic-6-scalars", "sym-3-rows"],
     )
     def test_joined_texts_match_json_dumps(self, handle, rank):
+        # the reps are hashed in blocks of _BLOCK_BYTES // (4 * row) reps,
+        # a row being rank slots of a comma and the longest text present,
+        # then "],".  The first rep holds the id of the longest text, so
+        # the counts step - 1, step and step + 1 straddle a block's edge
         table = group_table(handle)
+        texts = groups.encode_json(table, range(table.order))
+        longest = max(range(table.order), key=lambda i: len(texts[i]))
+        step = orbits._BLOCK_BYTES // (4 * (rank * (1 + len(texts[longest])) + 2))
         rng = np.random.default_rng(rank)
-        for count in (1, 7, 300):
-            reps = tuple(map(tuple, rng.integers(0, table.order, size=(count, rank)).tolist()))
+        for count in (1, 7, 300, step - 1, step, step + 1):
+            reps = rng.integers(0, table.order, size=(count, rank))
+            reps[0, 0] = longest
             result = OrbitResult(
                 table=table, k=count, class_rep_ids=reps, class_sizes=(1,) * count,
             )
             payload = json.dumps(
-                [[encode(table, i) for i in ids] for ids in reps],
+                [[encode(table, i) for i in ids] for ids in reps.tolist()],
                 sort_keys=True,
                 separators=(",", ":"),
             )
