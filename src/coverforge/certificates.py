@@ -58,7 +58,6 @@ from .groups import FiniteGroupHandle, decode, encode, group_table
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     PRODUCT_CLOSURE_CAP,
-    OrbitClosure,
     OrbitResult,
     aut_classes,
     orbit_closure,
@@ -267,11 +266,17 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
 
     if config.single_factor and config.case in _CHARACTERISTIC:
         raise BadParameters("single-factor mode applies to the PSL2 cases only")
-    orbit, result = _orbit_stage(config, rep, cert, checks)
+    result = _orbit_stage(config, rep, cert, checks)
+    # the one peripheral pass, which both cover stages read: each class
+    # rep's c_1 .. c_n ids (the built tuple alone for single-factor) and
+    # each puncture's elevation order
+    reps = np.array([rep.images], dtype=np.int64) if result is None else result.class_rep_ids
+    peripheral = peripheral_ids(table, sig, reps)
+    elevation = tuple(elevation_degree(table, peripheral, i) for i in range(1, sig.n + 1))
     if config.case in _CHARACTERISTIC:
-        _characteristic_stages(build, orbit, result, cert, checks)
+        _characteristic_stages(build, result, elevation, cert, checks)
     else:
-        _irregular_stages(build, profile, result, cert, checks)
+        _irregular_stages(build, profile, result, peripheral, elevation, cert, checks)
 
     checks_sorted = dict(sorted(checks.items()))
     cert["checks"] = checks_sorted
@@ -279,10 +284,10 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     return cert
 
 
-def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitResult | None]:
+def _orbit_stage(config, rep, cert, checks) -> OrbitResult | None:
     """The Nielsen orbit of the built representation, its Aut classes and
-    the closure check, for every case; (None, None) for single-factor,
-    which records k = 1 and no orbit."""
+    the closure check, for every case; None for single-factor, which
+    records k = 1 and no orbit."""
     if config.single_factor:
         cert["orbit"] = {
             "size": None,
@@ -291,11 +296,11 @@ def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitR
             "states_explored": None,
             "levels": None,
         }
-        return None, None
+        return None
     orbit = orbit_closure(rep, config.orbit_budget)
     result = aut_classes(orbit)
     checks["orbit_completed"] = orbit.size <= config.orbit_budget
-    checks["characteristic_closure"] = verify_characteristic_closure(orbit, result)
+    checks["characteristic_closure"] = verify_characteristic_closure(result)
     cert["orbit"] = {
         "size": orbit.size,
         "k": result.k,
@@ -303,10 +308,10 @@ def _orbit_stage(config, rep, cert, checks) -> tuple[OrbitClosure | None, OrbitR
         "states_explored": orbit.size,
         "levels": orbit.levels,
     }
-    return orbit, result
+    return result
 
 
-def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) -> None:
+def _irregular_stages(build, profile, result, peripheral, elevation, cert, checks) -> None:
     rep = build.rep
     sig = build.signature
     h0 = build.h0
@@ -326,11 +331,9 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
     }
 
     if result is None:
-        k, class_rep_ids = 1, np.array([rep.images], dtype=np.int64)
         cert["variant"] = "single-factor-diagnostic"
         cert["budget_used"] = {"hall_mode": None}
     else:
-        k, class_rep_ids = result.k, result.class_rep_ids
         hall = verify_hall_surjectivity(result)
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
@@ -339,24 +342,21 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
 
     space = coset_space(h0)
     index = space.degree
+    k = len(peripheral)
     degree = index**k
-    # one row of c_1 .. c_n ids per class rep; each distinct id's coset
-    # cycle type is computed once, and each puncture counts the reps
-    # that have each id
-    peripheral = peripheral_ids(table, sig, class_rep_ids)
+    # each distinct peripheral id's coset cycle type is computed once, and
+    # each puncture counts the reps that have each id
     distinct, where = np.unique(peripheral, return_inverse=True)
     where = where.reshape(peripheral.shape)
     types = [cycle_type(coset_permutation(space, g)) for g in distinct]
     ramification = []
-    elevation = []
     sums_ok = True
     divisible = True
     quotient_divides = True
     h_order_k = h0.order**k
-    for i in range(1, sig.n + 1):
+    for i, d_i in enumerate(elevation, start=1):
         reps_with = np.bincount(where[:, i - 1], minlength=len(types))
         multiset = local_degrees_factored(types, reps_with.tolist())
-        d_i = elevation_degree(table, peripheral, i)
         delta_i = profile.orders[i - 1]
         sums_ok &= sums_to_degree(multiset, degree)
         divisible &= all(length % delta_i == 0 for length in multiset)
@@ -364,7 +364,6 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
             d_i % length == 0 and h_order_k % (d_i // length) == 0 for length in multiset
         )
         ramification.append(multiset)
-        elevation.append(d_i)
     if build.mode == "dihedral-remark":
         bound = proposition_genus_bound(index, k, sig.g, sig.n, profile.delta)
         bound_kind = "proposition"
@@ -393,16 +392,18 @@ def _irregular_stages(build, profile, result: OrbitResult | None, cert, checks) 
     )
 
 
-def _characteristic_stages(build, orbit, result: OrbitResult, cert, checks) -> None:
+def _characteristic_stages(build, result: OrbitResult, orders, cert, checks) -> None:
+    """The regular cover of the orbit's kernel intersection, given each
+    puncture's elevation order (the order of its product image)."""
     sig = build.signature
-    core = characteristic_core(result.class_rep_ids, sig, orbit)
-    checks["peripheral_orders_ge_2"] = core.all_at_least_two
-    checks["degree_computed"] = core.degree is not None
+    degree = characteristic_core(result.orbit.table, result.class_rep_ids, orders)
+    checks["peripheral_orders_ge_2"] = all(order >= 2 for order in orders)
+    checks["degree_computed"] = degree is not None
     cert["variant"] = "characteristic-core (orbit variant)"
     cert["budget_used"] = {"hall_mode": None}
     cover: dict = {
-        "peripheral_orders": list(core.peripheral_orders),
-        "degree": core.degree,
+        "peripheral_orders": list(orders),
+        "degree": degree,
         "regular": True,
         "deck_trivial": False,
         "bound": None,
@@ -410,11 +411,9 @@ def _characteristic_stages(build, orbit, result: OrbitResult, cert, checks) -> N
         "genus": None,
         "ramification": None,
     }
-    if core.degree is not None:
-        ramification = [{order: core.degree // order} for order in core.peripheral_orders]
-        _riemann_hurwitz_stage(
-            core.degree, sig, ramification, core.peripheral_orders, cover, checks
-        )
+    if degree is not None:
+        ramification = [{order: degree // order} for order in orders]
+        _riemann_hurwitz_stage(degree, sig, ramification, orders, cover, checks)
     cert["cover"] = cover
     cert["blanket_hypothesis"] = None
 

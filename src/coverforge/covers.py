@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import BadParameters, InconsistentRamification
 from .groups import GroupTable, SubgroupData, group_table, normalizer
-from .orbits import OrbitClosure, _product_closure_order
-from .surfaces import SurfaceSignature, peripheral_ids
+from .orbits import _product_closure_order
 
 
 @dataclass
@@ -160,39 +159,21 @@ def verify_deck_trivial(h0: SubgroupData) -> bool:
     return normalizer(h0) == h0
 
 
-@dataclass(frozen=True)
-class CharacteristicCoreReport:
-    """Certificate data for the orbit-kernel characteristic cover."""
-
-    peripheral_orders: tuple[int, ...]  # order of each peripheral product image
-    all_at_least_two: bool
-    degree: int | None                  # |image of the product rep|, None above the cap
-
-
 def characteristic_core(
-    class_rep_ids: np.ndarray, signature: SurfaceSignature, orbit: OrbitClosure
-) -> CharacteristicCoreReport:
-    """Summarize the regular cover attached to the intersection of the
-    kernels over the orbit (equivalently over the class reps, given as
-    the (k, r) int64 matrix of free-generator image ids, since
-    postcomposition preserves kernels).  The image can only be bounded a
-    priori by the ambient order, so the degree is computed only when the
-    whole product G^k is within ``orbits.PRODUCT_CLOSURE_CAP``.  Each
-    peripheral order is an element order of the image, so it divides the
-    degree (Lagrange); the cover's ramification rests on that, so
+    table: GroupTable, class_rep_ids: np.ndarray, orders: Sequence[int]
+) -> int | None:
+    """The degree of the regular cover attached to the intersection of
+    the kernels over the orbit (equivalently over the class reps, the
+    (k, r) int64 id matrix, since postcomposition preserves kernels):
+    the order of the product image, computed only while G^k is within
+    ``orbits.PRODUCT_CLOSURE_CAP`` (the image has no smaller a priori
+    bound) and None above it.  Each puncture's elevation order in
+    `orders` is an element order of the image, so it divides the degree
+    (Lagrange); the ramification rests on that, so
     InconsistentRamification is raised when it fails."""
-    table = orbit.table
-    peripheral = peripheral_ids(table, signature, class_rep_ids)
-    orders = tuple(
-        elevation_degree(table, peripheral, i) for i in range(1, signature.n + 1)
-    )
     degree = _product_closure_order(table, class_rep_ids)
     if degree is not None and any(degree % order for order in orders):
         raise InconsistentRamification(
             f"peripheral orders {orders} do not all divide the image degree {degree}"
         )
-    return CharacteristicCoreReport(
-        peripheral_orders=orders,
-        all_at_least_two=all(o >= 2 for o in orders),
-        degree=degree,
-    )
+    return degree

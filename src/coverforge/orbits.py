@@ -39,11 +39,12 @@ the next unclassified states, computes all their automorphism images
 from the group table at once (``automorphism_images``; no automorphism
 matrix is stored), finds them in the orbit and marks them classified; a
 seed's smallest image in the orbit is its class minimum.  It stops
-reading key blocks once every state is classified.  The class reps are
-one read-only (k, r) int64 id matrix (``OrbitResult.class_rep_ids``),
-which every class stage reads as it is: the closure check, the
-peripheral ids and the reps digest take it a block of rows at a time,
-and the product image takes its columns.
+reading key blocks once every state is classified.  The partition
+(``OrbitResult``) is the one object the stages after it read: the orbit
+it partitions, the class sizes and the class reps as one read-only
+(k, r) int64 id matrix, whose row count is k.  The closure check, the
+peripheral ids and the reps digest take the matrix a block of rows at a
+time, and the product image takes its columns.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ PRODUCT_CLOSURE_CAP = 10_000_000
 # states are a bitset with one bit per key, which takes 512 MiB at 2**32
 # keys; int64 holds every key and every move's change of place values
 _KEY_LIMIT = 2**32
-# working bytes of one frontier chunk, with every array it makes counted;
-# the same block as every other stage, kept under its own name so that
-# the BFS chunk can be resized alone
-_CHUNK_BYTES = _BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,13 @@ class OrbitClosure:
     def id_tuples(self) -> Iterator[list[tuple[int, ...]]]:
         """The states as id tuples in lexicographic order, one list per
         block of states, so a caller that streams them never holds the
-        whole orbit as Python objects."""
-        for keys in _key_blocks(self.members, _BLOCK_BYTES // 64):
-            yield from _id_tuple_blocks(keys, self.table.order, self.rank)
+        whole orbit as Python objects.  A block's tuples, with the lists
+        they are made from, take about ``_BLOCK_BYTES``: some 64 bytes per
+        entry."""
+        n, rank = self.table.order, self.rank
+        for keys in _key_blocks(self.members, max(1, _BLOCK_BYTES // (64 * rank))):
+            digits = np.stack(_decode_digits(keys, n, rank), axis=1)
+            yield [tuple(ids) for ids in digits.tolist()]
 
 
 def _state_powers(n: int, rank: int) -> np.ndarray:
@@ -158,16 +159,6 @@ def _decode_digits(states: np.ndarray, n: int, rank: int) -> list[np.ndarray]:
     for j in range(rank - 1, 0, -1):
         digits[j] -= digits[j - 1] * n
     return digits
-
-
-def _id_tuple_blocks(states: np.ndarray, n: int, rank: int) -> Iterator[list[tuple[int, ...]]]:
-    """The states as id tuples, one list per block of states.  A block's
-    tuples, with the lists they are made from, take about
-    ``_BLOCK_BYTES``: some 64 bytes per entry."""
-    step = max(1, _BLOCK_BYTES // (64 * rank))
-    for lo in range(0, states.size, step):
-        digits = np.stack(_decode_digits(states[lo : lo + step], n, rank), axis=1)
-        yield [tuple(ids) for ids in digits.tolist()]
 
 
 def _apply_move_encoded(states, digits, move, table, powers):
@@ -361,7 +352,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     chunk's encoded states and decoded digits to the moved encodings.
 
     The frontier is expanded in chunks (``_new_states``) whose working
-    arrays fill ``_CHUNK_BYTES``.  Each chunk's new states are exact, so
+    arrays fill ``_BLOCK_BYTES``.  Each chunk's new states are exact, so
     the exact distinct count decides ``BudgetExceeded``.  Each level is
     sorted, and only the frontier is held.  The visited bitset is the
     orbit; its bit count must equal the states reached.
@@ -374,7 +365,7 @@ def _orbit_vectorized(table, rank, start, moves, budget) -> OrbitClosure:
     _set_bits(visited, frontier)
     reached = 1
     # 8 bytes per digit and 18 per candidate (`_new_states`)
-    step = max(1, _CHUNK_BYTES // (8 * rank + 18 * len(moves)))
+    step = max(1, _BLOCK_BYTES // (8 * rank + 18 * len(moves)))
     levels = 0
     expansions = 0
     while frontier.size:
@@ -427,9 +418,9 @@ def _new_states(chunk, n, rank, moves, visited) -> np.ndarray:
     return fresh
 
 
-def verify_characteristic_closure(orbit: OrbitClosure, result: OrbitResult) -> bool:
-    """Every Nielsen move maps every orbit member back into the orbit,
-    given the orbit's Aut classes (``aut_classes``).
+def verify_characteristic_closure(result: OrbitResult) -> bool:
+    """Every Nielsen move maps every member of the partitioned orbit
+    back into the orbit, given its Aut classes (``aut_classes``).
 
     This is the finite-data certificate that the intersection of the
     kernels over the orbit is invariant under all free-group
@@ -452,6 +443,7 @@ def verify_characteristic_closure(orbit: OrbitClosure, result: OrbitResult) -> b
     found in S (``aut_classes``), so an S that holds part of an Aut orbit
     has a class short of |Aut G| and takes the second branch.
     """
+    orbit = result.orbit
     if set(result.class_sizes) == {_aut_count(orbit.table)}:
         return _reps_closed(orbit, result.class_rep_ids)
     return _states_closed(orbit)
@@ -499,7 +491,7 @@ def _block_closed(members, keys, digits, moves) -> bool:
 
 @dataclass(eq=False)
 class OrbitResult:
-    """The orbit partitioned into target-automorphism classes.
+    """An orbit partitioned into target-automorphism classes.
 
     class_rep_ids is a read-only (k, r) int64 id matrix: the starting
     tuple first (for its own class), then the lexicographically smallest
@@ -507,10 +499,14 @@ class OrbitResult:
     array, so results are not compared with ``==``.
     """
 
-    table: GroupTable
-    k: int
+    orbit: OrbitClosure
     class_rep_ids: np.ndarray
     class_sizes: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        """The number of classes: the rows of the id matrix."""
+        return len(self.class_rep_ids)
 
     def class_reps_digest(self) -> str:
         """sha256 of the compact JSON list of the class reps, each a list
@@ -523,12 +519,12 @@ class OrbitResult:
         bytes leaves exactly the rep's text and the comma before the next
         one.  Per rep a block holds its text row, the gathered rows, the
         mask of kept bytes and the kept bytes: 4 bytes per byte of row."""
-        reps, n = self.class_rep_ids, self.table.order
-        present = np.zeros(n, dtype=bool)
+        reps, table = self.class_rep_ids, self.orbit.table
+        present = np.zeros(table.order, dtype=bool)
         present[reps] = True
         ids = np.flatnonzero(present)
-        texts = np.array([("," + text).encode() for text in encode_json(self.table, ids)])
-        alphabet = np.zeros((n, texts.itemsize), dtype=np.uint8)
+        texts = np.array([("," + text).encode() for text in encode_json(table, ids)])
+        alphabet = np.zeros((table.order, texts.itemsize), dtype=np.uint8)
         alphabet[ids] = texts.view(np.uint8).reshape(ids.size, -1)
         width = reps.shape[1] * alphabet.shape[1] + 2
         step = max(1, _BLOCK_BYTES // (4 * width))
@@ -653,7 +649,7 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
         for j, digits in enumerate(_decode_digits(minima[lo : lo + step], n, rank)):
             reps[lo : lo + step, j] = digits
     reps.setflags(write=False)
-    return OrbitResult(table=table, k=minima.size, class_rep_ids=reps, class_sizes=class_sizes)
+    return OrbitResult(orbit=orbit, class_rep_ids=reps, class_sizes=class_sizes)
 
 
 def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
@@ -707,7 +703,7 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     Nielsen moves and G acts on the pair freely; and a class has at most
     |Aut G| = 2n states, so k >= n**(r - 2) / 2 >= 30.
     """
-    table = result.table
+    table = result.orbit.table
     reps = result.class_rep_ids
     each = bool(closure_ids(table, reps).all())
     pairwise = bool(_run_starts(_sort(canonical_class_keys(table, reps))).all())

@@ -230,7 +230,7 @@ class TestElevationDegrees:
     def test_across_class_reps(self):
         b = build_genus_zero(5, 3)
         result = aut_classes(orbit_closure(b.rep))
-        table = result.table
+        table = result.orbit.table
         peripheral = peripheral_ids(table, b.signature, result.class_rep_ids)
         for puncture in range(1, b.signature.n + 1):
             orders = [
@@ -347,33 +347,39 @@ class TestDeckGroup:
         assert verify_deck_trivial(whole)
 
 
+def core_inputs(rep):
+    """The table, class reps and per-puncture elevation orders of the
+    orbit of `rep`, as the pipeline hands them to characteristic_core."""
+    result = aut_classes(orbit_closure(rep))
+    table = result.orbit.table
+    peripheral = peripheral_ids(table, rep.signature, result.class_rep_ids)
+    orders = tuple(
+        elevation_degree(table, peripheral, i) for i in range(1, rep.signature.n + 1)
+    )
+    return table, result.class_rep_ids, orders
+
+
 class TestCharacteristicCore:
     def test_toy_degree(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(2)
         rep = RepTuple(sig, h, ids_of(h, Residue(1, 2), Residue(0, 2)))
-        orb = orbit_closure(rep)
-        res = aut_classes(orb)
-        core = characteristic_core(res.class_rep_ids, sig, orb)
-        assert core.degree == 4
-        assert verify_characteristic_closure(orb, res)
+        table, reps, orders = core_inputs(rep)
+        assert orders == (2, 2, 2)
+        assert characteristic_core(table, reps, orders) == 4
+        assert verify_characteristic_closure(aut_classes(orbit_closure(rep)))
 
     def test_char_cyclic_numbers(self):
-        b = build_characteristic_cyclic(0, 3)
-        orb = orbit_closure(b.rep)
-        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
-        assert core.peripheral_orders == (3, 3, 3)
-        assert core.all_at_least_two
-        assert core.degree == 9
+        table, reps, orders = core_inputs(build_characteristic_cyclic(0, 3).rep)
+        assert orders == (3, 3, 3)
+        assert characteristic_core(table, reps, orders) == 9
         chi, genus = riemann_hurwitz(9, 2, [{3: 3}] * 3)
         assert (chi, genus) == (0, 1)
 
     def test_char_sym3_numbers(self):
-        b = build_characteristic_sym3(1)
-        orb = orbit_closure(b.rep)
-        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
-        assert core.peripheral_orders == (3,)
-        assert core.degree == 108
+        table, reps, orders = core_inputs(build_characteristic_sym3(1).rep)
+        assert orders == (3,)
+        assert characteristic_core(table, reps, orders) == 108
         chi, genus = riemann_hurwitz(108, 0, [{3: 36}])
         assert (chi, genus) == (-72, 37)
 
@@ -383,17 +389,15 @@ class TestCharacteristicCore:
         import coverforge.covers as covers
 
         monkeypatch.setattr(covers, "_product_closure_order", lambda table, reps: 10)
-        b = build_characteristic_cyclic(0, 3)
-        orb = orbit_closure(b.rep)
-        with pytest.raises(InconsistentRamification, match="do not all divide"):
-            characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
+        inputs = core_inputs(build_characteristic_cyclic(0, 3).rep)
+        with pytest.raises(
+            InconsistentRamification,
+            match=r"^peripheral orders \(3, 3, 3\) do not all divide the image degree 10$",
+        ):
+            characteristic_core(*inputs)
 
     def test_degree_uncomputed_when_ambient_exceeds_budget(self, monkeypatch):
         import coverforge.orbits as orbits
 
         monkeypatch.setattr(orbits, "PRODUCT_CLOSURE_CAP", 2)
-        b = build_characteristic_cyclic(0, 3)
-        orb = orbit_closure(b.rep)
-        core = characteristic_core(aut_classes(orb).class_rep_ids, b.signature, orb)
-        assert core.degree is None
-        assert core.peripheral_orders == (3, 3, 3)
+        assert characteristic_core(*core_inputs(build_characteristic_cyclic(0, 3).rep)) is None

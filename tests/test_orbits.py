@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,8 +156,7 @@ def rep_tuples(res):
 def same_classes(a, b):
     """Whether two partitions have the same table, class reps and sizes."""
     return (
-        a.table is b.table
-        and a.k == b.k
+        a.orbit.table is b.orbit.table
         and np.array_equal(a.class_rep_ids, b.class_rep_ids)
         and a.class_sizes == b.class_sizes
     )
@@ -208,14 +208,25 @@ class TestToyOrbit:
         assert rep_tuples(res) == ((1, 0), (0, 1), (1, 1))
         assert res.class_sizes == (1, 1, 1)
 
+    def test_partition_holds_its_orbit(self):
+        # the one object the class stages read; k is the row count of its
+        # id matrix, not a field of its own
+        orb = orbit_closure(toy_rep())
+        res = aut_classes(orb)
+        assert [field.name for field in dataclasses.fields(OrbitResult)] == [
+            "orbit", "class_rep_ids", "class_sizes",
+        ]
+        assert res.orbit is orb
+        assert res.k == res.class_rep_ids.shape[0] == 3
+
     def test_product_rep(self):
         # the product of the three class reps sends the generators to
         # (1, 0, 1) and (0, 1, 1) in (Z/2)^3, which span an image of order 4
         orb = orbit_closure(toy_rep())
         res = aut_classes(orb)
         assert [list(col) for col in zip(*res.class_rep_ids)] == [[1, 0, 1], [0, 1, 1]]
-        core = characteristic_core(res.class_rep_ids, toy_rep().signature, orb)
-        assert core.degree == 4
+        # each puncture's image has order 2 in some rep
+        assert characteristic_core(orb.table, res.class_rep_ids, (2, 2, 2)) == 4
 
     def test_product_order_matches_mod2_linear_algebra(self):
         # oracle: the three maps factor through Z^2; reducing mod 2 and
@@ -230,7 +241,7 @@ class TestToyOrbit:
 
     def test_characteristic_closure(self):
         orb = orbit_closure(toy_rep())
-        assert verify_characteristic_closure(orb, aut_classes(orb))
+        assert verify_characteristic_closure(aut_classes(orb))
 
     def test_mutated_orbit_fails_closure(self):
         orb = orbit_closure(toy_rep())
@@ -238,7 +249,7 @@ class TestToyOrbit:
         for key in orbit_keys(orb).tolist():
             if key != start_key:
                 mutated = drop_state(orb, key)
-                assert not verify_characteristic_closure(mutated, aut_classes(mutated))
+                assert not verify_characteristic_closure(aut_classes(mutated))
         # without the starting state the partition has no first class, so
         # only the full branch, which takes no partition, can judge it
         start = drop_state(orb, start_key)
@@ -287,17 +298,18 @@ class TestChunks:
         rep = self.CASES[label]()
         default = orbit_closure(rep)
         classes = aut_classes(default)
-        monkeypatch.setattr(orbits, "_CHUNK_BYTES", self.TINY)
+        # the partition's batches and key blocks shrink with the chunks
+        monkeypatch.setattr(orbits, "_BLOCK_BYTES", self.TINY)
         tiny = orbit_closure(rep)
         assert tiny.size == default.size
         assert np.array_equal(tiny.members, default.members)
         assert (tiny.levels, tiny.expansions) == (default.levels, default.expansions)
         assert same_classes(aut_classes(tiny), classes)
 
-    @pytest.mark.parametrize("chunk_bytes", [TINY, orbits._CHUNK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [TINY, orbits._BLOCK_BYTES])
     @pytest.mark.parametrize("label", sorted(CASES))
-    def test_budget_edge(self, label, chunk_bytes, monkeypatch):
-        monkeypatch.setattr(orbits, "_CHUNK_BYTES", chunk_bytes)
+    def test_budget_edge(self, label, block_bytes, monkeypatch):
+        monkeypatch.setattr(orbits, "_BLOCK_BYTES", block_bytes)
         rep = self.CASES[label]()
         size = orbit_closure(rep).size
         assert orbit_closure(rep, budget=size).size == size
@@ -438,7 +450,7 @@ class TestWorkingMemory:
         res = aut_classes(sym3_orbit)
         # every class is full, so the check runs on the 7623 reps
         assert set(res.class_sizes) == {orbits._aut_count(sym3_orbit.table)}
-        closed, over = self.traced(lambda: verify_characteristic_closure(sym3_orbit, res))
+        closed, over = self.traced(lambda: verify_characteristic_closure(res))
         assert closed
         # converting every rep at once would add some 0.37 MB
         assert over <= orbits._BLOCK_BYTES + self.OBJECTS
@@ -576,7 +588,7 @@ class TestOrbitEngine:
         assert orb.size == 15
         res = aut_classes(orb)
         assert (rep_tuples(res), res.class_sizes) == reference_partition(orb)
-        assert verify_characteristic_closure(orb, res)
+        assert verify_characteristic_closure(res)
 
         perms = reference_aut_rows(orb.table)
         # the exact class minima, in Python ints
@@ -1007,7 +1019,7 @@ class TestAutClasses:
         assert aut_classes(orb).class_sizes == (6, 6, 6)
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
         res = aut_classes(mutated)
-        assert not verify_characteristic_closure(mutated, res)
+        assert not verify_characteristic_closure(res)
         assert (mutated.size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
 
     def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
@@ -1046,7 +1058,7 @@ class TestAutClasses:
 
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
-        table = res.table
+        table = res.orbit.table
         perms = all_automorphisms(table)
         space = coset_space(b.h0)
         rep0 = RepTuple(b.signature, table.handle, res.class_rep_ids[1])
@@ -1116,8 +1128,7 @@ class TestHall:
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
         dup = OrbitResult(
-            table=res.table,
-            k=2,
+            orbit=res.orbit,
             class_rep_ids=res.class_rep_ids[[0, 0]],
             class_sizes=(res.class_sizes[0],) * 2,
         )
@@ -1129,8 +1140,7 @@ class TestHall:
         b = build_once_punctured(13, 1)
         res = aut_classes(orbit_closure(b.rep))
         one = OrbitResult(
-            table=res.table,
-            k=1,
+            orbit=res.orbit,
             class_rep_ids=res.class_rep_ids[:1],
             class_sizes=res.class_sizes[:1],
         )
@@ -1145,10 +1155,9 @@ class TestHall:
         # the class reps then the identity tuple, which generates nothing;
         # in blocks of one rep the last block alone fails
         res = aut_classes(orbit_closure(build_genus_zero(5, 3).rep))
-        identity = np.full((1, res.class_rep_ids.shape[1]), res.table.identity_id)
+        identity = np.full((1, res.class_rep_ids.shape[1]), res.orbit.table.identity_id)
         bad = dataclasses.replace(
             res,
-            k=res.k + 1,
             class_rep_ids=np.vstack([res.class_rep_ids, identity]),
             class_sizes=res.class_sizes + (1,),
         )
@@ -1217,16 +1226,16 @@ class TestHallLemma:
             rep = build().rep
             res = aut_classes(orbit_closure(rep))
             # the larger order in the second slot; the swap keeps the orbit
-            a, b = sorted(rep.images, key=lambda g: int(res.table.orders[g]))
+            a, b = sorted(rep.images, key=lambda g: int(res.orbit.table.orders[g]))
             m, classes = power_sign_classes(rep.target, a, b)
             assert len(classes) >= m >= 3, label
             assert res.k >= m, label
-            assert res.table.order**res.k > orbits.PRODUCT_CLOSURE_CAP, label
+            assert res.orbit.table.order**res.k > orbits.PRODUCT_CLOSURE_CAP, label
 
     def test_rank3_classes_outnumber_half_the_group(self):
         orb = orbit_closure(build_generic(5, 1, 2).rep)
         res = aut_classes(orb)
-        assert orb.rank == 3 and res.k >= res.table.order / 2
+        assert orb.rank == 3 and res.k >= res.orbit.table.order / 2
 
     def test_random_generating_pairs(self):
         rng = np.random.default_rng(23)
@@ -1286,8 +1295,9 @@ class TestClassRepsDigest:
         for count in (1, 7, 300, step - 1, step, step + 1):
             reps = rng.integers(0, table.order, size=(count, rank))
             reps[0, 0] = longest
+            # the digest reads no more of the orbit than its table
             result = OrbitResult(
-                table=table, k=count, class_rep_ids=reps, class_sizes=(1,) * count,
+                orbit=SimpleNamespace(table=table), class_rep_ids=reps, class_sizes=(1,) * count,
             )
             payload = json.dumps(
                 [[encode(table, i) for i in ids] for ids in reps.tolist()],
@@ -1442,7 +1452,7 @@ class TestClosureBranches:
         assert full == (name != "genus-zero-p5-n3")
         assert orbits._reps_closed(orb, res.class_rep_ids)
         assert orbits._states_closed(orb)
-        assert verify_characteristic_closure(orb, res)
+        assert verify_characteristic_closure(res)
         if full and res.k > 1:
             # both branches see a whole class taken out
             mutated = drop_class(orb, res.class_rep_ids[-1])
@@ -1460,15 +1470,15 @@ class TestClosureBranches:
         mutated = drop_class(orb, res.class_rep_ids[-1])
         cut = aut_classes(mutated)
         monkeypatch.setattr(orbits, "_states_closed", refuse_branch)
-        assert not verify_characteristic_closure(mutated, cut)
-        assert verify_characteristic_closure(orb, res)
+        assert not verify_characteristic_closure(cut)
+        assert verify_characteristic_closure(res)
 
     def test_genus_zero_p5_takes_the_full_check(self, monkeypatch):
         orb, res = pinned_orbit("genus-zero-p5-n3")
         monkeypatch.setattr(orbits, "_reps_closed", refuse_branch)
-        assert verify_characteristic_closure(orb, res)
+        assert verify_characteristic_closure(res)
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
-        assert not verify_characteristic_closure(mutated, aut_classes(mutated))
+        assert not verify_characteristic_closure(aut_classes(mutated))
 
 
 def jordan_totient(r, n):

@@ -97,6 +97,23 @@ def test_one_orbit_stage_per_construct(name, monkeypatch):
     assert counts == dict.fromkeys(_ORBIT_STAGE, expected)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_one_peripheral_pass_per_construct(name, monkeypatch):
+    """The class reps' peripheral ids are derived once, in the pipeline,
+    and both cover stages read them; single-factor derives them for the
+    built tuple alone."""
+    calls = []
+    original = certificates.peripheral_ids
+
+    def counted(table, signature, rep_ids):
+        calls.append(len(rep_ids))
+        return original(table, signature, rep_ids)
+
+    monkeypatch.setattr(certificates, "peripheral_ids", counted)
+    cert = construct(CONFIGS[name])
+    assert calls == [cert["orbit"]["k"]]
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -186,7 +186,7 @@ class TestPeripheralIds:
     def test_every_class_rep_matches_derived_last_peripheral(self, build):
         b = build()
         result = aut_classes(orbit_closure(b.rep))
-        table = result.table
+        table = result.orbit.table
         matrix = peripheral_ids(table, b.signature, result.class_rep_ids)
         assert matrix.shape == (result.k, b.signature.n)
         for row, ids in zip(matrix.tolist(), result.class_rep_ids):
