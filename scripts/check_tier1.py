@@ -11,6 +11,8 @@ exactly those two: it exits 1 when any other test fails or errors, and
 also when either known failure passes or is missing, since that means
 the suite or the p = 5 data changed.  It exits 1 on a skipped test as
 well, so a check that skips itself (a memory guard, say) cannot pass.
+The line it prints on success carries the suite's wall time, the
+report's `time`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ EXPECTED_FAILURES = frozenset({
 })
 
 
-def failed_tests(report_path: str) -> tuple[set[str], set[str], set[str]]:
+def read_report(report_path: str) -> tuple[set[str], set[str], set[str], float]:
     """(ids of failed or errored test cases, ids of skipped ones, ids of
-    all test cases)."""
+    all test cases, the wall time in seconds summed over the suites)."""
     root = ET.parse(report_path).getroot()
+    seconds = sum(float(suite.get("time", 0)) for suite in root.iter("testsuite"))
     failed, skipped, seen = set(), set(), set()
     for case in root.iter("testcase"):
         test_id = f"{case.get('classname', '')}::{case.get('name', '')}"
@@ -37,14 +40,14 @@ def failed_tests(report_path: str) -> tuple[set[str], set[str], set[str]]:
             failed.add(test_id)
         elif case.find("skipped") is not None:
             skipped.add(test_id)
-    return failed, skipped, seen
+    return failed, skipped, seen, seconds
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: check_tier1.py REPORT.xml", file=sys.stderr)
         return 2
-    failed, skipped, seen = failed_tests(argv[0])
+    failed, skipped, seen, seconds = read_report(argv[0])
     unexpected = sorted(failed - EXPECTED_FAILURES)
     missing = sorted(EXPECTED_FAILURES - seen)
     passing = sorted(EXPECTED_FAILURES - failed - set(missing))
@@ -58,7 +61,10 @@ def main(argv: list[str]) -> int:
         print(f"skipped: {name}", file=sys.stderr)
     if unexpected or missing or passing or skipped:
         return 1
-    print(f"tier-1 ok: {len(seen)} test cases, only the {len(failed)} known failures failed")
+    print(
+        f"tier-1 ok: {len(seen)} test cases, only the {len(failed)} known failures failed,"
+        f" in {seconds:.1f} s"
+    )
     return 0
 
 

@@ -30,7 +30,7 @@ from .groups import (
     normalizer,
     subgroup_closure,
 )
-from .surfaces import PeripheralProfile, RepTuple, SurfaceSignature
+from .surfaces import RepTuple, SurfaceSignature
 
 
 @dataclass(frozen=True)
@@ -449,17 +449,16 @@ def build_characteristic_sym3(g: int) -> CatalogBuild:
 # ---------------------------------------------------------------------------
 # Hypothesis verification
 
-def verify_hypotheses(
-    g0: FiniteGroupHandle, h0: SubgroupData, profile: PeripheralProfile
-) -> HypothesisReport:
+def verify_hypotheses(h0: SubgroupData, orders: tuple[int, ...]) -> HypothesisReport:
     """Check the subgroup conditions used by the irregular pipeline:
     H0 self-normalizing, every automorphism image of H0 conjugate to H0,
-    and peripheral orders >= 2 and coprime to |H0|.
+    and the peripheral `orders` >= 2 and coprime to |H0|.
 
     Every automorphism of the PSL2 target is inner composed with
     conjugation by d0 = diag(1, epsilon), so the second condition
     reduces to: d0 H0 d0^-1 is conjugate to H0 in the group.
     """
+    g0 = h0.ambient
     d0 = group_table(g0).d0
     image = np.zeros(d0.size, dtype=bool)
     image[d0[h0.members]] = True
@@ -467,13 +466,13 @@ def verify_hypotheses(
     aut_eq_inn, witness = are_conjugate_subgroups(conjugated, h0)
     coprimality = tuple(
         (order, h0.order, math.gcd(order, h0.order), math.gcd(order, h0.order) == 1)
-        for order in profile.orders
+        for order in orders
     )
     return HypothesisReport(
         self_normalizing=normalizer(h0) == h0,
         aut_eq_inn=aut_eq_inn,
         aut_witness=witness,
         d0_stabilizes_h0=conjugated == h0,
-        delta_ge_2=all(order >= 2 for order in profile.orders),
+        delta_ge_2=all(order >= 2 for order in orders),
         coprimality=coprimality,
     )

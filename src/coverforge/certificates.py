@@ -64,12 +64,7 @@ from .orbits import (
     verify_characteristic_closure,
     verify_hall_surjectivity,
 )
-from .surfaces import (
-    is_surjective,
-    peripheral_ids,
-    peripheral_profile,
-    verify_relation,
-)
+from .surfaces import is_surjective, peripheral_ids
 
 SCHEMA_VERSION = "1"
 
@@ -199,9 +194,9 @@ def _need(config: ConstructConfig, p=False, genus=False, punctures=False) -> Non
         raise BadParameters(f"case {config.case} needs --punctures")
 
 
-def _expected_orders_ok(build: CatalogBuild, profile) -> bool:
+def _expected_orders_ok(build: CatalogBuild, orders: tuple[int, ...]) -> bool:
     if build.expected_orders is not None:
-        return profile.orders == build.expected_orders
+        return orders == build.expected_orders
     # genus-zero dihedral variant: c_1 .. c_{n-1} of order p; c_n nontrivial
     # with order dividing (p-1)/2 or (p+1)/2 by the reducibility of the
     # trace polynomial
@@ -209,7 +204,7 @@ def _expected_orders_ok(build: CatalogBuild, profile) -> bool:
     t = build.constants["t"]
     reducible = extension_root_order(p, t) is None
     half = (p - 1) // 2 if reducible else (p + 1) // 2
-    body, last = profile.orders[:-1], profile.orders[-1]
+    body, last = orders[:-1], orders[-1]
     return all(o == p for o in body) and last > 1 and half % last == 0
 
 
@@ -225,13 +220,10 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
     build = _build_case(config, constants)
     rep = build.rep
     sig = build.signature
-    profile = peripheral_profile(rep)
     table = group_table(rep.target)
+    if config.single_factor and config.case in _CHARACTERISTIC:
+        raise BadParameters("single-factor mode applies to the PSL2 cases only")
     checks: dict[str, bool] = {}
-    checks["relation_holds"] = verify_relation(rep, build.claimed_cn)
-    checks["surjective"] = is_surjective(rep)
-    checks["peripheral_orders_expected"] = _expected_orders_ok(build, profile)
-
     cert: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "coverforge", "version": __version__},
@@ -255,28 +247,30 @@ def _run_pipeline(config: ConstructConfig, constants: dict | None) -> dict:
             "hall_direct_cap": PRODUCT_CLOSURE_CAP,
         },
         "constants": dict(build.constants),
-        "representation": {
-            "target": rep.target.describe(),
-            "images": {name: encode(table, g) for name, g in rep.images_by_name.items()},
-            "derived_cn": encode(table, rep.peripheral_image_ids()[-1]),
-            "peripheral_orders": list(profile.orders),
-            "delta": profile.delta,
-        },
     }
-
-    if config.single_factor and config.case in _CHARACTERISTIC:
-        raise BadParameters("single-factor mode applies to the PSL2 cases only")
     result = _orbit_stage(config, rep, cert, checks)
-    # the one peripheral pass, which both cover stages read: each class
-    # rep's c_1 .. c_n ids (the built tuple alone for single-factor) and
-    # each puncture's elevation order
+    # the one peripheral pass, which the representation section and both
+    # cover stages read: each class rep's c_1 .. c_n ids, row 0 the built
+    # tuple (alone for single-factor), and each puncture's elevation order
     reps = np.array([rep.images], dtype=np.int64) if result is None else result.class_rep_ids
     peripheral = peripheral_ids(table, sig, reps)
+    built = peripheral[0]
+    orders = tuple(table.orders[built].tolist())
+    checks["relation_holds"] = build.claimed_cn == int(built[-1])
+    checks["surjective"] = is_surjective(table, rep.images)
+    checks["peripheral_orders_expected"] = _expected_orders_ok(build, orders)
+    cert["representation"] = {
+        "target": rep.target.describe(),
+        "images": {name: encode(table, g) for name, g in rep.images_by_name.items()},
+        "derived_cn": encode(table, built[-1]),
+        "peripheral_orders": list(orders),
+        "delta": min(orders),
+    }
     elevation = tuple(elevation_degree(table, peripheral, i) for i in range(1, sig.n + 1))
     if config.case in _CHARACTERISTIC:
         _characteristic_stages(build, result, elevation, cert, checks)
     else:
-        _irregular_stages(build, profile, result, peripheral, elevation, cert, checks)
+        _irregular_stages(build, orders, result, peripheral, elevation, cert, checks)
 
     checks_sorted = dict(sorted(checks.items()))
     cert["checks"] = checks_sorted
@@ -311,12 +305,12 @@ def _orbit_stage(config, rep, cert, checks) -> OrbitResult | None:
     return result
 
 
-def _irregular_stages(build, profile, result, peripheral, elevation, cert, checks) -> None:
+def _irregular_stages(build, orders, result, peripheral, elevation, cert, checks) -> None:
     rep = build.rep
     sig = build.signature
     h0 = build.h0
     table = group_table(rep.target)
-    hyp = verify_hypotheses(rep.target, h0, profile)
+    hyp = verify_hypotheses(h0, orders)
     checks["self_normalizing"] = hyp.self_normalizing
     checks["aut_eq_inn"] = hyp.aut_eq_inn
     checks["delta_ge_2"] = hyp.delta_ge_2
@@ -357,7 +351,7 @@ def _irregular_stages(build, profile, result, peripheral, elevation, cert, check
     for i, d_i in enumerate(elevation, start=1):
         reps_with = np.bincount(where[:, i - 1], minlength=len(types))
         multiset = local_degrees_factored(types, reps_with.tolist())
-        delta_i = profile.orders[i - 1]
+        delta_i = orders[i - 1]
         sums_ok &= sums_to_degree(multiset, degree)
         divisible &= all(length % delta_i == 0 for length in multiset)
         quotient_divides &= all(
@@ -365,7 +359,7 @@ def _irregular_stages(build, profile, result, peripheral, elevation, cert, check
         )
         ramification.append(multiset)
     if build.mode == "dihedral-remark":
-        bound = proposition_genus_bound(index, k, sig.g, sig.n, profile.delta)
+        bound = proposition_genus_bound(index, k, sig.g, sig.n, min(orders))
         bound_kind = "proposition"
     else:
         bound = genus_lower_bound(build.p, k, sig.g, sig.n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, BudgetExceeded
-from .groups import FiniteGroupHandle, GroupTable, closure_ids, group_table, _BLOCK_BYTES
+from .groups import FiniteGroupHandle, GroupTable, closure_ids, _BLOCK_BYTES
 
 # the largest free rank 2g + n - 1 of a surface.  Work that grows with
 # the rank runs before any orbit: the builders' rank-long image lists
@@ -97,23 +97,6 @@ class RepTuple:
     def images_by_name(self) -> dict[str, int]:
         return dict(zip(self.signature.generator_names, self.images))
 
-    def peripheral_image_ids(self) -> np.ndarray:
-        """Table ids of the images of all n peripheral loops, the derived
-        c_n last."""
-        table = group_table(self.target)
-        return peripheral_ids(table, self.signature, [self.images])[0]
-
-
-@dataclass(frozen=True)
-class PeripheralProfile:
-    """Orders of the n peripheral images and their minimum."""
-
-    orders: tuple[int, ...]
-
-    @property
-    def delta(self) -> int:
-        return min(self.orders)
-
 
 def peripheral_ids(
     table: GroupTable, signature: SurfaceSignature, rep_ids
@@ -150,16 +133,7 @@ def peripheral_ids(
     return out
 
 
-def verify_relation(rep: RepTuple, claimed_cn: int) -> bool:
-    """Does an explicitly stated last peripheral image id match the derived one?"""
-    return claimed_cn == int(rep.peripheral_image_ids()[-1])
-
-
-def is_surjective(rep: RepTuple) -> bool:
-    gens = rep.images + (int(rep.peripheral_image_ids()[-1]),)
-    return bool(closure_ids(group_table(rep.target), [gens])[0].all())
-
-
-def peripheral_profile(rep: RepTuple) -> PeripheralProfile:
-    orders = group_table(rep.target).orders[rep.peripheral_image_ids()]
-    return PeripheralProfile(tuple(orders.tolist()))
+def is_surjective(table: GroupTable, images) -> bool:
+    """Do the free-generator image ids generate the whole group?  The
+    derived c_n is a word in them, so it adds nothing to the closure."""
+    return bool(closure_ids(table, [images])[0].all())

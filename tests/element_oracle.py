@@ -6,13 +6,15 @@ edge (``groups.encode`` and ``groups.decode``).  Here elements are
 explicit objects again: matrix, permutation and residue products and
 inverses by integer arithmetic, orders by repeated products, and every
 group's elements enumerated with itertools and sorted by ``sort_key``,
-the order the table ids promise.  Nothing here reads a group table, so a
-test that compares a table with these objects compares two independent
-computations.
+the order the table ids promise.  The element arithmetic reads no group
+table, so a test that compares a table with these objects compares two
+independent computations.
 
 The direct side of the direct-versus-factored local degrees lives here
 too: the coset permutation of every generator image of one
-representation, read one cycle type at a time.
+representation, read one cycle type at a time.  So does
+`rep_peripheral_ids`, one representation's row of the package's
+peripheral pass, which the tests read where the pipeline reads row 0.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from coverforge.covers import (
     cycle_type,
 )
 from coverforge.errors import BadParameters
-from coverforge.groups import FiniteGroupHandle, SubgroupData
-from coverforge.surfaces import RepTuple
+from coverforge.groups import FiniteGroupHandle, SubgroupData, group_table
+from coverforge.surfaces import RepTuple, peripheral_ids
 
 
 @dataclass(frozen=True)
@@ -217,13 +219,19 @@ class CosetAction:
     peripheral_perms: tuple[tuple[int, ...], ...]  # c_1, .., c_n (derived last)
 
 
+def rep_peripheral_ids(rep: RepTuple):
+    """Table ids of the images of c_1, .., c_n under one representation,
+    the derived c_n last: the one row of the package's peripheral pass."""
+    return peripheral_ids(group_table(rep.target), rep.signature, [rep.images])[0]
+
+
 def coset_action(rep: RepTuple, h0: SubgroupData) -> CosetAction:
     space = coset_space(h0)
     free = {
         name: coset_permutation(space, g)
         for name, g in zip(rep.signature.generator_names, rep.images)
     }
-    peripheral = tuple(coset_permutation(space, g) for g in rep.peripheral_image_ids())
+    peripheral = tuple(coset_permutation(space, g) for g in rep_peripheral_ids(rep))
     return CosetAction(space.degree, h0.order, free, peripheral)
 
 

@@ -48,14 +48,8 @@ from coverforge.covers import (
 )
 from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
 from coverforge.orbits import aut_classes, orbit_closure
-from coverforge.surfaces import (
-    RepTuple,
-    SurfaceSignature,
-    is_surjective,
-    peripheral_profile,
-    verify_relation,
-)
-from element_oracle import Residue, element_of, element_order, ids_of
+from coverforge.surfaces import RepTuple, SurfaceSignature, is_surjective
+from element_oracle import Residue, element_of, element_order, ids_of, rep_peripheral_ids
 
 
 @contextmanager
@@ -85,28 +79,30 @@ def test_criterion_01_catalog_fidelity():
         for name, builder, expected in cases:
             start = time.perf_counter()
             build = builder()
-            assert verify_relation(build.rep, build.claimed_cn), name
-            assert is_surjective(build.rep), name
-            assert peripheral_profile(build.rep).orders == expected, name
+            table = group_table(build.rep.target)
+            peripheral = rep_peripheral_ids(build.rep)
+            assert build.claimed_cn == peripheral[-1], name
+            assert is_surjective(table, build.rep.images), name
+            assert tuple(table.orders[peripheral].tolist()) == expected, name
             assert time.perf_counter() - start < 5.0, (name, expected)
 
 
 def test_criterion_02_hypothesis_verification():
     with criterion(2, "hypothesis checks for the three p=5 subgroups"):
-        handle = FiniteGroupHandle.psl2(5)
-        profile = peripheral_profile(build_generic(5, 1, 2).rep)
+        rep = build_generic(5, 1, 2).rep
+        orders = tuple(group_table(rep.target).orders[rep_peripheral_ids(rep)].tolist())
         a0, _, _ = diagonal_torus(5)
         n_a0 = normalizer(a0)
         borel = borel_subgroup(5)
 
         start = time.perf_counter()
-        hyp_na0 = verify_hypotheses(handle, n_a0, profile)
+        hyp_na0 = verify_hypotheses(n_a0, orders)
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
-        hyp_borel = verify_hypotheses(handle, borel, profile)
+        hyp_borel = verify_hypotheses(borel, orders)
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
-        hyp_a0 = verify_hypotheses(handle, a0, profile)
+        hyp_a0 = verify_hypotheses(a0, orders)
         assert time.perf_counter() - start < 1.0
 
         assert hyp_a0.self_normalizing is False
@@ -172,7 +168,7 @@ def test_criterion_05_single_factor_diagnostic():
         assert space.degree == 15
         multisets = []
         for i in (1, 2):
-            perm = coset_permutation(space, build.rep.peripheral_image_ids()[i - 1])
+            perm = coset_permutation(space, rep_peripheral_ids(build.rep)[i - 1])
             assert cycle_type(perm) == {5: 3}
             multisets.append(cycle_type(perm))
         from coverforge.covers import riemann_hurwitz
@@ -197,7 +193,7 @@ def test_criterion_06_factored_direct_equivalence():
             if d * d > 10_000:
                 continue
             for i in range(1, build.signature.n + 1):
-                perm = coset_permutation(space, build.rep.peripheral_image_ids()[i - 1])
+                perm = coset_permutation(space, rep_peripheral_ids(build.rep)[i - 1])
                 product_perm = [0] * (d * d)
                 for x in range(d):
                     for y in range(d):

@@ -31,18 +31,27 @@ from coverforge.groups import (
     subgroup_closure,
 )
 from coverforge.orbits import aut_classes, orbit_closure
-from coverforge.surfaces import (
-    is_surjective,
-    peripheral_profile,
-    verify_relation,
-)
+from coverforge.surfaces import is_surjective
 import element_oracle as oracle
-from element_oracle import Permutation, element_order
+from element_oracle import Permutation, element_order, rep_peripheral_ids
 
 
 def derived_cn(rep):
     """The derived last peripheral image as an oracle element."""
-    return oracle.element_of(rep.target, rep.peripheral_image_ids()[-1])
+    return oracle.element_of(rep.target, rep_peripheral_ids(rep)[-1])
+
+
+def relation_holds(build):
+    """The pipeline's `relation_holds`: the claimed c_n is the derived one."""
+    return build.claimed_cn == rep_peripheral_ids(build.rep)[-1]
+
+
+def surjective(rep):
+    return is_surjective(group_table(rep.target), rep.images)
+
+
+def peripheral_orders(rep):
+    return tuple(group_table(rep.target).orders[rep_peripheral_ids(rep)].tolist())
 
 
 def element(handle, gid):
@@ -187,15 +196,15 @@ class TestGenericFamily:
         assert encode(table, images["b1"]) == [1, 1, 0, 1]
         assert encode(table, images["c1"]) == [1, 0, 1, 1]
         assert oracle.encode_element(derived_cn(b.rep)) == [1, 0, 4, 1]
-        assert verify_relation(b.rep, b.claimed_cn)
-        assert is_surjective(b.rep)
-        assert peripheral_profile(b.rep).orders == (5, 5)
+        assert relation_holds(b)
+        assert surjective(b.rep)
+        assert peripheral_orders(b.rep) == (5, 5)
         assert b.h0.order == 4
 
     def test_p13_g2_n3(self):
         b = build_generic(13, 2, 3)
-        assert peripheral_profile(b.rep).orders == (13, 13, 13)
-        assert is_surjective(b.rep)
+        assert peripheral_orders(b.rep) == (13, 13, 13)
+        assert surjective(b.rep)
         assert b.h0.order == 12
 
     def test_p_below_n_rejected(self):
@@ -208,22 +217,21 @@ class TestGenericFamily:
 class TestOncePuncturedFamily:
     def test_p13(self):
         b = build_once_punctured(13, 1)
-        prof = peripheral_profile(b.rep)
-        assert prof.orders == (7,)
+        assert peripheral_orders(b.rep) == (7,)
         assert b.h0.order == 78 == 13 * 12 // 2
         assert math.gcd(7, 78) == 1
-        assert is_surjective(b.rep)
-        assert verify_relation(b.rep, b.claimed_cn)
+        assert surjective(b.rep)
+        assert relation_holds(b)
 
     def test_p17(self):
         b = build_once_punctured(17, 1)
-        assert peripheral_profile(b.rep).orders == (9,)
+        assert peripheral_orders(b.rep) == (9,)
         assert b.h0.order == 136
         assert math.gcd(9, 136) == 1
 
     def test_higher_genus_pads_with_identity(self):
         b = build_once_punctured(13, 2)
-        assert peripheral_profile(b.rep).orders == (7,)
+        assert peripheral_orders(b.rep) == (7,)
         identity = group_table(b.rep.target).identity_id
         assert b.rep.images[2] == b.rep.images[3] == identity
         assert element(b.rep.target, identity).is_identity()
@@ -242,9 +250,9 @@ class TestGenusZeroFamily:
         b = build_genus_zero(5, 3)
         assert b.constants["s"] == 1
         assert b.constants["t"] == 4
-        assert peripheral_profile(b.rep).orders == (5, 5, 3)
-        assert verify_relation(b.rep, b.claimed_cn)
-        assert is_surjective(b.rep)
+        assert peripheral_orders(b.rep) == (5, 5, 3)
+        assert relation_holds(b)
+        assert surjective(b.rep)
         assert b.h0.order == 4
         # trace of the last peripheral is 2 + t up to sign
         cn = derived_cn(b.rep)
@@ -253,7 +261,7 @@ class TestGenusZeroFamily:
     def test_p13_n4(self):
         b = build_genus_zero(13, 4)
         assert b.constants["s"] == 7  # inverse of 2 mod 13
-        assert peripheral_profile(b.rep).orders == (13, 13, 13, 7)
+        assert peripheral_orders(b.rep) == (13, 13, 13, 7)
 
     def test_p7_rejected(self):
         with pytest.raises(BadParameters):
@@ -266,17 +274,16 @@ class TestGenusZeroFamily:
         b = build_genus_zero(13, 3, explicit_t=2)
         assert b.mode == "dihedral-remark"
         assert b.h0.order == 14
-        prof = peripheral_profile(b.rep)
-        assert prof.orders == (13, 13, 6)
-        assert ((13 - 1) // 2) % prof.orders[-1] == 0
+        orders = peripheral_orders(b.rep)
+        assert orders == (13, 13, 6)
+        assert ((13 - 1) // 2) % orders[-1] == 0
 
     def test_explicit_t_irreducible_branch(self):
         # t=4 at p=13 is irreducible with root order 14, so H0 is the
         # dihedral group of order p-1 and the last order divides (p+1)/2
         b = build_genus_zero(13, 3, explicit_t=4)
         assert b.h0.order == 12
-        prof = peripheral_profile(b.rep)
-        assert prof.orders == (13, 13, 7)
+        assert peripheral_orders(b.rep) == (13, 13, 7)
 
     def test_explicit_t_zero_rejected(self):
         with pytest.raises(BadParameters):
@@ -286,12 +293,12 @@ class TestGenusZeroFamily:
 class TestCharacteristicFamilies:
     def test_cyclic_g0_n3(self):
         b = build_characteristic_cyclic(0, 3)
-        assert peripheral_profile(b.rep).orders == (3, 3, 3)
-        assert is_surjective(b.rep)
+        assert peripheral_orders(b.rep) == (3, 3, 3)
+        assert surjective(b.rep)
 
     def test_cyclic_g2_n2(self):
         b = build_characteristic_cyclic(2, 2)
-        assert peripheral_profile(b.rep).orders == (2, 2)
+        assert peripheral_orders(b.rep) == (2, 2)
 
     def test_cyclic_needs_two_punctures(self):
         with pytest.raises(BadParameters):
@@ -302,7 +309,7 @@ class TestCharacteristicFamilies:
         derived = derived_cn(b.rep)
         assert derived == Permutation.from_cycles(3, [(0, 1, 2)])
         assert element_order(derived) == 3 >= 2
-        assert is_surjective(b.rep)
+        assert surjective(b.rep)
 
     def test_sym3_higher_genus(self):
         b = build_characteristic_sym3(3)
@@ -318,7 +325,7 @@ class TestHypotheses:
         # honest outcome at p = 5: N(A0) is a Klein four-group and its
         # normalizer has order 12, so condition (1) genuinely fails here
         b = build_generic(5, 1, 2)
-        hyp = verify_hypotheses(b.rep.target, b.h0, peripheral_profile(b.rep))
+        hyp = verify_hypotheses(b.h0, peripheral_orders(b.rep))
         assert hyp.self_normalizing is False
         assert hyp.aut_eq_inn is True
         assert hyp.d0_stabilizes_h0 is True
@@ -327,12 +334,12 @@ class TestHypotheses:
     def test_p5_a0_fails_self_normalization(self):
         b = build_generic(5, 1, 2)
         a0, _, _ = diagonal_torus(5)
-        hyp = verify_hypotheses(b.rep.target, a0, peripheral_profile(b.rep))
+        hyp = verify_hypotheses(a0, peripheral_orders(b.rep))
         assert hyp.self_normalizing is False
 
     def test_p5_borel_self_normalizing_but_not_coprime(self):
         b = build_generic(5, 1, 2)
-        hyp = verify_hypotheses(b.rep.target, borel_subgroup(5), peripheral_profile(b.rep))
+        hyp = verify_hypotheses(borel_subgroup(5), peripheral_orders(b.rep))
         assert hyp.self_normalizing is True
         assert hyp.aut_eq_inn is True
         assert hyp.d0_stabilizes_h0 is True
@@ -343,9 +350,7 @@ class TestHypotheses:
     def test_p13_families_pass_everything(self):
         for build in (build_generic(13, 1, 2), build_once_punctured(13, 1),
                       build_genus_zero(13, 4)):
-            hyp = verify_hypotheses(
-                build.rep.target, build.h0, peripheral_profile(build.rep)
-            )
+            hyp = verify_hypotheses(build.h0, peripheral_orders(build.rep))
             assert hyp.all_pass, (build.signature, hyp)
 
     def test_d0_stabilizes_catalog_subgroups(self):

@@ -51,6 +51,7 @@ from element_oracle import (
     element_order,
     ids_of,
     local_degrees_direct,
+    rep_peripheral_ids,
 )
 
 
@@ -159,7 +160,7 @@ class TestFactoredCombination:
         ]
         for build, puncture in cases:
             space = coset_space(build.h0)
-            g = build.rep.peripheral_image_ids()[puncture - 1]
+            g = rep_peripheral_ids(build.rep)[puncture - 1]
             perm = coset_permutation(space, g)
             d = len(perm)
             assert d * d <= 10_000
@@ -234,8 +235,8 @@ class TestElevationDegrees:
         peripheral = peripheral_ids(table, b.signature, result.class_rep_ids)
         for puncture in range(1, b.signature.n + 1):
             orders = [
-                element_order(element_of(table.handle, RepTuple(b.signature, table.handle, ids)
-                                         .peripheral_image_ids()[puncture - 1]))
+                element_order(element_of(table.handle, rep_peripheral_ids(
+                    RepTuple(b.signature, table.handle, ids))[puncture - 1]))
                 for ids in result.class_rep_ids
             ]
             assert elevation_degree(table, peripheral, puncture) == math.lcm(*orders)

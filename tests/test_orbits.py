@@ -43,7 +43,9 @@ from coverforge.orbits import (
     verify_hall_surjectivity,
 )
 from coverforge.surfaces import RepTuple, SurfaceSignature, peripheral_ids
-from element_oracle import Residue, element_of, element_order, elements, identity, ids_of
+from element_oracle import (
+    Residue, element_of, element_order, elements, identity, ids_of, rep_peripheral_ids,
+)
 from test_reference_digests import (
     CONFIGS,
     GOLDEN,
@@ -1054,7 +1056,6 @@ class TestAutClasses:
         from coverforge.catalog import diagonal_torus
         from coverforge.covers import coset_permutation, coset_space, cycle_type
         from coverforge.groups import normalizer
-        from coverforge.surfaces import peripheral_profile
 
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
@@ -1062,16 +1063,13 @@ class TestAutClasses:
         perms = all_automorphisms(table)
         space = coset_space(b.h0)
         rep0 = RepTuple(b.signature, table.handle, res.class_rep_ids[1])
-        prof0 = peripheral_profile(rep0)
-        types0 = [
-            cycle_type(coset_permutation(space, g)) for g in rep0.peripheral_image_ids()
-        ]
+        peripheral0 = rep_peripheral_ids(rep0)
+        types0 = [cycle_type(coset_permutation(space, g)) for g in peripheral0]
         for row in perms[:10]:
             moved = RepTuple(b.signature, table.handle, tuple(row[list(rep0.images)].tolist()))
-            assert peripheral_profile(moved).orders == prof0.orders
-            assert [
-                cycle_type(coset_permutation(space, g)) for g in moved.peripheral_image_ids()
-            ] == types0
+            peripheral = rep_peripheral_ids(moved)
+            assert table.orders[peripheral].tolist() == table.orders[peripheral0].tolist()
+            assert [cycle_type(coset_permutation(space, g)) for g in peripheral] == types0
 
 
 def relabelled_table(table, seed):
@@ -1496,7 +1494,13 @@ class TestClosedFormOrbits:
     phi(n) elements; Sym(3) has 6**r - 3**r - 3 * 2**r + 3 (a tuple
     generates unless it lies in A_3 or in one of the three subgroups of
     order 2) and Aut Sym(3) acts freely with 6.  So every class is full,
-    and the closure check runs on the reps."""
+    and the closure check runs on the reps.
+
+    The degree of the characteristic cover is the order of the product
+    image of F_r over the orbit: n**r for Z/n, where the kernels meet in
+    the kernel onto (Z/n)^r, and 2**r * 3**((2**r - 1) * (r - 1)) for
+    Sym(3): the sign image (Z/2)^r times the image of the sign kernel in
+    a power of A_3."""
 
     CHARACTERISTIC = {
         "char-cyclic-g0-n3": (8, 4),
@@ -1506,6 +1510,8 @@ class TestClosedFormOrbits:
         "char-sym3-g2": (1170, 195),
         "char-sym3-g3": (45738, 7623),
     }
+    # the runs where |G|^k is within the product BFS's cap
+    DEGREES = {"char-cyclic-g0-n3": 9, "char-cyclic-g1-n2": 8, "char-sym3-g1": 108}
 
     def test_every_pinned_characteristic_orbit_is_listed(self):
         assert {
@@ -1524,3 +1530,24 @@ class TestClosedFormOrbits:
         states = int(np.unpackbits(orb.members).sum())
         assert (states, res.k) == (size, size // aut) == self.CHARACTERISTIC[name]
         assert orb.size == states
+
+    @pytest.mark.parametrize("name", sorted(CHARACTERISTIC))
+    def test_degree(self, name):
+        orb, res = pinned_orbit(name)
+        n, r = orb.table.order, orb.rank
+        degree = characteristic_core(orb.table, res.class_rep_ids, ())
+        if name not in self.DEGREES:
+            assert degree is None and n**res.k > orbits.PRODUCT_CLOSURE_CAP
+            return
+        if orb.table.handle.kind == "cyclic":
+            closed_form = n**r
+        else:
+            closed_form = 2**r * 3 ** ((2**r - 1) * (r - 1))
+        assert degree == closed_form == self.DEGREES[name]
+
+    def test_degree_sees_a_dropped_class_rep(self):
+        """A planted fault: without one class rep the Sym(3) product
+        image shrinks.  (On Z/n the other reps still span (Z/n)^r, so
+        there the degree stays n**r.)"""
+        orb, res = pinned_orbit("char-sym3-g1")
+        assert characteristic_core(orb.table, res.class_rep_ids[:-1], ()) == 36

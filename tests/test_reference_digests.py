@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from coverforge import certificates, groups
+from coverforge import certificates, groups, surfaces
 from coverforge.certificates import ConstructConfig, construct, verify
 from coverforge.errors import BadParameters
 
@@ -95,23 +95,6 @@ def test_one_orbit_stage_per_construct(name, monkeypatch):
     construct(CONFIGS[name])
     expected = 0 if CONFIGS[name].single_factor else 1
     assert counts == dict.fromkeys(_ORBIT_STAGE, expected)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_one_peripheral_pass_per_construct(name, monkeypatch):
-    """The class reps' peripheral ids are derived once, in the pipeline,
-    and both cover stages read them; single-factor derives them for the
-    built tuple alone."""
-    calls = []
-    original = certificates.peripheral_ids
-
-    def counted(table, signature, rep_ids):
-        calls.append(len(rep_ids))
-        return original(table, signature, rep_ids)
-
-    monkeypatch.setattr(certificates, "peripheral_ids", counted)
-    cert = construct(CONFIGS[name])
-    assert calls == [cert["orbit"]["k"]]
 
 
 @pytest.mark.parametrize(
@@ -235,3 +218,34 @@ def test_construct_and_verify_run_on_table_ids_only(name, monkeypatch):
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
     report = verify(cert)
     assert report.digest_ok and report.mismatches == ()
+
+
+# the reference set and the benchmark's genus-zero PSL(2, 13) orbit
+PERIPHERAL_PASS_CONFIGS = {
+    **CONFIGS,
+    "genus-zero-p13-n3": PSL2_RANK2_GOLDEN["genus-zero-p13-n3"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIPHERAL_PASS_CONFIGS))
+def test_one_peripheral_pass_per_construct(name, monkeypatch):
+    """A construct and a verify replay each derive peripheral ids once,
+    wherever the function is looked up: for the class reps (the built
+    tuple alone for single-factor), which both cover stages read.  Row 0
+    of that pass is the built tuple, whose relation, surjectivity,
+    orders and c_n the representation section reads there."""
+    config = PERIPHERAL_PASS_CONFIGS[name]
+    images = list(certificates._build_case(config).rep.images)
+    calls = []
+    original = surfaces.peripheral_ids
+
+    def counted(table, signature, rep_ids):
+        calls.append((len(rep_ids), [int(i) for i in rep_ids[0]]))
+        return original(table, signature, rep_ids)
+
+    monkeypatch.setattr(surfaces, "peripheral_ids", counted)
+    monkeypatch.setattr(certificates, "peripheral_ids", counted)
+    cert = construct(config)
+    assert calls == [(cert["orbit"]["k"], images)]
+    assert verify(cert).mismatches == ()
+    assert calls == [(cert["orbit"]["k"], images)] * 2

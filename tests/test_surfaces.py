@@ -11,20 +11,18 @@ from coverforge.catalog import (
     build_genus_zero,
     build_once_punctured,
 )
+from coverforge.certificates import ConstructConfig, construct
 from coverforge.errors import BadParameters
 from coverforge.groups import FiniteGroupHandle, group_table
 from coverforge.surfaces import (
-    PeripheralProfile,
     RepTuple,
     SurfaceSignature,
     is_surjective,
     peripheral_ids,
-    peripheral_profile,
-    verify_relation,
 )
 from coverforge.orbits import aut_classes, orbit_closure
 import element_oracle as oracle
-from element_oracle import Residue, canonicalize
+from element_oracle import Residue, canonicalize, rep_peripheral_ids
 
 
 def rep_of(sig, handle, *elements):
@@ -34,7 +32,7 @@ def rep_of(sig, handle, *elements):
 
 def derived_last_peripheral(rep):
     """The derived c_n of the pipeline, as an oracle element."""
-    return oracle.element_of(rep.target, rep.peripheral_image_ids()[-1])
+    return oracle.element_of(rep.target, rep_peripheral_ids(rep)[-1])
 
 
 def reference_last_peripheral(rep):
@@ -53,6 +51,14 @@ def reference_last_peripheral(rep):
 
 def identity_rep(sig, handle):
     return RepTuple(sig, handle, (group_table(handle).identity_id,) * sig.free_rank)
+
+
+def surjective(rep):
+    return is_surjective(group_table(rep.target), rep.images)
+
+
+def peripheral_orders(rep):
+    return tuple(group_table(rep.target).orders[rep_peripheral_ids(rep)].tolist())
 
 
 class TestSignature:
@@ -112,6 +118,9 @@ class TestDerivedPeripheral:
 
 
 class TestVerifyRelation:
+    """A stated last peripheral id holds the relation when it is the
+    derived one (the pipeline's `relation_holds`)."""
+
     def test_generic_claim(self):
         p = 5
         sig = SurfaceSignature(1, 2)
@@ -119,13 +128,14 @@ class TestVerifyRelation:
         l = canonicalize(1, 0, 1, 1, p)
         h = FiniteGroupHandle.psl2(p)
         rep = rep_of(sig, h, u, u, l)
-        assert verify_relation(rep, oracle.id_of(h, canonicalize(1, 0, 4, 1, p)))
-        assert not verify_relation(rep, oracle.id_of(h, oracle.identity(h)))
+        derived = rep_peripheral_ids(rep)[-1]
+        assert derived == oracle.id_of(h, canonicalize(1, 0, 4, 1, p))
+        assert derived != oracle.id_of(h, oracle.identity(h))
 
     def test_identity_rep(self):
         sig = SurfaceSignature(1, 2)
         h = FiniteGroupHandle.cyclic(4)
-        assert verify_relation(identity_rep(sig, h), group_table(h).identity_id)
+        assert rep_peripheral_ids(identity_rep(sig, h))[-1] == group_table(h).identity_id
 
 
 class TestSurjectivity:
@@ -135,36 +145,42 @@ class TestSurjectivity:
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
         rep = rep_of(sig, FiniteGroupHandle.psl2(p), u, u, l)
-        assert is_surjective(rep)
+        assert surjective(rep)
 
     def test_identity_rep_is_not(self):
         sig = SurfaceSignature(1, 2)
-        assert not is_surjective(identity_rep(sig, FiniteGroupHandle.psl2(5)))
+        assert not surjective(identity_rep(sig, FiniteGroupHandle.psl2(5)))
 
     def test_cyclic_peripheral_rep(self):
         sig = SurfaceSignature(0, 3)
         h = FiniteGroupHandle.cyclic(3)
         rep = rep_of(sig, h, Residue(1, 3), Residue(1, 3))
-        assert is_surjective(rep)
+        assert surjective(rep)
 
 
 class TestProfile:
+    """The peripheral orders (of c_1, .., c_n, derived c_n last) and
+    delta, their minimum."""
+
     def test_generic_profile(self):
         p = 5
         sig = SurfaceSignature(1, 2)
         u = canonicalize(1, 1, 0, 1, p)
         l = canonicalize(1, 0, 1, 1, p)
         rep = rep_of(sig, FiniteGroupHandle.psl2(p), u, u, l)
-        prof = peripheral_profile(rep)
-        assert prof.orders == (5, 5) and prof.delta == 5
+        orders = peripheral_orders(rep)
+        assert orders == (5, 5) and min(orders) == 5
 
     def test_identity_profile(self):
         sig = SurfaceSignature(1, 3)
         rep = identity_rep(sig, FiniteGroupHandle.symmetric(3))
-        assert peripheral_profile(rep).orders == (1, 1, 1)
+        assert peripheral_orders(rep) == (1, 1, 1)
 
     def test_profile_delta(self):
-        assert PeripheralProfile((13, 13, 7)).delta == 7
+        config = ConstructConfig("genus-zero", p=13, punctures=3, single_factor=True)
+        representation = construct(config)["representation"]
+        assert representation["peripheral_orders"] == [13, 13, 7]
+        assert representation["delta"] == 7
 
 
 class TestPeripheralIds:
@@ -194,7 +210,7 @@ class TestPeripheralIds:
             expected = list(ids[2 * b.signature.g :])
             expected.append(oracle.id_of(table.handle, reference_last_peripheral(rep)))
             assert row == expected
-            assert rep.peripheral_image_ids().tolist() == expected
+            assert rep_peripheral_ids(rep).tolist() == expected
 
 
 def _small_targets():
@@ -223,7 +239,7 @@ def test_relation_always_recomposes(target, g, n, seed):
         rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % 2**63
         images.append(els[rng_state % len(els)])
     rep = rep_of(sig, target, *images)
-    cs = [els[i] for i in rep.peripheral_image_ids()]
+    cs = [els[i] for i in rep_peripheral_ids(rep)]
     assert cs[:-1] == images[2 * sig.g :]
     lhs = oracle.identity(target)
     for i in range(sig.g):
