@@ -449,10 +449,14 @@ def build_characteristic_sym3(g: int) -> CatalogBuild:
 # ---------------------------------------------------------------------------
 # Hypothesis verification
 
-def verify_hypotheses(h0: SubgroupData, orders: tuple[int, ...]) -> HypothesisReport:
+def verify_hypotheses(
+    h0: SubgroupData, orders: tuple[int, ...], self_normalizing: bool
+) -> HypothesisReport:
     """Check the subgroup conditions used by the irregular pipeline:
     H0 self-normalizing, every automorphism image of H0 conjugate to H0,
-    and the peripheral `orders` >= 2 and coprime to |H0|.
+    and the peripheral `orders` >= 2 and coprime to |H0|.  The first is
+    passed in: it is the deck check (`covers.verify_deck_trivial`), which
+    computes N(H0) once for both.
 
     Every automorphism of the PSL2 target is inner composed with
     conjugation by d0 = diag(1, epsilon), so the second condition
@@ -469,7 +473,7 @@ def verify_hypotheses(h0: SubgroupData, orders: tuple[int, ...]) -> HypothesisRe
         for order in orders
     )
     return HypothesisReport(
-        self_normalizing=normalizer(h0) == h0,
+        self_normalizing=self_normalizing,
         aut_eq_inn=aut_eq_inn,
         aut_witness=witness,
         d0_stabilizes_h0=conjugated == h0,

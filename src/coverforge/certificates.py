@@ -17,7 +17,6 @@ are searched again and diffed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -61,6 +60,7 @@ from .orbits import (
     OrbitResult,
     aut_classes,
     orbit_closure,
+    sha256,
     verify_characteristic_closure,
     verify_hall_surjectivity,
 )
@@ -107,7 +107,7 @@ def canonical_json(obj) -> str:
 
 
 def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _fraction_pair(x: Fraction) -> list[int]:
@@ -310,7 +310,8 @@ def _irregular_stages(build, orders, result, peripheral, elevation, cert, checks
     sig = build.signature
     h0 = build.h0
     table = group_table(rep.target)
-    hyp = verify_hypotheses(h0, orders)
+    deck = verify_deck_trivial(h0)
+    hyp = verify_hypotheses(h0, orders, deck)
     checks["self_normalizing"] = hyp.self_normalizing
     checks["aut_eq_inn"] = hyp.aut_eq_inn
     checks["delta_ge_2"] = hyp.delta_ge_2
@@ -364,7 +365,6 @@ def _irregular_stages(build, orders, result, peripheral, elevation, cert, checks
     else:
         bound = genus_lower_bound(build.p, k, sig.g, sig.n)
         bound_kind = "theorem"
-    deck = verify_deck_trivial(h0)
     cover = {
         "degree": degree,
         "index": index,

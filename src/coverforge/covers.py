@@ -155,7 +155,8 @@ def proposition_genus_bound(index: int, k: int, g: int, n: int, delta: int) -> F
 
 def verify_deck_trivial(h0: SubgroupData) -> bool:
     """The deck group of the H0-coset cover is N(H0)/H0; it is trivial
-    exactly when H0 is self-normalizing (the whole group included)."""
+    exactly when H0 is self-normalizing (the whole group included).  The
+    certificate's self_normalizing hypothesis is this result too."""
     return normalizer(h0) == h0
 
 

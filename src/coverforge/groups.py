@@ -388,39 +388,49 @@ def group_table(handle: FiniteGroupHandle) -> GroupTable:
 
 
 def _psl2_table(handle: FiniteGroupHandle, entries: np.ndarray) -> GroupTable:
-    """Products by row vectors: a row (u, v) times element j is the row
-    (u a_j + v c_j, u b_j + v d_j), so one (p**2, n) array of row codes
-    gives both rows of every product, and the lookup maps the product's
-    entry code, of either sign, to its id.  The row codes are made one
-    value of u at a time; each block of rows joins its two row codes in
-    int32, is looked up and is stored as 16-bit ids.  A block holds the
-    int32 code, the intp index the lookup makes of it and the int32 ids
-    it gathers at once: 16 bytes per cell."""
+    """Products by row gathers along a BFS of the Cayley graph of three
+    generators of SL(2, Z): [[1, 1], [0, 1]], its inverse and
+    [[0, -1], [1, 0]].  (g s) h = g (s h), so the row of g s is the row
+    of g gathered at the row of s, and the id of g s is the row of g at
+    s.  The lookup maps an entry code of either sign to its id, and gives
+    the generators' rows from their entry products.  From the identity's
+    row ``arange(n)``, a level's new ids are the unseen products of the
+    last level by each generator in turn, and their rows are the parents'
+    rows gathered at the generator's row.  A block of rows holds the
+    parents' rows and their gathers: 4 bytes per cell."""
     p = handle.p
     n = len(entries)
     ids = np.arange(n, dtype=np.int32)
     lookup = np.full(p**4, -1, dtype=np.int32)
     lookup[_encode_entries(*entries.T, p)] = ids
     lookup[_encode_entries(*((p - entries.T) % p), p)] = ids
-    a, b, c, d = entries.T.astype(np.int32)
-    # a row code is below p**2, and 16-bit ids already hold n < 2**16,
-    # so p < 52 and p**2 < 2**16
-    row_code = np.empty((p * p, n), dtype=np.uint16)
-    v = np.arange(p, dtype=np.int32)[:, None]
-    for u in range(p):
-        row_code[u * p : (u + 1) * p] = (u * a + v * c) % p * p + (u * b + v * d) % p
-    top, bottom = a * p + b, c * p + d
-    mul = np.empty((n, n), dtype=_ID_DTYPE)
-    step = max(1, _BLOCK_BYTES // (16 * n))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        code = row_code[top[rows]].astype(np.int32)
-        code *= p * p
-        code += row_code[bottom[rows]]
-        mul[rows] = lookup[code]
-        del code  # before the next block is made
-    inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)].astype(_ID_DTYPE)
+    a, b, c, d = entries.T
+    gen_ids, gen_rows = [], []
+    for x, y, z, w in ((1, 1, 0, 1), (1, p - 1, 0, 1), (0, p - 1, 1, 0)):
+        gen_ids.append(int(lookup[_encode_entries(x, y, z, w, p)]))
+        product = (x * a + y * c, x * b + y * d, z * a + w * c, z * b + w * d)
+        gen_rows.append(lookup[_encode_entries(*(e % p for e in product), p)].astype(np.intp))
     identity_id = int(lookup[_encode_entries(1, 0, 0, 1, p)])
+    mul = np.empty((n, n), dtype=_ID_DTYPE)
+    mul[identity_id] = ids
+    seen = np.zeros(n, dtype=bool)
+    seen[identity_id] = True
+    level = np.array([identity_id])
+    step = max(1, _BLOCK_BYTES // (4 * n))
+    while level.size:
+        reached = []
+        for gid, row in zip(gen_ids, gen_rows):
+            # g s = h s only if g = h, so one generator's products are distinct
+            products = mul[level, gid]
+            fresh = ~seen[products]
+            new, parents = products[fresh], level[fresh]
+            seen[new] = True
+            for lo in range(0, new.size, step):
+                mul[new[lo : lo + step]] = mul[parents[lo : lo + step]].take(row, axis=1)
+            reached.append(new)
+        level = np.concatenate(reached)
+    assert seen.all(), "the generators reach every id"
+    inv = lookup[_encode_entries(d, (p - b) % p, (p - c) % p, a, p)].astype(_ID_DTYPE)
     return GroupTable(handle, entries, lookup, mul, inv, identity_id)
 
 

@@ -49,13 +49,23 @@ time, and the product image takes its columns.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
 import numpy as np
+
+# sha256 from CPython's own hash module (_sha2 since 3.12, _sha256 in
+# 3.11): hashlib loads OpenSSL's libcrypto, several MB per process, as
+# random.py notes for sha512.  hashlib only for a build without them
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import BadParameters, BudgetExceeded
 from .groups import (
@@ -528,7 +538,7 @@ class OrbitResult:
         alphabet[ids] = texts.view(np.uint8).reshape(ids.size, -1)
         width = reps.shape[1] * alphabet.shape[1] + 2
         step = max(1, _BLOCK_BYTES // (4 * width))
-        digest = hashlib.sha256(b"[")
+        digest = sha256(b"[")
         for lo in range(0, len(reps), step):
             rows = reps[lo : lo + step]
             text = np.empty((len(rows), width), dtype=np.uint8)

@@ -45,6 +45,7 @@ from coverforge.covers import (
     cycle_type,
     genus_lower_bound,
     local_degrees_factored,
+    verify_deck_trivial,
 )
 from coverforge.groups import FiniteGroupHandle, group_table, normalizer, subgroup_closure
 from coverforge.orbits import aut_classes, orbit_closure
@@ -96,13 +97,13 @@ def test_criterion_02_hypothesis_verification():
         borel = borel_subgroup(5)
 
         start = time.perf_counter()
-        hyp_na0 = verify_hypotheses(n_a0, orders)
+        hyp_na0 = verify_hypotheses(n_a0, orders, verify_deck_trivial(n_a0))
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
-        hyp_borel = verify_hypotheses(borel, orders)
+        hyp_borel = verify_hypotheses(borel, orders, verify_deck_trivial(borel))
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
-        hyp_a0 = verify_hypotheses(a0, orders)
+        hyp_a0 = verify_hypotheses(a0, orders, verify_deck_trivial(a0))
         assert time.perf_counter() - start < 1.0
 
         assert hyp_a0.self_normalizing is False

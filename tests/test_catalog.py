@@ -22,6 +22,7 @@ from coverforge.catalog import (
     validate_commutator_pair,
     verify_hypotheses,
 )
+from coverforge.covers import verify_deck_trivial
 from coverforge.errors import BadParameters, BudgetExceeded, SearchExhausted
 from coverforge.groups import (
     FiniteGroupHandle,
@@ -325,7 +326,7 @@ class TestHypotheses:
         # honest outcome at p = 5: N(A0) is a Klein four-group and its
         # normalizer has order 12, so condition (1) genuinely fails here
         b = build_generic(5, 1, 2)
-        hyp = verify_hypotheses(b.h0, peripheral_orders(b.rep))
+        hyp = verify_hypotheses(b.h0, peripheral_orders(b.rep), verify_deck_trivial(b.h0))
         assert hyp.self_normalizing is False
         assert hyp.aut_eq_inn is True
         assert hyp.d0_stabilizes_h0 is True
@@ -334,12 +335,13 @@ class TestHypotheses:
     def test_p5_a0_fails_self_normalization(self):
         b = build_generic(5, 1, 2)
         a0, _, _ = diagonal_torus(5)
-        hyp = verify_hypotheses(a0, peripheral_orders(b.rep))
+        hyp = verify_hypotheses(a0, peripheral_orders(b.rep), verify_deck_trivial(a0))
         assert hyp.self_normalizing is False
 
     def test_p5_borel_self_normalizing_but_not_coprime(self):
         b = build_generic(5, 1, 2)
-        hyp = verify_hypotheses(borel_subgroup(5), peripheral_orders(b.rep))
+        borel = borel_subgroup(5)
+        hyp = verify_hypotheses(borel, peripheral_orders(b.rep), verify_deck_trivial(borel))
         assert hyp.self_normalizing is True
         assert hyp.aut_eq_inn is True
         assert hyp.d0_stabilizes_h0 is True
@@ -350,7 +352,8 @@ class TestHypotheses:
     def test_p13_families_pass_everything(self):
         for build in (build_generic(13, 1, 2), build_once_punctured(13, 1),
                       build_genus_zero(13, 4)):
-            hyp = verify_hypotheses(build.h0, peripheral_orders(build.rep))
+            orders = peripheral_orders(build.rep)
+            hyp = verify_hypotheses(build.h0, orders, verify_deck_trivial(build.h0))
             assert hyp.all_pass, (build.signature, hyp)
 
     def test_d0_stabilizes_catalog_subgroups(self):

@@ -29,7 +29,7 @@ from coverforge.certificates import (
 )
 from coverforge.errors import BadParameters, BudgetExceeded, SchemaMismatch
 from coverforge.orbits import DEFAULT_ORBIT_BUDGET, PRODUCT_CLOSURE_CAP
-from test_reference_digests import CONFIGS as REFERENCE_CONFIGS
+from test_reference_digests import CONFIGS as REFERENCE_CONFIGS, GOLDEN as REFERENCE_GOLDEN
 
 
 def run_cli(*args, env_extra=None):
@@ -219,6 +219,36 @@ class TestVerification:
         report = verify(mutated)
         assert not report.passed
         assert any(path.startswith("constants.t") for path in report.mismatches)
+
+    @pytest.mark.parametrize(
+        "config",
+        [ConstructConfig(case="genus-zero", p=13, punctures=3),
+         ConstructConfig(case="once-punctured", p=13, genus=1)],
+        ids=["genus-zero-p13", "once-punctured-p13"],
+    )
+    def test_normalizer_of_h0_once_per_construct_and_verify(self, monkeypatch, config):
+        # the deck check owns N(H0); the self_normalizing hypothesis reads
+        # its result.  Every module that looks the name up is counted
+        from coverforge import catalog, covers, groups
+        from coverforge.groups import FiniteGroupHandle, decode, group_table, subgroup_closure
+
+        calls = []
+        for module in (catalog, covers, groups):
+            def counted(sub, real=module.normalizer, name=module.__name__):
+                calls.append((name, sub))
+                return real(sub)
+
+            monkeypatch.setattr(module, "normalizer", counted)
+        cert = construct(config)
+        handle = FiniteGroupHandle.psl2(config.p)
+        table = group_table(handle)
+        gens = [decode(table, g) for g in cert["subgroup"]["generators"]]
+        h0 = subgroup_closure(gens, handle)
+        assert [name for name, sub in calls if sub == h0] == ["coverforge.covers"]
+        calls.clear()
+        report = verify(cert)
+        assert report.passed, report.mismatches
+        assert [name for name, sub in calls if sub == h0] == ["coverforge.covers"]
 
     def test_canonical_json_writes_long_integers(self):
         # the int/str digit limit is lifted for the encode only
@@ -787,7 +817,8 @@ class TestCli:
         assert "constants.A" in err and "Traceback" not in err
 
     def test_construct_and_verify_do_not_import_numpy_ma(self, tmp_path):
-        # plain np.unique imports numpy.ma on first use, 16-31 ms per process
+        # plain np.unique imports numpy.ma on first use, 16-31 ms per
+        # process; hashlib loads OpenSSL's libcrypto (_hashlib), 3.6 MB
         script = (
             "import sys\n"
             "from coverforge.cli import main\n"
@@ -795,7 +826,7 @@ class TestCli:
             "    out = f'{sys.argv[1]}/cert{i}.json'\n"
             "    assert main(['construct', *args.split(), '--out', out]) == 0\n"
             "    assert main(['verify', out]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "print('numpy.ma' in sys.modules, '_hashlib' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path),
@@ -806,28 +837,51 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"
 
     def test_each_command_alone_does_not_import_numpy_ma(self, tmp_path):
         # one fresh process per command, so none rides on the imports or
-        # tables an earlier command made; plain np.unique imports numpy.ma
+        # tables an earlier command made; plain np.unique imports numpy.ma,
+        # and hashlib imports _hashlib, which loads OpenSSL's libcrypto
         script = (
             "import sys\n"
             "from coverforge.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "print(code, 'numpy.ma' in sys.modules, '_hashlib' in sys.modules)\n"
         )
         out = str(tmp_path / "cert.json")
         for args in (
             ["construct", "--case", "char-sym3", "--genus", "1", "--out", out],
             ["construct", "--case", "genus-zero", "--p", "13", "--punctures", "3"],
             ["verify", out],
+            ["bundle-report", "--fiber-genus", "13", "--base-genus", "2",
+             "--premise", "null-homologous"],
         ):
             proc = subprocess.run(
                 [sys.executable, "-c", script, *args], capture_output=True, text=True
             )
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[-1] == "0 False", args
+            assert proc.stdout.splitlines()[-1] == "0 False False", args
+
+    def test_sha256_falls_back_to_hashlib(self):
+        # a CPython built without its own hash modules digests through
+        # hashlib (_hashlib), to the same reference digests
+        name = "genus-zero-p5-n3"
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from coverforge.certificates import ConstructConfig, construct\n"
+            "cert = construct(eval(sys.argv[1]))\n"
+            "print('_hashlib' in sys.modules, cert['certificate_digest'],"
+            " cert['orbit']['class_reps_digest'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, repr(REFERENCE_CONFIGS[name])],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", *REFERENCE_GOLDEN[name]]
 
     def test_bundle_report_cli(self):
         proc = run_cli("bundle-report", "--fiber-genus", "13", "--base-genus", "2",

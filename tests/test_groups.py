@@ -1,5 +1,6 @@
 """Tests for the finite-group arithmetic layer."""
 
+import hashlib
 import json
 import math
 import time
@@ -435,9 +436,9 @@ class TestTables:
         assert table.entries[table.identity_id].tolist() == [1, 0, 0, 1]
 
     def test_psl2_table_build_within_one_block(self):
-        # besides the table it keeps, the build holds the (p**2, n) row
-        # codes and one block; blocks sized at 4 bytes per cell peaked
-        # 990 KB above the table at p = 13
+        # besides the table it keeps, the build holds one block of rows,
+        # the generators' intp rows and the BFS level arrays: measured
+        # 330 KB at p = 13, 68 KB above one block
         handle = FiniteGroupHandle.psl2(13)
         entries = groups.enumerate_group(handle)
         tracemalloc.start()
@@ -446,8 +447,28 @@ class TestTables:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        row_codes = 13**2 * table.order * 2
-        assert peak - kept <= row_codes + groups._BLOCK_BYTES + (16 << 10)
+        assert kept >= table.mul.nbytes
+        assert peak - kept <= groups._BLOCK_BYTES + (80 << 10)
+
+    @pytest.mark.parametrize(
+        "p,identity_id,digest",
+        [
+            (5, 10, "f4739afd46d52e12010478e7daf3125979cbaf2e726eff075c6b600d04814fa6"),
+            (7, 21, "951a17820dbb6bf8b6f4dd7f81d6e1e2d6f3eabdf9f4e207d092d1970bca3c66"),
+            (11, 55, "aead7d3f32888866526d470a466bb324221a978f2c4d21a09b0b3a57b53f77b5"),
+            (13, 78, "661c0b4ee892db65d053be9bdffb7e51c622023be922fb21a5fb136e58d1791a"),
+            (17, 136, "2b3c2bbb4c7fa8f789bbf847b93e610d0a9a5193a15d8436371ce3aa135ce9f7"),
+            (19, 171, "861f063c61171cbca4a7d9ea8eb3994f2e0faf4bacb47fd9877008c81db12ce7"),
+            (23, 253, "7ac3ee79aeef36c74d3c2ef673da9dcb5e07c39d351198345add8c759cfaa118"),
+        ],
+    )
+    def test_psl2_table_bytes_pinned(self, p, identity_id, digest):
+        # sha256 of mul then inv, byte for byte; the build is called
+        # directly, so the large tables are not cached for the session
+        handle = FiniteGroupHandle.psl2(p)
+        table = groups._psl2_table(handle, groups.enumerate_group(handle))
+        assert table.identity_id == identity_id
+        assert hashlib.sha256(table.mul.tobytes() + table.inv.tobytes()).hexdigest() == digest
 
     def test_psl2_table_p13_samples(self):
         handle = FiniteGroupHandle.psl2(13)
