@@ -329,7 +329,7 @@ def _irregular_stages(build, orders, result, peripheral, elevation, cert, checks
         cert["variant"] = "single-factor-diagnostic"
         cert["budget_used"] = {"hall_mode": None}
     else:
-        hall = verify_hall_surjectivity(result)
+        hall = verify_hall_surjectivity(result, checks["surjective"])
         checks["hall_surjective"] = hall.ok
         checks["class_reps_pairwise_inequivalent"] = hall.pairwise_inequivalent
         cert["variant"] = "irregular"

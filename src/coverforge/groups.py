@@ -282,12 +282,10 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     handle = table.handle
     if handle.kind == "cyclic":
-        units = [u for u in range(1, handle.n) if math.gcd(u, handle.n) == 1] or [0]
-        images = np.multiply.outer(units, ids)
+        images = np.multiply.outer(_units(handle.n), ids)
         images %= handle.n
         return images.astype(_ID_DTYPE)
-    if handle.kind == "symmetric" and handle.m == 6:
-        raise BadParameters("Sym(6) has outer automorphisms; not supported")
+    _refuse_sym6(handle)
     flat = ids.ravel()
     if handle.kind == "psl2":
         flat = np.concatenate([flat, table.d0[flat]])
@@ -300,6 +298,43 @@ def automorphism_images(table: "GroupTable", ids) -> np.ndarray:
     index *= table.order
     index += table.inv[:, None]
     return table.mul.ravel()[index].reshape((-1,) + ids.shape)
+
+
+def automorphism_image(table: "GroupTable", auts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The image of each id under the automorphism at the same place of
+    the int64 array `auts`, as 16-bit ids.  An automorphism is the number
+    of its row in ``automorphism_images``: for PSL2 row 2g + c is
+    conjugation by g after c applications of d0.  It makes three int64
+    arrays of the ids' size, besides the images; numbers narrower than
+    int64 would make the products cast through a ufunc buffer."""
+    n, handle = table.order, table.handle
+    if handle.kind == "cyclic":
+        images = np.asarray(_units(n))[auts] * ids
+        images %= n
+        return images.astype(_ID_DTYPE)
+    _refuse_sym6(handle)
+    inner = auts
+    if handle.kind == "psl2":
+        inner = auts >> 1
+        ids = np.where(auts & 1, table.d0[ids], ids)
+    mul = table.mul.ravel()
+    index = inner * n
+    index += ids
+    del ids
+    # (g x) g^-1, each product one gather from the flat table
+    np.multiply(mul[index], n, out=index, dtype=np.int64)
+    index += table.inv[inner]
+    return mul[index]
+
+
+def _units(n: int) -> list[int]:
+    """The units of Z/n, which are its automorphisms; [0] for n = 1."""
+    return [u for u in range(1, n) if math.gcd(u, n) == 1] or [0]
+
+
+def _refuse_sym6(handle: FiniteGroupHandle) -> None:
+    if handle.kind == "symmetric" and handle.m == 6:
+        raise BadParameters("Sym(6) has outer automorphisms; not supported")
 
 
 # ---------------------------------------------------------------------------

@@ -24,27 +24,28 @@ arrays fill one block of bytes and keeps each BFS level sorted, but
 holds no level but the frontier.  The visited states are a bitset with
 one bit per key: a membership test is one gather, and a chunk's new
 states are set in it at once.  That bitset and the number of states are
-the orbit: no array of all the states is made.  The class partition,
-``orbit --dump`` and the closure check's fallback read the states off
-the bitset in key order, a block of keys at a time (``_key_blocks``);
-the closure check of an orbit made of whole Aut classes reads only the
-class reps and tests their moves against the bitset.  Every stage that
-runs in blocks (the BFS chunk, the closure check, the class-partition
-batches, the class keys, the reps digest) sizes a block by all the
-arrays it makes, so a stage's working memory stays within one block of
-bytes on top of the data the run keeps.
+the orbit: no array of all the states is made.  ``orbit --dump`` and
+the closure check's fallback read the states off the bitset in key
+order, a block of keys at a time (``_key_blocks``); the closure check
+of an orbit made of whole Aut classes reads only the class reps and
+tests their moves against the bitset.  Every stage that runs in blocks
+(the BFS chunk, the closure check, the chain's prefixes and key runs,
+the canonical images, the reps digest) sizes a block by all the arrays
+it makes, so a stage's working memory stays within one block of bytes
+on top of the data the run keeps.
 
-One engine runs the class partition, in seed batches: each step takes
-the next unclassified states, computes all their automorphism images
-from the group table at once (``automorphism_images``; no automorphism
-matrix is stored), finds them in the orbit and marks them classified; a
-seed's smallest image in the orbit is its class minimum.  It stops
-reading key blocks once every state is classified.  The partition
-(``OrbitResult``) is the one object the stages after it read: the orbit
-it partitions, the class sizes and the class reps as one read-only
-(k, r) int64 id matrix, whose row count is k.  The closure check, the
-peripheral ids and the reps digest take the matrix a block of rows at a
-time, and the product image takes its columns.
+One engine runs the class partition, along a chain of point
+stabilizers (``aut_classes``, walked in ``chain``): the automorphisms
+that keep the start in the orbit are read off the start's images, the
+class minima are the orbit's set bits in a few runs of keys, found a
+tuple entry at a time from each prefix's stabilizer, and a class's size
+is that group's order over its minimum's stabilizer.  No automorphism
+matrix is stored, and no state is classified one at a time.  The
+partition (``OrbitResult``) is the one object the stages after it read:
+the orbit it partitions, the class sizes and the class reps as one
+read-only (k, r) int64 id matrix, whose row count is k.  The closure
+check, the peripheral ids and the reps digest take the matrix a block
+of rows at a time, and the product image takes its columns.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .chain import _aut_count, canonical_keys, class_minima
 from .errors import BadParameters, BudgetExceeded
 from .groups import (
     GroupTable,
@@ -438,10 +440,11 @@ def verify_characteristic_closure(result: OrbitResult) -> bool:
     the orbit S is closed under it exactly when the image of every state
     has its bit set in ``members``.  The check has two branches.
 
-    - The reps, when every class has |Aut G| states.  A class is the Aut
-      images of its rep that lie in S, and it has at most |Aut G| of
-      them, so then every image of every rep is in S, and S is a union
-      of whole Aut orbits: sigma(S) = S for every sigma in Aut G.
+    - The reps, when every class has |Aut G| states.  A class size is
+      |A_O| over the stabilizer of its minimum (``aut_classes``), so then
+      A_O, the automorphisms that keep the start in S, is all of Aut G,
+      and S, the Nielsen orbit of the start, is a union of whole Aut
+      orbits: sigma(S) is the orbit of sigma(start), which is in S.
       Postcomposition by sigma commutes with the moves, which act by
       precomposition (Gross and Tucker, Topological Graph Theory, 1987,
       ch. 2).  So for x = sigma(c), c a rep, m(x) = sigma(m(c)), and
@@ -449,9 +452,12 @@ def verify_characteristic_closure(result: OrbitResult) -> bool:
       per move (``_reps_closed``).
     - Every state, otherwise (``_states_closed``).
 
-    The premise is read off the data: a class size counts the images
-    found in S (``aut_classes``), so an S that holds part of an Aut orbit
-    has a class short of |Aut G| and takes the second branch.
+    The premise is read off the data: |A_O| = |Aut G| off the start's
+    images, and the partition's sum check, which ties the reps to the
+    bitset.  Each rep is a set bit and its class has |Aut G| states, and
+    the sizes must add up to the bitset's count, so a state missing from
+    a class whose minimum is present fails the partition before this
+    check runs.
     """
     orbit = result.orbit
     if set(result.class_sizes) == {_aut_count(orbit.table)}:
@@ -553,22 +559,6 @@ class OrbitResult:
         return digest.hexdigest()
 
 
-def _aut_count(table: GroupTable) -> int:
-    """The number of automorphisms, read off the images of one id."""
-    return automorphism_images(table, [table.identity_id]).shape[0]
-
-
-def _image_rows(table: GroupTable, rank: int, block: int = _BLOCK_BYTES) -> int:
-    """How many rank-r id rows fit `block` bytes together with their
-    images under every automorphism, at 14 bytes per image digit.
-    ``automorphism_images`` peaks at 10 bytes per image digit besides its
-    ufunc buffer of up to 64 KiB; the encoded images (``_encode_rows``)
-    and their membership test take less.  A partition batch or a block
-    of class keys peaked at 14.1 bytes per digit at rank 2 and 13.1 at
-    rank 3, that buffer included (tracemalloc)."""
-    return max(1, block // (14 * rank * _aut_count(table)))
-
-
 def _encode_rows(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """The int64 keys of the id rows along the last axis, summed a column
     at a time (16 bytes per row): a matmul copies every id to int64."""
@@ -578,81 +568,77 @@ def _encode_rows(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _classify_seeds(orbit, table, powers, seeds, classified):
-    """Set the bits of the Aut images of each seed row that lie in the
-    orbit in the bitset `classified`; return each seed's class minimum
-    (its smallest image in the orbit) and class size (its distinct images
-    there)."""
-    images = _encode_rows(automorphism_images(table, seeds), powers)
-    images.sort(axis=0)
-    present = _test_bits(orbit.members, images)
-    _set_bits(classified, images[present])
-    minima = images[present.argmax(axis=0), np.arange(images.shape[1])]
-    return minima, (present & _run_starts(images)).sum(axis=0)
-
-
 def aut_classes(orbit: OrbitClosure) -> OrbitResult:
-    """Partition the orbit by postcomposition with Aut(target).
+    """Partition the orbit by postcomposition with Aut(target), reading
+    each class minimum off the orbit's bitset along a chain of point
+    stabilizers (Linton, Finding the smallest image of a set, ISSAC 2004;
+    Jefferson, Jonauskyte, Pfeiffer and Waldecker, Minimal and canonical
+    images, J. Algebra 521, 2019).
 
-    A class is the set of Aut images of one state that lie in the orbit,
-    so any unclassified state seeds a new class, and the smallest present
-    image of a seed is its class minimum.  The partition runs in seed
-    batches.  The starting tuple's class goes first; then each step takes
-    the next unclassified states of a key block as seeds.  Seeds of one
-    batch may share a class; they give the same minimum and size, and
-    the duplicates are dropped at the end.  A key block takes an eighth
-    of ``_BLOCK_BYTES`` (8 bytes per key; three times that while it is
-    read or tested, between batches) and a batch's working arrays the
-    rest (``_image_rows``).  The classified states are a bitset over the
-    key space.  The key blocks stop once every state is classified: the
-    summed class sizes bound the classified count from above (a batch
-    may count one class twice), so the bits are counted only when that
-    sum reaches the orbit's size.
+    Let O be the orbit and A_O the automorphisms sigma with sigma(start)
+    in O, read off the start's images.  Postcomposition commutes with the
+    Nielsen moves (precomposition), so sigma(O) is the Nielsen orbit of
+    sigma(start): O itself or disjoint from it.  So A_O is a subgroup,
+    the Aut images of a state s that lie in O are its A_O-orbit, and
+    that orbit is its class.  A state (x_0, .., x_(r-1)) is the least of
+    its class exactly when each x_j is least in its orbit under the
+    stabilizer in A_O of x_0 .. x_(j-1): were some x_j not, an
+    automorphism fixing the entries before it would lower it, and so the
+    tuple.  The chain takes the entries a level at a time.
+
+    - Level 0: the A_O-orbits on ids, one row of |A_O| images per orbit
+      (``chain._id_orbits``); the (|Aut G|, n) table is never made.
+    - Each later level extends every prefix at once, from its
+      stabilizer's images of each id (``chain._extend``), and keeps a prefix
+      only where its run of keys holds a set bit.
+    - A prefix whose stabilizer is the kernel K, the automorphisms that
+      fix the start's entries, is done.  Nielsen moves keep the subgroup
+      a tuple generates, so K fixes every entry of every state, and
+      every state in the prefix's run of keys is a class minimum: its
+      later entries have orbits of one id.  A full tuple is done too.
+
+    A minimum s has |A_O| / |stabilizer of s| states in its class, which
+    for a state of O is |A_O| / |K|.  The runs are read in blocks of
+    ``_BLOCK_BYTES`` (``chain._run_keys``), and the sizes must sum to the
+    bitset's count of states, or the classes do not partition the
+    orbit.
 
     The reps are one read-only (k, r) int64 id matrix, the starting tuple
-    in row 0 and the other class minima decoded into rows 1.. a block of
-    minima at a time (their digits fill half of ``_BLOCK_BYTES``).
+    in row 0 and the other class minima, ascending, decoded into rows 1..
+    a block of minima at a time (their digits fill half of
+    ``_BLOCK_BYTES``).
     """
-    table, rank = orbit.table, orbit.rank
+    table, rank, members = orbit.table, orbit.rank, orbit.members
     n = table.order
     powers = _state_powers(n, rank)
-    span = _BLOCK_BYTES // 64
-    step = _image_rows(table, rank, _BLOCK_BYTES - 8 * span)
-    classified = _bitset(n**rank)
-    start_min, start_size = _classify_seeds(
-        orbit, table, powers, np.array([orbit.start_ids]), classified
-    )
-    if not start_size[0]:
+    start = _encode_rows(np.array(orbit.start_ids), powers)
+    if not _test_bits(members, np.array([start]))[0]:
         raise AssertionError("starting state must belong to some class")
-    minima, sizes = [start_min], [start_size]
-    claimed = int(start_size[0])
-    for keys in _key_blocks(orbit.members, span):
-        while keys.size:
-            keys = keys[~_test_bits(classified, keys)]
-            seeds, keys = keys[:step], keys[step:]
-            if seeds.size:
-                seeds = np.stack(_decode_digits(seeds, n, rank), axis=1)
-                batch = _classify_seeds(orbit, table, powers, seeds, classified)
-                minima.append(batch[0])
-                sizes.append(batch[1])
-                claimed += int(batch[1].sum())
-        if claimed >= orbit.size:
-            claimed = _count_bits(classified)
-            if claimed == orbit.size:
-                break
-    minima, sizes = np.concatenate(minima), np.concatenate(sizes)
-    order = np.argsort(minima[1:], kind="stable") + 1
-    keep = np.concatenate([[0], order[_run_starts(minima[order])]])
-    minima, sizes = minima[keep], sizes[keep]
-    # only keys of states are ever set, so the count is the orbit's
-    # exactly when every state is classified
-    if _count_bits(classified) != orbit.size or int(sizes.sum()) != orbit.size:
+    images = _encode_rows(automorphism_images(table, orbit.start_ids), powers)
+    group = np.flatnonzero(_test_bits(members, images))
+    kernel = int(np.count_nonzero(images[group] == start))
+    start_min = int(images[group].min())
+    del images
+    minima, classes = class_minima(table, members, rank, group, kernel)
+    # each level's minima are ascending, so the sort merges a few runs
+    order = np.argsort(minima, kind="stable")
+    minima, classes = minima[order], classes[order]
+    del order
+    first = int(np.searchsorted(minima, start_min))
+    if (
+        first == minima.size
+        or minima[first] != start_min
+        or int(classes.sum()) != orbit.size
+    ):
         raise AssertionError("the classes must partition the orbit")
-    class_sizes = tuple(sizes.tolist())
-    # dropped before the reps are made
-    del order, keep, sizes, classified
+    # the starting class goes first and reports the starting tuple itself
+    start_size = classes[first]
+    minima[1 : first + 1] = minima[:first]
+    classes[1 : first + 1] = classes[:first]
+    classes[0] = start_size
+    class_sizes = tuple(classes.tolist())
+    del classes
     reps = np.empty((minima.size, rank), dtype=np.int64)
-    # the starting class reports the starting tuple itself
     reps[0] = orbit.start_ids
     step = max(1, _BLOCK_BYTES // (16 * (rank + 1)))
     for lo in range(1, minima.size, step):
@@ -662,34 +648,28 @@ def aut_classes(orbit: OrbitClosure) -> OrbitResult:
     return OrbitResult(orbit=orbit, class_rep_ids=reps, class_sizes=class_sizes)
 
 
-def canonical_class_keys(table: GroupTable, rep_ids) -> np.ndarray:
-    """Per row of the (k, r) id matrix, the minimum encoding over its
-    full automorphism class: a complete invariant for postcomposition
-    equivalence.  Rows go in blocks whose working arrays fill at most
-    ``_BLOCK_BYTES`` (``_image_rows``)."""
-    rank = len(rep_ids[0])
-    powers = _state_powers(table.order, rank)
-    step = _image_rows(table, rank)
-    keys = np.empty(len(rep_ids), dtype=np.int64)
-    for lo in range(0, keys.size, step):
-        images = _encode_rows(automorphism_images(table, rep_ids[lo : lo + step]), powers)
-        images.min(axis=0, out=keys[lo : lo + step])
-        del images  # before the next block is made
-    return keys
-
-
 @dataclass(frozen=True)
 class HallReport:
     ok: bool
     pairwise_inequivalent: bool
 
 
-def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
+def verify_hall_surjectivity(result: OrbitResult, surjective: bool) -> HallReport:
     """Surjectivity of the product of the class reps onto G**k, by Hall's
     lemma (The Eulerian functions of a group, Q. J. Math. 7, 1936): every
     class rep surjects onto G, and no two are related by an automorphism
-    of G.  The reps are closed in one ``closure_ids`` call (a (k, |G|)
-    byte matrix, in blocks of its own).
+    of G.
+
+    The first condition is `surjective`, whether the starting tuple
+    generates G (the pipeline's ``checks["surjective"]``).  Every rep is
+    a state of the orbit: row 0 is the start, and the other rows are
+    minima read off the orbit's bitset (``aut_classes``).  Nielsen moves
+    keep the subgroup a tuple generates, and an automorphism maps a
+    generating tuple to a generating tuple, so every state of the orbit,
+    and every rep, generates G exactly when the start does.  The second
+    condition compares the reps' least images under Aut G
+    (``chain.canonical_keys``): two reps are equivalent exactly when those
+    are equal.
 
     Closing the image in G**k could add a check only while |G|**k is at
     most ``PRODUCT_CLOSURE_CAP`` = 10**7, so k <= 3 as |G| >= 60; but on
@@ -713,11 +693,10 @@ def verify_hall_surjectivity(result: OrbitResult) -> HallReport:
     Nielsen moves and G acts on the pair freely; and a class has at most
     |Aut G| = 2n states, so k >= n**(r - 2) / 2 >= 30.
     """
-    table = result.orbit.table
-    reps = result.class_rep_ids
-    each = bool(closure_ids(table, reps).all())
-    pairwise = bool(_run_starts(_sort(canonical_class_keys(table, reps))).all())
-    return HallReport(ok=each and pairwise, pairwise_inequivalent=pairwise)
+    table, reps = result.orbit.table, result.class_rep_ids
+    keys = canonical_keys(table, reps, _state_powers(table.order, reps.shape[1]))
+    pairwise = bool(_run_starts(_sort(keys)).all())
+    return HallReport(ok=surjective and pairwise, pairwise_inequivalent=pairwise)
 
 
 def _product_closure_order(table: GroupTable, class_rep_ids: np.ndarray) -> int | None:

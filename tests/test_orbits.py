@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coverforge import certificates, groups, orbits
+from coverforge import certificates, chain, groups, orbits
 from coverforge.catalog import (
     build_characteristic_cyclic,
     build_characteristic_sym3,
@@ -28,6 +28,7 @@ from coverforge.groups import (
     FiniteGroupHandle,
     GroupTable,
     automorphism_images,
+    closure_ids,
     encode,
     group_table,
 )
@@ -36,7 +37,6 @@ from coverforge.orbits import (
     OrbitResult,
     _product_closure_order,
     aut_classes,
-    canonical_class_keys,
     nielsen_generators,
     orbit_closure,
     verify_characteristic_closure,
@@ -148,6 +148,12 @@ def reference_aut_rows(table):
     if handle.kind == "psl2":
         return np.concatenate([inner, inner[:, table.d0]])
     return inner
+
+
+def canonical_keys(table, rows):
+    """Each id row's key of its least image under all of Aut G."""
+    rows = np.asarray(rows)
+    return chain.canonical_keys(table, rows, orbits._state_powers(table.order, rows.shape[1]))
 
 
 def rep_tuples(res):
@@ -466,8 +472,15 @@ class TestWorkingMemory:
     def test_class_partition_within_one_block(self, sym3_orbit):
         res, over = self.traced(lambda: aut_classes(sym3_orbit))
         assert res.k == 7623
-        # besides the block, the bitset of classified states
-        assert over <= orbits._BLOCK_BYTES + sym3_orbit.members.nbytes + self.OBJECTS
+        # the seed batches held a bitset of classified states besides
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
+
+    def test_class_partition_within_one_block_at_rank_two(self):
+        orb = orbit_closure(build_genus_zero(13, 3).rep)
+        res, over = self.traced(lambda: aut_classes(orb))
+        assert res.k == 49
+        # a chain that took every prefix and run at once peaked at 2.15 MB
+        assert over <= orbits._BLOCK_BYTES + self.OBJECTS
 
     def test_reps_digest_within_one_block(self, sym3_orbit):
         res = aut_classes(sym3_orbit)
@@ -498,12 +511,13 @@ class TestWorkingMemory:
         ids=["psl2-5", "psl2-13", "sym-3", "cyclic-6"],
     )
     def test_class_keys_within_one_block(self, handle, rank):
-        # three blocks of rows, at _IMAGE_BYTES per automorphism image digit
+        # three chunks of random rows, each row's chain walked from the
+        # stabilizer of its least first id
         table = group_table(handle)
-        rows = orbits._image_rows(table, rank)
-        ids = np.random.default_rng(rank).integers(0, table.order, size=(3 * rows, rank))
-        keys, over = self.traced(lambda: canonical_class_keys(table, ids))
-        assert keys.shape == (3 * rows,)
+        rows = 3 * (orbits._BLOCK_BYTES // 256)
+        ids = np.random.default_rng(rank).integers(0, table.order, size=(rows, rank))
+        keys, over = self.traced(lambda: canonical_keys(table, ids))
+        assert keys.shape == (rows,)
         assert over <= orbits._BLOCK_BYTES + self.OBJECTS
 
 
@@ -601,7 +615,7 @@ class TestOrbitEngine:
             )
             for ids in res.class_rep_ids
         ]
-        assert canonical_class_keys(orb.table, res.class_rep_ids).tolist() == exact
+        assert canonical_keys(orb.table, res.class_rep_ids).tolist() == exact
 
     def test_key_space_limit(self, monkeypatch):
         # (1, 0, .., 0) over Z/2: the orbit is every nonzero tuple.  At
@@ -629,8 +643,6 @@ class TestOrbitEngine:
         b = build_genus_zero(5, 3)
         orb = orbit_closure(b.rep)
         table = orb.table
-        from coverforge.groups import closure_ids
-
         assert closure_ids(table, next(orb.id_tuples())[:40]).all()
 
 
@@ -915,6 +927,32 @@ class TestAutomorphismPerms:
         assert np.array_equal(images, all_automorphisms(table)[:, ids])
 
 
+def drop_d0(id_orbits):
+    """A planted fault: the chain's level-0 stabilizers without the
+    automorphisms of the d0 coset, the odd ones."""
+
+    def dropped(table, group):
+        keys, auts, sizes = id_orbits(table, group)
+        keep = auts % 2 == 0
+        segment = np.repeat(np.arange(sizes.size), sizes)
+        return keys, auts[keep], np.bincount(segment[keep], minlength=sizes.size)
+
+    return dropped
+
+
+def run_off_by_one(run_keys):
+    """A planted fault: every run of keys read from one key late."""
+    return lambda bits, lo, length: run_keys(bits, lo + 1, length)
+
+
+def stabilizer_ignored(run_minima):
+    """A planted fault: every class size taken as |A_O|, as if each
+    minimum's stabilizer were trivial."""
+    return lambda members, keys, run, sizes, order: run_minima(
+        members, keys, run, np.ones_like(sizes), order
+    )
+
+
 class TestAutClasses:
     def test_partition_property(self):
         b = build_genus_zero(5, 3)
@@ -938,24 +976,6 @@ class TestAutClasses:
         assert res.k == 4
         assert rep_tuples(res) == ((1, 1), (0, 1), (1, 0), (1, 2))
 
-    def test_key_blocks_stop_once_every_state_is_classified(self, monkeypatch):
-        # at genus-zero p13 every class minimum past the starting class
-        # has first entry a = 0, so the first key blocks hold all 49
-        orb = orbit_closure(build_genus_zero(13, 3).rep)
-        span = orbits._BLOCK_BYTES // 64
-        total = sum(1 for _ in orbits._key_blocks(orb.members, span))
-        key_blocks, read = orbits._key_blocks, []
-
-        def counted(bits, keys):
-            for block in key_blocks(bits, keys):
-                read.append(block)
-                yield block
-
-        monkeypatch.setattr(orbits, "_key_blocks", counted)
-        res = aut_classes(orb)
-        assert total == 39 and len(read) < total
-        assert res.k == 49 and sum(res.class_sizes) == orb.size
-
     def test_char_sym3_classes(self):
         b = build_characteristic_sym3(1)
         orb = orbit_closure(b.rep)
@@ -976,8 +996,8 @@ class TestAutClasses:
         res = aut_classes(orb)
         assert (rep_tuples(res), res.class_sizes) == reference_partition(orb)
 
-    # label -> rep; the partition runs in seed batches that fill at most
-    # orbits._BLOCK_BYTES with automorphism images
+    # label -> rep; the chain's prefixes, their images and the runs of
+    # keys go in blocks that fill at most orbits._BLOCK_BYTES
     BATCH_CASES = {
         "char-cyclic-g0-n3": lambda: build_characteristic_cyclic(0, 3).rep,
         "char-cyclic-g0-n6": lambda: build_characteristic_cyclic(0, 6).rep,
@@ -990,9 +1010,10 @@ class TestAutClasses:
     def test_batch_size_does_not_change_result(self, label, monkeypatch):
         orb = orbit_closure(self.BATCH_CASES[label]())
         default = aut_classes(orb)
-        # 64 bytes gives one seed per batch, 64 MiB up to thousands
+        # 64 bytes gives one prefix per block, 64 MiB every prefix at once
         for block_bytes in (64, 64 << 20):
             monkeypatch.setattr(orbits, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(chain, "_BLOCK_BYTES", block_bytes)
             assert same_classes(aut_classes(orb), default)
 
     # label -> rep of a completed orbit pinned elsewhere in the tests
@@ -1016,13 +1037,17 @@ class TestAutClasses:
         assert set(res.class_sizes) == {len(all_automorphisms(orb.table))}
 
     def test_dropped_state_breaks_closure_and_its_class(self):
-        # a planted fault in an Aut-invariant orbit: 3 classes of 6
+        # a planted fault in an Aut-invariant orbit: 3 classes of 6.  The
+        # dropped state's class keeps its minimum, and a class size is
+        # |A_O| over a stabilizer, so the sizes still add up to 18 and the
+        # partition's sum check fails against the 17 states
         orb = orbit_closure(build_characteristic_sym3(1).rep)
-        assert aut_classes(orb).class_sizes == (6, 6, 6)
+        res = aut_classes(orb)
+        assert res.class_sizes == (6, 6, 6)
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
-        res = aut_classes(mutated)
-        assert not verify_characteristic_closure(res)
-        assert (mutated.size, res.k, sorted(res.class_sizes)) == (17, 3, [5, 6, 6])
+        with pytest.raises(AssertionError, match="the classes must partition the orbit"):
+            aut_classes(mutated)
+        assert not orbits._states_closed(mutated)
 
     def test_genus_zero_p5_classes_are_half_the_automorphisms(self):
         # this orbit is not Aut-invariant: half of each class's images
@@ -1036,12 +1061,44 @@ class TestAutClasses:
         orb = orbit_closure(build_genus_zero(17, 3).rep)
         tracemalloc.start()
         try:
-            report = verify_hall_surjectivity(aut_classes(orb))
+            report = verify_hall_surjectivity(aut_classes(orb), True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.ok
         assert peak < 4 << 20
+
+    # planted fault -> (patched helper, orbits it shows on).  d0 counts
+    # only on PSL2 orbits whose classes reach outside the inner
+    # automorphisms, and a class size only where a state's stabilizer is
+    # not trivial, as on the involution orbits
+    CHAIN_FAULTS = {
+        "stabilizer-drops-d0": ("_id_orbits", drop_d0, ("genus-zero-p13", "generic-p5")),
+        "key-run-off-by-one": ("_run_keys", run_off_by_one, ("genus-zero-p13", "generic-p5")),
+        "class-size-ignores-stabilizer": (
+            "_run_minima", stabilizer_ignored, ("involution-p5-rank3", "involution-p5-rank3-last")
+        ),
+    }
+    # label -> (rep, k)
+    FAULT_ORBITS = {
+        "genus-zero-p13": (lambda: build_genus_zero(13, 3).rep, 49),
+        "generic-p5": (lambda: build_generic(5, 1, 2).rep, 1668),
+        "involution-p5-rank3": (lambda: involution_rep(3), 7),
+        "involution-p5-rank3-last": (lambda: involution_rep(3, last=True), 7),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(CHAIN_FAULTS))
+    def test_planted_chain_fault_fails_the_partition(self, fault, monkeypatch):
+        helper, plant, labels = self.CHAIN_FAULTS[fault]
+        orbs = []
+        for label in labels:
+            rep, k = self.FAULT_ORBITS[label]
+            orbs.append(orbit_closure(rep()))
+            assert aut_classes(orbs[-1]).k == k, label
+        monkeypatch.setattr(chain, helper, plant(getattr(chain, helper)))
+        for orb in orbs:
+            with pytest.raises(AssertionError, match="the classes must partition the orbit"):
+                aut_classes(orb)
 
     def test_once_punctured_p13_summary(self):
         b = build_once_punctured(13, 1)
@@ -1130,7 +1187,7 @@ class TestHall:
             class_rep_ids=res.class_rep_ids[[0, 0]],
             class_sizes=(res.class_sizes[0],) * 2,
         )
-        report = verify_hall_surjectivity(dup)
+        report = verify_hall_surjectivity(dup, True)
         assert not report.pairwise_inequivalent
         assert not report.ok
 
@@ -1142,15 +1199,17 @@ class TestHall:
             class_rep_ids=res.class_rep_ids[:1],
             class_sizes=res.class_sizes[:1],
         )
-        assert verify_hall_surjectivity(one).ok
+        assert verify_hall_surjectivity(one, True).ok
 
     def test_hypothesis_mode_on_large_products(self):
         b = build_genus_zero(5, 3)
         res = aut_classes(orbit_closure(b.rep))
-        assert verify_hall_surjectivity(res).ok
+        assert verify_hall_surjectivity(res, True).ok
 
     def test_surjectivity_checks_every_block_of_reps(self, monkeypatch):
-        # the class reps then the identity tuple, which generates nothing;
+        # the class reps then the identity tuple, which generates nothing.
+        # Hall's first condition is the start's surjectivity, so the
+        # planted rep is for the oracle, which closes the reps in blocks:
         # in blocks of one rep the last block alone fails
         res = aut_classes(orbit_closure(build_genus_zero(5, 3).rep))
         identity = np.full((1, res.class_rep_ids.shape[1]), res.orbit.table.identity_id)
@@ -1159,13 +1218,14 @@ class TestHall:
             class_rep_ids=np.vstack([res.class_rep_ids, identity]),
             class_sizes=res.class_sizes + (1,),
         )
-        whole = verify_hall_surjectivity(bad)
-        assert whole.pairwise_inequivalent
-        assert not whole.ok
-        # closure_ids then closes one rep per block
+        with pytest.raises(AssertionError):
+            assert_reps_generate(bad)
         monkeypatch.setattr(groups, "_BLOCK_BYTES", 1)
-        assert verify_hall_surjectivity(bad) == whole
-        assert verify_hall_surjectivity(res).ok
+        with pytest.raises(AssertionError):
+            assert_reps_generate(bad)
+        assert_reps_generate(res)
+        assert verify_hall_surjectivity(bad, True).pairwise_inequivalent
+        assert not verify_hall_surjectivity(bad, False).ok
 
 
 def lift(handle, gid):
@@ -1253,7 +1313,7 @@ class TestHallLemma:
                 for _ in range(m):
                     states.append((x, b))
                     x = int(table.mul[x, b])
-                assert np.unique(canonical_class_keys(table, states)).size == m, (p, a, b)
+                assert np.unique(canonical_keys(table, states)).size == m, (p, a, b)
 
     def test_sign_class_is_an_automorphism_invariant(self):
         handle = FiniteGroupHandle.psl2(7)
@@ -1426,12 +1486,139 @@ def pinned_orbit_configs():
 PINNED_ORBIT_CONFIGS = pinned_orbit_configs()
 
 
+def partition(rep, budget=orbits.DEFAULT_ORBIT_BUDGET):
+    """The orbit of the tuple and its Aut classes."""
+    orb = orbit_closure(rep, budget)
+    return orb, aut_classes(orb)
+
+
 @cache
 def pinned_orbit(name):
     """The orbit of a pinned configuration and its Aut classes, built once."""
     config = PINNED_ORBIT_CONFIGS[name]
-    orb = orbit_closure(certificates._build_case(config).rep, config.orbit_budget)
-    return orb, aut_classes(orb)
+    return partition(certificates._build_case(config).rep, config.orbit_budget)
+
+
+def assert_reps_generate(res):
+    """Oracle for Hall's first condition: every class rep, closed on its
+    own (``closure_ids``), generates G.  ``verify_hall_surjectivity``
+    reads the start's surjectivity instead, which every state shares."""
+    assert closure_ids(res.orbit.table, res.class_rep_ids).all()
+
+
+class TestRepsGenerate:
+    """Nielsen moves keep the subgroup a tuple generates, so every state
+    of an orbit, and every class rep, generates G when the start does;
+    the oracle closes every rep of every pinned orbit."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ORBIT_CONFIGS))
+    def test_pinned_reps_generate(self, name):
+        assert_reps_generate(pinned_orbit(name)[1])
+
+    def test_generic_p7_reps_generate(self):
+        res = aut_classes(orbit_closure(build_generic(7, 1, 2).rep))
+        assert res.k == 13368
+        assert_reps_generate(res)
+
+    def test_planted_non_generating_state_fails(self, monkeypatch):
+        # the BFS sets the bit of the identity tuple too, whose class is
+        # itself: the partition holds, and only the oracle sees it
+        engine = orbits._orbit_vectorized
+
+        def planted(table, rank, *args):
+            orb = engine(table, rank, *args)
+            key = table.identity_id * sum(table.order**j for j in range(rank))
+            members = orb.members.copy()
+            members[key >> 3] |= np.uint8(1 << (key & 7))
+            return dataclasses.replace(orb, members=members, size=orb.size + 1)
+
+        monkeypatch.setattr(orbits, "_orbit_vectorized", planted)
+        res = aut_classes(orbit_closure(build_generic(5, 1, 2).rep))
+        assert res.k == 1669 and sorted(res.class_sizes)[0] == 1
+        assert verify_hall_surjectivity(res, True).ok
+        with pytest.raises(AssertionError):
+            assert_reps_generate(res)
+
+
+def fricke_sign_classes(handle, a, b, canon=sign_class):
+    """The orbit of the pair's sign class of trace triples (tr A, tr B,
+    tr AB) under the Fricke maps of the four rank-2 Nielsen moves: swap
+    (y, x, z), invert a (x, y, xy - z), a -> ab (z, y, yz - x) and
+    a -> ab^-1 (xy - z, y, x) (Goldman, Trace coordinates on Fricke
+    spaces, 2009).  Each map commutes with the lifts' signs, so it acts
+    on sign classes, which `canon` names."""
+    p = handle.p
+    a_lift, b_lift = lift(handle, a), lift(handle, b)
+    x, y, z = (int(np.trace(m)) for m in (a_lift, b_lift, a_lift @ b_lift))
+    start = canon(x % p, y % p, z % p, p)
+    seen, frontier = {start}, [start]
+    while frontier:
+        fresh = []
+        for x, y, z in frontier:
+            for moved in ((y, x, z), (x, y, x * y - z), (z, y, y * z - x), (x * y - z, y, x)):
+                point = canon(*(v % p for v in moved), p)
+                if point not in seen:
+                    seen.add(point)
+                    fresh.append(point)
+        frontier = fresh
+    return seen
+
+
+def assert_fricke_partition(orb, res, canon=sign_class):
+    """Oracle for a rank-2 partition on PSL(2,p): Aut G = PGL(2,p) keeps
+    a pair's sign class of trace triples, and generating pairs with one
+    sign class are PGL(2,p)-conjugate, so k is the size of the start's
+    Fricke orbit; Aut G acts freely on generating pairs, so every class
+    has the same size, |G| or 2|G|, and the orbit is k times it."""
+    n = orb.table.order
+    assert res.k == len(fricke_sign_classes(orb.table.handle, *orb.start_ids, canon))
+    (size,) = set(res.class_sizes)
+    assert size in (n, 2 * n)
+    assert orb.size == res.k * size
+
+
+def wrong_sign_class(x, y, z, p):
+    """A planted fault: the sign of tr AB taken apart from the lifts'."""
+    return min(((sx * x) % p, (sy * y) % p, z % p) for sx in (1, -1) for sy in (1, -1))
+
+
+class TestFrickeOracle:
+    """Every rank-2 orbit of the digest tables, and both p = 17 families,
+    against its trace-triple orbit."""
+
+    CASES = {
+        **{
+            name: partial(pinned_orbit, name)
+            for name, config in PINNED_ORBIT_CONFIGS.items()
+            if config.case in ("genus-zero", "once-punctured")
+        },
+        "genus-zero-p17": lambda: partition(build_genus_zero(17, 3).rep),
+        "once-punctured-p17": lambda: partition(build_once_punctured(17, 1).rep),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_partition_matches_the_trace_orbit(self, name):
+        assert_fricke_partition(*self.CASES[name]())
+
+    @pytest.mark.parametrize("kind", ["swap", "invert"])
+    def test_dropped_nielsen_move_fails(self, kind, monkeypatch):
+        # multiply and multiply_inv are each other's inverses, so without
+        # one of them the orbit stays the same; without the swap or the
+        # inversion it shrinks
+        generators = orbits.nielsen_generators
+        monkeypatch.setattr(
+            orbits,
+            "nielsen_generators",
+            lambda r: tuple(move for move in generators(r) if move.kind != kind),
+        )
+        orb, res = partition(build_genus_zero(13, 3).rep)
+        with pytest.raises(AssertionError):
+            assert_fricke_partition(orb, res)
+
+    def test_wrong_sign_class_fails(self):
+        orb, res = pinned_orbit("genus-zero-p13-n3")
+        with pytest.raises(AssertionError):
+            assert_fricke_partition(orb, res, canon=wrong_sign_class)
 
 
 def refuse_branch(*args):
@@ -1475,8 +1662,12 @@ class TestClosureBranches:
         orb, res = pinned_orbit("genus-zero-p5-n3")
         monkeypatch.setattr(orbits, "_reps_closed", refuse_branch)
         assert verify_characteristic_closure(res)
+        # a dropped state fails the partition's sum check first, so the
+        # full check takes the partition of the whole orbit
         mutated = drop_state(orb, int(orbit_keys(orb)[-1]))
-        assert not verify_characteristic_closure(aut_classes(mutated))
+        with pytest.raises(AssertionError, match="the classes must partition the orbit"):
+            aut_classes(mutated)
+        assert not verify_characteristic_closure(dataclasses.replace(res, orbit=mutated))
 
 
 def jordan_totient(r, n):

@@ -161,6 +161,26 @@ def test_psl2_rank2_certificate_digest(name):
     assert cert["orbit"]["class_reps_digest"] == class_reps_digest
 
 
+# the largest class partition tier-1 runs: char-cyclic g = 0, n = 8 has
+# k = 520 192 classes over 2 080 768 states of a rank-7 orbit over Z/8
+LARGEST_PARTITION_GOLDEN = {
+    "char-cyclic-g0-n8": (
+        ConstructConfig(case="char-cyclic", genus=0, punctures=8),
+        "0731793fd6711e4fbff4ab40d253f76e25876af975dc462d8517e3aeeac7be11",
+        "bb7ec8ffb8a861e70eea0c9becd9e02bce97f32692342000f324fdc4a5ee3f64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_PARTITION_GOLDEN))
+def test_largest_partition_certificate_digest(name):
+    config, certificate_digest, class_reps_digest = LARGEST_PARTITION_GOLDEN[name]
+    cert = construct(config)
+    assert cert["orbit"]["k"] == 520_192 and cert["orbit"]["size"] == 2_080_768
+    assert cert["certificate_digest"] == certificate_digest
+    assert cert["orbit"]["class_reps_digest"] == class_reps_digest
+
+
 # one more configuration per path through the orbit stage and the two
 # cover stages: single-factor on a PSL2 target, each characteristic
 # builder at another signature, and the dihedral variant at another t
